@@ -8,6 +8,14 @@ patch distance, softened by softmax importance re-weighting over the b
 bank vectors nearest to the winning patch. Distances are always
 accumulated in double precision; bank storage is float32.
 
+The nearest-neighbour search is exact. A screen from one BLAS matmul,
+``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
+bound of its row's minimum; those candidates are re-ranked with the
+reference ``((t - b)**2).sum()``, so only reference values reach an
+output (see ``_nearest_distances`` for the bound). Peak memory per
+chunk of test patches is a few ``chunk x bank`` arrays, never a
+``chunk x bank x dim`` one.
+
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
 count * dim IEEE-754 binary32 little-endian vectors.
@@ -28,7 +36,16 @@ _MAGIC = b"IADB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")
 
-_SCORE_CHUNK = 256  # test patches per distance block, bounds peak memory
+# Test patches per screen block. The screen (reused for the re-ranked
+# distances), its candidate mask and the candidate list are each at most
+# chunk x bank elements, so this bounds peak memory.
+_SCORE_CHUNK = 256
+# Candidate (patch, bank vector) pairs re-ranked at once are capped at
+# this many float64 elements of (pairs x dim) difference array.
+_RERANK_ELEMENTS = 1 << 18
+# Rows whose ||t||^2 + max ||b||^2 reaches this keep every bank index:
+# near the float64 overflow threshold the screen's bound does not hold.
+_SCREEN_LIMIT = 2.0**1000
 
 
 @dataclass
@@ -158,17 +175,83 @@ class ScoreResult:
 
 
 def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per test vector: (Euclidean distance, index) of the nearest bank vector."""
+    """Per test vector: (Euclidean distance, index) of the nearest bank vector.
+
+    The result equals the reference search bit for bit: for each test
+    vector t, the bank index j minimising d_j = ``((t - b_j)**2).sum()``
+    in float64, ties to the lowest j, and ``sqrt(d_j)``.
+
+    Screen. For each chunk of test vectors one matmul gives
+    s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j in float64. Bound, with
+    u = 2**-53, gamma_k = k*u / (1 - k*u), N_j = ||t||^2 + ||b_j||^2 and
+    D_j = ||t - b_j||^2 in exact arithmetic:
+
+    - ||t||^2, ||b_j||^2 and t.b_j are length-d dot products. In any
+      summation order, with or without FMA, each is within
+      gamma_d * sum_i |x_i y_i| of its exact value, and
+      sum_i |t_i b_ji| <= N_j / 2, so the three together are off by at
+      most 2 gamma_d N_j. Doubling is exact; the two additions round
+      once each on values of size at most about 2 N_j. So
+      |s_j - D_j| <= e_j = (2 gamma_d + 5u) N_j, the extra u covering
+      the second-order terms.
+    - d_j rounds each difference once and each square once, then sums
+      d non-negative terms in some order, so
+      |d_j - D_j| <= gamma_(d+2) D_j <= f_j = 2 gamma_(d+2) N_j.
+    - Let j* be the reference winner and m the screen's row minimum.
+      Then s_j* <= D_j* + e_j* <= d_j* + f_j* + e_j* <= d_m + f_j* + e_j*
+      <= D_m + f_m + f_j* + e_j* <= s_m + e_m + f_m + e_j* + f_j*.
+      With N_max = ||t||^2 + max_j ||b_j||^2 that is at most
+      2 (2 gamma_d + 5u + 2 gamma_(d+2)) N_max, about (8d + 18) u N_max.
+
+    The tolerance is tau = 16 (d + 2) u N_max. Its excess over the bound,
+    (8d + 14) u N_max or more, covers gamma_k against k*u, the computed
+    N_max against the exact one, and the roundings of tau and of
+    s_m + tau, which come to a few u N_max. Gradual underflow adds at
+    most about 2**-1074 per operation; bank vectors are float32, so
+    N_max >= 2**-298 unless the whole bank is zero, and then every
+    screen value of the row is equal and every index is kept.
+
+    Candidates and rerank. Every j with s_j <= s_m + tau is kept, so j*
+    is. Each candidate's d_j is computed with the reference expression
+    in blocks of pairs; the others read +inf, and argmin picks the
+    first minimum, so any candidate before j* has d_j > d_j* and the
+    result is j*. Screen values never reach an output, so BLAS threads
+    or summation order cannot change a result. Rows with N_max at or
+    above 2**1000, where the reference sum may overflow, keep every
+    index and equal the reference exactly; this includes every row
+    whose screen is not finite.
+    """
     bank_v = bank.vectors.astype(np.float64)
     test_v = np.asarray(vectors, dtype=np.float64)
+    dim = bank_v.shape[1]
+    bank_sq = np.einsum("nd,nd->n", bank_v, bank_v)
+    bank_sq_max = bank_sq.max()
+    tol_factor = 16.0 * (dim + 2) * 2.0**-53
+    pairs_per_block = max(1, _RERANK_ELEMENTS // dim)
     nn_idx = np.empty(test_v.shape[0], dtype=np.int64)
     nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
     for start in range(0, test_v.shape[0], _SCORE_CHUNK):
         chunk = test_v[start : start + _SCORE_CHUNK]
-        d2 = ((chunk[:, None, :] - bank_v[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
+        rows = np.arange(chunk.shape[0])
+        test_sq = np.einsum("nd,nd->n", chunk, chunk)
+        screen = chunk @ bank_v.T
+        screen *= -2.0
+        screen += bank_sq
+        screen += test_sq[:, None]
+        n_max = test_sq + bank_sq_max
+        tol = np.where(n_max < _SCREEN_LIMIT, tol_factor * n_max, np.inf)
+        bound = screen.min(axis=1) + tol
+        # ~(s > bound) also keeps NaN screens and every index of a NaN row
+        candidates = np.flatnonzero(~(screen > bound[:, None]))
+        screen.fill(np.inf)
+        flat = screen.reshape(-1)
+        for lo in range(0, candidates.size, pairs_per_block):
+            pick = candidates[lo : lo + pairs_per_block]
+            t_rows, b_rows = np.divmod(pick, bank_v.shape[0])
+            flat[pick] = ((chunk[t_rows] - bank_v[b_rows]) ** 2).sum(axis=1)
+        idx = np.argmin(screen, axis=1)
         nn_idx[start : start + chunk.shape[0]] = idx
-        nn_d2[start : start + chunk.shape[0]] = d2[np.arange(chunk.shape[0]), idx]
+        nn_d2[start : start + chunk.shape[0]] = screen[rows, idx]
     return np.sqrt(nn_d2), nn_idx
 
 

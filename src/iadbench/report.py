@@ -13,16 +13,9 @@ import json
 import os
 
 from .errors import ReportError
+from .runner import METRIC_NAMES
 
-CSV_METRICS = (
-    "image_auroc",
-    "image_ap",
-    "pixel_auroc",
-    "pixel_ap",
-    "aupro",
-    "mean_spro",
-    "fm",
-)
+CSV_METRICS = METRIC_NAMES  # former name of the column list, still imported by tests
 
 # lower is better only for forgetting
 _LOWER_IS_BETTER = {"fm"}
@@ -39,13 +32,13 @@ def render_json(document: dict) -> str:
 
 
 def render_csv(document: dict) -> str:
-    header = ["category", "setting", *CSV_METRICS, "latency_p50_ms", "bank_bytes"]
+    header = ["category", "setting", *METRIC_NAMES, "latency_p50_ms", "bank_bytes"]
     lines = [",".join(header)]
     timings = document.get("timings", {})
     for cell in document["cells"]:
         metrics = cell.get("metrics", {})
         row = [cell["category"], cell["setting"]]
-        row.extend(_fmt(metrics.get(name)) for name in CSV_METRICS)
+        row.extend(_fmt(metrics.get(name)) for name in METRIC_NAMES)
         timing = timings.get(cell["cell_id"], {})
         row.append(_fmt(timing.get("latency_ms_p50")))
         row.append(str(cell.get("bank_bytes", "")))
@@ -81,7 +74,7 @@ def _md_table(header: list[str], body: list[list[str]]) -> list[str]:
 
 
 def render_markdown(document: dict) -> str:
-    requested = [m for m in CSV_METRICS if m in document.get("metrics_requested", CSV_METRICS)]
+    requested = [m for m in METRIC_NAMES if m in document.get("metrics_requested", METRIC_NAMES)]
     settings: dict[str, list[dict]] = {}
     for cell in document["cells"]:
         settings.setdefault(cell["setting"], []).append(cell)

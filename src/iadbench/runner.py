@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -144,7 +143,9 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
         _expect_keys(raw, path, {"type", "m"}, {"rotation_k", "allow_custom_m"})
         shots = raw["m"] if isinstance(raw["m"], list) else [raw["m"]]
         rotation_k = _expect_type(raw.get("rotation_k", 1), f"{path}.rotation_k", int, "an integer")
-        allow = bool(raw.get("allow_custom_m", False))
+        allow = _expect_type(
+            raw.get("allow_custom_m", False), f"{path}.allow_custom_m", bool, "a boolean"
+        )
         out = []
         for m in shots:
             _expect_type(m, f"{path}.m", int, "an integer")
@@ -161,7 +162,9 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
     if stype == "noisy":
         _expect_keys(raw, path, {"type", "noise_ratio"}, {"allow_custom_ratio"})
         ratios = raw["noise_ratio"] if isinstance(raw["noise_ratio"], list) else [raw["noise_ratio"]]
-        allow = bool(raw.get("allow_custom_ratio", False))
+        allow = _expect_type(
+            raw.get("allow_custom_ratio", False), f"{path}.allow_custom_ratio", bool, "a boolean"
+        )
         out = []
         for ratio in ratios:
             _expect_type(ratio, f"{path}.noise_ratio", float, "a number")
@@ -393,7 +396,6 @@ class EfficiencyStats:
     latency_ms_p50: float
     latency_ms_p95: float
     bank_bytes: int
-    peak_rss_bytes: int
 
 
 def _nearest_rank(sorted_values: list[float], q: float) -> float:
@@ -401,26 +403,36 @@ def _nearest_rank(sorted_values: list[float], q: float) -> float:
     return sorted_values[rank - 1]
 
 
-def measure_efficiency(
-    state: DetectorState, samples: list[Sample], warmup: int = 3
-) -> EfficiencyStats:
-    """Wall-clock per-image inference latency after warmup discards."""
-    if len(samples) < warmup + 5:
-        raise ConfigError(
-            "too-few-samples", f"need >= {warmup + 5} samples, got {len(samples)}"
-        )
-    timings = []
+def evaluate(
+    state: DetectorState, samples: list[Sample]
+) -> tuple[list[float], list[np.ndarray], list[float]]:
+    """Score each sample once: image scores, pixel maps, wall-clock ms per image."""
+    scores = []
+    maps = []
+    latencies_ms = []
     for sample in samples:
         start = time.perf_counter()
-        state.score_sample(sample)
-        timings.append((time.perf_counter() - start) * 1000.0)
-    kept = sorted(timings[warmup:])
+        score, pixel_map = state.score_sample(sample)
+        latencies_ms.append((time.perf_counter() - start) * 1000.0)
+        scores.append(score)
+        maps.append(pixel_map)
+    return scores, maps, latencies_ms
+
+
+def efficiency_stats(
+    latencies_ms: list[float], bank: MemoryBank, warmup: int = 3
+) -> EfficiencyStats:
+    """Per-image inference latency after warmup discards, and the bank footprint."""
+    if len(latencies_ms) < warmup + 5:
+        raise ConfigError(
+            "too-few-samples", f"need >= {warmup + 5} samples, got {len(latencies_ms)}"
+        )
+    kept = sorted(latencies_ms[warmup:])
     return EfficiencyStats(
         latency_ms_mean=float(np.mean(kept)),
         latency_ms_p50=_nearest_rank(kept, 0.50),
         latency_ms_p95=_nearest_rank(kept, 0.95),
-        bank_bytes=state.bank.count * state.bank.dim * 4,
-        peak_rss_bytes=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+        bank_bytes=bank.count * bank.dim * 4,
     )
 
 
@@ -562,12 +574,7 @@ def _run_plain_cell(
         split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
         bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"))
         state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
-        image_scores = []
-        pixel_maps = []
-        for sample in split.test:
-            score, pixel_map = state.score_sample(sample)
-            image_scores.append(score)
-            pixel_maps.append(pixel_map)
+        image_scores, pixel_maps, latencies_ms = evaluate(state, split.test)
         cell.metrics, cell.na_reasons = _cell_metrics(
             config, dataset, category, split.test, image_scores, pixel_maps
         )
@@ -578,7 +585,7 @@ def _run_plain_cell(
         if keep_bank:
             cell.bank = bank
         try:
-            cell.efficiency = measure_efficiency(state, split.test)
+            cell.efficiency = efficiency_stats(latencies_ms, bank)
         except ConfigError:
             cell.efficiency = None
     except BenchError as exc:
@@ -618,7 +625,7 @@ def _run_continual_job(
     try:
         bank = MemoryBank.empty(config.feature.patch_size**2)
         entries: dict[tuple[int, int], float] = {}
-        final_scores: dict[int, tuple[list[float], list[np.ndarray]]] = {}
+        final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
         for step, task in enumerate(sequence.tasks, start=1):
             grids = [extract_features(i.sample.image, config.feature) for i in task.train]
             params = CoresetParams(
@@ -630,19 +637,13 @@ def _run_continual_job(
             bank = extend_bank_for_task(bank, grids, step, params)
             state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
             for prev in sequence.cumulative_test(step):
-                scores = []
-                maps = []
-                for sample in prev.test:
-                    score, pixel_map = state.score_sample(sample)
-                    scores.append(score)
-                    maps.append(pixel_map)
+                scores, maps, latencies_ms = evaluate(state, prev.test)
                 labels = [s.label == ABNORMAL for s in prev.test]
                 entries[(step, prev.index)] = auroc(LabeledScores(scores, labels))
                 if step == k:
-                    final_scores[prev.index] = (scores, maps)
+                    final_scores[prev.index] = (scores, maps, latencies_ms)
 
         fm = forgetting_measure(TaskMatrix(k=k, values=entries))
-        state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
         for task in sequence.tasks:
             cell = CellResult(
                 cell_id=f"{task.category}/{label}",
@@ -650,7 +651,7 @@ def _run_continual_job(
                 setting=label,
                 cell_seed=job_seed,
             )
-            scores, maps = final_scores[task.index]
+            scores, maps, latencies_ms = final_scores[task.index]
             cell.metrics, cell.na_reasons = _cell_metrics(
                 config, dataset, task.category, task.test, scores, maps
             )
@@ -667,7 +668,7 @@ def _run_continual_job(
             if keep_bank:
                 cell.bank = bank
             try:
-                cell.efficiency = measure_efficiency(state, task.test)
+                cell.efficiency = efficiency_stats(latencies_ms, bank)
             except ConfigError:
                 cell.efficiency = None
             cells.append(cell)
@@ -831,7 +832,6 @@ def _results_document(
                 "latency_ms_mean": cell.efficiency.latency_ms_mean,
                 "latency_ms_p50": cell.efficiency.latency_ms_p50,
                 "latency_ms_p95": cell.efficiency.latency_ms_p95,
-                "peak_rss_bytes": cell.efficiency.peak_rss_bytes,
             }
     return {
         "schema": SCHEMA_VERSION,

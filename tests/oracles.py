@@ -115,6 +115,29 @@ def region_curve_area(maps, masks, fpr_limit, relative_saturation=None) -> float
     return area / fpr_limit
 
 
+def nearest_bruteforce(bank_vectors, test_vectors) -> tuple[list[float], list[int]]:
+    """Per test row: (Euclidean distance, index) of the nearest bank row.
+
+    A double loop over (test row, bank row) pairs. Each squared distance
+    is numpy's ``((t - b) ** 2).sum()`` on one float64 pair, the value the
+    package's search must reproduce bit for bit; a strict ``<`` keeps the
+    lowest index on ties.
+    """
+    import numpy as np
+
+    bank = np.asarray(bank_vectors, dtype=np.float64)
+    distances, indices = [], []
+    for t in np.asarray(test_vectors, dtype=np.float64):
+        best_d2, best_j = None, None
+        for j, b in enumerate(bank):
+            d2 = ((t - b) ** 2).sum()
+            if best_d2 is None or d2 < best_d2:
+                best_d2, best_j = d2, j
+        distances.append(float(np.sqrt(best_d2)))
+        indices.append(best_j)
+    return distances, indices
+
+
 def _d2(a, b) -> float:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 

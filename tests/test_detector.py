@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iadbench.detector import (
+    _SCORE_CHUNK,
     CoresetParams,
     MemoryBank,
     Projector,
+    _nearest_distances,
     build_bank,
     coreset_select,
     extend_bank_for_task,
@@ -20,7 +26,7 @@ from iadbench.detector import (
 )
 from iadbench.errors import DetectorError, FormatError
 from iadbench.features import PatchFeatureGrid
-from oracles import covering_radius, greedy_kcenter, optimal_kcenter_radius
+from oracles import covering_radius, greedy_kcenter, nearest_bruteforce, optimal_kcenter_radius
 
 
 def _bank(rows) -> MemoryBank:
@@ -176,6 +182,73 @@ def test_score_patches_nearest_choice():
     distances, s_star, patch_index, neighbor = score_patches(bank, grid)
     assert s_star == pytest.approx(1.0)
     assert neighbor == 0  # 1 < sqrt(2)
+
+
+def _search_case(kind, dim, bank_size, test_count, seed):
+    """Bank (float32) and test vectors (float64) built to stress the screen."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        bank = rng.random((bank_size, dim))
+        tests = rng.random((test_count, dim))
+    elif kind == "duplicates":
+        base = rng.random((max(1, bank_size // 3), dim))
+        bank = base[rng.integers(0, base.shape[0], bank_size)]
+        tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-6, (test_count, dim))
+    elif kind == "equidistant":
+        # integer grid: midpoints of two bank vectors tie exactly
+        bank = rng.integers(-3, 4, (bank_size, dim)).astype(np.float64)
+        a = bank[rng.integers(0, bank_size, test_count)]
+        b = bank[rng.integers(0, bank_size, test_count)]
+        tests = (a + b) / 2.0
+    elif kind == "offset":
+        # a common offset of 1e3 over a spread of 1e-3 makes
+        # ||t||^2 + ||b||^2 - 2 t.b cancel badly: its rounding error is
+        # several u * ||t||^2, larger than many of the distance gaps
+        bank = 1e3 + rng.random((bank_size, dim)) * 1e-3
+        tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-3, (test_count, dim))
+    else:  # "overflow": every reference distance is inf
+        bank = rng.random((bank_size, dim))
+        tests = 1e160 + rng.random((test_count, dim))
+    return bank.astype(np.float32), tests
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "overflow"]),
+    dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
+    bank_size=st.integers(1, 24),
+    test_count=st.sampled_from([1, 255, 256, 257, 513]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="duplicates", dim=36, bank_size=24, test_count=513, seed=0)
+@example(kind="equidistant", dim=1, bank_size=1, test_count=255, seed=1)
+@example(kind="equidistant", dim=3, bank_size=20, test_count=256, seed=2)
+@example(kind="offset", dim=9, bank_size=5, test_count=257, seed=3)
+@example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
+def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
+    bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
+    bank = MemoryBank(dim, bank_v, np.zeros(bank_size, np.uint32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distances, indices = _nearest_distances(bank, tests)
+        want_d, want_i = nearest_bruteforce(bank_v, tests)
+    assert indices.tolist() == want_i
+    assert distances.tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
+
+
+def test_nearest_distances_all_duplicate_bank_memory():
+    count, dim = 2000, 64
+    bank = MemoryBank(dim, np.full((count, dim), 0.5, np.float32), np.zeros(count, np.uint32))
+    tests = np.random.default_rng(3).random((_SCORE_CHUNK, dim))
+    tracemalloc.start()
+    try:
+        distances, indices = _nearest_distances(bank, tests)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert indices.tolist() == [0] * _SCORE_CHUNK  # every index ties; lowest wins
+    assert distances.tolist() == [float(np.sqrt(((t - 0.5) ** 2).sum())) for t in tests]
+    broadcast = _SCORE_CHUNK * count * dim * 8  # the chunk x bank x dim float64 array
+    assert peak < broadcast / 8
 
 
 def test_score_patches_errors():

@@ -61,7 +61,6 @@ def _document():
                 "latency_ms_mean": 2.0,
                 "latency_ms_p50": 1.5,
                 "latency_ms_p95": 3.0,
-                "peak_rss_bytes": 1,
             }
         },
     }

@@ -12,7 +12,8 @@ from iadbench.errors import ConfigError, ReportError
 from iadbench.report import load_results, render_csv
 from iadbench.runner import (
     DetectorState,
-    measure_efficiency,
+    efficiency_stats,
+    evaluate,
     parse_config,
     run_experiment,
 )
@@ -107,6 +108,26 @@ def test_setting_grid_violations_are_config_errors():
     parse_config(
         _base_config(setting={"type": "noisy", "noise_ratio": 0.12, "allow_custom_ratio": True})
     )
+
+
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_allow_custom_m_must_be_boolean(value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_base_config(setting={"type": "fewshot", "m": 3, "allow_custom_m": value}))
+    assert exc.value.code == "invalid-config"
+    assert "allow_custom_m" in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_allow_custom_ratio_must_be_boolean(value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(
+            _base_config(
+                setting={"type": "noisy", "noise_ratio": 0.12, "allow_custom_ratio": value}
+            )
+        )
+    assert exc.value.code == "invalid-config"
+    assert "allow_custom_ratio" in str(exc.value)
 
 
 def test_output_dir_excluded_from_hash():
@@ -278,16 +299,34 @@ def _samples(count):
     ]
 
 
-def test_measure_efficiency_counts():
+def test_efficiency_stats_counts():
     state = _tiny_state()
-    stats = measure_efficiency(state, _samples(10), warmup=3)
+    _, _, latencies_ms = evaluate(state, _samples(10))
+    stats = efficiency_stats(latencies_ms, state.bank, warmup=3)
     assert stats.bank_bytes == 64_000
     assert stats.latency_ms_p50 <= stats.latency_ms_p95
     assert stats.latency_ms_mean > 0
 
 
-def test_measure_efficiency_too_few():
+def test_efficiency_stats_too_few():
     state = _tiny_state()
+    _, _, latencies_ms = evaluate(state, _samples(4))
     with pytest.raises(ConfigError) as exc:
-        measure_efficiency(state, _samples(4), warmup=3)
+        efficiency_stats(latencies_ms, state.bank, warmup=3)
     assert exc.value.code == "too-few-samples"
+
+
+def test_plain_cell_scores_each_test_image_once(monkeypatch):
+    scored = []
+    score_sample = DetectorState.score_sample
+
+    def counting(self, sample):
+        scored.append((sample.category, sample.id))
+        return score_sample(self, sample)
+
+    monkeypatch.setattr(DetectorState, "score_sample", counting)
+    result = run_experiment(parse_config(_base_config()), threads=1)
+    assert len(scored) == 2 * (4 + 6)  # categories x (normal + abnormal test images)
+    assert len(set(scored)) == len(scored)
+    # latencies come from that single pass
+    assert sorted(result.document["timings"]) == [c["cell_id"] for c in result.document["cells"]]
