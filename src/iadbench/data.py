@@ -14,6 +14,7 @@ fraction of the image area.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -166,6 +167,29 @@ def _load_saturations(path: str) -> dict[str, float]:
             )
         table[defect_type] = float(rel)
     return table
+
+
+def dataset_digest(root: str) -> str:
+    """sha256 over the sorted relative paths and bytes of every file under ``root``.
+
+    It names the data independently of where the tree lies on disk. Each
+    file adds its "/"-separated relative path, a NUL byte, its length as
+    8 little-endian bytes, and its bytes.
+    """
+    if not os.path.isdir(root):
+        raise DataError("empty-category", f"dataset root {root!r} does not exist")
+    files = []
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            files.append((os.path.relpath(path, root).replace(os.sep, "/"), path))
+    digest = hashlib.sha256()
+    for relative, path in sorted(files):
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        digest.update(relative.encode("utf-8") + b"\0" + len(payload).to_bytes(8, "little"))
+        digest.update(payload)
+    return digest.hexdigest()
 
 
 def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset:

@@ -12,9 +12,15 @@ The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
 bound of its row's minimum; those candidates are re-ranked with the
 reference ``((t - b)**2).sum()``, so only reference values reach an
-output (see ``_nearest_distances`` for the bound). Peak memory per
-chunk of test patches is a few ``chunk x bank`` arrays, never a
-``chunk x bank x dim`` one.
+output. Peak memory per chunk of test patches is a few ``chunk x bank``
+arrays, never a ``chunk x bank x dim`` one.
+
+The coreset's farthest-first update is exact in the same way. At each
+pick one mat-vec screens every point; only points whose screen, less
+the rounding bound, does not exceed their current distance to the
+selection are recomputed with the reference expression, and the rest
+provably keep their distance. Both screens share one rounding bound,
+derived in ``_screen_tolerance``.
 
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
@@ -43,8 +49,8 @@ _SCORE_CHUNK = 256
 # Candidate (patch, bank vector) pairs re-ranked at once are capped at
 # this many float64 elements of (pairs x dim) difference array.
 _RERANK_ELEMENTS = 1 << 18
-# Rows whose ||t||^2 + max ||b||^2 reaches this keep every bank index:
-# near the float64 overflow threshold the screen's bound does not hold.
+# A screen whose ||x||^2 + max ||y||^2 reaches this keeps every row:
+# near the float64 overflow threshold its bound does not hold.
 _SCREEN_LIMIT = 2.0**1000
 
 
@@ -92,7 +98,6 @@ class Projector:
     in_dim: int
     out_dim: int
     matrix: np.ndarray | None  # None = exact identity pass-through
-    seed: int = 0
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         arr = np.asarray(vectors, dtype=np.float64)
@@ -106,10 +111,10 @@ def make_projector(in_dim: int, out_dim: int, seed: int) -> Projector:
     if not 1 <= out_dim <= in_dim:
         raise DetectorError("bad-dims", f"need 1 <= out_dim <= in_dim, got {out_dim}/{in_dim}")
     if out_dim == in_dim:
-        return Projector(in_dim, out_dim, None, seed)
+        return Projector(in_dim, out_dim, None)
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((out_dim, in_dim)) / np.sqrt(out_dim)
-    return Projector(in_dim, out_dim, matrix, seed)
+    return Projector(in_dim, out_dim, matrix)
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,59 @@ class CoresetParams:
         return l
 
 
+def _screen_tolerance(dim: int, n_max):
+    """Tolerance tau of the screen s = ||x||^2 + ||y||^2 - 2 x.y.
+
+    Both exact searches call this: ``_nearest_distances`` keeps every
+    bank index whose screen is within tau of its row's minimum, and
+    ``_farthest_first`` recomputes every row whose screen minus tau does
+    not exceed its current distance.
+
+    For float64 vectors x, y of length d with N = ||x||^2 + ||y||^2 at
+    most ``n_max``, let D = ||x - y||^2 in exact arithmetic, s the screen
+    computed from the three dot products in any summation order (BLAS,
+    any threads, with or without FMA) and two additions, and r the
+    reference ``((x - y)**2).sum()``. With u = 2**-53 and
+    gamma_k = k*u / (1 - k*u):
+
+    - Each of ||x||^2, ||y||^2 and x.y is within gamma_d * sum_i |x_i y_i|
+      of its exact value, and sum_i |x_i y_i| <= N / 2, so the three are
+      off by at most 2 gamma_d N in s. Scaling by -2, of x.y or of y
+      before the product, is exact; the two additions round once each on
+      values of size at most about 2 N. So |s - D| <= (2 gamma_d + 5u) N,
+      the extra u covering second-order terms.
+    - r rounds each difference once and each square once, then sums d
+      non-negative terms in some order, so
+      |r - D| <= gamma_(d+2) D <= 2 gamma_(d+2) N.
+    - Gradual underflow: a product or square whose result is subnormal
+      may lose up to 2**-1075 more (a sum or difference that is
+      subnormal is exact). s has 3d products, x.y's counted twice, and r
+      has d squares, so this adds at most 3d * 2**-1074 in all.
+
+    Together |s - r| <= E = (2 gamma_d + 5u + 2 gamma_(d+2)) N
+    + 3d * 2**-1074, about (4d + 9) u N. The tolerance is
+    tau = 16 (d + 2) (u n_max + 2**-1074) >= 2E + (8d + 14) u n_max
+    + (10d + 32) 2**-1074. Its excess over 2E covers gamma_k against
+    k*u, the computed n_max against the exact one, and the roundings of
+    tau and of two more additions of values of size at most about
+    2 n_max (a screen plus or minus tau, possibly with ||y||^2 folded
+    into tau first), which come to a few u n_max + 2**-1074. The
+    absolute term makes the bound hold for any float64 inputs, however
+    small, without a floor on their magnitude; projected coreset points
+    need none.
+
+    Overflow. Below n_max = 2**1000 every |x_i| and |y_i| is under
+    2**500 and every partial sum of s and r stays below about 2 N, so
+    both are finite. At or above it, or for a NaN or inf n_max, tau is
+    inf: callers then keep every row, which equals the reference
+    exactly. ``n_max`` may be a scalar or an array; tau has its shape.
+    """
+    n_max = np.asarray(n_max, dtype=np.float64)
+    return np.where(
+        n_max < _SCREEN_LIMIT, 16.0 * (dim + 2) * (2.0**-53 * n_max + 2.0**-1074), np.inf
+    )
+
+
 def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
@@ -154,16 +212,46 @@ def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
         points = projector.apply(bank.vectors)
     else:
         points = bank.vectors.astype(np.float64)
+    return _farthest_first(points, l)[0]
+
+
+def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
+    """Farthest-first picks over float64 ``points`` and the final min_d2.
+
+    min_d2[j] is the smallest reference ``((p_j - q)**2).sum()`` over the
+    picks q so far, -1 once j is picked, and each pick is its argmax
+    (lowest index on ties). Both equal, bit for bit, the loop that
+    recomputes every row at every pick.
+
+    At pick q one mat-vec screens every row,
+    s_j = ||p_j||^2 + ||q||^2 - 2 p_j.q. ``_screen_tolerance`` gives tau
+    with |s_j - r_j| <= E for the reference r_j and tau - E larger than
+    the rounding of s_j - tau. So a computed s_j - tau above min_d2[j]
+    means r_j > min_d2[j], and np.minimum would leave row j unchanged.
+    Only the other rows (NaN screens included, and all rows when tau is
+    inf) are recomputed with the reference and take np.minimum. Screen
+    values never reach min_d2. Per pick this allocates a few length-n
+    vectors and the recomputed rows, never an n x d array.
+    """
+    sq = np.einsum("nd,nd->n", points, points)
+    sq_max = sq.max()
+    dim = points.shape[1]
     selected = [0]
     min_d2 = ((points - points[0]) ** 2).sum(axis=1)
     min_d2[0] = -1.0
     for _ in range(l - 1):
         idx = int(np.argmax(min_d2))
         selected.append(idx)
-        cand = ((points - points[idx]) ** 2).sum(axis=1)
-        np.minimum(min_d2, cand, out=min_d2)
+        q = points[idx]
+        # numpy's own loop, on this thread: a threaded BLAS gemv per
+        # pick contends with the runner's cell threads
+        screen = np.einsum("nd,d->n", points, -2.0 * q)
+        screen += sq
+        screen += sq[idx] - _screen_tolerance(dim, sq[idx] + sq_max)
+        rows = np.flatnonzero(~(screen > min_d2))
+        min_d2[rows] = np.minimum(min_d2[rows], ((points[rows] - q) ** 2).sum(axis=1))
         min_d2[idx] = -1.0
-    return selected
+    return selected, min_d2
 
 
 @dataclass
@@ -182,51 +270,25 @@ def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarra
     in float64, ties to the lowest j, and ``sqrt(d_j)``.
 
     Screen. For each chunk of test vectors one matmul gives
-    s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j in float64. Bound, with
-    u = 2**-53, gamma_k = k*u / (1 - k*u), N_j = ||t||^2 + ||b_j||^2 and
-    D_j = ||t - b_j||^2 in exact arithmetic:
+    s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j; ``_screen_tolerance`` gives
+    tau with |s_j - d_j| <= E and tau >= 2E plus room for one rounding.
+    Let j* be the reference winner and m the screen's row minimum. Then
+    s_j* <= d_j* + E <= d_m + E <= s_m + 2E, so every j with
+    s_j <= s_m + tau is kept as a candidate, j* among them.
 
-    - ||t||^2, ||b_j||^2 and t.b_j are length-d dot products. In any
-      summation order, with or without FMA, each is within
-      gamma_d * sum_i |x_i y_i| of its exact value, and
-      sum_i |t_i b_ji| <= N_j / 2, so the three together are off by at
-      most 2 gamma_d N_j. Doubling is exact; the two additions round
-      once each on values of size at most about 2 N_j. So
-      |s_j - D_j| <= e_j = (2 gamma_d + 5u) N_j, the extra u covering
-      the second-order terms.
-    - d_j rounds each difference once and each square once, then sums
-      d non-negative terms in some order, so
-      |d_j - D_j| <= gamma_(d+2) D_j <= f_j = 2 gamma_(d+2) N_j.
-    - Let j* be the reference winner and m the screen's row minimum.
-      Then s_j* <= D_j* + e_j* <= d_j* + f_j* + e_j* <= d_m + f_j* + e_j*
-      <= D_m + f_m + f_j* + e_j* <= s_m + e_m + f_m + e_j* + f_j*.
-      With N_max = ||t||^2 + max_j ||b_j||^2 that is at most
-      2 (2 gamma_d + 5u + 2 gamma_(d+2)) N_max, about (8d + 18) u N_max.
-
-    The tolerance is tau = 16 (d + 2) u N_max. Its excess over the bound,
-    (8d + 14) u N_max or more, covers gamma_k against k*u, the computed
-    N_max against the exact one, and the roundings of tau and of
-    s_m + tau, which come to a few u N_max. Gradual underflow adds at
-    most about 2**-1074 per operation; bank vectors are float32, so
-    N_max >= 2**-298 unless the whole bank is zero, and then every
-    screen value of the row is equal and every index is kept.
-
-    Candidates and rerank. Every j with s_j <= s_m + tau is kept, so j*
-    is. Each candidate's d_j is computed with the reference expression
-    in blocks of pairs; the others read +inf, and argmin picks the
-    first minimum, so any candidate before j* has d_j > d_j* and the
-    result is j*. Screen values never reach an output, so BLAS threads
-    or summation order cannot change a result. Rows with N_max at or
-    above 2**1000, where the reference sum may overflow, keep every
-    index and equal the reference exactly; this includes every row
-    whose screen is not finite.
+    Rerank. Each candidate's d_j is computed with the reference
+    expression in blocks of pairs; the others read +inf, and argmin
+    picks the first minimum, so any candidate before j* has d_j > d_j*
+    and the result is j*. Screen values never reach an output, so BLAS
+    threads or summation order cannot change a result. Rows whose tau
+    is inf keep every index and equal the reference exactly; this
+    includes every row whose screen is not finite.
     """
     bank_v = bank.vectors.astype(np.float64)
     test_v = np.asarray(vectors, dtype=np.float64)
     dim = bank_v.shape[1]
     bank_sq = np.einsum("nd,nd->n", bank_v, bank_v)
     bank_sq_max = bank_sq.max()
-    tol_factor = 16.0 * (dim + 2) * 2.0**-53
     pairs_per_block = max(1, _RERANK_ELEMENTS // dim)
     nn_idx = np.empty(test_v.shape[0], dtype=np.int64)
     nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
@@ -238,9 +300,7 @@ def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarra
         screen *= -2.0
         screen += bank_sq
         screen += test_sq[:, None]
-        n_max = test_sq + bank_sq_max
-        tol = np.where(n_max < _SCREEN_LIMIT, tol_factor * n_max, np.inf)
-        bound = screen.min(axis=1) + tol
+        bound = screen.min(axis=1) + _screen_tolerance(dim, test_sq + bank_sq_max)
         # ~(s > bound) also keeps NaN screens and every index of a NaN row
         candidates = np.flatnonzero(~(screen > bound[:, None]))
         screen.fill(np.inf)

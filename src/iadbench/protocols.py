@@ -281,7 +281,7 @@ class TaskSequence:
         return self.tasks[:step]
 
 
-def make_continual(dataset: Dataset, category_order: list[str], seed: int = 0) -> TaskSequence:
+def make_continual(dataset: Dataset, category_order: list[str]) -> TaskSequence:
     """Order categories into tasks, each with its unsupervised train split."""
     if len(category_order) < 2:
         raise ProtocolError("too-few-categories", "continual needs at least 2 categories")

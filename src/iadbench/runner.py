@@ -16,10 +16,11 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .data import ABNORMAL, NORMAL, Dataset, Sample, load_dataset
+from .data import ABNORMAL, NORMAL, Dataset, Sample, dataset_digest, load_dataset
 from .detector import (
     CoresetParams,
     MemoryBank,
@@ -95,12 +96,29 @@ class ExperimentConfig:
     spro_limit: float
     seed: int
     output_dir: str | None
-    canonical: dict  # hashed + embedded form (location-free)
+    canonical: dict  # the config as given, without output_dir
+
+    @cached_property
+    def dataset_sha256(self) -> str | None:
+        """Content digest of the dataset directory; None for synthetic data."""
+        return None if self.dataset_path is None else dataset_digest(self.dataset_path)
+
+    @property
+    def hashed(self) -> dict:
+        """The config as hashed and embedded in results.json.
+
+        It is location-free: a dataset path is replaced by the digest of
+        the dataset's files, so the same data at another path gives the
+        same hash, cell seeds and metrics.
+        """
+        if self.dataset_path is None:
+            return self.canonical
+        return {**self.canonical, "dataset": {"sha256": self.dataset_sha256}}
 
     @property
     def config_hash(self) -> str:
         payload = json.dumps(
-            self.canonical, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+            self.hashed, sort_keys=True, separators=(",", ":"), ensure_ascii=False
         ).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
@@ -594,6 +612,23 @@ def _run_plain_cell(
     return cell
 
 
+def _failed_cells(
+    order: list[str], label: str, exc: BenchError, job_seed: int
+) -> list[CellResult]:
+    """One failed cell per category of a continual job, all with one error."""
+    return [
+        CellResult(
+            cell_id=f"{c}/{label}",
+            category=c,
+            setting=label,
+            status="failed",
+            error={"code": exc.code, "message": exc.message},
+            cell_seed=job_seed,
+        )
+        for c in order
+    ]
+
+
 def _run_continual_job(
     config: ExperimentConfig,
     dataset: Dataset,
@@ -605,20 +640,9 @@ def _run_continual_job(
     order = setting.get("category_order") or categories
     label = setting["label"]
     try:
-        sequence = make_continual(dataset, order, derive_seed(job_seed, "protocol"))
+        sequence = make_continual(dataset, order)
     except BenchError as exc:
-        failed = [
-            CellResult(
-                cell_id=f"{c}/{label}",
-                category=c,
-                setting=label,
-                status="failed",
-                error={"code": exc.code, "message": exc.message},
-                cell_seed=job_seed,
-            )
-            for c in order
-        ]
-        return failed, None
+        return _failed_cells(order, label, exc, job_seed), None
 
     k = len(sequence.tasks)
     cells = []
@@ -681,18 +705,7 @@ def _run_continual_job(
         }
         return cells, matrix_doc
     except BenchError as exc:
-        failed = [
-            CellResult(
-                cell_id=f"{c}/{label}",
-                category=c,
-                setting=label,
-                status="failed",
-                error={"code": exc.code, "message": exc.message},
-                cell_seed=job_seed,
-            )
-            for c in order
-        ]
-        return failed, None
+        return _failed_cells(order, label, exc, job_seed), None
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +717,6 @@ class RunResult:
     document: dict
     output_dir: str | None
     failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -833,9 +842,9 @@ def _results_document(
                 "latency_ms_p50": cell.efficiency.latency_ms_p50,
                 "latency_ms_p95": cell.efficiency.latency_ms_p95,
             }
-    return {
+    document = {
         "schema": SCHEMA_VERSION,
-        "config": config.canonical,
+        "config": config.hashed,
         "config_hash": config_hash,
         "seed": config.seed,
         "metrics_requested": list(config.metric_names),
@@ -843,3 +852,10 @@ def _results_document(
         "task_matrices": task_matrices,
         "timings": timings,
     }
+    if config.dataset_path is not None:
+        # where the data was read from, outside the hash
+        document["dataset_source"] = {
+            "path": config.dataset_path,
+            "sha256": config.dataset_sha256,
+        }
+    return document

@@ -138,6 +138,29 @@ def nearest_bruteforce(bank_vectors, test_vectors) -> tuple[list[float], list[in
     return distances, indices
 
 
+def coreset_reference(points, l) -> tuple[list[int], "np.ndarray"]:
+    """Farthest-first picks and final min_d2, recomputing every row per pick.
+
+    The package's original broadcast loop, verbatim, over float64
+    ``points``: seed index 0, then the argmax of min_d2 (lowest index on
+    ties), each row's min_d2 lowered with numpy's ``((p - q) ** 2)``
+    summed over the last axis, and -1 for picked rows.
+    """
+    import numpy as np
+
+    points = np.asarray(points, dtype=np.float64)
+    selected = [0]
+    min_d2 = ((points - points[0]) ** 2).sum(axis=1)
+    min_d2[0] = -1.0
+    for _ in range(l - 1):
+        idx = int(np.argmax(min_d2))
+        selected.append(idx)
+        cand = ((points - points[idx]) ** 2).sum(axis=1)
+        np.minimum(min_d2, cand, out=min_d2)
+        min_d2[idx] = -1.0
+    return selected, min_d2
+
+
 def _d2(a, b) -> float:
     return sum((x - y) ** 2 for x, y in zip(a, b))
 

@@ -315,7 +315,7 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     # earlier-task nearest-neighbor distance
     dataset = _resolve_dataset(config)
     order = dataset.categories
-    sequence = make_continual(dataset, order, seed=0)
+    sequence = make_continual(dataset, order)
     params = lambda step: CoresetParams(  # noqa: E731
         target_fraction=config.coreset_fraction,
         l=config.coreset_l,

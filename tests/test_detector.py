@@ -12,6 +12,7 @@ from iadbench.detector import (
     CoresetParams,
     MemoryBank,
     Projector,
+    _farthest_first,
     _nearest_distances,
     build_bank,
     coreset_select,
@@ -26,7 +27,13 @@ from iadbench.detector import (
 )
 from iadbench.errors import DetectorError, FormatError
 from iadbench.features import PatchFeatureGrid
-from oracles import covering_radius, greedy_kcenter, nearest_bruteforce, optimal_kcenter_radius
+from oracles import (
+    coreset_reference,
+    covering_radius,
+    greedy_kcenter,
+    nearest_bruteforce,
+    optimal_kcenter_radius,
+)
 
 
 def _bank(rows) -> MemoryBank:
@@ -163,6 +170,70 @@ def test_coreset_with_projection_deterministic():
     bank = _bank(rng.random((20, 8)).astype(np.float32))
     params = CoresetParams(l=5, projection_dim=2, seed=3)
     assert coreset_select(bank, params) == coreset_select(bank, params)
+
+
+def _coreset_points(kind, dim, bank_size, seed):
+    """(float32 bank rows, None) or (None, float64 points) built to stress
+    the farthest-first screen.
+
+    The float64 kinds have no bank: "offset64" puts a spread of 1e-3 on
+    an offset of 1e6, so the screen's rounding error is many times every
+    distance, and "tiny" puts points near 1e-161, where squares and
+    products are subnormal.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rows = rng.random((bank_size, dim))
+    elif kind == "duplicates":
+        base = rng.random((max(1, bank_size // 4), dim))
+        rows = base[rng.integers(0, base.shape[0], bank_size)]
+    elif kind == "grid":
+        # integer grid: many rows tie exactly for the farthest one
+        rows = rng.integers(-2, 3, (bank_size, dim)).astype(np.float64)
+    elif kind == "offset":
+        # a common offset of 1e3 over a spread of 1e-3 makes the screen
+        # cancel badly
+        rows = 1e3 + rng.random((bank_size, dim)) * 1e-3
+    elif kind == "offset64":
+        return None, 1e6 + rng.random((bank_size, dim)) * 1e-3
+    else:  # "tiny"
+        return None, rng.random((bank_size, dim)) * 1e-161
+    return rows.astype(np.float32), None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "duplicates", "grid", "offset", "offset64", "tiny"]),
+    dim=st.sampled_from([1, 2, 3, 9, 16, 36, 64]),
+    bank_size=st.integers(1, 120),
+    l_kind=st.sampled_from(["one", "some", "all"]),
+    projection=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="grid", dim=1, bank_size=1, l_kind="all", projection=False, seed=0)
+@example(kind="grid", dim=2, bank_size=60, l_kind="all", projection=False, seed=1)
+@example(kind="duplicates", dim=9, bank_size=80, l_kind="all", projection=True, seed=2)
+@example(kind="offset", dim=64, bank_size=120, l_kind="some", projection=True, seed=3)
+@example(kind="offset", dim=16, bank_size=120, l_kind="all", projection=False, seed=4)
+@example(kind="offset64", dim=64, bank_size=120, l_kind="all", projection=False, seed=5)
+@example(kind="tiny", dim=3, bank_size=80, l_kind="all", projection=False, seed=6)
+def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, projection, seed):
+    vectors, points = _coreset_points(kind, dim, bank_size, seed)
+    l = {"one": 1, "some": max(1, bank_size // 3), "all": bank_size}[l_kind]
+    projection_dim = max(1, dim // 4) if projection else None
+    if vectors is not None:
+        bank = MemoryBank(dim, vectors, np.zeros(bank_size, np.uint32))
+        params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
+        if projection_dim is not None and projection_dim != dim:
+            points = make_projector(dim, projection_dim, seed).apply(vectors)
+        else:
+            points = vectors.astype(np.float64)
+    want_selected, want_d2 = coreset_reference(points, l)
+    selected, min_d2 = _farthest_first(points, l)
+    assert selected == want_selected
+    assert min_d2.tobytes() == want_d2.tobytes()
+    if vectors is not None:
+        assert coreset_select(bank, params) == want_selected
 
 
 # --- scoring -------------------------------------------------------------------------

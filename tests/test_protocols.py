@@ -266,7 +266,7 @@ def test_noise_ratio_accuracy(small_dataset):
 
 
 def test_continual_sequence(small_dataset):
-    seq = make_continual(small_dataset, ["cat00", "cat01"], seed=0)
+    seq = make_continual(small_dataset, ["cat00", "cat01"])
     assert [t.category for t in seq.tasks] == ["cat00", "cat01"]
     step2 = seq.cumulative_test(2)
     assert [t.category for t in step2] == ["cat00", "cat01"]
@@ -274,19 +274,19 @@ def test_continual_sequence(small_dataset):
 
 
 def test_continual_three_categories(small_dataset):
-    seq = make_continual(small_dataset, ["cat00", "cat01", "cat02"], seed=0)
+    seq = make_continual(small_dataset, ["cat00", "cat01", "cat02"])
     assert len(seq.cumulative_test(3)) == 3
 
 
 def test_continual_rejects_duplicates(small_dataset):
     with pytest.raises(ProtocolError) as exc:
-        make_continual(small_dataset, ["cat00", "cat00"], seed=0)
+        make_continual(small_dataset, ["cat00", "cat00"])
     assert exc.value.code == "duplicate-category"
 
 
 def test_continual_too_few(small_dataset):
     with pytest.raises(ProtocolError) as exc:
-        make_continual(small_dataset, ["cat00"], seed=0)
+        make_continual(small_dataset, ["cat00"])
     assert exc.value.code == "too-few-categories"
 
 

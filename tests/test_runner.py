@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from iadbench.runner import (
     parse_config,
     run_experiment,
 )
+from iadbench.synth import SynthSpec, synth_dataset, write_dataset_tree
 
 
 def _base_config(**overrides):
@@ -136,6 +139,44 @@ def test_output_dir_excluded_from_hash():
     assert a.config_hash == b.config_hash
     c = parse_config(_base_config(seed=12))
     assert a.config_hash != c.config_hash
+
+
+def test_config_hash_is_location_free(tmp_path):
+    spec = SynthSpec(
+        categories=1,
+        normals_train=4,
+        normals_test=2,
+        abnormals_test=2,
+        image_size=24,
+        defect_kinds=("blob",),
+    )
+    first = str(tmp_path / "first")
+    second = str(tmp_path / "elsewhere" / "second")
+    write_dataset_tree(synth_dataset(spec, seed=1), first)
+    shutil.copytree(first, second)
+    results = []
+    for root in (first, second):
+        config = parse_config(_base_config(dataset={"path": root}))
+        result = run_experiment(config, output_dir=str(tmp_path / "out" / os.path.basename(root)))
+        assert result.failures == []
+        assert load_results(os.path.join(result.output_dir, "results.json")) == result.document
+        results.append((config, result.document))
+    (config_a, doc_a), (config_b, doc_b) = results
+    assert config_a.config_hash == config_b.config_hash
+    assert doc_a["config"] == {**config_a.canonical, "dataset": {"sha256": config_a.dataset_sha256}}
+    assert doc_a["dataset_source"] == {"path": first, "sha256": config_a.dataset_sha256}
+    assert doc_b["dataset_source"] == {"path": second, "sha256": config_a.dataset_sha256}
+    skip = ("dataset_source", "timings")
+    assert {k: v for k, v in doc_a.items() if k not in skip} == {
+        k: v for k, v in doc_b.items() if k not in skip
+    }
+    # changing one byte of the data changes the hash
+    image = next(Path(second, "cat00", "train", "good").iterdir())
+    payload = bytearray(image.read_bytes())
+    payload[-1] ^= 1
+    image.write_bytes(bytes(payload))
+    changed = parse_config(_base_config(dataset={"path": second}))
+    assert changed.config_hash != config_a.config_hash
 
 
 # --- execution ---------------------------------------------------------------------
