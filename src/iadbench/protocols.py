@@ -60,38 +60,6 @@ class Split:
     info: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SettingConfig:
-    """Knobs for one concrete setting instance.
-
-    ``m`` is the few-shot normal count, ``n`` the supervised abnormal
-    count, ``noise_ratio`` the target contamination fraction, and
-    ``rotation_k`` the number of rotated copies per few-shot train
-    sample. ``allow_custom`` lifts the canonical grids for m and the
-    noise ratio.
-    """
-
-    setting: str
-    m: int | None = None
-    n: int = 10
-    noise_ratio: float | None = None
-    rotation_k: int = 1
-    seed: int = 0
-    allow_custom: bool = False
-
-    def __post_init__(self):
-        if self.setting == "fewshot" and not self.allow_custom:
-            if self.m not in FEWSHOT_SHOTS:
-                raise ProtocolError("invalid-m", f"m={self.m} not in {FEWSHOT_SHOTS}")
-        if self.setting == "noisy" and not self.allow_custom:
-            if not any(math.isclose(self.noise_ratio, r) for r in NOISE_RATIO_GRID):
-                raise ProtocolError(
-                    "invalid-ratio", f"noise_ratio={self.noise_ratio} not in grid"
-                )
-        if self.rotation_k not in ROTATION_ANGLES:
-            raise ProtocolError("invalid-k", f"rotation_k={self.rotation_k} not in (1, 2, 4)")
-
-
 def _category_train(dataset: Dataset, category: str) -> list[Sample]:
     dataset.require_category(category)
     samples = dataset.train.get(category, [])
@@ -275,10 +243,6 @@ class Task:
 @dataclass
 class TaskSequence:
     tasks: list[Task]
-
-    def cumulative_test(self, step: int) -> list[Task]:
-        """Per-category test sets for tasks 1..step, kept separate."""
-        return self.tasks[:step]
 
 
 def make_continual(dataset: Dataset, category_order: list[str]) -> TaskSequence:

@@ -15,8 +15,6 @@ import os
 from .errors import ReportError
 from .runner import METRIC_NAMES
 
-CSV_METRICS = METRIC_NAMES  # former name of the column list, still imported by tests
-
 # lower is better only for forgetting
 _LOWER_IS_BETTER = {"fm"}
 

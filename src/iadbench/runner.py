@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +32,7 @@ from .detector import (
     score_image,
     write_bank_file,
 )
-from .errors import BenchError, ConfigError, MetricError, ProtocolError
+from .errors import BenchError, ConfigError, MetricError
 from .features import FeatureProviderConfig, extract_features
 from .metrics import (
     LabeledScores,
@@ -46,7 +47,9 @@ from .metrics import (
     pooled_pixel_scores,
 )
 from .protocols import (
-    SettingConfig,
+    FEWSHOT_SHOTS,
+    NOISE_RATIO_GRID,
+    ROTATION_ANGLES,
     Split,
     TrainItem,
     augment_rotations,
@@ -122,6 +125,14 @@ class ExperimentConfig:
         ).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()
 
+    def coreset_params(self, seed: int) -> CoresetParams:
+        return CoresetParams(
+            target_fraction=self.coreset_fraction,
+            l=self.coreset_l,
+            projection_dim=self.projection_dim,
+            seed=seed,
+        )
+
 
 def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
     unknown = set(obj) - required - optional
@@ -144,6 +155,36 @@ def _expect_type(value, path: str, kind, label: str):
     return value
 
 
+def _expect_number(value, path: str, kind, minimum=None, unit_interval: bool = False):
+    """A typed number, at least ``minimum`` or in (0, 1] when asked."""
+    _expect_type(value, path, kind, "an integer" if kind is int else "a number")
+    if minimum is not None and value < minimum:
+        raise ConfigError("invalid-config", f"{path}: must be >= {minimum}")
+    if unit_interval and not 0.0 < float(value) <= 1.0:
+        raise ConfigError("invalid-config", f"{path}: must be in (0, 1]")
+    return value
+
+
+def _expect_names(value, path: str) -> list[str]:
+    """A non-empty list of distinct strings (categories, a continual order)."""
+    _expect_type(value, path, list, "a list")
+    if not value:
+        raise ConfigError("invalid-config", f"{path}: must not be empty")
+    for name in value:
+        _expect_type(name, f"{path}[]", str, "a string")
+    if len(set(value)) != len(value):
+        raise ConfigError("invalid-config", f"{path}: repeats a name")
+    return value
+
+
+def _sweep(value, path: str) -> list:
+    """A scalar, or a non-empty list of values to expand into instances."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError("invalid-config", f"{path}: must not be empty")
+    return values
+
+
 def _parse_setting(raw: dict, path: str) -> list[dict]:
     """Expand one setting object into concrete cells (lists sweep)."""
     _expect_type(raw, path, dict, "an object")
@@ -153,24 +194,21 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
         return [{"type": stype, "label": "unsupervised"}]
     if stype == "supervised":
         _expect_keys(raw, path, {"type"}, {"n"})
-        n = _expect_type(raw.get("n", 10), f"{path}.n", int, "an integer")
-        if n < 0:
-            raise ConfigError("invalid-config", f"{path}.n: must be >= 0")
+        n = _expect_number(raw.get("n", 10), f"{path}.n", int, minimum=0)
         return [{"type": stype, "n": n, "label": f"supervised_n{n}"}]
     if stype == "fewshot":
         _expect_keys(raw, path, {"type", "m"}, {"rotation_k", "allow_custom_m"})
-        shots = raw["m"] if isinstance(raw["m"], list) else [raw["m"]]
-        rotation_k = _expect_type(raw.get("rotation_k", 1), f"{path}.rotation_k", int, "an integer")
+        rotation_k = _expect_number(raw.get("rotation_k", 1), f"{path}.rotation_k", int)
         allow = _expect_type(
             raw.get("allow_custom_m", False), f"{path}.allow_custom_m", bool, "a boolean"
         )
+        if rotation_k not in ROTATION_ANGLES:
+            raise ConfigError("invalid-config", f"{path}: rotation_k={rotation_k} not in (1, 2, 4)")
         out = []
-        for m in shots:
-            _expect_type(m, f"{path}.m", int, "an integer")
-            try:
-                SettingConfig(setting="fewshot", m=m, rotation_k=rotation_k, allow_custom=allow)
-            except ProtocolError as exc:
-                raise ConfigError("invalid-config", f"{path}: {exc.message}") from exc
+        for m in _sweep(raw["m"], f"{path}.m"):
+            _expect_number(m, f"{path}.m", int)
+            if not allow and m not in FEWSHOT_SHOTS:
+                raise ConfigError("invalid-config", f"{path}: m={m} not in {FEWSHOT_SHOTS}")
             label = f"fewshot_m{m}" + (f"_rot{rotation_k}" if rotation_k > 1 else "")
             out.append(
                 {"type": stype, "m": m, "rotation_k": rotation_k, "allow_custom_m": allow,
@@ -179,27 +217,21 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
         return out
     if stype == "noisy":
         _expect_keys(raw, path, {"type", "noise_ratio"}, {"allow_custom_ratio"})
-        ratios = raw["noise_ratio"] if isinstance(raw["noise_ratio"], list) else [raw["noise_ratio"]]
         allow = _expect_type(
             raw.get("allow_custom_ratio", False), f"{path}.allow_custom_ratio", bool, "a boolean"
         )
         out = []
-        for ratio in ratios:
-            _expect_type(ratio, f"{path}.noise_ratio", float, "a number")
-            try:
-                SettingConfig(setting="noisy", noise_ratio=float(ratio), allow_custom=allow)
-            except ProtocolError as exc:
-                raise ConfigError("invalid-config", f"{path}: {exc.message}") from exc
-            out.append(
-                {"type": stype, "noise_ratio": float(ratio), "allow_custom_ratio": allow,
-                 "label": f"noisy_r{ratio:g}"}
-            )
+        for ratio in _sweep(raw["noise_ratio"], f"{path}.noise_ratio"):
+            ratio = float(_expect_type(ratio, f"{path}.noise_ratio", float, "a number"))
+            if not allow and not any(math.isclose(ratio, r) for r in NOISE_RATIO_GRID):
+                raise ConfigError("invalid-config", f"{path}: noise_ratio={ratio} not in grid")
+            out.append({"type": stype, "noise_ratio": ratio, "label": f"noisy_r{ratio:g}"})
         return out
     if stype == "continual":
         _expect_keys(raw, path, {"type"}, {"category_order"})
         order = raw.get("category_order")
         if order is not None:
-            _expect_type(order, f"{path}.category_order", list, "a list")
+            _expect_names(order, f"{path}.category_order")
         return [{"type": stype, "category_order": order, "label": "continual"}]
     raise ConfigError("invalid-config", f"{path}.type: unknown setting {stype!r}")
 
@@ -238,15 +270,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     categories = raw.get("categories")
     if categories is not None:
-        _expect_type(categories, "categories", list, "a list")
-        for c in categories:
-            _expect_type(c, "categories[]", str, "a string")
+        _expect_names(categories, "categories")
 
-    raw_settings = raw["setting"] if isinstance(raw["setting"], list) else [raw["setting"]]
-    if not raw_settings:
-        raise ConfigError("invalid-config", "setting: must not be empty")
     settings = []
-    for i, entry in enumerate(raw_settings):
+    for i, entry in enumerate(_sweep(raw["setting"], "setting")):
         settings.extend(_parse_setting(entry, f"setting[{i}]"))
     labels = [s["label"] for s in settings]
     if len(labels) != len(set(labels)):
@@ -259,12 +286,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         detector.get("feature", {}), "detector.feature", dict, "an object"
     )
     _expect_keys(feature_raw, "detector.feature", set(), {"patch_size", "stride", "descriptor"})
-    patch_size = _expect_type(
-        feature_raw.get("patch_size", 8), "detector.feature.patch_size", int, "an integer"
+    patch_size = _expect_number(
+        feature_raw.get("patch_size", 8), "detector.feature.patch_size", int
     )
-    stride = _expect_type(
-        feature_raw.get("stride", 4), "detector.feature.stride", int, "an integer"
-    )
+    stride = _expect_number(feature_raw.get("stride", 4), "detector.feature.stride", int)
     descriptor = feature_raw.get("descriptor", "raw-patch")
     try:
         feature = FeatureProviderConfig(patch_size=patch_size, stride=stride, descriptor=descriptor)
@@ -284,56 +309,38 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if fraction is None and absolute is None:
         fraction = 1.0  # keep the full bank by default
     if fraction is not None:
-        _expect_type(fraction, "detector.coreset.target_fraction", float, "a number")
-        if not 0.0 < float(fraction) <= 1.0:
-            raise ConfigError(
-                "invalid-config", "detector.coreset.target_fraction: must be in (0, 1]"
-            )
-        fraction = float(fraction)
+        fraction = float(
+            _expect_number(fraction, "detector.coreset.target_fraction", float, unit_interval=True)
+        )
     if absolute is not None:
-        _expect_type(absolute, "detector.coreset.l", int, "an integer")
-        if absolute < 1:
-            raise ConfigError("invalid-config", "detector.coreset.l: must be >= 1")
+        _expect_number(absolute, "detector.coreset.l", int, minimum=1)
     projection_dim = coreset.get("projection_dim")
-    if isinstance(projection_dim, str) and projection_dim == "none":
+    if projection_dim == "none":
         projection_dim = None
     if projection_dim is not None:
-        _expect_type(projection_dim, "detector.coreset.projection_dim", int, "an integer")
-        if projection_dim < 1:
-            raise ConfigError("invalid-config", "detector.coreset.projection_dim: must be >= 1")
+        _expect_number(projection_dim, "detector.coreset.projection_dim", int, minimum=1)
 
-    b = _expect_type(detector.get("b", 1), "detector.b", int, "an integer")
-    if b < 1:
-        raise ConfigError("invalid-config", "detector.b: must be >= 1")
-    sigma = _expect_type(
-        detector.get("smoothing_sigma", 4.0), "detector.smoothing_sigma", float, "a number"
+    b = _expect_number(detector.get("b", 1), "detector.b", int, minimum=1)
+    sigma = _expect_number(
+        detector.get("smoothing_sigma", 4.0), "detector.smoothing_sigma", float, minimum=0
     )
-    if sigma < 0:
-        raise ConfigError("invalid-config", "detector.smoothing_sigma: must be >= 0")
 
     metrics_raw = raw.get("metrics", list(METRIC_NAMES))
-    pro_limit, spro_limit = DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT
+    limits = {}
     if isinstance(metrics_raw, dict):
         _expect_keys(metrics_raw, "metrics", set(), {"names", "pro_limit", "spro_limit"})
         names = metrics_raw.get("names", list(METRIC_NAMES))
-        pro_limit = _expect_type(
-            metrics_raw.get("pro_limit", DEFAULT_PRO_LIMIT), "metrics.pro_limit", float, "a number"
-        )
-        spro_limit = _expect_type(
-            metrics_raw.get("spro_limit", DEFAULT_SPRO_LIMIT),
-            "metrics.spro_limit",
-            float,
-            "a number",
-        )
+        limits = metrics_raw
     else:
         names = metrics_raw
     _expect_type(names, "metrics.names", list, "a list")
     for name in names:
         if name not in METRIC_NAMES:
             raise ConfigError("invalid-config", f"metrics.names: unknown metric {name!r}")
-    for limit, path in ((pro_limit, "metrics.pro_limit"), (spro_limit, "metrics.spro_limit")):
-        if not 0.0 < float(limit) <= 1.0:
-            raise ConfigError("invalid-config", f"{path}: must be in (0, 1]")
+    pro_limit, spro_limit = (
+        _expect_number(limits.get(key, default), f"metrics.{key}", float, unit_interval=True)
+        for key, default in (("pro_limit", DEFAULT_PRO_LIMIT), ("spro_limit", DEFAULT_SPRO_LIMIT))
+    )
 
     seed = _expect_type(raw["seed"], "seed", int, "an integer")
     output_dir = raw.get("output_dir")
@@ -413,7 +420,6 @@ class EfficiencyStats:
     latency_ms_mean: float
     latency_ms_p50: float
     latency_ms_p95: float
-    bank_bytes: int
 
 
 def _nearest_rank(sorted_values: list[float], q: float) -> float:
@@ -437,10 +443,8 @@ def evaluate(
     return scores, maps, latencies_ms
 
 
-def efficiency_stats(
-    latencies_ms: list[float], bank: MemoryBank, warmup: int = 3
-) -> EfficiencyStats:
-    """Per-image inference latency after warmup discards, and the bank footprint."""
+def efficiency_stats(latencies_ms: list[float], warmup: int = 3) -> EfficiencyStats:
+    """Per-image inference latency after warmup discards."""
     if len(latencies_ms) < warmup + 5:
         raise ConfigError(
             "too-few-samples", f"need >= {warmup + 5} samples, got {len(latencies_ms)}"
@@ -450,7 +454,6 @@ def efficiency_stats(
         latency_ms_mean=float(np.mean(kept)),
         latency_ms_p50=_nearest_rank(kept, 0.50),
         latency_ms_p95=_nearest_rank(kept, 0.95),
-        bank_bytes=bank.count * bank.dim * 4,
     )
 
 
@@ -487,9 +490,7 @@ def _build_split(dataset: Dataset, category: str, setting: dict, seed: int) -> S
             dataset, category, setting["m"], seed, allow_any_m=setting["allow_custom_m"]
         )
         return augment_rotations(split, setting["rotation_k"])
-    if stype == "noisy":
-        return inject_noise(dataset, category, setting["noise_ratio"], seed)
-    raise ConfigError("invalid-config", f"unexpected setting type {stype!r}")
+    return inject_noise(dataset, category, setting["noise_ratio"], seed)  # "noisy"
 
 
 def _train_bank(
@@ -501,13 +502,7 @@ def _train_bank(
         if item.observed_label == NORMAL
     ]
     bank = build_bank(grids)
-    params = CoresetParams(
-        target_fraction=config.coreset_fraction,
-        l=config.coreset_l,
-        projection_dim=config.projection_dim,
-        seed=coreset_seed,
-    )
-    picked = coreset_select(bank, params)
+    picked = coreset_select(bank, config.coreset_params(coreset_seed))
     if len(picked) == bank.count:
         return bank
     return MemoryBank(
@@ -574,6 +569,55 @@ def _cell_metrics(
     return values, reasons
 
 
+def _scored_cell(
+    config: ExperimentConfig,
+    dataset: Dataset,
+    category: str,
+    label: str,
+    seed: int,
+    test: list[Sample],
+    scored: tuple[list[float], list[np.ndarray], list[float]],
+    bank: MemoryBank,
+    keep_bank: bool,
+) -> CellResult:
+    """The ok cell of a test set scored against ``bank`` by ``evaluate``."""
+    image_scores, pixel_maps, latencies_ms = scored
+    metrics, na_reasons = _cell_metrics(config, dataset, category, test, image_scores, pixel_maps)
+    try:
+        efficiency = efficiency_stats(latencies_ms)
+    except ConfigError:
+        efficiency = None
+    return CellResult(
+        cell_id=f"{category}/{label}",
+        category=category,
+        setting=label,
+        metrics=metrics,
+        na_reasons=na_reasons,
+        bank_vectors=bank.count,
+        bank_bytes=bank.count * bank.dim * 4,
+        cell_seed=seed,
+        efficiency=efficiency,
+        bank=bank if keep_bank else None,
+    )
+
+
+def _failed_cells(
+    categories: list[str], label: str, exc: BenchError, seed: int
+) -> list[CellResult]:
+    """One failed cell per category of a job, all with the job's error."""
+    return [
+        CellResult(
+            cell_id=f"{c}/{label}",
+            category=c,
+            setting=label,
+            status="failed",
+            error={"code": exc.code, "message": exc.message},
+            cell_seed=seed,
+        )
+        for c in categories
+    ]
+
+
 def _run_plain_cell(
     config: ExperimentConfig,
     dataset: Dataset,
@@ -582,130 +626,67 @@ def _run_plain_cell(
     cell_seed: int,
     keep_bank: bool,
 ) -> CellResult:
-    cell = CellResult(
-        cell_id=f"{category}/{setting['label']}",
-        category=category,
-        setting=setting["label"],
-        cell_seed=cell_seed,
+    split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
+    bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"))
+    state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
+    cell = _scored_cell(
+        config, dataset, category, setting["label"], cell_seed,
+        split.test, evaluate(state, split.test), bank, keep_bank,
     )
-    try:
-        split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
-        bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"))
-        state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
-        image_scores, pixel_maps, latencies_ms = evaluate(state, split.test)
-        cell.metrics, cell.na_reasons = _cell_metrics(
-            config, dataset, category, split.test, image_scores, pixel_maps
-        )
-        cell.provenance = [p.to_dict() for p in split.provenance]
-        cell.info = split.info
-        cell.bank_vectors = bank.count
-        cell.bank_bytes = bank.count * bank.dim * 4
-        if keep_bank:
-            cell.bank = bank
-        try:
-            cell.efficiency = efficiency_stats(latencies_ms, bank)
-        except ConfigError:
-            cell.efficiency = None
-    except BenchError as exc:
-        cell.status = "failed"
-        cell.error = {"code": exc.code, "message": exc.message}
+    cell.provenance = [p.to_dict() for p in split.provenance]
+    cell.info = split.info
     return cell
-
-
-def _failed_cells(
-    order: list[str], label: str, exc: BenchError, job_seed: int
-) -> list[CellResult]:
-    """One failed cell per category of a continual job, all with one error."""
-    return [
-        CellResult(
-            cell_id=f"{c}/{label}",
-            category=c,
-            setting=label,
-            status="failed",
-            error={"code": exc.code, "message": exc.message},
-            cell_seed=job_seed,
-        )
-        for c in order
-    ]
 
 
 def _run_continual_job(
     config: ExperimentConfig,
     dataset: Dataset,
-    categories: list[str],
-    setting: dict,
+    order: list[str],
+    label: str,
     job_seed: int,
     keep_bank: bool,
-) -> tuple[list[CellResult], dict | None]:
-    order = setting.get("category_order") or categories
-    label = setting["label"]
-    try:
-        sequence = make_continual(dataset, order)
-    except BenchError as exc:
-        return _failed_cells(order, label, exc, job_seed), None
-
+) -> tuple[list[CellResult], dict]:
+    """Train on the categories in order; score every task seen so far after each."""
+    sequence = make_continual(dataset, order)
     k = len(sequence.tasks)
-    cells = []
-    try:
-        bank = MemoryBank.empty(config.feature.patch_size**2)
-        entries: dict[tuple[int, int], float] = {}
-        final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
-        for step, task in enumerate(sequence.tasks, start=1):
-            grids = [extract_features(i.sample.image, config.feature) for i in task.train]
-            params = CoresetParams(
-                target_fraction=config.coreset_fraction,
-                l=config.coreset_l,
-                projection_dim=config.projection_dim,
-                seed=derive_seed(job_seed, "coreset", step),
-            )
-            bank = extend_bank_for_task(bank, grids, step, params)
-            state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
-            for prev in sequence.cumulative_test(step):
-                scores, maps, latencies_ms = evaluate(state, prev.test)
-                labels = [s.label == ABNORMAL for s in prev.test]
-                entries[(step, prev.index)] = auroc(LabeledScores(scores, labels))
-                if step == k:
-                    final_scores[prev.index] = (scores, maps, latencies_ms)
+    bank = MemoryBank.empty(config.feature.patch_size**2)
+    entries: dict[tuple[int, int], float] = {}
+    final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
+    for step, task in enumerate(sequence.tasks, start=1):
+        grids = [extract_features(i.sample.image, config.feature) for i in task.train]
+        params = config.coreset_params(derive_seed(job_seed, "coreset", step))
+        bank = extend_bank_for_task(bank, grids, step, params)
+        state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
+        for prev in sequence.tasks[:step]:
+            scored = evaluate(state, prev.test)
+            labels = [s.label == ABNORMAL for s in prev.test]
+            entries[(step, prev.index)] = auroc(LabeledScores(scored[0], labels))
+            if step == k:
+                final_scores[prev.index] = scored
 
-        fm = forgetting_measure(TaskMatrix(k=k, values=entries))
-        for task in sequence.tasks:
-            cell = CellResult(
-                cell_id=f"{task.category}/{label}",
-                category=task.category,
-                setting=label,
-                cell_seed=job_seed,
-            )
-            scores, maps, latencies_ms = final_scores[task.index]
-            cell.metrics, cell.na_reasons = _cell_metrics(
-                config, dataset, task.category, task.test, scores, maps
-            )
-            if "fm" in config.metric_names:
-                if task.index in fm.per_task:
-                    cell.metrics["fm"] = fm.per_task[task.index]
-                    cell.na_reasons.pop("fm", None)
-                else:
-                    cell.metrics["fm"] = None
-                    cell.na_reasons["fm"] = "fm-undefined-for-final-task"
-            cell.info = {"task_index": task.index, "steps": k}
-            cell.bank_vectors = bank.count
-            cell.bank_bytes = bank.count * bank.dim * 4
-            if keep_bank:
-                cell.bank = bank
-            try:
-                cell.efficiency = efficiency_stats(latencies_ms, bank)
-            except ConfigError:
-                cell.efficiency = None
-            cells.append(cell)
-        matrix_doc = {
-            "k": k,
-            "order": [t.category for t in sequence.tasks],
-            "entries": {f"{l},{j}": v for (l, j), v in sorted(entries.items())},
-            "fm_per_task": {str(j): v for j, v in sorted(fm.per_task.items())},
-            "fm_mean": fm.mean,
-        }
-        return cells, matrix_doc
-    except BenchError as exc:
-        return _failed_cells(order, label, exc, job_seed), None
+    fm = forgetting_measure(TaskMatrix(k=k, values=entries))
+    cells = []
+    for task in sequence.tasks:
+        cell = _scored_cell(
+            config, dataset, task.category, label, job_seed,
+            task.test, final_scores[task.index], bank, keep_bank,
+        )
+        if "fm" in config.metric_names:  # _cell_metrics marked it "not-continual"
+            cell.metrics["fm"] = fm.per_task.get(task.index)
+            if task.index in fm.per_task:
+                del cell.na_reasons["fm"]
+            else:
+                cell.na_reasons["fm"] = "fm-undefined-for-final-task"
+        cell.info = {"task_index": task.index, "steps": k}
+        cells.append(cell)
+    matrix_doc = {
+        "k": k,
+        "order": [t.category for t in sequence.tasks],
+        "entries": {f"{l},{j}": v for (l, j), v in sorted(entries.items())},
+        "fm_per_task": {str(j): v for j, v in sorted(fm.per_task.items())},
+        "fm_mean": fm.mean,
+    }
+    return cells, matrix_doc
 
 
 # ---------------------------------------------------------------------------
@@ -748,25 +729,30 @@ def run_experiment(
     config_hash = config.config_hash
     hash_seed = int(config_hash[:16], 16)
 
+    # a job is a setting, the categories whose cells it yields, and its seed
     jobs = []
     for setting in config.settings:
         if setting["type"] == "continual":
-            job_seed = derive_seed(hash_seed, setting["label"])
-            jobs.append(("continual", setting, job_seed))
+            order = setting["category_order"] or list(categories)
+            jobs.append((setting, order, derive_seed(hash_seed, setting["label"])))
         else:
             for category in categories:
                 cell_seed = derive_seed(hash_seed, category, setting["label"])
-                jobs.append((category, setting, cell_seed))
+                jobs.append((setting, [category], cell_seed))
 
     def execute(job) -> tuple[list[CellResult], dict | None]:
-        target, setting, seed = job
-        if target == "continual":
-            return _run_continual_job(
-                config, dataset, list(categories), setting, seed, save_banks
+        setting, job_categories, seed = job
+        try:
+            if setting["type"] == "continual":
+                return _run_continual_job(
+                    config, dataset, job_categories, setting["label"], seed, save_banks
+                )
+            cell = _run_plain_cell(
+                config, dataset, job_categories[0], setting, seed, save_banks
             )
-        return [
-            _run_plain_cell(config, dataset, target, setting, seed, save_banks)
-        ], None
+            return [cell], None
+        except BenchError as exc:
+            return _failed_cells(job_categories, setting["label"], exc, seed), None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -776,7 +762,7 @@ def run_experiment(
 
     cells: list[CellResult] = []
     task_matrices: dict[str, dict] = {}
-    for (target, setting, _), (job_cells, matrix) in zip(jobs, outcomes):
+    for (setting, _, _), (job_cells, matrix) in zip(jobs, outcomes):
         cells.extend(job_cells)
         if matrix is not None:
             task_matrices[setting["label"]] = matrix

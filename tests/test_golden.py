@@ -1,0 +1,68 @@
+"""Golden bytes of one small run covering all five settings.
+
+The digest below is the sha256 of ``results.json`` with its ``timings``
+subtree removed, re-serialised with sorted keys. It was recorded with
+Python 3.11.7, numpy 2.4.6 and scipy 1.17.1. A change to the runner, the
+protocols, the detector or the metrics that moves any result byte fails
+this test; a change that is meant to move results must say so and
+re-record the digest.
+
+The config has a sweep in each of few-shot and noisy, a supervised
+instance that fails on every category (too few test abnormals), a
+continual job over an explicit order of three categories, a projected
+coreset and explicit metric limits.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from iadbench.runner import parse_config, run_experiment
+
+GOLDEN_CONFIG = {
+    "schema": 1,
+    "dataset": {
+        "synthetic": {
+            "categories": 3,
+            "normals_train": 8,
+            "normals_test": 4,
+            "abnormals_test": 6,
+            "image_size": 24,
+            "defect_kinds": ["scratch", "blob", "missing-patch"],
+        }
+    },
+    "setting": [
+        {"type": "unsupervised"},
+        {"type": "supervised", "n": 2},
+        {"type": "supervised", "n": 7},
+        {"type": "fewshot", "m": [1, 2], "rotation_k": 2},
+        {"type": "noisy", "noise_ratio": [0.1, 0.2]},
+        {"type": "continual", "category_order": ["cat02", "cat00", "cat01"]},
+    ],
+    "detector": {
+        "feature": {"patch_size": 6, "stride": 3},
+        "coreset": {"target_fraction": 0.5, "projection_dim": 8},
+        "b": 2,
+        "smoothing_sigma": 1.5,
+    },
+    "metrics": {"pro_limit": 0.3, "spro_limit": 0.05},
+    "seed": 5,
+}
+
+GOLDEN_SHA256 = "ee250b34900523d0929a52a12319e28d72d4477e6417125f344fd903e1e7e4c2"
+
+
+def _digest_without_timings(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        document = json.load(fh)
+    document.pop("timings")
+    payload = json.dumps(document, sort_keys=True, indent=2, ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_results_bytes_are_golden(tmp_path):
+    result = run_experiment(parse_config(GOLDEN_CONFIG), output_dir=str(tmp_path))
+    statuses = {c["status"] for c in result.document["cells"]}
+    assert statuses == {"ok", "failed"}
+    assert _digest_without_timings(tmp_path / "results.json") == GOLDEN_SHA256

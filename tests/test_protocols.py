@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from iadbench.data import ABNORMAL, NORMAL
-from iadbench.errors import ProtocolError
+from iadbench.errors import ConfigError, ProtocolError
 from iadbench.protocols import (
-    SettingConfig,
     augment_rotations,
     inject_noise,
     make_continual,
@@ -16,6 +15,7 @@ from iadbench.protocols import (
     make_supervised,
     make_unsupervised,
 )
+from iadbench.runner import parse_config
 
 CAT = "cat00"
 
@@ -268,14 +268,14 @@ def test_noise_ratio_accuracy(small_dataset):
 def test_continual_sequence(small_dataset):
     seq = make_continual(small_dataset, ["cat00", "cat01"])
     assert [t.category for t in seq.tasks] == ["cat00", "cat01"]
-    step2 = seq.cumulative_test(2)
+    step2 = seq.tasks[:2]
     assert [t.category for t in step2] == ["cat00", "cat01"]
     assert all(t.test for t in step2)
 
 
 def test_continual_three_categories(small_dataset):
     seq = make_continual(small_dataset, ["cat00", "cat01", "cat02"])
-    assert len(seq.cumulative_test(3)) == 3
+    assert len(seq.tasks[:3]) == 3
 
 
 def test_continual_rejects_duplicates(small_dataset):
@@ -290,18 +290,20 @@ def test_continual_too_few(small_dataset):
     assert exc.value.code == "too-few-categories"
 
 
-# --- setting config ----------------------------------------------------------
+def _settings(setting):
+    return parse_config({"dataset": {"path": "data"}, "setting": setting, "seed": 0}).settings
 
 
 def test_setting_config_grids():
-    SettingConfig(setting="fewshot", m=8)
-    with pytest.raises(ProtocolError):
-        SettingConfig(setting="fewshot", m=3)
-    SettingConfig(setting="fewshot", m=3, allow_custom=True)
-    SettingConfig(setting="noisy", noise_ratio=0.15)
-    with pytest.raises(ProtocolError):
-        SettingConfig(setting="noisy", noise_ratio=0.12)
-    SettingConfig(setting="noisy", noise_ratio=0.12, allow_custom=True)
+    assert _settings({"type": "fewshot", "m": 8})[0]["m"] == 8
+    with pytest.raises(ConfigError):
+        _settings({"type": "fewshot", "m": 3})
+    assert _settings({"type": "fewshot", "m": 3, "allow_custom_m": True})[0]["m"] == 3
+    assert _settings({"type": "noisy", "noise_ratio": 0.15})[0]["noise_ratio"] == 0.15
+    with pytest.raises(ConfigError):
+        _settings({"type": "noisy", "noise_ratio": 0.12})
+    ratio = _settings({"type": "noisy", "noise_ratio": 0.12, "allow_custom_ratio": True})
+    assert ratio[0]["noise_ratio"] == 0.12
 
 
 # --- cross-protocol properties -------------------------------------------------

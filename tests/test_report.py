@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from iadbench.errors import ReportError
-from iadbench.report import CSV_METRICS, emit_report, render_csv, render_markdown
+from iadbench.report import emit_report, render_csv, render_markdown
+from iadbench.runner import METRIC_NAMES
 
 
 def _document():
@@ -40,7 +41,7 @@ def _document():
         "config": {"seed": 1},
         "config_hash": "ab" * 32,
         "seed": 1,
-        "metrics_requested": list(CSV_METRICS),
+        "metrics_requested": list(METRIC_NAMES),
         "cells": [
             cell("catA", "unsupervised", metrics_a, na={"fm": "not-continual"}),
             cell("catB", "unsupervised", metrics_b, na={"fm": "not-continual"}),

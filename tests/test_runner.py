@@ -14,6 +14,7 @@ from iadbench.errors import ConfigError, ReportError
 from iadbench.report import load_results, render_csv
 from iadbench.runner import (
     DetectorState,
+    _scored_cell,
     efficiency_stats,
     evaluate,
     parse_config,
@@ -111,6 +112,62 @@ def test_setting_grid_violations_are_config_errors():
     parse_config(
         _base_config(setting={"type": "noisy", "noise_ratio": 0.12, "allow_custom_ratio": True})
     )
+
+
+@pytest.mark.parametrize(
+    "setting, path",
+    [
+        ({"type": "fewshot", "m": []}, "setting[0].m"),
+        ({"type": "noisy", "noise_ratio": []}, "setting[0].noise_ratio"),
+        ([], "setting"),
+    ],
+)
+def test_empty_sweep_rejected(setting, path):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_base_config(setting=setting))
+    assert exc.value.code == "invalid-config"
+    assert f"{path}: must not be empty" in str(exc.value)
+
+
+def _continual_order(order):
+    return {"setting": [{"type": "continual", "category_order": order}]}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"categories": []}, "categories: must not be empty"),
+        ({"categories": ["cat00", "cat00"]}, "categories: repeats a name"),
+        ({"categories": [0]}, "categories[]: must be a string"),
+        ({"categories": "cat00"}, "categories: must be a list"),
+        (_continual_order([]), "setting[0].category_order: must not be empty"),
+        (_continual_order(["cat00", "cat00"]), "setting[0].category_order: repeats a name"),
+        (_continual_order([1, 2]), "setting[0].category_order[]: must be a string"),
+        (_continual_order("cat00"), "setting[0].category_order: must be a list"),
+    ],
+)
+def test_category_lists_are_distinct_names(overrides, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_base_config(**overrides))
+    assert exc.value.code == "invalid-config"
+    assert message in str(exc.value)
+
+
+def test_category_lists_accepted():
+    cfg = parse_config(_base_config(categories=["cat01"], **_continual_order(["cat01", "cat00"])))
+    assert cfg.categories == ["cat01"]
+    assert cfg.settings[0]["category_order"] == ["cat01", "cat00"]
+    assert parse_config(_base_config(**_continual_order(None))).settings[0]["category_order"] is None
+
+
+def test_category_lists_exit_code(tmp_path):
+    from iadbench.cli import main
+
+    path = tmp_path / "config.json"
+    config = _base_config(output_dir=str(tmp_path / "out"), **_continual_order([1, 2]))
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["false", 1, None])
@@ -342,18 +399,22 @@ def _samples(count):
 
 def test_efficiency_stats_counts():
     state = _tiny_state()
-    _, _, latencies_ms = evaluate(state, _samples(10))
-    stats = efficiency_stats(latencies_ms, state.bank, warmup=3)
-    assert stats.bank_bytes == 64_000
+    samples = _samples(10)
+    scored = evaluate(state, samples)
+    stats = efficiency_stats(scored[2], warmup=3)
     assert stats.latency_ms_p50 <= stats.latency_ms_p95
     assert stats.latency_ms_mean > 0
+    config = parse_config(_base_config())
+    dataset = synth_dataset(config.synth_spec, 0)
+    cell = _scored_cell(config, dataset, "c", "unsupervised", 0, samples, scored, state.bank, False)
+    assert cell.bank_bytes == 64_000
 
 
 def test_efficiency_stats_too_few():
     state = _tiny_state()
     _, _, latencies_ms = evaluate(state, _samples(4))
     with pytest.raises(ConfigError) as exc:
-        efficiency_stats(latencies_ms, state.bank, warmup=3)
+        efficiency_stats(latencies_ms, warmup=3)
     assert exc.value.code == "too-few-samples"
 
 
