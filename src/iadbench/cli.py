@@ -16,7 +16,10 @@ import numpy as np
 
 from .data import PixelMask
 from .errors import BenchError, ConfigError, DataError, MetricError, ProtocolError, ReportError
-from .metrics import LabeledScores, aupro, auroc, average_precision, mean_spro, pooled_pixel_scores
+from .metrics import (
+    DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, aupro, auroc, average_precision,
+    pooled_pixel_scores,
+)
 from .pgm import read_pgm
 from .report import emit_report, load_results
 from .runner import SCHEMA_VERSION, load_config, run_experiment
@@ -58,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--scores", help="CSV of id,score,label for ranking metrics")
     p_metrics.add_argument("--maps", help="directory of PGM score maps")
     p_metrics.add_argument("--masks", help="directory of PGM ground-truth masks")
-    p_metrics.add_argument("--pro-limit", type=float, default=0.3)
-    p_metrics.add_argument("--spro-limit", type=float, default=0.05)
+    p_metrics.add_argument("--pro-limit", type=float, default=DEFAULT_PRO_LIMIT)
+    p_metrics.add_argument("--spro-limit", type=float, default=DEFAULT_SPRO_LIMIT)
     p_metrics.set_defaults(func=cmd_metrics)
 
     p_report = sub.add_parser("report", help="regenerate a report from results.json")

@@ -124,22 +124,24 @@ class CoresetParams:
     projection_dim: int | None = None
     seed: int = 0
 
-    def resolve_l(self, bank_size: int) -> int:
+    def __post_init__(self):
         if (self.target_fraction is None) == (self.l is None):
-            raise DetectorError(
-                "l-out-of-range", "exactly one of target_fraction or l required"
-            )
+            raise DetectorError("l-out-of-range", "exactly one of target_fraction or l required")
+        fraction = self.target_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise DetectorError("l-out-of-range", f"target_fraction {fraction} not in (0, 1]")
+        if self.l is not None and self.l < 1:
+            raise DetectorError("l-out-of-range", f"l={self.l} must be >= 1")
+        if self.projection_dim is not None and self.projection_dim < 1:
+            raise DetectorError("bad-dims", f"projection_dim={self.projection_dim} must be >= 1")
+
+    def resolve_l(self, bank_size: int) -> int:
         if self.l is not None:
             l = self.l
         else:
-            if not 0.0 < self.target_fraction <= 1.0:
-                raise DetectorError(
-                    "l-out-of-range", f"target_fraction {self.target_fraction} not in (0, 1]"
-                )
             # round half up for cross-implementation agreement
-            l = int(np.floor(self.target_fraction * bank_size + 0.5))
-            l = max(1, l)
-        if not 1 <= l <= bank_size:
+            l = max(1, int(np.floor(self.target_fraction * bank_size + 0.5)))
+        if l > bank_size:
             raise DetectorError("l-out-of-range", f"l={l} for bank of {bank_size}")
         return l
 
@@ -371,8 +373,6 @@ def score_image(
     The map keeps the raw per-patch nearest distances; only the scalar
     image score is re-weighted.
     """
-    if not 1 <= b <= bank.count:
-        raise DetectorError("b-out-of-range", f"b={b} for bank of {bank.count}")
     distances, s_star, patch_index, neighbor_index = score_patches(bank, grid)
     s = reweight(bank, grid.vectors[patch_index], s_star, neighbor_index, b)
     patch_map = distances.reshape(grid.grid_h, grid.grid_w)

@@ -21,6 +21,10 @@ from .errors import MetricError
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
+# default FPR integration limits of AUPRO (MVTec AD) and sPRO (MVTec LOCO)
+DEFAULT_PRO_LIMIT = 0.3
+DEFAULT_SPRO_LIMIT = 0.05
+
 
 @dataclass
 class LabeledScores:
@@ -196,7 +200,7 @@ def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
 def aupro(
     score_maps: list[np.ndarray],
     masks: list[PixelMask | None],
-    fpr_limit: float = 0.3,
+    fpr_limit: float = DEFAULT_PRO_LIMIT,
 ) -> float:
     """Area under the per-region-overlap curve up to ``fpr_limit``.
 
@@ -217,7 +221,7 @@ def aupro(
 def mean_spro(
     score_maps: list[np.ndarray],
     region_sets: list[RegionSet],
-    fpr_limit: float = 0.05,
+    fpr_limit: float = DEFAULT_SPRO_LIMIT,
 ) -> float:
     """Area under the saturated per-region-overlap curve up to ``fpr_limit``.
 

@@ -18,8 +18,6 @@ from .data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
 from .errors import ProtocolError
 from .rng import sample_without_replacement
 
-FEWSHOT_SHOTS = (1, 2, 4, 8)
-NOISE_RATIO_GRID = (0.05, 0.10, 0.15, 0.20)
 ROTATION_ANGLES = {1: (0,), 2: (0, 180), 4: (0, 90, 180, 270)}
 
 # injected noise may consume at most this fraction of the test abnormals
@@ -103,12 +101,8 @@ def make_supervised(dataset: Dataset, category: str, n: int = 10, seed: int = 0)
     return split
 
 
-def make_fewshot(
-    dataset: Dataset, category: str, m: int, seed: int = 0, allow_any_m: bool = False
-) -> Split:
+def make_fewshot(dataset: Dataset, category: str, m: int, seed: int = 0) -> Split:
     """m seeded normal train samples; the test set is untouched."""
-    if not allow_any_m and m not in FEWSHOT_SHOTS:
-        raise ProtocolError("invalid-m", f"m={m} not in {FEWSHOT_SHOTS}")
     pool = _category_train(dataset, category)
     if len(pool) < m:
         raise ProtocolError(

@@ -14,9 +14,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +33,11 @@ from .detector import (
     score_image,
     write_bank_file,
 )
-from .errors import BenchError, ConfigError, MetricError
+from .errors import BenchError, ConfigError, DetectorError, MetricError
 from .features import FeatureProviderConfig, extract_features
 from .metrics import (
+    DEFAULT_PRO_LIMIT,
+    DEFAULT_SPRO_LIMIT,
     LabeledScores,
     RegionSet,
     TaskMatrix,
@@ -47,8 +50,6 @@ from .metrics import (
     pooled_pixel_scores,
 )
 from .protocols import (
-    FEWSHOT_SHOTS,
-    NOISE_RATIO_GRID,
     ROTATION_ANGLES,
     Split,
     TrainItem,
@@ -74,9 +75,6 @@ METRIC_NAMES = (
     "fm",
 )
 
-DEFAULT_PRO_LIMIT = 0.3
-DEFAULT_SPRO_LIMIT = 0.05
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -89,9 +87,7 @@ class ExperimentConfig:
     categories: list[str] | None
     settings: list[dict]
     feature: FeatureProviderConfig
-    coreset_fraction: float | None
-    coreset_l: int | None
-    projection_dim: int | None
+    coreset: CoresetParams  # seed 0; cells take their own via coreset_params
     b: int
     smoothing_sigma: float
     metric_names: tuple[str, ...]
@@ -126,12 +122,7 @@ class ExperimentConfig:
         return hashlib.sha256(payload).hexdigest()
 
     def coreset_params(self, seed: int) -> CoresetParams:
-        return CoresetParams(
-            target_fraction=self.coreset_fraction,
-            l=self.coreset_l,
-            projection_dim=self.projection_dim,
-            seed=seed,
-        )
+        return replace(self.coreset, seed=seed)
 
 
 def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
@@ -144,8 +135,9 @@ def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str]) -
 
 
 def _expect_type(value, path: str, kind, label: str):
-    if kind is float:
+    if kind is float:  # finite, and an integer must fit a float64
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and abs(value) <= sys.float_info.max
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -185,6 +177,11 @@ def _sweep(value, path: str) -> list:
     return values
 
 
+# the benchmark's grids; allow_custom_m / allow_custom_ratio leave them
+FEWSHOT_SHOTS = (1, 2, 4, 8)
+NOISE_RATIO_GRID = (0.05, 0.10, 0.15, 0.20)
+
+
 def _parse_setting(raw: dict, path: str) -> list[dict]:
     """Expand one setting object into concrete cells (lists sweep)."""
     _expect_type(raw, path, dict, "an object")
@@ -206,14 +203,11 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
             raise ConfigError("invalid-config", f"{path}: rotation_k={rotation_k} not in (1, 2, 4)")
         out = []
         for m in _sweep(raw["m"], f"{path}.m"):
-            _expect_number(m, f"{path}.m", int)
+            _expect_number(m, f"{path}.m", int, minimum=1)
             if not allow and m not in FEWSHOT_SHOTS:
                 raise ConfigError("invalid-config", f"{path}: m={m} not in {FEWSHOT_SHOTS}")
             label = f"fewshot_m{m}" + (f"_rot{rotation_k}" if rotation_k > 1 else "")
-            out.append(
-                {"type": stype, "m": m, "rotation_k": rotation_k, "allow_custom_m": allow,
-                 "label": label}
-            )
+            out.append({"type": stype, "m": m, "rotation_k": rotation_k, "label": label})
         return out
     if stype == "noisy":
         _expect_keys(raw, path, {"type", "noise_ratio"}, {"allow_custom_ratio"})
@@ -223,6 +217,8 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
         out = []
         for ratio in _sweep(raw["noise_ratio"], f"{path}.noise_ratio"):
             ratio = float(_expect_type(ratio, f"{path}.noise_ratio", float, "a number"))
+            if allow and not 0.0 < ratio < 1.0:
+                raise ConfigError("invalid-config", f"{path}: noise_ratio={ratio} not in (0, 1)")
             if not allow and not any(math.isclose(ratio, r) for r in NOISE_RATIO_GRID):
                 raise ConfigError("invalid-config", f"{path}: noise_ratio={ratio} not in grid")
             out.append({"type": stype, "noise_ratio": ratio, "label": f"noisy_r{ratio:g}"})
@@ -296,29 +292,32 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except ConfigError as exc:
         raise ConfigError("invalid-config", f"detector.feature: {exc.message}") from exc
 
-    coreset = _expect_type(
+    coreset_raw = _expect_type(
         detector.get("coreset", {}), "detector.coreset", dict, "an object"
     )
-    _expect_keys(coreset, "detector.coreset", set(), {"target_fraction", "l", "projection_dim"})
-    fraction = coreset.get("target_fraction")
-    absolute = coreset.get("l")
-    if fraction is not None and absolute is not None:
-        raise ConfigError(
-            "invalid-config", "detector.coreset: target_fraction and l are exclusive"
-        )
-    if fraction is None and absolute is None:
+    _expect_keys(coreset_raw, "detector.coreset", set(), {"target_fraction", "l", "projection_dim"})
+    fraction = coreset_raw.get("target_fraction")
+    l = coreset_raw.get("l")
+    if fraction is None and l is None:
         fraction = 1.0  # keep the full bank by default
     if fraction is not None:
-        fraction = float(
-            _expect_number(fraction, "detector.coreset.target_fraction", float, unit_interval=True)
-        )
-    if absolute is not None:
-        _expect_number(absolute, "detector.coreset.l", int, minimum=1)
-    projection_dim = coreset.get("projection_dim")
+        fraction = float(_expect_number(fraction, "detector.coreset.target_fraction", float))
+    if l is not None:
+        _expect_number(l, "detector.coreset.l", int)
+    projection_dim = coreset_raw.get("projection_dim")
     if projection_dim == "none":
         projection_dim = None
     if projection_dim is not None:
-        _expect_number(projection_dim, "detector.coreset.projection_dim", int, minimum=1)
+        _expect_number(projection_dim, "detector.coreset.projection_dim", int)
+        if projection_dim > patch_size**2:  # the raw-patch descriptor's dim
+            raise ConfigError(
+                "invalid-config",
+                f"detector.coreset.projection_dim: must be <= patch_size**2 = {patch_size**2}",
+            )
+    try:
+        coreset = CoresetParams(target_fraction=fraction, l=l, projection_dim=projection_dim)
+    except DetectorError as exc:
+        raise ConfigError("invalid-config", f"detector.coreset: {exc.message}") from exc
 
     b = _expect_number(detector.get("b", 1), "detector.b", int, minimum=1)
     sigma = _expect_number(
@@ -356,9 +355,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         categories=categories,
         settings=settings,
         feature=feature,
-        coreset_fraction=fraction,
-        coreset_l=absolute,
-        projection_dim=projection_dim,
+        coreset=coreset,
         b=b,
         smoothing_sigma=float(sigma),
         metric_names=tuple(names),
@@ -486,9 +483,7 @@ def _build_split(dataset: Dataset, category: str, setting: dict, seed: int) -> S
     if stype == "supervised":
         return make_supervised(dataset, category, setting["n"], seed)
     if stype == "fewshot":
-        split = make_fewshot(
-            dataset, category, setting["m"], seed, allow_any_m=setting["allow_custom_m"]
-        )
+        split = make_fewshot(dataset, category, setting["m"], seed)
         return augment_rotations(split, setting["rotation_k"])
     return inject_noise(dataset, category, setting["noise_ratio"], seed)  # "noisy"
 
@@ -723,9 +718,6 @@ def run_experiment(
 
     dataset = _resolve_dataset(config)
     categories = config.categories or dataset.categories
-    for category in categories:
-        dataset.require_category(category)
-
     config_hash = config.config_hash
     hash_seed = int(config_hash[:16], 16)
 
@@ -739,6 +731,9 @@ def run_experiment(
             for category in categories:
                 cell_seed = derive_seed(hash_seed, category, setting["label"])
                 jobs.append((setting, [category], cell_seed))
+    # every listed category and every one a job names exists before any cell runs
+    for category in [*categories, *(c for _, names, _ in jobs for c in names)]:
+        dataset.require_category(category)
 
     def execute(job) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job

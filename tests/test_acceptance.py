@@ -316,11 +316,8 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     dataset = _resolve_dataset(config)
     order = dataset.categories
     sequence = make_continual(dataset, order)
-    params = lambda step: CoresetParams(  # noqa: E731
-        target_fraction=config.coreset_fraction,
-        l=config.coreset_l,
-        projection_dim=config.projection_dim,
-        seed=derive_seed(42, "acceptance-continual", step),
+    params = lambda step: config.coreset_params(  # noqa: E731
+        derive_seed(42, "acceptance-continual", step)
     )
     bank = MemoryBank.empty(config.feature.patch_size**2)
     previous_distances: dict[int, np.ndarray] = {}

@@ -136,6 +136,17 @@ def test_coreset_l_out_of_range():
         coreset_select(bank, CoresetParams())  # neither fraction nor l
 
 
+def test_coreset_params_check_their_own_rules():
+    for kwargs in ({}, {"target_fraction": 0.5, "l": 2}, {"target_fraction": 0.0},
+                   {"target_fraction": 1.5}, {"l": 0}):
+        with pytest.raises(DetectorError) as exc:
+            CoresetParams(**kwargs)
+        assert exc.value.code == "l-out-of-range"
+    with pytest.raises(DetectorError) as exc:
+        CoresetParams(l=1, projection_dim=0)
+    assert exc.value.code == "bad-dims"
+
+
 def test_coreset_matches_bruteforce_oracle():
     rng = np.random.default_rng(10)
     for _ in range(60):

@@ -123,10 +123,12 @@ def test_fewshot_insufficient(small_dataset):
 
 
 def test_fewshot_invalid_m(small_dataset):
-    with pytest.raises(ProtocolError) as exc:
-        make_fewshot(small_dataset, CAT, m=3, seed=0)
-    assert exc.value.code == "invalid-m"
-    split = make_fewshot(small_dataset, CAT, m=3, seed=0, allow_any_m=True)
+    # the grid belongs to the config: parse_config rejects m=3 unless
+    # allow_custom_m, and make_fewshot draws any m the pool can supply
+    with pytest.raises(ConfigError) as exc:
+        _settings({"type": "fewshot", "m": 3})
+    assert exc.value.code == "invalid-config"
+    split = make_fewshot(small_dataset, CAT, m=3, seed=0)
     assert len(split.train) == 3
 
 

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iadbench.data import Sample
 from iadbench.detector import read_bank_file
-from iadbench.errors import ConfigError, ReportError
+from iadbench.errors import BenchError, ConfigError, DataError, ReportError
 from iadbench.report import load_results, render_csv
 from iadbench.runner import (
     DetectorState,
+    _build_split,
     _scored_cell,
     efficiency_stats,
     evaluate,
@@ -168,6 +171,99 @@ def test_category_lists_exit_code(tmp_path):
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_continual_category_exit_code(tmp_path):
+    from iadbench.cli import main
+
+    config = _base_config(**_continual_order(["cat00", "nope"]))
+    with pytest.raises(DataError) as exc:
+        run_experiment(parse_config(config))
+    assert exc.value.code == "unknown-category"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(config, output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(path)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+_CUSTOM_M = {"type": "fewshot", "m": -1, "allow_custom_m": True}
+_CUSTOM_RATIO = {"type": "noisy", "noise_ratio": 1.5, "allow_custom_ratio": True}
+_WIDE_PROJECTION = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 100}}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"setting": _CUSTOM_M}, "setting[0].m: must be >= 1"),
+        ({"setting": dict(_CUSTOM_M, m=[1, 0])}, "setting[0].m: must be >= 1"),
+        ({"setting": _CUSTOM_RATIO}, "setting[0]: noise_ratio=1.5 not in (0, 1)"),
+        ({"setting": dict(_CUSTOM_RATIO, noise_ratio=0)}, "noise_ratio=0.0 not in (0, 1)"),
+        ({"detector": _WIDE_PROJECTION}, "projection_dim: must be <= patch_size**2 = 36"),
+        ({"detector": {"coreset": {"target_fraction": 0.5, "l": 4}}}, "exactly one of"),
+        ({"detector": {"coreset": {"target_fraction": 1.5}}}, "1.5 not in (0, 1]"),
+        ({"detector": {"coreset": {"l": 0}}}, "detector.coreset: l=0 must be >= 1"),
+        ({"detector": {"coreset": {"projection_dim": 0}}}, "projection_dim=0 must be >= 1"),
+        ({"detector": {"smoothing_sigma": float("nan")}}, "smoothing_sigma: must be a number"),
+        ({"metrics": {"pro_limit": float("inf")}}, "metrics.pro_limit: must be a number"),
+        ({"setting": dict(_CUSTOM_RATIO, noise_ratio=10**400)}, "noise_ratio: must be a number"),
+    ],
+)
+def test_value_rules_checked_at_parse_time(overrides, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_base_config(**overrides))
+    assert exc.value.code == "invalid-config"
+    assert message in str(exc.value)
+
+
+def test_value_rules_accept_their_bounds():
+    parse_config(_base_config(setting=dict(_CUSTOM_M, m=[1, 3])))
+    parse_config(_base_config(setting=dict(_CUSTOM_RATIO, noise_ratio=0.99)))
+    detector = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 36}}
+    assert parse_config(_base_config(detector=detector)).coreset_params(5).projection_dim == 36
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"setting": _CUSTOM_M}, {"setting": _CUSTOM_RATIO}, {"detector": _WIDE_PROJECTION}],
+)
+def test_value_rules_exit_code(tmp_path, overrides):
+    from iadbench.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(output_dir=str(tmp_path / "out"), **overrides)))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+_SPLIT_SETTINGS = st.one_of(
+    st.fixed_dictionaries(
+        {"type": st.just("fewshot"), "m": st.integers(-2, 12), "allow_custom_m": st.booleans()},
+        optional={"rotation_k": st.integers(0, 5)},
+    ),
+    st.fixed_dictionaries(
+        {
+            "type": st.just("noisy"),
+            "noise_ratio": st.one_of(st.floats(0, 1), st.floats(), st.integers(-1, 2)),
+            "allow_custom_ratio": st.booleans(),
+        }
+    ),
+    st.fixed_dictionaries({"type": st.just("supervised")}, optional={"n": st.integers(-2, 12)}),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(setting=_SPLIT_SETTINGS, seed=st.integers(0, 2**64 - 1))
+@example(setting=_CUSTOM_M, seed=0)
+def test_accepted_settings_build_or_raise_bench_errors(small_dataset, setting, seed):
+    try:
+        config = parse_config(_base_config(setting=setting))
+    except ConfigError:
+        return
+    for expanded in config.settings:
+        try:
+            _build_split(small_dataset, "cat00", expanded, seed)
+        except BenchError:
+            pass
 
 
 @pytest.mark.parametrize("value", ["false", 1, None])
