@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .data import PixelMask
-from .errors import BenchError, ConfigError, DataError, MetricError, ProtocolError, ReportError
+from .errors import BenchError, ConfigError, DataError, MetricError, ReportError
 from .metrics import (
     DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, aupro, auroc, average_precision,
     pooled_pixel_scores,
@@ -118,9 +118,6 @@ def cmd_run(args) -> int:
         return 2
     try:
         result = run_experiment(config, threads=args.threads, save_banks=args.save_banks)
-    except (ConfigError, ProtocolError) as exc:
-        _err(str(exc))
-        return 2
     except BenchError as exc:
         _err(str(exc))
         return 3
@@ -220,12 +217,14 @@ def cmd_metrics(args) -> int:
             values = {"auroc": auroc(data), "ap": average_precision(data)}
         else:
             score_maps, masks = _read_map_pairs(args.maps, args.masks)
-            pooled = pooled_pixel_scores(score_maps, masks)
+            pool = pooled_pixel_scores(score_maps, masks)
+            # no saturation table here: mean_spro is the plain per-region
+            # overlap at the sPRO limit
             values = {
-                "pixel_auroc": auroc(pooled),
-                "pixel_ap": average_precision(pooled),
-                "aupro": aupro(score_maps, masks, args.pro_limit),
-                "mean_spro": aupro(score_maps, masks, args.spro_limit),
+                "pixel_auroc": auroc(pool),
+                "pixel_ap": average_precision(pool),
+                "aupro": aupro(score_maps, masks, args.pro_limit, pool=pool),
+                "mean_spro": aupro(score_maps, masks, args.spro_limit, pool=pool),
             }
     except (DataError, MetricError) as exc:
         _err(str(exc))

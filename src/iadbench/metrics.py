@@ -3,14 +3,17 @@
 Ranking metrics use grouped thresholds at distinct scores: AUROC is the
 Mann-Whitney statistic (tied pairs count half), and average precision is
 the step sum AP = sum_n (R_n - R_{n-1}) * P_n with ties merged into one
-step. Region metrics sweep every distinct score value as a threshold,
-track the per-region overlap against pooled false-positive rate, and
-integrate the resulting curve up to an FPR limit with linear
-interpolation between operating points.
+step. Both read the two classes' scores sorted once. Region metrics
+sweep the distinct score values as thresholds, track the per-region
+overlap against pooled false-positive rate, and integrate the resulting
+curve up to an FPR limit with linear interpolation between operating
+points; the sweep stops at the first operating point past the limit,
+the last one the integral reads.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +29,16 @@ DEFAULT_PRO_LIMIT = 0.3
 DEFAULT_SPRO_LIMIT = 0.05
 
 
-@dataclass
 class LabeledScores:
-    """Per-item scores with binary labels (True = positive/anomalous)."""
+    """Per-item scores with binary labels (True = positive/anomalous).
 
-    scores: np.ndarray
-    labels: np.ndarray
+    Kept as the two classes' scores, each sorted ascending:
+    ``negatives`` and ``positives``.
+    """
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        labels = np.asarray(self.labels).ravel().astype(bool)
+    def __init__(self, scores, labels):
+        scores = np.asarray(scores, dtype=np.float64).ravel()
+        labels = np.asarray(labels).ravel().astype(bool)
         if scores.size == 0 or scores.size != labels.size:
             raise MetricError(
                 "degenerate-labels",
@@ -43,37 +46,65 @@ class LabeledScores:
             )
         if not np.all(np.isfinite(scores)):
             raise MetricError("degenerate-labels", "scores must be finite")
-        self.scores = scores
-        self.labels = labels
+        self.negatives = scores[~labels]
+        self.negatives.sort()
+        self.positives = scores[labels]
+        self.positives.sort()
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """True where a sorted array's element differs from the one before it."""
+    starts = np.empty(sorted_values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+    return starts
 
 
 def auroc(data: LabeledScores) -> float:
     """Area under the ROC curve via the Mann-Whitney pair statistic."""
-    pos = data.scores[data.labels]
-    neg = data.scores[~data.labels]
+    pos, neg = data.positives, data.negatives
     if pos.size == 0 or neg.size == 0:
         raise MetricError("degenerate-labels", "AUROC needs both classes present")
-    neg_sorted = np.sort(neg)
-    below = np.searchsorted(neg_sorted, pos, side="left")
-    tied = np.searchsorted(neg_sorted, pos, side="right") - below
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
     u = float(below.sum()) + 0.5 * float(tied.sum())
     return u / (pos.size * neg.size)
 
 
 def average_precision(data: LabeledScores) -> float:
-    """Step-sum average precision over distinct descending score thresholds."""
-    total_pos = int(data.labels.sum())
+    """Step-sum average precision over distinct descending score thresholds.
+
+    The sum runs over one term per distinct score, in descending order.
+    A threshold with no positive at it adds recall 0, so its term is an
+    exact 0.0; only the distinct positive scores are computed, and each
+    is placed where it falls among all distinct scores, so ``np.sum``
+    adds the same array as a sweep over every threshold would.
+    """
+    pos, neg = data.positives, data.negatives
+    total_pos = pos.size
     if total_pos == 0:
         raise MetricError("no-positives", "AP needs at least one positive")
-    uniq, inverse = np.unique(data.scores, return_inverse=True)
-    pos_at = np.bincount(inverse[data.labels], minlength=uniq.size)
-    all_at = np.bincount(inverse, minlength=uniq.size)
-    tp = np.cumsum(pos_at[::-1])
-    seen = np.cumsum(all_at[::-1])
-    precision = tp / seen
+    starts = np.flatnonzero(_run_starts(pos))[::-1]
+    values = pos[starts]  # distinct positive scores, descending
+    tp = total_pos - starts
+    neg_below = np.searchsorted(neg, values, side="left")
+    precision = tp / (tp + (neg.size - neg_below))
     recall = tp / total_pos
     steps = np.diff(recall, prepend=0.0)
-    return float(np.sum(steps * precision))
+    # distinct scores above each value: positive ones, plus negative ones,
+    # minus the values both classes hold
+    neg_distinct = neg[_run_starts(neg)]
+    shared = neg_below < neg.size
+    shared[shared] = neg[neg_below[shared]] == values[shared]
+    place = (
+        np.arange(values.size)
+        + (neg_distinct.size - np.searchsorted(neg_distinct, values, side="right"))
+        - (np.cumsum(shared) - shared)
+    )
+    terms = np.zeros(values.size + neg_distinct.size - int(shared.sum()))
+    del neg_distinct
+    terms[place] = steps * precision
+    return float(np.sum(terms))
 
 
 @dataclass
@@ -94,42 +125,80 @@ class RegionSet:
     width: int
     regions: list[Region]
 
+    def saturated(self, saturation: int | float | None) -> RegionSet:
+        """The same regions with saturation thresholds from ``saturation``.
+
+        ``saturation`` may be an absolute pixel count (int) or an area
+        fraction of the whole image (float in (0, 1]); either is clamped
+        to [1, region area]. When absent, each region saturates at its
+        own size, which makes the saturated overlap degrade to the plain
+        per-region overlap.
+        """
+        regions = []
+        for region in self.regions:
+            area = region.area
+            if saturation is None:
+                sat = area
+            elif isinstance(saturation, (int, np.integer)) and not isinstance(saturation, bool):
+                sat = int(saturation)
+            else:
+                rel = float(saturation)
+                if not 0.0 < rel <= 1.0:
+                    raise MetricError("no-regions", f"relative saturation {rel} not in (0, 1]")
+                sat = int(round(rel * self.height * self.width))
+            regions.append(Region(pixels=region.pixels, saturation=max(1, min(sat, area))))
+        return RegionSet(self.height, self.width, regions)
+
 
 def connected_regions(
     mask: PixelMask, saturation: int | float | None = None
 ) -> RegionSet:
     """Split a mask into 8-connected regions and attach saturation thresholds.
 
-    ``saturation`` may be an absolute pixel count (int) or an area
-    fraction of the whole image (float in (0, 1]); either is clamped to
-    [1, region area]. When absent, each region saturates at its own size,
-    which makes the saturated overlap degrade to the plain per-region
-    overlap.
+    Each region's pixels are its flat indices in ascending order; see
+    ``RegionSet.saturated`` for ``saturation``.
     """
-    bits = mask.bits
-    labeled, count = ndimage.label(bits, structure=_EIGHT_CONNECTED)
-    regions = []
+    labeled, count = ndimage.label(mask.bits, structure=_EIGHT_CONNECTED)
     flat_labels = labeled.ravel()
-    order = np.argsort(flat_labels, kind="stable")
+    inside = np.flatnonzero(flat_labels)
+    # stable: ascending pixel order within each region
+    order = inside[np.argsort(flat_labels[inside], kind="stable")]
     boundaries = np.searchsorted(flat_labels[order], np.arange(1, count + 2))
-    for idx in range(count):
-        pixels = order[boundaries[idx] : boundaries[idx + 1]]
-        area = pixels.size
-        if saturation is None:
-            sat = area
-        elif isinstance(saturation, (int, np.integer)) and not isinstance(saturation, bool):
-            sat = int(saturation)
-        else:
-            rel = float(saturation)
-            if not 0.0 < rel <= 1.0:
-                raise MetricError("no-regions", f"relative saturation {rel} not in (0, 1]")
-            sat = int(round(rel * bits.size))
-        sat = max(1, min(sat, area))
-        regions.append(Region(pixels=np.sort(pixels), saturation=sat))
-    return RegionSet(height=mask.height, width=mask.width, regions=regions)
+    regions = [
+        Region(pixels=order[boundaries[idx] : boundaries[idx + 1]], saturation=0)
+        for idx in range(count)
+    ]
+    return RegionSet(mask.height, mask.width, regions).saturated(saturation)
 
 
-def _check_maps(score_maps, shapes) -> None:
+class PixelPool(LabeledScores):
+    """Every pixel of a cell's score maps, pooled, checked and sorted once.
+
+    Built by ``pooled_pixel_scores``. Normal pixels are the negatives and
+    masked pixels the positives, so pixel AUROC and AP read it as they
+    read any ``LabeledScores``; ``aupro`` and ``mean_spro`` read the same
+    two sorted sides as their normal and anomalous pixels, and ``regions``
+    labels each mask's connected components once for both of them.
+    """
+
+    def __init__(self, scores, labels, shapes, masks):
+        super().__init__(scores, labels)
+        self._shapes = shapes
+        self._masks = masks
+        self._regions: list[RegionSet] | None = None
+
+    @property
+    def regions(self) -> list[RegionSet]:
+        """Each mask's 8-connected regions, saturating at their own area."""
+        if self._regions is None:
+            self._regions = [
+                connected_regions(m) if m is not None else RegionSet(shape[0], shape[1], [])
+                for m, shape in zip(self._masks, self._shapes)
+            ]
+        return self._regions
+
+
+def _check_maps(score_maps, shapes, finite: bool = True) -> None:
     if len(score_maps) != len(shapes):
         raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
     for smap, shape in zip(score_maps, shapes):
@@ -137,63 +206,113 @@ def _check_maps(score_maps, shapes) -> None:
             raise MetricError(
                 "dim-mismatch", f"score map {smap.shape} vs ground truth {shape}"
             )
-        if not np.all(np.isfinite(smap)):
+        if finite and not np.all(np.isfinite(smap)):
             raise MetricError("dim-mismatch", "score maps must be finite")
 
 
+def _thresholds_to_limit(
+    normal: np.ndarray, anomalous: np.ndarray, fpr_limit: float
+) -> np.ndarray:
+    """Distinct pooled scores, ascending, down to the first one past the limit.
+
+    The FPR at threshold t is (normal pixels >= t) / n. The first
+    operating point past the limit needs ``past`` normal pixels at or
+    above it, the fewest with past / n > fpr_limit; the largest pooled
+    score that has them is the ``past``-th largest normal score. Every
+    distinct score at or above it is kept: the integral reads no
+    operating point after that one. Nothing is past a limit of 1.
+    """
+    n = normal.size
+    past = bisect.bisect_right(range(n + 1), fpr_limit, key=lambda c: c / n)
+    cut = normal[n - past] if past <= n else -np.inf
+    kept = np.concatenate(
+        [
+            normal[np.searchsorted(normal, cut, side="left") :],
+            anomalous[np.searchsorted(anomalous, cut, side="left") :],
+        ]
+    )
+    kept.sort(kind="stable")  # two sorted runs: one merge
+    return kept[_run_starts(kept)]
+
+
 def _overlap_curve_area(
-    score_maps: list[np.ndarray], region_sets: list[RegionSet], fpr_limit: float
+    score_maps: list[np.ndarray],
+    region_sets: list[RegionSet],
+    fpr_limit: float,
+    pool: LabeledScores | None,
 ) -> float:
     """Shared threshold sweep behind aupro and mean_spro.
 
     Thresholds are the distinct score values pooled over every map, in
     descending order; the predicted set at threshold t is {score >= t}.
     The curve starts at the synthetic empty-prediction point (0, 0) and
-    is integrated over [0, fpr_limit], normalized by the limit.
+    is integrated over [0, fpr_limit], normalized by the limit. Only the
+    thresholds the integral reads are swept (``_thresholds_to_limit``).
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError("no-regions", f"fpr_limit {fpr_limit} not in (0, 1]")
     region_scores: list[tuple[np.ndarray, int]] = []
-    normal_parts = []
-    all_parts = []
+    in_regions = []
     for smap, rset in zip(score_maps, region_sets):
-        flat = np.asarray(smap, dtype=np.float64).ravel()
-        anomalous = np.zeros(flat.size, dtype=bool)
+        flat = smap.ravel()
+        in_regions.append(np.zeros(flat.size, dtype=bool))
         for region in rset.regions:
-            anomalous[region.pixels] = True
-            region_scores.append((np.sort(flat[region.pixels]), region.saturation))
-        normal_parts.append(flat[~anomalous])
-        all_parts.append(flat)
+            in_regions[-1][region.pixels] = True
+            region_scores.append((flat[region.pixels], region.saturation))
     if not region_scores:
         raise MetricError("no-regions", "no ground-truth regions in the evaluation set")
-    normal = np.sort(np.concatenate(normal_parts))
+    if pool is None:  # finite maps holding a region: this cannot raise
+        pool = LabeledScores(
+            np.concatenate([m.ravel() for m in score_maps]), np.concatenate(in_regions)
+        )
+    del in_regions
+    normal, anomalous = pool.negatives, pool.positives
     if normal.size == 0:
         raise MetricError("no-normal-pixels", "no normal pixels in the evaluation set")
 
-    thresholds = np.unique(np.concatenate(all_parts))[::-1]
-    fpr = (normal.size - np.searchsorted(normal, thresholds, side="left")) / normal.size
-    overlap = np.zeros(thresholds.size, dtype=np.float64)
-    for scores_asc, sat in region_scores:
-        covered = scores_asc.size - np.searchsorted(scores_asc, thresholds, side="left")
+    ascending = _thresholds_to_limit(normal, anomalous, fpr_limit)
+    k = ascending.size
+    # the curve's points: (0, 0), then one per threshold, descending
+    xs = np.zeros(k + 1, dtype=np.float64)
+    ys = np.zeros(k + 1, dtype=np.float64)
+    false_pos = normal.size - np.searchsorted(normal, ascending, side="left")
+    xs[1:] = false_pos[::-1] / normal.size
+    del false_pos
+
+    # A pixel is covered from the threshold equal to its score on: index
+    # k - above in descending order, or k if it is below every kept one.
+    # Coverage changes only at those indices, so the overlap is summed,
+    # region by region as before, once per stretch between two of them
+    # and then repeated over the stretch.
+    entries = [
+        np.sort(k - np.searchsorted(ascending, scores, side="right"))
+        for scores, _sat in region_scores
+    ]
+    del ascending
+    starts = np.unique(np.concatenate([[0], *entries]))
+    starts = starts[starts < k]
+    overlap = np.zeros(starts.size, dtype=np.float64)
+    for entered, (_scores, sat) in zip(entries, region_scores):
+        covered = np.searchsorted(entered, starts, side="right")
         overlap += np.minimum(covered / sat, 1.0)
     overlap /= len(region_scores)
-
-    xs = np.concatenate([[0.0], fpr])
-    ys = np.concatenate([[0.0], overlap])
+    ys[1:] = np.repeat(overlap, np.diff(starts, append=k))
     return _integrate_to_limit(xs, ys, fpr_limit)
 
 
 def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
-    """Trapezoidal area under a piecewise-linear curve, clipped to [0, limit]."""
-    x0, x1 = xs[:-1], xs[1:]
-    y0, y1 = ys[:-1], ys[1:]
-    inside = x1 <= limit
-    area = float(np.sum((x1[inside] - x0[inside]) * (y0[inside] + y1[inside]) * 0.5))
-    straddle = (x0 < limit) & (x1 > limit)
-    if straddle.any():
-        i = np.nonzero(straddle)[0]
-        y_at = y0[i] + (y1[i] - y0[i]) * (limit - x0[i]) / (x1[i] - x0[i])
-        area += float(np.sum((limit - x0[i]) * (y0[i] + y_at) * 0.5))
+    """Trapezoidal area under a piecewise-linear curve, clipped to [0, limit].
+
+    ``xs`` never decreases, so the segments that end inside the limit
+    are a prefix, and only the segment after it can straddle the limit.
+    """
+    n = int(np.count_nonzero(xs[1:] <= limit))
+    x0, x1, y0, y1 = xs[:n], xs[1 : n + 1], ys[:n], ys[1 : n + 1]
+    area = float(np.sum((x1 - x0) * (y0 + y1) * 0.5))
+    x0, x1, y0, y1 = xs[n : n + 1], xs[n + 1 : n + 2], ys[n : n + 1], ys[n + 1 : n + 2]
+    if x1.size and x0[0] < limit:
+        y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
+        area += float(np.sum((limit - x0) * (y0 + y_at) * 0.5))
     return area / limit
 
 
@@ -201,55 +320,68 @@ def aupro(
     score_maps: list[np.ndarray],
     masks: list[PixelMask | None],
     fpr_limit: float = DEFAULT_PRO_LIMIT,
+    pool: PixelPool | None = None,
 ) -> float:
     """Area under the per-region-overlap curve up to ``fpr_limit``.
 
     Regions are the 8-connected components of each mask; a None (or
     all-false) mask contributes only normal pixels. The false-positive
-    rate pools normal pixels across every image.
+    rate pools normal pixels across every image. ``pool``, if given, is
+    ``pooled_pixel_scores(score_maps, masks)``; its sorted pixels and
+    labelled regions are then used instead of pooling and labelling
+    again.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
     if len(maps) != len(masks):
         raise MetricError("dim-mismatch", "score maps and masks counts differ")
-    region_sets = [
-        connected_regions(m) if m is not None else RegionSet(s.shape[0], s.shape[1], [])
-        for m, s in zip(masks, maps)
-    ]
-    return mean_spro(maps, region_sets, fpr_limit)
+    if pool is not None:
+        region_sets = pool.regions
+    else:
+        region_sets = [
+            connected_regions(m) if m is not None else RegionSet(s.shape[0], s.shape[1], [])
+            for m, s in zip(masks, maps)
+        ]
+    return mean_spro(maps, region_sets, fpr_limit, pool=pool)
 
 
 def mean_spro(
     score_maps: list[np.ndarray],
     region_sets: list[RegionSet],
     fpr_limit: float = DEFAULT_SPRO_LIMIT,
+    pool: PixelPool | None = None,
 ) -> float:
     """Area under the saturated per-region-overlap curve up to ``fpr_limit``.
 
     Per threshold, each region contributes min(|A ∩ P| / s, 1); with
     s equal to the region area this reduces exactly to the plain
-    per-region overlap.
+    per-region overlap. ``pool``, if given, is the
+    ``pooled_pixel_scores`` of these maps and of masks whose regions are
+    ``region_sets`` (saturations aside); the maps are then known finite,
+    and its sorted sides are the normal and anomalous pixels.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
-    _check_maps(maps, [(rs.height, rs.width) for rs in region_sets])
-    return _overlap_curve_area(maps, region_sets, fpr_limit)
+    _check_maps(maps, [(rs.height, rs.width) for rs in region_sets], finite=pool is None)
+    return _overlap_curve_area(maps, region_sets, fpr_limit, pool)
 
 
 def pooled_pixel_scores(
     score_maps: list[np.ndarray], masks: list[PixelMask | None]
-) -> LabeledScores:
-    """Pool every pixel of every map into one LabeledScores set."""
+) -> PixelPool:
+    """Pool every pixel of every map, split by mask and sorted, in one pass."""
     if not score_maps:
         raise MetricError("degenerate-labels", "no score maps to pool")
     scores = []
     labels = []
+    shapes = []
     for smap, mask in zip(score_maps, masks):
-        flat = np.asarray(smap, dtype=np.float64).ravel()
-        scores.append(flat)
+        smap = np.asarray(smap, dtype=np.float64)
+        scores.append(smap.ravel())
+        shapes.append(smap.shape)
         if mask is None:
-            labels.append(np.zeros(flat.size, dtype=bool))
+            labels.append(np.zeros(smap.size, dtype=bool))
         else:
             labels.append(mask.bits.ravel())
-    return LabeledScores(np.concatenate(scores), np.concatenate(labels))
+    return PixelPool(np.concatenate(scores), np.concatenate(labels), shapes, list(masks))
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .metrics import (
     DEFAULT_PRO_LIMIT,
     DEFAULT_SPRO_LIMIT,
     LabeledScores,
+    PixelPool,
     RegionSet,
     TaskMatrix,
     aupro,
@@ -158,7 +159,7 @@ def _expect_number(value, path: str, kind, minimum=None, unit_interval: bool = F
 
 
 def _expect_names(value, path: str) -> list[str]:
-    """A non-empty list of distinct strings (categories, a continual order)."""
+    """A non-empty list of distinct strings (categories, a continual order, metrics)."""
     _expect_type(value, path, list, "a list")
     if not value:
         raise ConfigError("invalid-config", f"{path}: must not be empty")
@@ -228,6 +229,10 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
         order = raw.get("category_order")
         if order is not None:
             _expect_names(order, f"{path}.category_order")
+            if len(order) < 2:  # make_continual's rule, known from the config alone
+                raise ConfigError(
+                    "invalid-config", f"{path}.category_order: needs at least 2 categories"
+                )
         return [{"type": stype, "category_order": order, "label": "continual"}]
     raise ConfigError("invalid-config", f"{path}.type: unknown setting {stype!r}")
 
@@ -332,7 +337,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         limits = metrics_raw
     else:
         names = metrics_raw
-    _expect_type(names, "metrics.names", list, "a list")
+    _expect_names(names, "metrics.names")
     for name in names:
         if name not in METRIC_NAMES:
             raise ConfigError("invalid-config", f"metrics.names: unknown metric {name!r}")
@@ -506,9 +511,16 @@ def _train_bank(
 
 
 def _category_region_sets(
-    dataset: Dataset, category: str, test: list[Sample], maps: list[np.ndarray]
+    dataset: Dataset,
+    category: str,
+    test: list[Sample],
+    maps: list[np.ndarray],
+    pool: PixelPool | None,
 ) -> list[RegionSet]:
+    """sPRO's regions: each mask's, saturating at its defect type's table entry."""
     table = dataset.saturation_table.get(category, {})
+    if pool is not None:  # labelled once, for aupro too
+        return [rset.saturated(table.get(s.defect_type)) for s, rset in zip(test, pool.regions)]
     out = []
     for sample, smap in zip(test, maps):
         if sample.mask is None:
@@ -540,19 +552,35 @@ def _cell_metrics(
             values[name] = None
             reasons[name] = exc.code
 
+    # every pixel metric reads one pool; if pooling fails, the ranking
+    # metrics report its error and the region metrics check the maps
+    # themselves, as they would alone
+    pool = pool_error = None
+    if not {"pixel_auroc", "pixel_ap", "aupro", "mean_spro"}.isdisjoint(config.metric_names):
+        try:
+            pool = pooled_pixel_scores(pixel_maps, masks)
+        except MetricError as exc:
+            pool_error = exc
+
+    def pooled() -> PixelPool:
+        if pool_error is not None:
+            raise pool_error
+        return pool
+
     attempt("image_auroc", lambda: auroc(LabeledScores(image_scores, labels)))
     attempt("image_ap", lambda: average_precision(LabeledScores(image_scores, labels)))
-    attempt("pixel_auroc", lambda: auroc(pooled_pixel_scores(pixel_maps, masks)))
-    attempt("pixel_ap", lambda: average_precision(pooled_pixel_scores(pixel_maps, masks)))
-    attempt("aupro", lambda: aupro(pixel_maps, masks, config.pro_limit))
+    attempt("pixel_auroc", lambda: auroc(pooled()))
+    attempt("pixel_ap", lambda: average_precision(pooled()))
+    attempt("aupro", lambda: aupro(pixel_maps, masks, config.pro_limit, pool=pool))
     if "mean_spro" in config.metric_names:
         if dataset.saturation_table.get(category):
             attempt(
                 "mean_spro",
                 lambda: mean_spro(
                     pixel_maps,
-                    _category_region_sets(dataset, category, test, pixel_maps),
+                    _category_region_sets(dataset, category, test, pixel_maps, pool),
                     config.spro_limit,
+                    pool=pool,
                 ),
             )
         else:

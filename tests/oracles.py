@@ -205,3 +205,181 @@ def forgetting_direct(entries: dict, k: int) -> tuple[dict, float]:
         best = max(entries[(l, j)] for l in range(j, k))
         per_task[j] = best - entries[(k, j)]
     return per_task, sum(per_task.values()) / len(per_task)
+
+
+def pixel_metrics_reference(score_maps, masks, pro_limit, spro_limit, saturations=None) -> dict:
+    """A cell's four pixel metrics by the package's original code, verbatim.
+
+    ``masks`` holds 2-D boolean arrays or None; ``saturations`` holds one
+    saturation per image (None, an int pixel count or a relative float)
+    for sPRO, or is None for the CLI's rule (plain per-region overlap at
+    ``spro_limit``). Each metric maps to its value, or to the code of the
+    ``MetricError`` it raised. Every pixel is pooled once per ranking
+    metric, every distinct pooled score is swept for each region, and
+    each mask is labelled once per region metric.
+    """
+    import numpy as np
+    from scipy import ndimage
+
+    from iadbench.errors import MetricError
+
+    def labeled_scores(scores, labels):
+        scores = np.asarray(scores, dtype=np.float64).ravel()
+        labels = np.asarray(labels).ravel().astype(bool)
+        if scores.size == 0 or scores.size != labels.size:
+            raise MetricError(
+                "degenerate-labels",
+                f"need equal nonzero lengths, got {scores.size} scores / {labels.size} labels",
+            )
+        if not np.all(np.isfinite(scores)):
+            raise MetricError("degenerate-labels", "scores must be finite")
+        return scores, labels
+
+    def auroc(data):
+        scores, labels = data
+        pos = scores[labels]
+        neg = scores[~labels]
+        if pos.size == 0 or neg.size == 0:
+            raise MetricError("degenerate-labels", "AUROC needs both classes present")
+        neg_sorted = np.sort(neg)
+        below = np.searchsorted(neg_sorted, pos, side="left")
+        tied = np.searchsorted(neg_sorted, pos, side="right") - below
+        u = float(below.sum()) + 0.5 * float(tied.sum())
+        return u / (pos.size * neg.size)
+
+    def average_precision(data):
+        scores, labels = data
+        total_pos = int(labels.sum())
+        if total_pos == 0:
+            raise MetricError("no-positives", "AP needs at least one positive")
+        uniq, inverse = np.unique(scores, return_inverse=True)
+        pos_at = np.bincount(inverse[labels], minlength=uniq.size)
+        all_at = np.bincount(inverse, minlength=uniq.size)
+        tp = np.cumsum(pos_at[::-1])
+        seen = np.cumsum(all_at[::-1])
+        precision = tp / seen
+        recall = tp / total_pos
+        steps = np.diff(recall, prepend=0.0)
+        return float(np.sum(steps * precision))
+
+    def connected_regions(bits, saturation=None):
+        labeled, count = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+        regions = []
+        flat_labels = labeled.ravel()
+        order = np.argsort(flat_labels, kind="stable")
+        boundaries = np.searchsorted(flat_labels[order], np.arange(1, count + 2))
+        for idx in range(count):
+            pixels = order[boundaries[idx] : boundaries[idx + 1]]
+            area = pixels.size
+            if saturation is None:
+                sat = area
+            elif isinstance(saturation, (int, np.integer)) and not isinstance(saturation, bool):
+                sat = int(saturation)
+            else:
+                rel = float(saturation)
+                if not 0.0 < rel <= 1.0:
+                    raise MetricError("no-regions", f"relative saturation {rel} not in (0, 1]")
+                sat = int(round(rel * bits.size))
+            sat = max(1, min(sat, area))
+            regions.append((np.sort(pixels), sat))
+        return bits.shape, regions
+
+    def check_maps(maps, shapes):
+        if len(maps) != len(shapes):
+            raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
+        for smap, shape in zip(maps, shapes):
+            if smap.shape != shape:
+                raise MetricError("dim-mismatch", f"score map {smap.shape} vs ground truth {shape}")
+            if not np.all(np.isfinite(smap)):
+                raise MetricError("dim-mismatch", "score maps must be finite")
+
+    def integrate_to_limit(xs, ys, limit):
+        x0, x1 = xs[:-1], xs[1:]
+        y0, y1 = ys[:-1], ys[1:]
+        inside = x1 <= limit
+        area = float(np.sum((x1[inside] - x0[inside]) * (y0[inside] + y1[inside]) * 0.5))
+        straddle = (x0 < limit) & (x1 > limit)
+        if straddle.any():
+            i = np.nonzero(straddle)[0]
+            y_at = y0[i] + (y1[i] - y0[i]) * (limit - x0[i]) / (x1[i] - x0[i])
+            area += float(np.sum((limit - x0[i]) * (y0[i] + y_at) * 0.5))
+        return area / limit
+
+    def overlap_curve_area(maps, region_sets, fpr_limit):
+        if not 0.0 < fpr_limit <= 1.0:
+            raise MetricError("no-regions", f"fpr_limit {fpr_limit} not in (0, 1]")
+        region_scores = []
+        normal_parts = []
+        all_parts = []
+        for smap, (_shape, regions) in zip(maps, region_sets):
+            flat = np.asarray(smap, dtype=np.float64).ravel()
+            anomalous = np.zeros(flat.size, dtype=bool)
+            for pixels, sat in regions:
+                anomalous[pixels] = True
+                region_scores.append((np.sort(flat[pixels]), sat))
+            normal_parts.append(flat[~anomalous])
+            all_parts.append(flat)
+        if not region_scores:
+            raise MetricError("no-regions", "no ground-truth regions in the evaluation set")
+        normal = np.sort(np.concatenate(normal_parts))
+        if normal.size == 0:
+            raise MetricError("no-normal-pixels", "no normal pixels in the evaluation set")
+        thresholds = np.unique(np.concatenate(all_parts))[::-1]
+        fpr = (normal.size - np.searchsorted(normal, thresholds, side="left")) / normal.size
+        overlap = np.zeros(thresholds.size, dtype=np.float64)
+        for scores_asc, sat in region_scores:
+            covered = scores_asc.size - np.searchsorted(scores_asc, thresholds, side="left")
+            overlap += np.minimum(covered / sat, 1.0)
+        overlap /= len(region_scores)
+        xs = np.concatenate([[0.0], fpr])
+        ys = np.concatenate([[0.0], overlap])
+        return integrate_to_limit(xs, ys, fpr_limit)
+
+    def mean_spro(maps, region_sets, fpr_limit):
+        maps = [np.asarray(m, dtype=np.float64) for m in maps]
+        check_maps(maps, [shape for shape, _regions in region_sets])
+        return overlap_curve_area(maps, region_sets, fpr_limit)
+
+    def aupro(maps, masks, fpr_limit):
+        maps = [np.asarray(m, dtype=np.float64) for m in maps]
+        if len(maps) != len(masks):
+            raise MetricError("dim-mismatch", "score maps and masks counts differ")
+        region_sets = [
+            connected_regions(m) if m is not None else ((s.shape[0], s.shape[1]), [])
+            for m, s in zip(masks, maps)
+        ]
+        return mean_spro(maps, region_sets, fpr_limit)
+
+    def pooled():
+        if not score_maps:
+            raise MetricError("degenerate-labels", "no score maps to pool")
+        scores, labels = [], []
+        for smap, mask in zip(score_maps, masks):
+            flat = np.asarray(smap, dtype=np.float64).ravel()
+            scores.append(flat)
+            labels.append(np.zeros(flat.size, dtype=bool) if mask is None else mask.ravel())
+        return labeled_scores(np.concatenate(scores), np.concatenate(labels))
+
+    def spro():
+        if saturations is None:
+            return aupro(score_maps, masks, spro_limit)
+        region_sets = [
+            connected_regions(mask, sat)
+            if mask is not None
+            else ((smap.shape[0], smap.shape[1]), [])
+            for mask, sat, smap in zip(masks, saturations, score_maps)
+        ]
+        return mean_spro(score_maps, region_sets, spro_limit)
+
+    out = {}
+    for name, fn in (
+        ("pixel_auroc", lambda: auroc(pooled())),
+        ("pixel_ap", lambda: average_precision(pooled())),
+        ("aupro", lambda: aupro(score_maps, masks, pro_limit)),
+        ("mean_spro", spro),
+    ):
+        try:
+            out[name] = fn()
+        except MetricError as exc:
+            out[name] = exc.code
+    return out

@@ -151,6 +151,41 @@ def test_metrics_maps_mode(tmp_path, capsys):
     assert values["mean_spro"] == 1.0
 
 
+def _metrics_fixture(root):
+    """Four 12x12 maps with tied 8-level scores; two regions per mask, one empty mask."""
+    rng = np.random.default_rng(7)
+    maps_dir, masks_dir = root / "maps", root / "masks"
+    maps_dir.mkdir()
+    masks_dir.mkdir()
+    for i in range(4):
+        mask = np.zeros((12, 12), np.uint8)
+        if i != 2:
+            mask[1 + i : 4 + i, 2:5] = 255
+            mask[8:10, 7 + i % 3 : 11] = 255
+        smap = rng.integers(0, 16, (12, 12)) * 8 + (mask > 0) * rng.integers(0, 120, (12, 12))
+        write_pgm(str(maps_dir / f"img{i}.pgm"), np.minimum(smap, 255).astype(np.uint8))
+        write_pgm(str(masks_dir / (f"img{i}_mask.pgm" if i % 2 else f"img{i}.pgm")), mask)
+    return str(maps_dir), str(masks_dir)
+
+
+@pytest.mark.parametrize(
+    "limits, expected",
+    [
+        ([], '{"pixel_auroc": 0.8217, "pixel_ap": 0.6233, "aupro": 0.6243, "mean_spro": 0.4954}'),
+        (
+            ["--pro-limit", "1.0", "--spro-limit", "0.25"],
+            '{"pixel_auroc": 0.8217, "pixel_ap": 0.6233, "aupro": 0.8191, "mean_spro": 0.6045}',
+        ),
+    ],
+)
+def test_metrics_maps_stdout_pinned(tmp_path, capsys, limits, expected):
+    # mean_spro here is plain per-region overlap at the sPRO limit: the
+    # CLI has no saturation table
+    maps_dir, masks_dir = _metrics_fixture(tmp_path)
+    assert main(["metrics", "--maps", maps_dir, "--masks", masks_dir, *limits]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_metrics_dim_mismatch_exit_3(tmp_path):
     maps_dir = tmp_path / "maps"
     masks_dir = tmp_path / "masks"

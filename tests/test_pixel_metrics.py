@@ -1,0 +1,175 @@
+"""The cell's pixel metrics against the original implementation, bit for bit.
+
+``oracles.pixel_metrics_reference`` is the package's original code for
+pixel AUROC, pixel AP, AUPRO and sPRO, copied verbatim. The runner's
+``_cell_metrics`` and the public calls the CLI makes must return
+``==``-equal values and the same ``MetricError`` codes on every input.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iadbench.data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
+from iadbench.metrics import aupro, auroc, average_precision, pooled_pixel_scores
+from iadbench.runner import _cell_metrics, parse_config
+from oracles import pixel_metrics_reference
+
+PIXEL_METRICS = ["pixel_auroc", "pixel_ap", "aupro", "mean_spro"]
+
+# relative saturations: a floor that clamps to one pixel, typical areas,
+# and the whole image, which clamps to each region's area
+SATURATIONS = {"tiny": 0.001, "small": 0.05, "half": 0.5, "whole": 1.0}
+LIMITS = st.sampled_from([0.3, 1.0, 0.05, 0.5]) | st.floats(0.01, 1.0)
+
+
+def _config(pro_limit, spro_limit):
+    return parse_config(
+        {
+            "dataset": {
+                "synthetic": {
+                    "categories": 1,
+                    "normals_train": 1,
+                    "normals_test": 1,
+                    "abnormals_test": 1,
+                    "image_size": 16,
+                }
+            },
+            "setting": {"type": "unsupervised"},
+            "metrics": {"names": PIXEL_METRICS, "pro_limit": pro_limit, "spro_limit": spro_limit},
+            "seed": 0,
+        }
+    )
+
+
+@st.composite
+def cells(draw):
+    """Score maps with many ties, masks (some absent), defect types and limits."""
+    n = draw(st.integers(1, 4))
+    same_shape = draw(st.booleans())
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 40]))  # 1 makes every map constant
+    maps, masks, defects = [], [], []
+    for _ in range(n):
+        if not same_shape:
+            shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        size = shape[0] * shape[1]
+        values = draw(st.lists(st.integers(0, levels - 1), min_size=size, max_size=size))
+        maps.append(np.array(values, dtype=np.float64).reshape(shape) / 7.0)
+        kind = draw(st.sampled_from(["none", "empty", "full", "bits", "bits", "bits"]))
+        if kind == "bits":
+            bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            masks.append(np.array(bits).reshape(shape))
+        else:
+            masks.append(None if kind == "none" else np.full(shape, kind == "full"))
+        defects.append(draw(st.sampled_from([*SATURATIONS, "unlisted"])))
+    if draw(st.integers(0, 19)) == 7:  # one map in twenty is not finite
+        maps[draw(st.integers(0, n - 1))].flat[0] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return maps, masks, defects, draw(LIMITS), draw(LIMITS)
+
+
+def _cell_inputs(maps, masks, defects, pro_limit, spro_limit):
+    """``_cell_metrics``'s arguments for one category of these maps."""
+    test = [
+        Sample(
+            id=f"s{i}",
+            image=ImageGrid(np.zeros(smap.shape)),
+            label=ABNORMAL if mask is not None and mask.any() else NORMAL,
+            mask=None if mask is None else PixelMask(mask),
+            defect_type=defect,
+            category="c",
+        )
+        for i, (smap, mask, defect) in enumerate(zip(maps, masks, defects))
+    ]
+    dataset = Dataset(["c"], {}, {"c": test}, {"c": dict(SATURATIONS)})
+    return _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), maps
+
+
+def _cell(*args):
+    values, reasons = _cell_metrics(*_cell_inputs(*args))
+    return {name: reasons.get(name, values[name]) for name in PIXEL_METRICS}
+
+
+# N = 10 normal pixels: the operating point FPR = 3/10 is exactly the limit 0.3
+_ON_POINT = (
+    [np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0],
+    [np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]], bool)],
+    ["small"],
+    0.3,
+    0.3,
+)
+# limit 1: nothing is past it, so thresholds below every normal pixel
+# count too; here they add zero-width segments that regroup np.sum
+_BELOW_NORMALS = (
+    [np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0],
+    [np.array([[1, 1, 0, 0, 0, 0]] + [[0] * 6] * 2 + [[0, 0, 0, 0, 1, 1]], bool)],
+    ["whole"],
+    1.0,
+    1.0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells())
+@example(_ON_POINT)
+@example(_BELOW_NORMALS)
+def test_cell_pixel_metrics_match_reference(cell):
+    maps, masks, defects, pro_limit, spro_limit = cell
+    saturations = [SATURATIONS.get(d) for d in defects]
+    expected = pixel_metrics_reference(maps, masks, pro_limit, spro_limit, saturations)
+    assert _cell(maps, masks, defects, pro_limit, spro_limit) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells())
+@example(_ON_POINT)
+@example(_BELOW_NORMALS)
+def test_cli_pixel_metrics_match_reference(cell):
+    """The CLI's calls: one pool, and mean_spro as plain overlap at the sPRO limit."""
+    maps, masks, _defects, pro_limit, spro_limit = cell
+    expected = pixel_metrics_reference(maps, masks, pro_limit, spro_limit)
+    if any(isinstance(v, str) for v in expected.values()):
+        return  # the CLI stops at the first error; the runner test covers codes
+    pixel_masks = [None if m is None else PixelMask(m) for m in masks]
+    pool = pooled_pixel_scores(maps, pixel_masks)
+    assert {
+        "pixel_auroc": auroc(pool),
+        "pixel_ap": average_precision(pool),
+        "aupro": aupro(maps, pixel_masks, pro_limit, pool=pool),
+        "mean_spro": aupro(maps, pixel_masks, spro_limit, pool=pool),
+    } == expected
+
+
+@pytest.mark.parametrize(
+    "pro_limit, spro_limit, bytes_per_pixel",
+    [(0.3, 0.05, 32), (1.0, 1.0, 56)],  # the runner's defaults; a sweep of every threshold
+)
+def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
+    """Traced peak of the pass on 16 maps of 256 x 256 (1,048,576 distinct scores).
+
+    Apart from the maps, a few float64 arrays of the pixel count are alive
+    at once; the per-metric pooling it replaced peaked near 90 bytes a
+    pixel here.
+    """
+    rng = np.random.default_rng(0)
+    maps, masks = [], []
+    for i in range(16):
+        mask = np.zeros((256, 256), bool)
+        for y, x in rng.integers(0, 236, (3 * (i % 4 > 0), 2)):
+            mask[y : y + 12, x : x + 15] = True
+        maps.append(rng.random((256, 256)) + 0.3 * mask)
+        masks.append(mask)
+    inputs = _cell_inputs(maps, masks, ["small"] * len(maps), pro_limit, spro_limit)
+    tracemalloc.start()
+    try:
+        values, reasons = _cell_metrics(*inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not reasons and all(values[name] is not None for name in PIXEL_METRICS)
+    assert peak <= bytes_per_pixel * sum(m.size for m in maps)

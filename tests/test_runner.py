@@ -147,6 +147,12 @@ def _continual_order(order):
         (_continual_order(["cat00", "cat00"]), "setting[0].category_order: repeats a name"),
         (_continual_order([1, 2]), "setting[0].category_order[]: must be a string"),
         (_continual_order("cat00"), "setting[0].category_order: must be a list"),
+        (_continual_order(["cat00"]), "setting[0].category_order: needs at least 2 categories"),
+        ({"metrics": []}, "metrics.names: must not be empty"),
+        ({"metrics": ["aupro", "aupro"]}, "metrics.names: repeats a name"),
+        ({"metrics": {"names": []}}, "metrics.names: must not be empty"),
+        ({"metrics": {"names": ["fm", "fm"]}}, "metrics.names: repeats a name"),
+        ({"metrics": [1]}, "metrics.names[]: must be a string"),
     ],
 )
 def test_category_lists_are_distinct_names(overrides, message):
@@ -169,6 +175,19 @@ def test_category_lists_exit_code(tmp_path):
     path = tmp_path / "config.json"
     config = _base_config(output_dir=str(tmp_path / "out"), **_continual_order([1, 2]))
     path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"metrics": []}, {"metrics": ["aupro", "aupro"]}, _continual_order(["cat00"])],
+)
+def test_name_list_rules_exit_code(tmp_path, overrides):
+    from iadbench.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_base_config(output_dir=str(tmp_path / "out"), **overrides)))
     assert main(["run", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
 
