@@ -211,6 +211,10 @@ def cmd_metrics(args) -> int:
     if maps_mode and (args.maps is None or args.masks is None):
         _err("--maps and --masks must be given together")
         return 2
+    for flag, limit in (("--pro-limit", args.pro_limit), ("--spro-limit", args.spro_limit)):
+        if maps_mode and not 0.0 < limit <= 1.0:
+            _err(f"{flag} must be in (0, 1]")
+            return 2
     try:
         if scores_mode:
             data = _read_scores_csv(args.scores)

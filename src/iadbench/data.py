@@ -156,7 +156,12 @@ def _list_pgms(directory: str) -> list[str]:
 
 def _load_saturations(path: str) -> dict[str, float]:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise DataError("malformed-pgm", f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError("malformed-pgm", f"{path}: must be a JSON object")
     table = {}
     for defect_type, entry in raw.items():
         rel = entry.get("relative_area") if isinstance(entry, dict) else None
@@ -192,6 +197,29 @@ def dataset_digest(root: str) -> str:
     return digest.hexdigest()
 
 
+def _load_sample(cat_dir: str, category: str, split: str, defect_type: str, name: str) -> Sample:
+    """The image ``<split>/<defect_type>/<name>``, and for a non-"good" type its mask."""
+    stem = os.path.splitext(name)[0]
+    image = _grid_from_pgm(os.path.join(cat_dir, split, defect_type, name))
+    mask = None
+    if defect_type != "good":
+        mask_path = os.path.join(cat_dir, "ground_truth", defect_type, f"{stem}_mask.pgm")
+        if not os.path.isfile(mask_path):
+            raise DataError(
+                "missing-mask",
+                f"{category}/{split}/{defect_type}/{name} has no mask at {mask_path}",
+            )
+        mask = _mask_from_pgm(mask_path)
+    return Sample(
+        id=f"{defect_type}/{stem}",
+        image=image,
+        label=NORMAL if mask is None else ABNORMAL,
+        mask=mask,
+        defect_type=defect_type,
+        category=category,
+    )
+
+
 def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset:
     """Load a dataset tree rooted at ``root``.
 
@@ -222,14 +250,7 @@ def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset
         if not os.path.isdir(train_good) or not _list_pgms(train_good):
             raise DataError("empty-category", f"{category}: no train/good images")
         train[category] = [
-            Sample(
-                id=f"good/{os.path.splitext(name)[0]}",
-                image=_grid_from_pgm(os.path.join(train_good, name)),
-                label=NORMAL,
-                mask=None,
-                defect_type="good",
-                category=category,
-            )
+            _load_sample(cat_dir, category, "train", "good", name)
             for name in _list_pgms(train_good)
         ]
 
@@ -243,37 +264,8 @@ def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset
             else []
         )
         for defect_type in defect_types:
-            type_dir = os.path.join(test_dir, defect_type)
-            for name in _list_pgms(type_dir):
-                stem = os.path.splitext(name)[0]
-                image = _grid_from_pgm(os.path.join(type_dir, name))
-                if defect_type == "good":
-                    sample = Sample(
-                        id=f"good/{stem}",
-                        image=image,
-                        label=NORMAL,
-                        mask=None,
-                        defect_type="good",
-                        category=category,
-                    )
-                else:
-                    mask_path = os.path.join(
-                        cat_dir, "ground_truth", defect_type, f"{stem}_mask.pgm"
-                    )
-                    if not os.path.isfile(mask_path):
-                        raise DataError(
-                            "missing-mask",
-                            f"{category}/test/{defect_type}/{name} has no mask at {mask_path}",
-                        )
-                    sample = Sample(
-                        id=f"{defect_type}/{stem}",
-                        image=image,
-                        label=ABNORMAL,
-                        mask=_mask_from_pgm(mask_path),
-                        defect_type=defect_type,
-                        category=category,
-                    )
-                test[category].append(sample)
+            for name in _list_pgms(os.path.join(test_dir, defect_type)):
+                test[category].append(_load_sample(cat_dir, category, "test", defect_type, name))
 
         sat_path = os.path.join(cat_dir, "saturations.json")
         if os.path.isfile(sat_path):

@@ -36,7 +36,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DetectorError, FormatError
-from .features import PatchFeatureGrid
+from .features import PatchFeatureGrid, read_framed_file
 
 _MAGIC = b"IADB"
 _VERSION = 1
@@ -468,18 +468,9 @@ def write_bank_file(bank: MemoryBank, path: str) -> None:
 
 
 def read_bank_file(path: str) -> MemoryBank:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated-file", f"{path}: header incomplete")
-    magic, version, dim, count = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise FormatError("bad-magic", f"{path}: expected IADB, got {magic!r}")
-    if version != _VERSION:
-        raise FormatError("version-unsupported", f"{path}: version {version}")
+    (dim, count), payload = read_framed_file(path, _HEADER, _MAGIC, _VERSION)
     tags_bytes = count * 4
     vec_bytes = count * dim * 4
-    payload = data[_HEADER.size :]
     if len(payload) != tags_bytes + vec_bytes:
         raise FormatError(
             "truncated-file",

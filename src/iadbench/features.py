@@ -82,18 +82,25 @@ def write_feature_file(grid: PatchFeatureGrid, path: str) -> None:
         fh.write(np.ascontiguousarray(grid.vectors, dtype="<f4").tobytes())
 
 
-def read_feature_file(path: str) -> PatchFeatureGrid:
+def read_framed_file(
+    path: str, header: struct.Struct, magic: bytes, version: int
+) -> tuple[list, bytes]:
+    """The header fields after the magic and version, and the payload, of a framed file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < _HEADER.size:
+    if len(data) < header.size:
         raise FormatError("truncated-file", f"{path}: header incomplete")
-    magic, version, grid_h, grid_w, dim = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise FormatError("bad-magic", f"{path}: expected IADF, got {magic!r}")
-    if version != _VERSION:
-        raise FormatError("version-unsupported", f"{path}: version {version}")
+    found_magic, found_version, *fields = header.unpack_from(data)
+    if found_magic != magic:
+        raise FormatError("bad-magic", f"{path}: expected {magic.decode()}, got {found_magic!r}")
+    if found_version != version:
+        raise FormatError("version-unsupported", f"{path}: version {found_version}")
+    return fields, data[header.size :]
+
+
+def read_feature_file(path: str) -> PatchFeatureGrid:
+    (grid_h, grid_w, dim), payload = read_framed_file(path, _HEADER, _MAGIC, _VERSION)
     count = grid_h * grid_w * dim
-    payload = data[_HEADER.size :]
     if len(payload) != count * 4:
         raise FormatError(
             "truncated-file",

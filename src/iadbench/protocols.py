@@ -32,15 +32,6 @@ class ProvenanceRecord:
     observed_label: str
     transform: str
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "origin": self.origin,
-            "true_label": self.true_label,
-            "observed_label": self.observed_label,
-            "transform": self.transform,
-        }
-
 
 @dataclass
 class TrainItem:
@@ -77,27 +68,32 @@ def make_unsupervised(dataset: Dataset, category: str) -> Split:
     )
 
 
+def _move_abnormals_to_train(
+    split: Split, positions: list[int], n: int, seed: int, observed: str, transform: str
+) -> None:
+    """Move n seeded test abnormals, drawn from ``positions``, into train."""
+    drawn = sample_without_replacement(len(positions), n, seed)
+    moved = {positions[i] for i in drawn}
+    for pos in sorted(moved):
+        sample = split.test[pos]
+        split.train.append(TrainItem(sample, observed))
+        split.provenance.append(
+            ProvenanceRecord(sample.id, "test", ABNORMAL, observed, transform)
+        )
+    split.test = [s for i, s in enumerate(split.test) if i not in moved]
+
+
 def make_supervised(dataset: Dataset, category: str, n: int = 10, seed: int = 0) -> Split:
     """Unsupervised split plus n labeled abnormals moved out of the test set."""
     split = make_unsupervised(dataset, category)
     split.setting = "supervised"
-    if n == 0:
-        return split
     abnormal_positions = [i for i, s in enumerate(split.test) if s.label == ABNORMAL]
     if len(abnormal_positions) < n:
         raise ProtocolError(
             "insufficient-abnormals",
             f"need {n} test abnormals, category {category} has {len(abnormal_positions)}",
         )
-    drawn = sample_without_replacement(len(abnormal_positions), n, seed)
-    moved = {abnormal_positions[i] for i in drawn}
-    for pos in sorted(moved):
-        sample = split.test[pos]
-        split.train.append(TrainItem(sample, ABNORMAL))
-        split.provenance.append(
-            ProvenanceRecord(sample.id, "test", ABNORMAL, ABNORMAL, "moved-to-train")
-        )
-    split.test = [s for i, s in enumerate(split.test) if i not in moved]
+    _move_abnormals_to_train(split, abnormal_positions, n, seed, ABNORMAL, "moved-to-train")
     return split
 
 
@@ -207,15 +203,7 @@ def inject_noise(
             f"ratio {noise_ratio} with m={m} and {len(abnormal_positions)} abnormals "
             f"yields no injected samples (uncapped {uncapped}, cap {cap})",
         )
-    drawn = sample_without_replacement(len(abnormal_positions), n, seed)
-    moved = {abnormal_positions[i] for i in drawn}
-    for pos in sorted(moved):
-        sample = split.test[pos]
-        split.train.append(TrainItem(sample, NORMAL))
-        split.provenance.append(
-            ProvenanceRecord(sample.id, "test", ABNORMAL, NORMAL, "injected-as-normal")
-        )
-    split.test = [s for i, s in enumerate(split.test) if i not in moved]
+    _move_abnormals_to_train(split, abnormal_positions, n, seed, NORMAL, "injected-as-normal")
     split.info = {
         "requested_ratio": noise_ratio,
         "injected": n,

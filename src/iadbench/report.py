@@ -8,12 +8,11 @@ the run's own report files byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 from .errors import ReportError
-from .runner import METRIC_NAMES
+from .runner import METRIC_NAMES, config_digest
 
 # lower is better only for forgetting
 _LOWER_IS_BETTER = {"fm"}
@@ -190,11 +189,7 @@ def load_results(path: str) -> dict:
     for key in ("config", "config_hash", "cells"):
         if key not in document:
             raise ReportError("io-failure", f"{path}: missing key {key!r}")
-    payload = json.dumps(
-        document["config"], sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != document["config_hash"]:
+    if config_digest(document["config"]) != document["config_hash"]:
         raise ReportError(
             "io-failure", f"{path}: config hash mismatch (corrupted results?)"
         )

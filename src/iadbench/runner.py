@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -81,6 +81,12 @@ METRIC_NAMES = (
 # configuration
 
 
+def config_digest(config: dict) -> str:
+    """sha256 of a config's compact, key-sorted UTF-8 JSON."""
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset_path: str | None
@@ -117,10 +123,7 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        payload = json.dumps(
-            self.hashed, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return config_digest(self.hashed)
 
     def coreset_params(self, seed: int) -> CoresetParams:
         return replace(self.coreset, seed=seed)
@@ -183,8 +186,11 @@ FEWSHOT_SHOTS = (1, 2, 4, 8)
 NOISE_RATIO_GRID = (0.05, 0.10, 0.15, 0.20)
 
 
-def _parse_setting(raw: dict, path: str) -> list[dict]:
-    """Expand one setting object into concrete cells (lists sweep)."""
+def _parse_setting(raw: dict, path: str, run_categories: int | None) -> list[dict]:
+    """Expand one setting object into concrete cells (lists sweep).
+
+    ``run_categories`` counts the run's categories; None if only the disk knows.
+    """
     _expect_type(raw, path, dict, "an object")
     stype = raw.get("type")
     if stype == "unsupervised":
@@ -233,6 +239,11 @@ def _parse_setting(raw: dict, path: str) -> list[dict]:
                 raise ConfigError(
                     "invalid-config", f"{path}.category_order: needs at least 2 categories"
                 )
+        elif run_categories is not None and run_categories < 2:  # the order is every category
+            raise ConfigError(
+                "invalid-config",
+                f"{path}: continual needs at least 2 categories, the run has {run_categories}",
+            )
         return [{"type": stype, "category_order": order, "label": "continual"}]
     raise ConfigError("invalid-config", f"{path}.type: unknown setting {stype!r}")
 
@@ -260,7 +271,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "dataset: needs path or synthetic (or set IADBENCH_DATA_ROOT)",
         )
     dataset_path = dataset.get("path")
-    if dataset_path is not None:
+    if "path" in dataset:
         _expect_type(dataset_path, "dataset.path", str, "a string")
     synth_spec = None
     if "synthetic" in dataset:
@@ -270,12 +281,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
 
     categories = raw.get("categories")
+    run_categories = synth_spec.categories if synth_spec is not None else None
     if categories is not None:
-        _expect_names(categories, "categories")
+        run_categories = len(_expect_names(categories, "categories"))
 
     settings = []
     for i, entry in enumerate(_sweep(raw["setting"], "setting")):
-        settings.extend(_parse_setting(entry, f"setting[{i}]"))
+        settings.extend(_parse_setting(entry, f"setting[{i}]", run_categories))
     labels = [s["label"] for s in settings]
     if len(labels) != len(set(labels)):
         raise ConfigError("invalid-config", "setting: duplicate setting instances")
@@ -656,7 +668,7 @@ def _run_plain_cell(
         config, dataset, category, setting["label"], cell_seed,
         split.test, evaluate(state, split.test), bank, keep_bank,
     )
-    cell.provenance = [p.to_dict() for p in split.provenance]
+    cell.provenance = [asdict(p) for p in split.provenance]
     cell.info = split.info
     return cell
 
@@ -830,27 +842,12 @@ def _results_document(
     cell_docs = []
     timings = {}
     for cell in cells:
-        doc = {
-            "cell_id": cell.cell_id,
-            "category": cell.category,
-            "setting": cell.setting,
-            "status": cell.status,
-            "error": cell.error,
-            "metrics": cell.metrics,
-            "na_reasons": cell.na_reasons,
-            "provenance": cell.provenance,
-            "info": cell.info,
-            "bank_vectors": cell.bank_vectors,
-            "bank_bytes": cell.bank_bytes,
-            "cell_seed": cell.cell_seed,
-        }
+        # every field but the wall-clock stats and the in-memory bank
+        doc = {f.name: getattr(cell, f.name) for f in fields(cell)}
+        del doc["efficiency"], doc["bank"]
         cell_docs.append(doc)
         if cell.efficiency is not None:
-            timings[cell.cell_id] = {
-                "latency_ms_mean": cell.efficiency.latency_ms_mean,
-                "latency_ms_p50": cell.efficiency.latency_ms_p50,
-                "latency_ms_p95": cell.efficiency.latency_ms_p95,
-            }
+            timings[cell.cell_id] = asdict(cell.efficiency)
     document = {
         "schema": SCHEMA_VERSION,
         "config": config.hashed,

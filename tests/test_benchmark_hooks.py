@@ -15,7 +15,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from iadbench import runner
+from iadbench import detector, metrics, runner
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,4 +42,12 @@ def test_wrapped_names_resolve(monkeypatch):
 
 def test_runner_hook_points():
     assert callable(runner.DetectorState.score_sample)
-    assert "image_scores" in inspect.signature(runner._cell_metrics).parameters
+    # perfbench's count functions read these arguments by name; a rename
+    # raises KeyError inside every traced run
+    for fn, names in (
+        (runner._cell_metrics, {"image_scores"}),
+        (metrics.mean_spro, {"score_maps", "region_sets"}),
+        (detector.score_patches, {"bank", "grid"}),
+        (detector.coreset_select, {"bank", "params"}),
+    ):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__

@@ -118,6 +118,15 @@ def test_run_partial_failure_exit_1(tmp_path):
     assert main(["run", "--config", str(path)]) == 1
 
 
+def test_run_malformed_saturations_exit_3(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    main(["synth", "--spec", _synth_spec(tmp_path), "--seed", "3", "--out", str(data_dir)])
+    (data_dir / "cat00" / "saturations.json").write_text("[1, 2]")
+    assert main(["run", "--config", _run_config(tmp_path, str(data_dir))]) == 3
+    assert "malformed-pgm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_metrics_scores_output(tmp_path, capsys):
     csv = tmp_path / "scores.csv"
     csv.write_text("id,score,label\n a,0.9,abnormal\n b,0.1,normal\n")
@@ -127,12 +136,23 @@ def test_metrics_scores_output(tmp_path, capsys):
     assert json.loads(out) == {"auroc": 1.0, "ap": 1.0}
 
 
-def test_metrics_flag_conflict_exit_2(tmp_path):
+def test_metrics_flag_conflict_exit_2(tmp_path, capsys):
     csv = tmp_path / "scores.csv"
     csv.write_text("a,0.9,1\n")
     assert main(["metrics", "--scores", str(csv), "--maps", str(tmp_path)]) == 2
     assert main(["metrics"]) == 2
     assert main(["metrics", "--maps", str(tmp_path)]) == 2
+    # a limit outside (0, 1] is checked before any input is read
+    maps = ["metrics", "--maps", str(tmp_path / "none"), "--masks", str(tmp_path / "none")]
+    for flag, value in [
+        ("--pro-limit", "0"),
+        ("--pro-limit", "1.5"),
+        ("--pro-limit", "nan"),
+        ("--spro-limit", "-1"),
+    ]:
+        capsys.readouterr()
+        assert main([*maps, flag, value]) == 2
+        assert capsys.readouterr().err == f"iadbench: {flag} must be in (0, 1]\n"
 
 
 def test_metrics_maps_mode(tmp_path, capsys):

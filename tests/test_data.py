@@ -89,6 +89,28 @@ def test_bad_saturation_value(tmp_path):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{not json", "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        ("null", "must be a JSON object"),
+    ],
+)
+def test_malformed_saturations_file(tmp_path, text, message):
+    _make_tree(tmp_path)
+    path = tmp_path / "widget" / "saturations.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(tmp_path))
+    assert exc.value.code == "malformed-pgm"
+    assert str(path) in exc.value.message and message in exc.value.message
+
+
 def test_abnormal_sample_requires_nonempty_mask():
     image = ImageGrid(np.zeros((4, 4)))
     with pytest.raises(DataError) as exc:

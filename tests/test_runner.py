@@ -208,6 +208,12 @@ def test_unknown_continual_category_exit_code(tmp_path):
 _CUSTOM_M = {"type": "fewshot", "m": -1, "allow_custom_m": True}
 _CUSTOM_RATIO = {"type": "noisy", "noise_ratio": 1.5, "allow_custom_ratio": True}
 _WIDE_PROJECTION = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 100}}
+_ONE_SYNTH_CATEGORY = {"synthetic": dict(_base_config()["dataset"]["synthetic"], categories=1)}
+_CONTINUAL_ON_ONE = {"categories": ["cat00"], "setting": {"type": "continual"}}
+_CONTINUAL_ON_SYNTH_ONE = {
+    "dataset": _ONE_SYNTH_CATEGORY,
+    "setting": [{"type": "unsupervised"}, {"type": "continual"}],
+}
 
 
 @pytest.mark.parametrize(
@@ -225,6 +231,9 @@ _WIDE_PROJECTION = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"proj
         ({"detector": {"smoothing_sigma": float("nan")}}, "smoothing_sigma: must be a number"),
         ({"metrics": {"pro_limit": float("inf")}}, "metrics.pro_limit: must be a number"),
         ({"setting": dict(_CUSTOM_RATIO, noise_ratio=10**400)}, "noise_ratio: must be a number"),
+        ({"dataset": {"path": None}}, "dataset.path: must be a string"),
+        (_CONTINUAL_ON_ONE, "setting[0]: continual needs at least 2 categories, the run has 1"),
+        (_CONTINUAL_ON_SYNTH_ONE, "setting[1]: continual needs at least 2 categories, the run has 1"),
     ],
 )
 def test_value_rules_checked_at_parse_time(overrides, message):
@@ -239,11 +248,21 @@ def test_value_rules_accept_their_bounds():
     parse_config(_base_config(setting=dict(_CUSTOM_RATIO, noise_ratio=0.99)))
     detector = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 36}}
     assert parse_config(_base_config(detector=detector)).coreset_params(5).projection_dim == 36
+    # the continual category count is a run-time rule when the disk decides it
+    parse_config(_base_config(dataset={"path": "data"}, setting={"type": "continual"}))
+    parse_config(_base_config(dataset=_ONE_SYNTH_CATEGORY))
 
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"setting": _CUSTOM_M}, {"setting": _CUSTOM_RATIO}, {"detector": _WIDE_PROJECTION}],
+    [
+        {"setting": _CUSTOM_M},
+        {"setting": _CUSTOM_RATIO},
+        {"detector": _WIDE_PROJECTION},
+        {"dataset": {"path": None}},
+        _CONTINUAL_ON_ONE,
+        _CONTINUAL_ON_SYNTH_ONE,
+    ],
 )
 def test_value_rules_exit_code(tmp_path, overrides):
     from iadbench.cli import main
