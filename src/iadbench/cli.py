@@ -1,7 +1,9 @@
 """Command-line entry point: synth, run, metrics, report.
 
 Exit codes: 0 success, 1 partial cell failures, 2 configuration or flag
-errors, 3 data or I/O errors. Diagnostics go to stderr; stdout carries
+errors, 3 data or I/O errors. Subcommands raise; ``main`` alone maps an
+error's class to its exit code and prints it as one stderr line,
+``iadbench: <code>: <message>``. Diagnostics go to stderr; stdout carries
 only the machine-readable payload of the metrics subcommand.
 """
 
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from .data import PixelMask
-from .errors import BenchError, ConfigError, DataError, MetricError, ReportError
+from .errors import BenchError, ConfigError, DataError
 from .metrics import (
     DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, aupro, auroc, average_precision,
     pooled_pixel_scores,
@@ -73,30 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    spec_text = args.spec
-    if spec_text.lstrip().startswith("{"):
-        raw = spec_text
-    else:
-        try:
-            with open(spec_text, "r", encoding="utf-8") as fh:
+    raw = args.spec
+    try:
+        if not raw.lstrip().startswith("{"):
+            with open(raw, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            _err(f"cannot read spec: {exc}")
-            return 3
-    try:
-        spec = SynthSpec.from_dict(json.loads(raw))
-    except json.JSONDecodeError as exc:
-        _err(f"spec is not valid JSON: {exc}")
-        return 2
-    except ConfigError as exc:
-        _err(str(exc))
-        return 2
-    dataset = synth_dataset(spec, args.seed)
-    try:
-        write_dataset_tree(dataset, args.out)
-    except OSError as exc:
-        _err(f"cannot write dataset: {exc}")
-        return 3
+        spec_doc = json.loads(raw)
+    except ValueError as exc:
+        raise ConfigError("invalid-spec", f"spec is not valid JSON: {exc}") from exc
+    dataset = synth_dataset(SynthSpec.from_dict(spec_doc), args.seed)
+    write_dataset_tree(dataset, args.out)
     n_train = sum(len(v) for v in dataset.train.values())
     n_test = sum(len(v) for v in dataset.test.values())
     _err(
@@ -107,23 +95,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config, os.environ.get("IADBENCH_DATA_ROOT"))
-        if config.output_dir is None:
-            raise ConfigError("invalid-config", "output_dir: required to run experiments")
-        if args.threads < 1:
-            raise ConfigError("invalid-config", "--threads must be >= 1")
-    except ConfigError as exc:
-        _err(str(exc))
-        return 2
-    try:
-        result = run_experiment(config, threads=args.threads, save_banks=args.save_banks)
-    except BenchError as exc:
-        _err(str(exc))
-        return 3
-    except OSError as exc:
-        _err(f"i/o failure: {exc}")
-        return 3
+    config = load_config(args.config, os.environ.get("IADBENCH_DATA_ROOT"))
+    if config.output_dir is None:
+        raise ConfigError("invalid-config", "output_dir: required to run experiments")
+    if args.threads < 1:
+        raise ConfigError("invalid-config", "--threads must be >= 1")
+    result = run_experiment(config, threads=args.threads, save_banks=args.save_banks)
     if result.failures:
         for cell_id in result.failures:
             cell = next(c for c in result.document["cells"] if c["cell_id"] == cell_id)
@@ -137,28 +114,32 @@ def cmd_run(args) -> int:
 def _read_scores_csv(path: str) -> LabeledScores:
     scores = []
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise DataError("malformed-csv", f"{path}:{line_no}: need id,score,label")
-            try:
-                score = float(parts[1])
-            except ValueError:
-                if line_no == 1:
-                    continue  # header row
-                raise DataError("malformed-csv", f"{path}:{line_no}: bad score {parts[1]!r}")
-            label = parts[2].lower()
-            if label in _POSITIVE:
-                labels.append(True)
-            elif label in _NEGATIVE:
-                labels.append(False)
-            else:
-                raise DataError("malformed-csv", f"{path}:{line_no}: bad label {parts[2]!r}")
-            scores.append(score)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except ValueError as exc:
+        raise DataError("malformed-csv", f"{path}: not UTF-8 text: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise DataError("malformed-csv", f"{path}:{line_no}: need id,score,label")
+        try:
+            score = float(parts[1])
+        except ValueError:
+            if line_no == 1:
+                continue  # header row
+            raise DataError("malformed-csv", f"{path}:{line_no}: bad score {parts[1]!r}")
+        label = parts[2].lower()
+        if label in _POSITIVE:
+            labels.append(True)
+        elif label in _NEGATIVE:
+            labels.append(False)
+        else:
+            raise DataError("malformed-csv", f"{path}:{line_no}: bad label {parts[2]!r}")
+        scores.append(score)
     if not scores:
         raise DataError("malformed-csv", f"{path}: no data rows")
     return LabeledScores(scores, labels)
@@ -215,38 +196,27 @@ def cmd_metrics(args) -> int:
         if maps_mode and not 0.0 < limit <= 1.0:
             _err(f"{flag} must be in (0, 1]")
             return 2
-    try:
-        if scores_mode:
-            data = _read_scores_csv(args.scores)
-            values = {"auroc": auroc(data), "ap": average_precision(data)}
-        else:
-            score_maps, masks = _read_map_pairs(args.maps, args.masks)
-            pool = pooled_pixel_scores(score_maps, masks)
-            # no saturation table here: mean_spro is the plain per-region
-            # overlap at the sPRO limit
-            values = {
-                "pixel_auroc": auroc(pool),
-                "pixel_ap": average_precision(pool),
-                "aupro": aupro(score_maps, masks, args.pro_limit, pool=pool),
-                "mean_spro": aupro(score_maps, masks, args.spro_limit, pool=pool),
-            }
-    except (DataError, MetricError) as exc:
-        _err(str(exc))
-        return 3
-    except OSError as exc:
-        _err(f"cannot read inputs: {exc}")
-        return 3
+    if scores_mode:
+        data = _read_scores_csv(args.scores)
+        values = {"auroc": auroc(data), "ap": average_precision(data)}
+    else:
+        score_maps, masks = _read_map_pairs(args.maps, args.masks)
+        pool = pooled_pixel_scores(score_maps, masks)
+        # no saturation table here: mean_spro is the plain per-region
+        # overlap at the sPRO limit
+        values = {
+            "pixel_auroc": auroc(pool),
+            "pixel_ap": average_precision(pool),
+            "aupro": aupro(score_maps, masks, args.pro_limit, pool=pool),
+            "mean_spro": aupro(score_maps, masks, args.spro_limit, pool=pool),
+        }
     _print_metric_json(values)
     return 0
 
 
 def cmd_report(args) -> int:
-    try:
-        document = load_results(args.results)
-        path = emit_report(document, args.format, os.path.dirname(os.path.abspath(args.results)))
-    except ReportError as exc:
-        _err(str(exc))
-        return 3
+    document = load_results(args.results)
+    path = emit_report(document, args.format, os.path.dirname(os.path.abspath(args.results)))
     _err(f"wrote {path}")
     return 0
 
@@ -254,7 +224,17 @@ def cmd_report(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        _err(str(exc))
+        return 2
+    except BenchError as exc:
+        _err(str(exc))
+        return 3
+    except OSError as exc:
+        _err(f"io-failure: {exc}")
+        return 3
 
 
 if __name__ == "__main__":

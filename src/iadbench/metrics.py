@@ -202,7 +202,7 @@ def _check_maps(score_maps, shapes, finite: bool = True) -> None:
     if len(score_maps) != len(shapes):
         raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
     for smap, shape in zip(score_maps, shapes):
-        if smap.shape != shape:
+        if shape is not None and smap.shape != shape:
             raise MetricError(
                 "dim-mismatch", f"score map {smap.shape} vs ground truth {shape}"
             )
@@ -370,11 +370,13 @@ def pooled_pixel_scores(
     """Pool every pixel of every map, split by mask and sorted, in one pass."""
     if not score_maps:
         raise MetricError("degenerate-labels", "no score maps to pool")
+    maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
+    # a None mask labels its map all normal, whatever the map's shape
+    _check_maps(maps, [None if m is None else m.bits.shape for m in masks], finite=False)
     scores = []
     labels = []
     shapes = []
-    for smap, mask in zip(score_maps, masks):
-        smap = np.asarray(smap, dtype=np.float64)
+    for smap, mask in zip(maps, masks):
         scores.append(smap.ravel())
         shapes.append(smap.shape)
         if mask is None:

@@ -184,8 +184,10 @@ def load_results(path: str) -> dict:
             document = json.load(fh)
     except OSError as exc:
         raise ReportError("io-failure", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ReportError("io-failure", f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ReportError("io-failure", f"{path}: not a JSON object")
     for key in ("config", "config_hash", "cells"):
         if key not in document:
             raise ReportError("io-failure", f"{path}: missing key {key!r}")

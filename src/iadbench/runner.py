@@ -275,10 +275,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _expect_type(dataset_path, "dataset.path", str, "a string")
     synth_spec = None
     if "synthetic" in dataset:
-        synth_spec = SynthSpec.from_dict(
-            _expect_type(dataset["synthetic"], "dataset.synthetic", dict, "an object"),
-            "dataset.synthetic",
-        )
+        synth_spec = SynthSpec.from_dict(dataset["synthetic"], "dataset.synthetic")
 
     categories = raw.get("categories")
     run_categories = synth_spec.categories if synth_spec is not None else None
@@ -390,7 +387,7 @@ def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("invalid-config", f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError("invalid-config", f"config {path} is not valid JSON: {exc}") from exc
     if (
         isinstance(raw, dict)
@@ -514,9 +511,10 @@ def _train_bank(
         if item.observed_label == NORMAL
     ]
     bank = build_bank(grids)
-    picked = coreset_select(bank, config.coreset_params(coreset_seed))
-    if len(picked) == bank.count:
-        return bank
+    params = config.coreset_params(coreset_seed)
+    if params.resolve_l(bank.count) == bank.count:
+        return bank  # every vector would be picked: the bank is its own coreset
+    picked = coreset_select(bank, params)
     return MemoryBank(
         bank.dim, bank.vectors[picked], np.zeros(len(picked), np.uint32)
     )
@@ -679,7 +677,6 @@ def _run_continual_job(
     order: list[str],
     label: str,
     job_seed: int,
-    keep_bank: bool,
 ) -> tuple[list[CellResult], dict]:
     """Train on the categories in order; score every task seen so far after each."""
     sequence = make_continual(dataset, order)
@@ -704,7 +701,7 @@ def _run_continual_job(
     for task in sequence.tasks:
         cell = _scored_cell(
             config, dataset, task.category, label, job_seed,
-            task.test, final_scores[task.index], bank, keep_bank,
+            task.test, final_scores[task.index], bank, keep_bank=False,
         )
         if "fm" in config.metric_names:  # _cell_metrics marked it "not-continual"
             cell.metrics["fm"] = fm.per_task.get(task.index)
@@ -780,7 +777,7 @@ def run_experiment(
         try:
             if setting["type"] == "continual":
                 return _run_continual_job(
-                    config, dataset, job_categories, setting["label"], seed, save_banks
+                    config, dataset, job_categories, setting["label"], seed
                 )
             cell = _run_plain_cell(
                 config, dataset, job_categories[0], setting, seed, save_banks
@@ -789,11 +786,8 @@ def run_experiment(
         except BenchError as exc:
             return _failed_cells(job_categories, setting["label"], exc, seed), None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(execute, jobs))
-    else:
-        outcomes = [execute(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(execute, jobs))
 
     cells: list[CellResult] = []
     task_matrices: dict[str, dict] = {}

@@ -50,6 +50,8 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict, key_path: str = "spec") -> "SynthSpec":
+        if not isinstance(raw, dict):
+            raise ConfigError("invalid-spec", f"{key_path}: must be an object")
         known = {
             "categories",
             "normals_train",

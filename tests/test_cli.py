@@ -66,9 +66,17 @@ def test_synth_run_report_round_trip(tmp_path, capsys):
     assert (out / "report.md").read_bytes() == md_bytes
 
 
-def test_synth_invalid_spec_exit_2(tmp_path):
+def test_synth_invalid_spec_exit_2(tmp_path, capsys):
     bad = _synth_spec(tmp_path, image_size=8)
     assert main(["synth", "--spec", bad, "--seed", "1", "--out", str(tmp_path / "d")]) == 2
+    # JSON that is not an object
+    for text in ("5", "null"):
+        spec = tmp_path / "scalar.json"
+        spec.write_text(text)
+        capsys.readouterr()
+        argv = ["synth", "--spec", str(spec), "--seed", "1", "--out", str(tmp_path / "d")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "iadbench: invalid-spec: spec: must be an object\n"
 
 
 def test_synth_io_failure_exit_3(tmp_path):
@@ -96,7 +104,7 @@ def test_run_bad_config_exit_2(tmp_path, capsys):
     assert "detector.b" in capsys.readouterr().err
 
 
-def test_run_missing_mask_exit_3(tmp_path):
+def _missing_mask_config(tmp_path):
     cat = tmp_path / "data" / "widget"
     for sub in ("train/good", "test/good", "test/scratch"):
         (cat / sub).mkdir(parents=True)
@@ -104,8 +112,11 @@ def test_run_missing_mask_exit_3(tmp_path):
     write_pgm(str(cat / "train" / "good" / "000.pgm"), img)
     write_pgm(str(cat / "test" / "good" / "000.pgm"), img)
     write_pgm(str(cat / "test" / "scratch" / "000.pgm"), img)
-    config = _run_config(tmp_path, str(tmp_path / "data"))
-    assert main(["run", "--config", config]) == 3
+    return _run_config(tmp_path, str(tmp_path / "data"))
+
+
+def test_run_missing_mask_exit_3(tmp_path):
+    assert main(["run", "--config", _missing_mask_config(tmp_path)]) == 3
 
 
 def test_run_partial_failure_exit_1(tmp_path):
@@ -222,6 +233,75 @@ def test_report_corrupted_exit_3(tmp_path):
     bad = tmp_path / "results.json"
     bad.write_text("{not json")
     assert main(["report", "--in", str(bad), "--format", "csv"]) == 3
+
+
+def _write(tmp_path, name, data: bytes) -> str:
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize(
+    "make_argv, exit_code, code",
+    [
+        pytest.param(
+            lambda t: ["run", "--config", _write(t, "c.json", NOT_UTF8)],
+            2, "invalid-config", id="run-config-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["run", "--config", str(t / "absent.json")],
+            2, "invalid-config", id="run-config-missing",
+        ),
+        pytest.param(
+            lambda t: ["run", "--config", _missing_mask_config(t)],
+            3, "missing-mask", id="run-mask-missing",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _write(t, "s.json", NOT_UTF8),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _write(t, "s.json", b"5"),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-not-object",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _synth_spec(t), "--seed", "1",
+                       "--out", _write(t, "file.txt", b"x") + "/data"],
+            3, "io-failure", id="synth-out-unwritable",
+        ),
+        pytest.param(
+            lambda t: ["metrics", "--scores", _write(t, "s.csv", b"a,0.9,1\n\xff,0.1,0\n")],
+            3, "malformed-csv", id="metrics-csv-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _write(t, "results.json", NOT_UTF8), "--format", "csv"],
+            3, "io-failure", id="report-results-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _write(t, "results.json", b"{not json"),
+                       "--format", "csv"],
+            3, "io-failure", id="report-results-corrupted",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _write(t, "results.json", b"5"), "--format", "csv"],
+            3, "io-failure", id="report-results-not-object",
+        ),
+    ],
+)
+def test_exit_code_table(tmp_path, capsys, make_argv, exit_code, code):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"iadbench: {code}: ")
 
 
 def test_data_root_env_fallback(tmp_path, monkeypatch):

@@ -271,6 +271,23 @@ def test_pixel_pooling_permutation_invariance():
     assert base == shuffled
 
 
+@pytest.mark.parametrize(
+    "mask_shapes, message",
+    [
+        ([(6, 4)], "score map (4, 6) vs ground truth (6, 4)"),
+        ([(4, 6), (4, 6)], "score maps and ground truth counts differ"),
+        ([], "score maps and ground truth counts differ"),
+    ],
+)
+def test_pixel_pooling_checks_pairs(mask_shapes, message):
+    smap = np.random.default_rng(3).random((4, 6))
+    masks = [PixelMask(np.eye(*shape, dtype=bool)) for shape in mask_shapes]
+    with pytest.raises(MetricError) as exc:
+        pooled_pixel_scores([smap], masks)
+    assert exc.value.code == "dim-mismatch"
+    assert exc.value.message == message
+
+
 # --- forgetting measure -------------------------------------------------------------
 
 

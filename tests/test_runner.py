@@ -10,13 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadbench import runner
 from iadbench.data import Sample
-from iadbench.detector import read_bank_file
+from iadbench.detector import build_bank, read_bank_file
 from iadbench.errors import BenchError, ConfigError, DataError, ReportError
 from iadbench.report import load_results, render_csv
+from iadbench.features import extract_features
 from iadbench.runner import (
     DetectorState,
     _build_split,
+    _run_plain_cell,
     _scored_cell,
     efficiency_stats,
     evaluate,
@@ -566,3 +569,21 @@ def test_plain_cell_scores_each_test_image_once(monkeypatch):
     assert len(set(scored)) == len(scored)
     # latencies come from that single pass
     assert sorted(result.document["timings"]) == [c["cell_id"] for c in result.document["cells"]]
+
+
+def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
+    cfg = _base_config()
+    del cfg["detector"]["coreset"]  # target_fraction defaults to 1.0
+    config = parse_config(cfg)
+    dataset = synth_dataset(config.synth_spec, 0)
+    setting = config.settings[0]
+    train = _build_split(dataset, "cat00", setting, 0).train
+    expected = build_bank([extract_features(i.sample.image, config.feature) for i in train])
+
+    def no_coreset(bank, params):
+        raise AssertionError("coreset_select called for a full-fraction bank")
+
+    monkeypatch.setattr(runner, "coreset_select", no_coreset)
+    cell = _run_plain_cell(config, dataset, "cat00", setting, 0, keep_bank=True)
+    assert cell.status == "ok"
+    assert np.array_equal(cell.bank.vectors, expected.vectors)
