@@ -81,7 +81,7 @@ def cmd_synth(args) -> int:
             with open(raw, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         spec_doc = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ConfigError("invalid-spec", f"spec is not valid JSON: {exc}") from exc
     dataset = synth_dataset(SynthSpec.from_dict(spec_doc), args.seed)
     write_dataset_tree(dataset, args.out)

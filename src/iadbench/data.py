@@ -158,7 +158,7 @@ def _load_saturations(path: str) -> dict[str, float]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # not UTF-8 or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
             raise DataError("malformed-pgm", f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError("malformed-pgm", f"{path}: must be a JSON object")

@@ -22,6 +22,14 @@ selection are recomputed with the reference expression, and the rest
 provably keep their distance. Both screens share one rounding bound,
 derived in ``_screen_tolerance``.
 
+Both screens are BLAS calls, and OpenBLAS by default splits each over
+its own worker threads, which then spin against the runner's cell
+threads. ``single_thread_blas`` keeps every loaded OpenBLAS on the
+calling thread while a run is inside it and restores each library's
+thread count when the last user leaves, since that count is
+process-global. Screen values never reach an output, so the pin moves
+only time.
+
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
 count * dim IEEE-754 binary32 little-endian vectors.
@@ -29,7 +37,11 @@ count * dim IEEE-754 binary32 little-endian vectors.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +64,89 @@ _RERANK_ELEMENTS = 1 << 18
 # A screen whose ||x||^2 + max ||y||^2 reaches this keeps every row:
 # near the float64 overflow threshold its bound does not hold.
 _SCREEN_LIMIT = 2.0**1000
+# Builds of OpenBLAS name their thread-count calls differently; each
+# library is driven by the first (get, set) pair it exports.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_controls() -> list[tuple[object, object]]:
+    """The (get, set) thread-count calls of each OpenBLAS in this process.
+
+    Reads the libraries already mapped (``/proc/self/maps``); loads
+    nothing new. Empty where that file or every symbol is missing.
+    """
+    try:
+        with open("/proc/self/maps", "r", encoding="utf-8", errors="replace") as fh:
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = [f[5] for f in fields if len(f) == 6]
+    controls = []
+    for path in dict.fromkeys(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+class SingleThreadBlas:
+    """Context manager: every loaded OpenBLAS runs on its calling thread.
+
+    The thread count is process-global, so overlapping users share one
+    pin: the first to enter looks the libraries up, saves each one's
+    count and sets 1; the last to leave restores the saved counts. When
+    no library or symbol is found nothing changes, and one line
+    ``iadbench: blas-threads-unpinned: ...`` goes to stderr, once per
+    instance.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved: list[tuple[object, int]] = []
+        self._warned = False
+
+    def __enter__(self) -> "SingleThreadBlas":
+        with self._lock:
+            self._users += 1
+            if self._users == 1:
+                controls = _openblas_thread_controls()
+                if not controls and not self._warned:
+                    self._warned = True
+                    print(
+                        "iadbench: blas-threads-unpinned: no OpenBLAS thread-count "
+                        "symbol found; BLAS keeps its own threading",
+                        file=sys.stderr,
+                    )
+                self._saved = [(put, get()) for get, put in controls]
+                for put, _ in self._saved:
+                    put(1)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for put, count in self._saved:
+                    put(count)
+                self._saved = []
+
+
+# one per process, like the setting it pins
+single_thread_blas = SingleThreadBlas()
 
 
 @dataclass
@@ -245,9 +340,8 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
         idx = int(np.argmax(min_d2))
         selected.append(idx)
         q = points[idx]
-        # numpy's own loop, on this thread: a threaded BLAS gemv per
-        # pick contends with the runner's cell threads
-        screen = np.einsum("nd,d->n", points, -2.0 * q)
+        # one BLAS gemv; a run keeps it on this thread (single_thread_blas)
+        screen = points @ (-2.0 * q)
         screen += sq
         screen += sq[idx] - _screen_tolerance(dim, sq[idx] + sq_max)
         rows = np.flatnonzero(~(screen > min_d2))

@@ -184,13 +184,16 @@ def load_results(path: str) -> dict:
             document = json.load(fh)
     except OSError as exc:
         raise ReportError("io-failure", f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ReportError("io-failure", f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ReportError("io-failure", f"{path}: not a JSON object")
     for key in ("config", "config_hash", "cells"):
         if key not in document:
             raise ReportError("io-failure", f"{path}: missing key {key!r}")
+    cells = document["cells"]
+    if not isinstance(cells, list) or not all(isinstance(c, dict) for c in cells):
+        raise ReportError("io-failure", f"{path}: cells must be a list of objects")
     if config_digest(document["config"]) != document["config_hash"]:
         raise ReportError(
             "io-failure", f"{path}: config hash mismatch (corrupted results?)"

@@ -31,6 +31,7 @@ from .detector import (
     extend_bank_for_task,
     render_anomaly_map,
     score_image,
+    single_thread_blas,
     write_bank_file,
 )
 from .errors import BenchError, ConfigError, DetectorError, MetricError
@@ -387,7 +388,7 @@ def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("invalid-config", f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ConfigError("invalid-config", f"config {path} is not valid JSON: {exc}") from exc
     if (
         isinstance(raw, dict)
@@ -771,6 +772,10 @@ def run_experiment(
     # every listed category and every one a job names exists before any cell runs
     for category in [*categories, *(c for _, names, _ in jobs for c in names)]:
         dataset.require_category(category)
+    # longest first, so it does not set the tail: a continual job runs its
+    # tasks in series. Stable, so task_matrices keep their order; the
+    # cells are sorted below.
+    jobs.sort(key=lambda job: job[0]["type"] != "continual")
 
     def execute(job) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job
@@ -786,7 +791,8 @@ def run_experiment(
         except BenchError as exc:
             return _failed_cells(job_categories, setting["label"], exc, seed), None
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    # cells are the parallelism; BLAS threads would only contend with them
+    with single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(execute, jobs))
 
     cells: list[CellResult] = []

@@ -242,6 +242,15 @@ def _write(tmp_path, name, data: bytes) -> str:
 
 
 NOT_UTF8 = b"\xff\xfe{}"
+# nested past the JSON decoder's recursion limit
+TOO_DEEP = b"[" * 200000
+
+
+def _results_with_cells(tmp_path, cells) -> str:
+    from iadbench.runner import config_digest
+
+    document = {"config": {}, "config_hash": config_digest({}), "cells": cells}
+    return _write(tmp_path, "results.json", json.dumps(document).encode())
 
 
 @pytest.mark.parametrize(
@@ -250,6 +259,10 @@ NOT_UTF8 = b"\xff\xfe{}"
         pytest.param(
             lambda t: ["run", "--config", _write(t, "c.json", NOT_UTF8)],
             2, "invalid-config", id="run-config-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["run", "--config", _write(t, "c.json", TOO_DEEP)],
+            2, "invalid-config", id="run-config-too-deep",
         ),
         pytest.param(
             lambda t: ["run", "--config", str(t / "absent.json")],
@@ -263,6 +276,11 @@ NOT_UTF8 = b"\xff\xfe{}"
             lambda t: ["synth", "--spec", _write(t, "s.json", NOT_UTF8),
                        "--seed", "1", "--out", str(t / "d")],
             2, "invalid-spec", id="synth-spec-not-utf8",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _write(t, "s.json", TOO_DEEP),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-too-deep",
         ),
         pytest.param(
             lambda t: ["synth", "--spec", _write(t, "s.json", b"5"),
@@ -290,6 +308,18 @@ NOT_UTF8 = b"\xff\xfe{}"
         pytest.param(
             lambda t: ["report", "--in", _write(t, "results.json", b"5"), "--format", "csv"],
             3, "io-failure", id="report-results-not-object",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _write(t, "results.json", TOO_DEEP), "--format", "csv"],
+            3, "io-failure", id="report-results-too-deep",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _results_with_cells(t, [1]), "--format", "csv"],
+            3, "io-failure", id="report-cells-not-objects",
+        ),
+        pytest.param(
+            lambda t: ["report", "--in", _results_with_cells(t, {}), "--format", "markdown"],
+            3, "io-failure", id="report-cells-not-list",
         ),
     ],
 )

@@ -94,6 +94,7 @@ def test_bad_saturation_value(tmp_path):
     [
         ("{not json", "not valid JSON"),
         (b"\xff\xfe{}", "not valid JSON"),
+        pytest.param(b"[" * 200000, "not valid JSON", id="too-deep"),
         ("[1, 2]", "must be a JSON object"),
         ("null", "must be a JSON object"),
     ],

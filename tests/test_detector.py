@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadbench import detector
 from iadbench.detector import (
     _SCORE_CHUNK,
     CoresetParams,
     MemoryBank,
     Projector,
+    SingleThreadBlas,
     _farthest_first,
     _nearest_distances,
     build_bank,
@@ -23,6 +28,7 @@ from iadbench.detector import (
     reweight,
     score_image,
     score_patches,
+    single_thread_blas,
     write_bank_file,
 )
 from iadbench.errors import DetectorError, FormatError
@@ -220,15 +226,19 @@ def _coreset_points(kind, dim, bank_size, seed):
     l_kind=st.sampled_from(["one", "some", "all"]),
     projection=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    pinned=st.booleans(),
 )
-@example(kind="grid", dim=1, bank_size=1, l_kind="all", projection=False, seed=0)
-@example(kind="grid", dim=2, bank_size=60, l_kind="all", projection=False, seed=1)
-@example(kind="duplicates", dim=9, bank_size=80, l_kind="all", projection=True, seed=2)
-@example(kind="offset", dim=64, bank_size=120, l_kind="some", projection=True, seed=3)
-@example(kind="offset", dim=16, bank_size=120, l_kind="all", projection=False, seed=4)
-@example(kind="offset64", dim=64, bank_size=120, l_kind="all", projection=False, seed=5)
-@example(kind="tiny", dim=3, bank_size=80, l_kind="all", projection=False, seed=6)
-def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, projection, seed):
+@example(kind="grid", dim=1, bank_size=1, l_kind="all", projection=False, seed=0, pinned=True)
+@example(kind="grid", dim=2, bank_size=60, l_kind="all", projection=False, seed=1, pinned=True)
+@example(kind="duplicates", dim=9, bank_size=80, l_kind="all", projection=True, seed=2, pinned=True)
+@example(kind="offset", dim=64, bank_size=120, l_kind="some", projection=True, seed=3, pinned=True)
+@example(kind="offset", dim=16, bank_size=120, l_kind="all", projection=False, seed=4, pinned=True)
+@example(kind="offset64", dim=64, bank_size=120, l_kind="all", projection=False, seed=5, pinned=True)
+@example(kind="tiny", dim=3, bank_size=80, l_kind="all", projection=False, seed=6, pinned=True)
+# large enough for OpenBLAS to split the screen's gemv over its threads when not pinned
+@example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=False)
+@example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=True)
+def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, projection, seed, pinned):
     vectors, points = _coreset_points(kind, dim, bank_size, seed)
     l = {"one": 1, "some": max(1, bank_size // 3), "all": bank_size}[l_kind]
     projection_dim = max(1, dim // 4) if projection else None
@@ -240,11 +250,70 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
         else:
             points = vectors.astype(np.float64)
     want_selected, want_d2 = coreset_reference(points, l)
-    selected, min_d2 = _farthest_first(points, l)
+    with single_thread_blas if pinned else nullcontext():
+        selected, min_d2 = _farthest_first(points, l)
     assert selected == want_selected
     assert min_d2.tobytes() == want_d2.tobytes()
     if vectors is not None:
         assert coreset_select(bank, params) == want_selected
+
+
+# --- BLAS threads ---------------------------------------------------------------------
+
+
+def test_single_thread_blas_pins_and_restores(blas_counts):
+    with single_thread_blas:
+        assert blas_counts() == {1}
+        with single_thread_blas:
+            assert blas_counts() == {1}
+        assert blas_counts() == {1}  # the outer user is still inside
+    assert blas_counts() == {2}
+    with pytest.raises(RuntimeError):
+        with single_thread_blas:
+            raise RuntimeError("boom")
+    assert blas_counts() == {2}
+
+
+def test_single_thread_blas_without_symbols_warns_once(blas_counts, monkeypatch, capsys):
+    monkeypatch.setattr(detector, "_OPENBLAS_THREAD_SYMBOLS", (("no_get", "no_set"),))
+    pin = SingleThreadBlas()
+    capsys.readouterr()
+    for _ in range(2):
+        with pin:
+            assert blas_counts() == {2}
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("iadbench: blas-threads-unpinned: ")
+
+
+def test_single_thread_blas_overlapping_users(monkeypatch):
+    count = [3]
+    inside_wrong = []
+    monkeypatch.setattr(
+        detector,
+        "_openblas_thread_controls",
+        lambda: [(lambda: count[0], lambda n: count.__setitem__(0, n))],
+    )
+    pin = SingleThreadBlas()
+
+    def user():
+        for _ in range(300):
+            with pin:
+                if count[0] != 1:
+                    inside_wrong.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=user) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert inside_wrong == []
+    assert count[0] == 3
 
 
 # --- scoring -------------------------------------------------------------------------

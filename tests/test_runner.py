@@ -587,3 +587,52 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     cell = _run_plain_cell(config, dataset, "cat00", setting, 0, keep_bank=True)
     assert cell.status == "ok"
     assert np.array_equal(cell.bank.vectors, expected.vectors)
+
+
+# --- scheduling and BLAS threads -----------------------------------------------------------
+
+
+def test_continual_job_starts_first(monkeypatch):
+    started = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            started.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(runner, "_run_plain_cell", recording("plain", runner._run_plain_cell))
+    monkeypatch.setattr(
+        runner, "_run_continual_job", recording("continual", runner._run_continual_job)
+    )
+    cfg = _base_config(setting=[{"type": "unsupervised"}, {"type": "continual"}])
+    result = run_experiment(parse_config(cfg), threads=1)
+    assert started == ["continual", "plain", "plain"]
+    assert [c["cell_id"] for c in result.document["cells"]] == [
+        "cat00/continual", "cat00/unsupervised", "cat01/continual", "cat01/unsupervised",
+    ]
+
+
+def test_run_restores_blas_threads(blas_counts, monkeypatch):
+    inside = []
+    score_sample = DetectorState.score_sample
+
+    def recording(self, sample):
+        inside.append(blas_counts())
+        return score_sample(self, sample)
+
+    monkeypatch.setattr(DetectorState, "score_sample", recording)
+    run_experiment(parse_config(_base_config()), threads=2)
+    assert inside and all(counts == {1} for counts in inside)
+    assert blas_counts() == {2}
+
+
+def test_failed_run_restores_blas_threads(blas_counts, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("not a package error")
+
+    monkeypatch.setattr(runner, "_run_plain_cell", crash)
+    with pytest.raises(RuntimeError):
+        run_experiment(parse_config(_base_config()), threads=2)
+    assert blas_counts() == {2}
