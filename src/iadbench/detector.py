@@ -15,12 +15,17 @@ reference ``((t - b)**2).sum()``, so only reference values reach an
 output. Peak memory per chunk of test patches is a few ``chunk x bank``
 arrays, never a ``chunk x bank x dim`` one.
 
-The coreset's farthest-first update is exact in the same way. At each
-pick one mat-vec screens every point; only points whose screen, less
-the rounding bound, does not exceed their current distance to the
-selection are recomputed with the reference expression, and the rest
-provably keep their distance. Both screens share one rounding bound,
-derived in ``_screen_tolerance``.
+The coreset's farthest-first update is exact in the same way. The
+points are sorted once by norm. At each pick q with current covering
+radius sqrt(M), only points whose norm is within sqrt(M) (plus a
+rounding slack, ``_shell_slack``) of ||q|| can move closer to the
+selection, by the reverse triangle inequality; they are one contiguous
+slice of the sorted points, found with two binary searches. One mat-vec
+screens that slice; only points whose screen, less the rounding bound,
+does not exceed their current distance to the selection are recomputed
+with the reference expression, and the rest provably keep their
+distance. Both screens share one rounding bound, derived in
+``_screen_tolerance``.
 
 Both screens are BLAS calls, and OpenBLAS by default splits each over
 its own worker threads, which then spin against the runner's cell
@@ -38,6 +43,7 @@ count * dim IEEE-754 binary32 little-endian vectors.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import struct
 import sys
@@ -61,6 +67,9 @@ _SCORE_CHUNK = 256
 # Candidate (patch, bank vector) pairs re-ranked at once are capped at
 # this many float64 elements of (pairs x dim) difference array.
 _RERANK_ELEMENTS = 1 << 18
+# Rows converted to float64 at once hold at most this many elements, so
+# a bank is projected or copied without an n x dim float64 temporary.
+_BLOCK_ELEMENTS = 1 << 14
 # A screen whose ||x||^2 + max ||y||^2 reaches this keeps every row:
 # near the float64 overflow threshold its bound does not hold.
 _SCREEN_LIMIT = 2.0**1000
@@ -72,6 +81,10 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+def _block_rows(dim: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // dim)
 
 
 def _openblas_thread_controls() -> list[tuple[object, object]]:
@@ -195,10 +208,17 @@ class Projector:
     matrix: np.ndarray | None  # None = exact identity pass-through
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
-        arr = np.asarray(vectors, dtype=np.float64)
+        """Float64 ``vectors @ matrix.T``, converted and projected a row
+        block at a time, so no float64 copy of ``vectors`` is made."""
         if self.matrix is None:
-            return arr
-        return np.einsum("nd,od->no", arr, self.matrix)
+            return np.asarray(vectors, dtype=np.float64)
+        vectors = np.asarray(vectors)
+        out = np.empty((vectors.shape[0], self.out_dim))
+        step = _block_rows(self.in_dim)
+        for start in range(0, vectors.shape[0], step):
+            block = vectors[start : start + step].astype(np.float64, copy=False)
+            out[start : start + step] = np.einsum("nd,od->no", block, self.matrix)
+        return out
 
 
 def make_projector(in_dim: int, out_dim: int, seed: int) -> Projector:
@@ -246,8 +266,8 @@ def _screen_tolerance(dim: int, n_max):
 
     Both exact searches call this: ``_nearest_distances`` keeps every
     bank index whose screen is within tau of its row's minimum, and
-    ``_farthest_first`` recomputes every row whose screen minus tau does
-    not exceed its current distance.
+    ``_farthest_first`` recomputes every row of its norm shell whose
+    screen minus tau does not exceed its current distance.
 
     For float64 vectors x, y of length d with N = ||x||^2 + ||y||^2 at
     most ``n_max``, let D = ||x - y||^2 in exact arithmetic, s the screen
@@ -294,6 +314,55 @@ def _screen_tolerance(dim: int, n_max):
     )
 
 
+def _shell_slack(dim: int, sq_max: float) -> float:
+    """Slack sigma of the norm shell in ``_farthest_first``.
+
+    At a pick q the shell keeps the rows whose computed norm rho_j lies
+    in [fl(rho_q - w), fl(rho_q + w)], with w = fl(fl(sqrt(M)) + sigma)
+    and M the largest min_d2 (the pick's). A row outside it must have a
+    reference r_j = ``((p_j - q)**2).sum()`` of at least M, so that
+    np.minimum leaves its min_d2, which is at most M, unchanged.
+
+    For float64 rows of length d, let a_j = ||p_j|| exactly, A the
+    largest a_j, sq_j the computed ||p_j||^2 (any summation order),
+    rho_j = fl(sqrt(sq_j)), u = 2**-53 and gamma_k = k*u / (1 - k*u):
+
+    - r_j rounds each difference and each square once and sums d
+      non-negative terms; a subnormal square loses up to 2**-1075 more.
+      So r_j >= (1 - gamma_(d+2)) D_j - d 2**-1075 for the exact
+      D_j = ||p_j - q||^2, and D_j >= (a_j - a_q)^2 by the reverse
+      triangle inequality. Hence r_j >= M once |a_j - a_q| >= R with
+      R = sqrt((M + d 2**-1074) / (1 - gamma_(d+2)))
+      <= (1 + gamma_(d+2)) sqrt(M) + sqrt(d) 2**-537.
+    - |sq_j - a_j^2| <= gamma_d a_j^2 + d 2**-1075, and
+      |sqrt(x) - sqrt(y)| <= sqrt(|x - y|), so with sqrt's own rounding
+      |rho_j - a_j| <= eta = (gamma_d + 2u) A + sqrt(d) 2**-536.5.
+    - A row outside the shell has rho_j < fl(rho_q - w) or
+      rho_j > fl(rho_q + w), each bound within u (rho_q + w) of its
+      exact value, so |rho_j - rho_q| > (1 - u) w - u rho_q and
+      |a_j - a_q| > (1 - u) w - u rho_q - 2 eta. The two roundings of w
+      give w >= (1 - 2u) sqrt(M) + (1 - u) sigma.
+    - M is the computed r of some row, so sqrt(M) <= 2A to first order;
+      at the seed's pass M is inf, w is inf and the shell is every row.
+
+    So a row outside is safe when (1 - 2u) sigma covers
+    (gamma_(d+2) + 3u) sqrt(M) + u rho_q + 2 eta + sqrt(d) 2**-537,
+    which is at most (4d + 15) u A + 3.9 sqrt(d) 2**-537 to first order.
+    The slack is sigma = 8 (d + 2) (u sqrt(sq_max) + 2**-537). The
+    computed sqrt(sq_max) is at least A (1 - gamma_d - u) less
+    sqrt(d) 2**-537.5, so the excess of 8d + 16 over 4d + 15, and of
+    8 (d + 2) over 3.9 sqrt(d), covers gamma_k against k*u, A against
+    sqrt(sq_max), the second-order terms and the rounding of sigma.
+
+    Overflow. Below sq_max = 2**1000 every distance and partial sum is
+    finite. At or above it, or for a NaN or inf sq_max, sigma is inf
+    and callers screen every row.
+    """
+    if not sq_max < _SCREEN_LIMIT:
+        return np.inf
+    return 8.0 * (dim + 2) * (2.0**-53 * math.sqrt(sq_max) + 2.0**-537)
+
+
 def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
@@ -304,49 +373,88 @@ def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     if bank.count == 0:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
     l = params.resolve_l(bank.count)
+    points = bank.vectors
     if params.projection_dim is not None and params.projection_dim != bank.dim:
-        projector = make_projector(bank.dim, params.projection_dim, params.seed)
-        points = projector.apply(bank.vectors)
-    else:
-        points = bank.vectors.astype(np.float64)
+        points = make_projector(bank.dim, params.projection_dim, params.seed).apply(points)
     return _farthest_first(points, l)[0]
 
 
 def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
-    """Farthest-first picks over float64 ``points`` and the final min_d2.
+    """Farthest-first picks over ``points``, read as float64, and the final min_d2.
 
     min_d2[j] is the smallest reference ``((p_j - q)**2).sum()`` over the
     picks q so far, -1 once j is picked, and each pick is its argmax
     (lowest index on ties). Both equal, bit for bit, the loop that
-    recomputes every row at every pick.
+    recomputes every row at every pick. ``points`` is not modified.
 
-    At pick q one mat-vec screens every row,
-    s_j = ||p_j||^2 + ||q||^2 - 2 p_j.q. ``_screen_tolerance`` gives tau
-    with |s_j - r_j| <= E for the reference r_j and tau - E larger than
-    the rounding of s_j - tau. So a computed s_j - tau above min_d2[j]
-    means r_j > min_d2[j], and np.minimum would leave row j unchanged.
-    Only the other rows (NaN screens included, and all rows when tau is
-    inf) are recomputed with the reference and take np.minimum. Screen
-    values never reach min_d2. Per pick this allocates a few length-n
-    vectors and the recomputed rows, never an n x d array.
+    The rows are copied once, a block at a time, in order of their
+    squared norm sq (a stable sort); this sorted float64 copy is the
+    only one the loop holds. Picks and min_d2 stay in the caller's row
+    order.
+
+    Shell. Let M be min_d2 at the pick q, the largest of all. A row
+    whose norm differs from ||q|| by more than sqrt(M) is at least M
+    from q, so np.minimum would keep its min_d2. With rho = sqrt(sq)
+    and the slack sigma of ``_shell_slack``, the rows with
+    |rho_j - rho_q| <= sqrt(M) + sigma are one contiguous slice of the
+    sorted rows, found with two searchsorted calls; the rest are
+    skipped. When sigma is inf the slice is every row.
+
+    Screen. In the slice one mat-vec gives
+    s_j = ||p_j||^2 + ||q||^2 - 2 p_j.q. ``_screen_tolerance`` gives
+    tau, once per call for ||p_j||^2 + ||q||^2 <= 2 max sq, with
+    |s_j - r_j| <= E for the reference r_j and tau - E larger than the
+    rounding of s_j - tau. So a computed s_j - tau above min_d2[j] means
+    r_j > min_d2[j], and np.minimum would leave row j unchanged. Only
+    the other rows (NaN screens included, and all rows when tau is inf)
+    are recomputed with the reference and take np.minimum. Screen values
+    never reach min_d2. Per pick this allocates a few vectors of the
+    slice's length and, a row block at a time, the recomputed rows;
+    never an n x d array.
     """
-    sq = np.einsum("nd,nd->n", points, points)
-    sq_max = sq.max()
-    dim = points.shape[1]
-    selected = [0]
-    min_d2 = ((points - points[0]) ** 2).sum(axis=1)
-    min_d2[0] = -1.0
-    for _ in range(l - 1):
+    n, dim = points.shape
+    step = _block_rows(dim)
+    sq = np.empty(n)
+    for start in range(0, n, step):
+        block = points[start : start + step].astype(np.float64, copy=False)
+        sq[start : start + step] = np.einsum("nd,nd->n", block, block)
+    order = np.argsort(sq, kind="stable")
+    sq = sq[order]
+    ranked = np.empty((n, dim))
+    for start in range(0, n, step):
+        ranked[start : start + step] = points[order[start : start + step]]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rho = np.sqrt(sq)
+    sq_max = float(sq[-1])  # the largest; argsort puts NaN last
+    tau = float(_screen_tolerance(dim, 2.0 * sq_max))
+    sigma = _shell_slack(dim, sq_max)
+    # +inf until the seed's pass writes every row's reference distance
+    min_d2 = np.full(n, np.inf)
+    ranked_d2 = np.full(n, np.inf)  # min_d2 in ranked order
+    selected = []
+    lo, hi = 0, n
+    for _ in range(l):
         idx = int(np.argmax(min_d2))
         selected.append(idx)
-        q = points[idx]
+        pos = rank[idx]
+        q = ranked[pos]
+        if sigma < np.inf:
+            w = math.sqrt(min_d2[idx]) + sigma
+            lo = rho.searchsorted(rho[pos] - w, "left")
+            hi = rho.searchsorted(rho[pos] + w, "right")
         # one BLAS gemv; a run keeps it on this thread (single_thread_blas)
-        screen = points @ (-2.0 * q)
-        screen += sq
-        screen += sq[idx] - _screen_tolerance(dim, sq[idx] + sq_max)
-        rows = np.flatnonzero(~(screen > min_d2))
-        min_d2[rows] = np.minimum(min_d2[rows], ((points[rows] - q) ** 2).sum(axis=1))
-        min_d2[idx] = -1.0
+        screen = ranked[lo:hi] @ (-2.0 * q)
+        screen += sq[lo:hi]
+        screen += sq[pos] - tau
+        rows = np.flatnonzero(~(screen > ranked_d2[lo:hi]))
+        rows += lo
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            d2 = np.minimum(ranked_d2[block], ((ranked[block] - q) ** 2).sum(axis=1))
+            ranked_d2[block] = d2
+            min_d2[order[block]] = d2
+        ranked_d2[pos] = min_d2[idx] = -1.0
     return selected, min_d2
 
 

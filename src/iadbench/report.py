@@ -198,4 +198,49 @@ def load_results(path: str) -> dict:
         raise ReportError(
             "io-failure", f"{path}: config hash mismatch (corrupted results?)"
         )
+    _check_renderable(document, path)
     return document
+
+
+def _number_or_null(value) -> bool:
+    return value is None or type(value) in (int, float)
+
+
+def _check_renderable(document: dict, path: str) -> None:
+    """Raise io-failure unless every field that ``render_csv`` and
+    ``render_markdown`` read is present with the type they need."""
+
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise ReportError("io-failure", f"{path}: {what}")
+
+    require("seed" in document, "missing key 'seed'")
+    requested = document.get("metrics_requested", [])
+    require(isinstance(requested, list), "metrics_requested must be a list")
+    timings = document.get("timings", {})
+    require(isinstance(timings, dict), "timings must be an object")
+    for i, cell in enumerate(document["cells"]):
+        for key in ("cell_id", "category", "setting"):
+            require(isinstance(cell.get(key), str), f"cells[{i}].{key} must be a string")
+        metrics = cell.get("metrics", {})
+        require(
+            isinstance(metrics, dict)
+            and all(_number_or_null(metrics.get(name)) for name in METRIC_NAMES),
+            f"cells[{i}].metrics must map metric names to numbers or null",
+        )
+        timing = timings.get(cell["cell_id"], {})
+        require(
+            isinstance(timing, dict) and _number_or_null(timing.get("latency_ms_p50")),
+            f"timings[{cell['cell_id']!r}] must be an object with a numeric latency_ms_p50",
+        )
+    matrices = document.get("task_matrices", {})
+    require(isinstance(matrices, dict), "task_matrices must be an object")
+    for label, matrix in matrices.items():
+        require(
+            isinstance(matrix, dict)
+            and type(matrix.get("k")) is int
+            and "fm_mean" in matrix and _number_or_null(matrix["fm_mean"])
+            and isinstance(matrix.get("entries"), dict)
+            and all(_number_or_null(v) for v in matrix["entries"].values()),
+            f"task_matrices[{label!r}] needs an integer k, a numeric fm_mean and numeric entries",
+        )

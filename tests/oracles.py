@@ -138,6 +138,14 @@ def nearest_bruteforce(bank_vectors, test_vectors) -> tuple[list[float], list[in
     return distances, indices
 
 
+def projection_reference(vectors, matrix) -> "np.ndarray":
+    """The package's original projection, verbatim: the whole bank
+    converted to float64, then one einsum."""
+    import numpy as np
+
+    return np.einsum("nd,od->no", np.asarray(vectors, dtype=np.float64), matrix)
+
+
 def coreset_reference(points, l) -> tuple[list[int], "np.ndarray"]:
     """Farthest-first picks and final min_d2, recomputing every row per pick.
 

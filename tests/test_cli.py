@@ -246,11 +246,26 @@ NOT_UTF8 = b"\xff\xfe{}"
 TOO_DEEP = b"[" * 200000
 
 
-def _results_with_cells(tmp_path, cells) -> str:
+def _results_with_cells(tmp_path, cells, seed=1) -> str:
     from iadbench.runner import config_digest
 
     document = {"config": {}, "config_hash": config_digest({}), "cells": cells}
+    if seed is not None:
+        document["seed"] = seed
     return _write(tmp_path, "results.json", json.dumps(document).encode())
+
+
+# the fewest fields a cell needs for both renderers
+CELL = {"cell_id": "a/unsupervised", "category": "a", "setting": "unsupervised",
+        "status": "ok", "metrics": {"image_auroc": 0.5}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+def test_report_renders_minimal_cell(tmp_path, fmt):
+    path = _results_with_cells(tmp_path, [CELL])
+    assert main(["report", "--in", path, "--format", fmt]) == 0
+    name = {"csv": "results.csv", "markdown": "report.md"}[fmt]
+    assert "0.5000" in (tmp_path / name).read_text()
 
 
 @pytest.mark.parametrize(
@@ -320,6 +335,25 @@ def _results_with_cells(tmp_path, cells) -> str:
         pytest.param(
             lambda t: ["report", "--in", _results_with_cells(t, {}), "--format", "markdown"],
             3, "io-failure", id="report-cells-not-list",
+        ),
+        *[
+            pytest.param(
+                lambda t, cells=cells, fmt=fmt: [
+                    "report", "--in", _results_with_cells(t, cells), "--format", fmt
+                ],
+                3, "io-failure", id=f"report-{name}-{fmt}",
+            )
+            for name, cells in [
+                ("empty-cell", [{}]),
+                ("metrics-not-object", [dict(CELL, metrics=[1])]),
+                ("category-not-string", [dict(CELL, category=5)]),
+            ]
+            for fmt in ("csv", "markdown")
+        ],
+        pytest.param(
+            lambda t: ["report", "--in", _results_with_cells(t, [CELL], seed=None),
+                       "--format", "markdown"],
+            3, "io-failure", id="report-no-seed",
         ),
     ],
 )

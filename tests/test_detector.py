@@ -39,6 +39,7 @@ from oracles import (
     greedy_kcenter,
     nearest_bruteforce,
     optimal_kcenter_radius,
+    projection_reference,
 )
 
 
@@ -102,6 +103,18 @@ def test_projector_deterministic():
     assert np.array_equal(a.matrix, b.matrix)
     c = make_projector(16, 4, seed=8)
     assert not np.array_equal(a.matrix, c.matrix)
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(64, 16), (9, 2)])
+def test_projector_blocks_match_whole_bank_projection(in_dim, out_dim):
+    step = detector._block_rows(in_dim)
+    rng = np.random.default_rng(in_dim)
+    proj = make_projector(in_dim, out_dim, seed=5)
+    for n in (1, step - 1, step, step + 1, 2 * step + 3):
+        vectors = (rng.random((n, in_dim)) * 1e3 - 5e2).astype(np.float32)
+        got = proj.apply(vectors)
+        assert got.dtype == np.float64
+        assert got.tobytes() == projection_reference(vectors, proj.matrix).tobytes()
 
 
 def test_projector_bad_dims():
@@ -189,6 +202,27 @@ def test_coreset_with_projection_deterministic():
     assert coreset_select(bank, params) == coreset_select(bank, params)
 
 
+@pytest.mark.parametrize("projection_dim", [16, None])
+def test_coreset_select_peak_memory(projection_dim):
+    count, dim = 36000, 64
+    vectors = np.random.default_rng(13).random((count, dim)).astype(np.float32)
+    bank = MemoryBank(dim, vectors, np.zeros(count, np.uint32))
+    params = CoresetParams(l=20, projection_dim=projection_dim, seed=1)
+    tracemalloc.start()
+    try:
+        picks = coreset_select(bank, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(picks)) == 20
+    # float64 points: the projection and its sorted copy, or the sorted
+    # copy alone; then ten length-n vectors and four row blocks
+    points_bytes = count * (2 * projection_dim if projection_dim else dim) * 8
+    assert peak < points_bytes + 10 * count * 8 + 4 * detector._BLOCK_ELEMENTS * 8
+    if projection_dim:
+        assert peak < count * dim * 8  # no float64 copy of the whole bank
+
+
 def _coreset_points(kind, dim, bank_size, seed):
     """(float32 bank rows, None) or (None, float64 points) built to stress
     the farthest-first screen.
@@ -197,6 +231,13 @@ def _coreset_points(kind, dim, bank_size, seed):
     an offset of 1e6, so the screen's rounding error is many times every
     distance, and "tiny" puts points near 1e-161, where squares and
     products are subnormal.
+
+    The rest stress the norm shell. On a ray through the origin ("ray",
+    real multiples, and "ray_int", integer multiples with many ties) a
+    distance equals the difference of the norms, so the shell's bound is
+    met with equality. "sphere" rows are signed permutations of one
+    vector, all of one norm, so every row is always in the shell.
+    "far_ray" is a ray whose points all lie about 1e4 from the origin.
     """
     rng = np.random.default_rng(seed)
     if kind == "random":
@@ -213,6 +254,18 @@ def _coreset_points(kind, dim, bank_size, seed):
         rows = 1e3 + rng.random((bank_size, dim)) * 1e-3
     elif kind == "offset64":
         return None, 1e6 + rng.random((bank_size, dim)) * 1e-3
+    elif kind == "ray":
+        return None, rng.random((bank_size, 1)) * rng.standard_normal(dim)
+    elif kind == "ray_int":
+        direction = rng.integers(1, 4, dim) * rng.choice([-1, 1], dim)
+        rows = rng.integers(-20, 21, (bank_size, 1)) * direction
+    elif kind == "sphere":
+        base = rng.random(dim)
+        signs = rng.choice([-1, 1], (bank_size, dim))
+        rows = np.array([rng.permutation(base) for _ in range(bank_size)]) * signs
+    elif kind == "far_ray":
+        start = rng.standard_normal(dim) * 1e4
+        return None, start + rng.random((bank_size, 1)) * rng.standard_normal(dim)
     else:  # "tiny"
         return None, rng.random((bank_size, dim)) * 1e-161
     return rows.astype(np.float32), None
@@ -220,7 +273,10 @@ def _coreset_points(kind, dim, bank_size, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "duplicates", "grid", "offset", "offset64", "tiny"]),
+    kind=st.sampled_from(
+        ["random", "duplicates", "grid", "offset", "offset64", "tiny",
+         "ray", "ray_int", "sphere", "far_ray"]
+    ),
     dim=st.sampled_from([1, 2, 3, 9, 16, 36, 64]),
     bank_size=st.integers(1, 120),
     l_kind=st.sampled_from(["one", "some", "all"]),
@@ -235,6 +291,12 @@ def _coreset_points(kind, dim, bank_size, seed):
 @example(kind="offset", dim=16, bank_size=120, l_kind="all", projection=False, seed=4, pinned=True)
 @example(kind="offset64", dim=64, bank_size=120, l_kind="all", projection=False, seed=5, pinned=True)
 @example(kind="tiny", dim=3, bank_size=80, l_kind="all", projection=False, seed=6, pinned=True)
+@example(kind="ray", dim=16, bank_size=120, l_kind="all", projection=False, seed=8, pinned=True)
+@example(kind="ray_int", dim=3, bank_size=120, l_kind="all", projection=False, seed=9, pinned=True)
+@example(kind="sphere", dim=9, bank_size=120, l_kind="some", projection=False, seed=10, pinned=True)
+@example(kind="far_ray", dim=16, bank_size=120, l_kind="all", projection=False, seed=11, pinned=True)
+# subnormal squares: a shell without _shell_slack's absolute term picks wrongly here
+@example(kind="tiny", dim=2, bank_size=40, l_kind="all", projection=False, seed=164, pinned=True)
 # large enough for OpenBLAS to split the screen's gemv over its threads when not pinned
 @example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=False)
 @example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=True)
@@ -250,12 +312,15 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
         else:
             points = vectors.astype(np.float64)
     want_selected, want_d2 = coreset_reference(points, l)
+    before = points.tobytes()
     with single_thread_blas if pinned else nullcontext():
         selected, min_d2 = _farthest_first(points, l)
+    assert points.tobytes() == before
     assert selected == want_selected
     assert min_d2.tobytes() == want_d2.tobytes()
     if vectors is not None:
         assert coreset_select(bank, params) == want_selected
+        assert bank.vectors.tobytes() == vectors.astype(np.float32).tobytes()
 
 
 # --- BLAS threads ---------------------------------------------------------------------
