@@ -16,13 +16,12 @@ import sys
 
 import numpy as np
 
-from .data import PixelMask
+from .data import PixelMask, grid_from_pgm, mask_from_pgm
 from .errors import BenchError, ConfigError, DataError
 from .metrics import (
     DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, aupro, auroc, average_precision,
     pooled_pixel_scores,
 )
-from .pgm import read_pgm
 from .report import emit_report, load_results
 from .runner import SCHEMA_VERSION, load_config, run_experiment
 from .synth import SynthSpec, synth_dataset, write_dataset_tree
@@ -167,8 +166,8 @@ def _read_map_pairs(maps_dir: str, masks_dir: str) -> tuple[list[np.ndarray], li
         )
         if mask_path is None:
             raise DataError("missing-mask", f"no mask for score map {name} in {masks_dir}")
-        smap = read_pgm(os.path.join(maps_dir, name)) / 255.0
-        mask = PixelMask(read_pgm(mask_path) > 0)
+        smap = grid_from_pgm(os.path.join(maps_dir, name)).values
+        mask = mask_from_pgm(mask_path)
         if mask.bits.shape != smap.shape:
             raise DataError(
                 "dim-mismatch", f"{name}: map {smap.shape} vs mask {mask.bits.shape}"

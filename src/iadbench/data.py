@@ -142,11 +142,13 @@ class Dataset:
             raise DataError("unknown-category", f"no category named {category!r}")
 
 
-def _grid_from_pgm(path: str) -> ImageGrid:
+def grid_from_pgm(path: str) -> ImageGrid:
+    """A PGM image (or score map) as intensities v/255."""
     return ImageGrid(read_pgm(path) / 255.0)
 
 
-def _mask_from_pgm(path: str) -> PixelMask:
+def mask_from_pgm(path: str) -> PixelMask:
+    """A PGM mask: every value above zero is anomalous."""
     return PixelMask(read_pgm(path) > 0)
 
 
@@ -200,7 +202,7 @@ def dataset_digest(root: str) -> str:
 def _load_sample(cat_dir: str, category: str, split: str, defect_type: str, name: str) -> Sample:
     """The image ``<split>/<defect_type>/<name>``, and for a non-"good" type its mask."""
     stem = os.path.splitext(name)[0]
-    image = _grid_from_pgm(os.path.join(cat_dir, split, defect_type, name))
+    image = grid_from_pgm(os.path.join(cat_dir, split, defect_type, name))
     mask = None
     if defect_type != "good":
         mask_path = os.path.join(cat_dir, "ground_truth", defect_type, f"{stem}_mask.pgm")
@@ -209,7 +211,7 @@ def _load_sample(cat_dir: str, category: str, split: str, defect_type: str, name
                 "missing-mask",
                 f"{category}/{split}/{defect_type}/{name} has no mask at {mask_path}",
             )
-        mask = _mask_from_pgm(mask_path)
+        mask = mask_from_pgm(mask_path)
     return Sample(
         id=f"{defect_type}/{stem}",
         image=image,
@@ -220,7 +222,7 @@ def _load_sample(cat_dir: str, category: str, split: str, defect_type: str, name
     )
 
 
-def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset:
+def load_dataset(root: str) -> Dataset:
     """Load a dataset tree rooted at ``root``.
 
     Train samples come from ``train/good`` only. Every non-"good" test
@@ -233,11 +235,6 @@ def load_dataset(root: str, category_filter: list[str] | None = None) -> Dataset
     categories = sorted(
         d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
     )
-    if category_filter is not None:
-        missing = [c for c in category_filter if c not in categories]
-        if missing:
-            raise DataError("unknown-category", f"categories not on disk: {missing}")
-        categories = [c for c in categories if c in category_filter]
     if not categories:
         raise DataError("empty-category", f"no categories under {root!r}")
 

@@ -54,7 +54,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DetectorError, FormatError
-from .features import PatchFeatureGrid, read_framed_file
+from .features import PatchFeatureGrid
 
 _MAGIC = b"IADB"
 _VERSION = 1
@@ -205,13 +205,11 @@ def build_bank(grids: list[PatchFeatureGrid]) -> MemoryBank:
 class Projector:
     in_dim: int
     out_dim: int
-    matrix: np.ndarray | None  # None = exact identity pass-through
+    matrix: np.ndarray  # (out_dim, in_dim) float64
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Float64 ``vectors @ matrix.T``, converted and projected a row
         block at a time, so no float64 copy of ``vectors`` is made."""
-        if self.matrix is None:
-            return np.asarray(vectors, dtype=np.float64)
         vectors = np.asarray(vectors)
         out = np.empty((vectors.shape[0], self.out_dim))
         step = _block_rows(self.in_dim)
@@ -222,11 +220,9 @@ class Projector:
 
 
 def make_projector(in_dim: int, out_dim: int, seed: int) -> Projector:
-    """Seeded Gaussian random projection; identity when dims are equal."""
-    if not 1 <= out_dim <= in_dim:
-        raise DetectorError("bad-dims", f"need 1 <= out_dim <= in_dim, got {out_dim}/{in_dim}")
-    if out_dim == in_dim:
-        return Projector(in_dim, out_dim, None)
+    """Seeded Gaussian random projection to fewer dims."""
+    if not 1 <= out_dim < in_dim:
+        raise DetectorError("bad-dims", f"need 1 <= out_dim < in_dim, got {out_dim}/{in_dim}")
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((out_dim, in_dim)) / np.sqrt(out_dim)
     return Projector(in_dim, out_dim, matrix)
@@ -462,7 +458,6 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
 class ScoreResult:
     s_star: float  # raw max-min distance over patches
     neighbor_index: int  # bank index of the winning patch's nearest vector
-    patch_index: int  # row-major position of the winning patch
     s: float  # re-weighted image score, 0 <= s <= s_star
 
 
@@ -578,7 +573,7 @@ def score_image(
     distances, s_star, patch_index, neighbor_index = score_patches(bank, grid)
     s = reweight(bank, grid.vectors[patch_index], s_star, neighbor_index, b)
     patch_map = distances.reshape(grid.grid_h, grid.grid_w)
-    return ScoreResult(s_star, neighbor_index, patch_index, s), patch_map
+    return ScoreResult(s_star, neighbor_index, s), patch_map
 
 
 def render_anomaly_map(
@@ -587,7 +582,7 @@ def render_anomaly_map(
     image_w: int,
     patch_size: int,
     stride: int,
-    smoothing_sigma: float = 4.0,
+    smoothing_sigma: float,
 ) -> np.ndarray:
     """Bilinear upsample of a patch-score grid to pixel resolution.
 
@@ -653,8 +648,6 @@ def extend_bank_for_task(
     task_bank = build_bank(new_grids)
     picked = coreset_select(task_bank, per_task_params)
     new_tags = np.full(len(picked), task_index, dtype=np.uint32)
-    if bank.count == 0:
-        return MemoryBank(task_bank.dim, task_bank.vectors[picked], new_tags)
     if task_bank.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"task dim {task_bank.dim} != {bank.dim}")
     vectors = np.concatenate([bank.vectors, task_bank.vectors[picked]], axis=0)
@@ -670,16 +663,21 @@ def write_bank_file(bank: MemoryBank, path: str) -> None:
 
 
 def read_bank_file(path: str) -> MemoryBank:
-    (dim, count), payload = read_framed_file(path, _HEADER, _MAGIC, _VERSION)
-    tags_bytes = count * 4
-    vec_bytes = count * dim * 4
-    if len(payload) != tags_bytes + vec_bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise FormatError("truncated-file", f"{path}: header incomplete")
+    magic, version, dim, count = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
+        raise FormatError("bad-magic", f"{path}: expected {_MAGIC.decode()}, got {magic!r}")
+    if version != _VERSION:
+        raise FormatError("version-unsupported", f"{path}: version {version}")
+    payload, tags_bytes = data[_HEADER.size :], count * 4
+    if len(payload) != tags_bytes * (1 + dim):
         raise FormatError(
             "truncated-file",
-            f"{path}: expected {tags_bytes + vec_bytes} payload bytes, got {len(payload)}",
+            f"{path}: expected {tags_bytes * (1 + dim)} payload bytes, got {len(payload)}",
         )
     tags = np.frombuffer(payload[:tags_bytes], dtype="<u4").copy()
-    vectors = (
-        np.frombuffer(payload[tags_bytes:], dtype="<f4").reshape(count, dim).copy()
-    )
+    vectors = np.frombuffer(payload[tags_bytes:], dtype="<f4").reshape(count, dim).copy()
     return MemoryBank(dim, vectors, tags)

@@ -22,7 +22,7 @@ class DataError(BenchError):
 
 
 class FormatError(DataError):
-    """Malformed binary files: PGM images, feature files, bank snapshots."""
+    """Malformed binary files: PGM images, bank snapshots."""
 
 
 class ConfigError(BenchError):

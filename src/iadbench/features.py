@@ -1,29 +1,19 @@
-"""Patch feature extraction and the feature-grid file format.
+"""Patch feature extraction.
 
 The reference descriptor is the raw patch: a sliding window of
 patch_size x patch_size pixels flattened row-major, giving a grid of
-(grid_h x grid_w) vectors of dimension patch_size^2. Vectors are stored
-as float32 so file round-trips are bit-exact.
-
-File format "IADF": magic ``IADF`` (4 bytes), version u16=1
-little-endian, u32 grid_h, u32 grid_w, u32 dim, then
-grid_h * grid_w * dim IEEE-754 binary32 little-endian values, row-major.
+(grid_h x grid_w) vectors of dimension patch_size^2, stored as float32.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import ImageGrid
-from .errors import ConfigError, DetectorError, FormatError
-
-_MAGIC = b"IADF"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHIII")
+from .errors import ConfigError, DetectorError
 
 
 @dataclass(frozen=True)
@@ -75,36 +65,3 @@ def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatu
     vectors = windows.reshape(grid_h * grid_w, p * p).astype(np.float32)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=p * p, vectors=vectors)
 
-
-def write_feature_file(grid: PatchFeatureGrid, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, grid.grid_h, grid.grid_w, grid.dim))
-        fh.write(np.ascontiguousarray(grid.vectors, dtype="<f4").tobytes())
-
-
-def read_framed_file(
-    path: str, header: struct.Struct, magic: bytes, version: int
-) -> tuple[list, bytes]:
-    """The header fields after the magic and version, and the payload, of a framed file."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < header.size:
-        raise FormatError("truncated-file", f"{path}: header incomplete")
-    found_magic, found_version, *fields = header.unpack_from(data)
-    if found_magic != magic:
-        raise FormatError("bad-magic", f"{path}: expected {magic.decode()}, got {found_magic!r}")
-    if found_version != version:
-        raise FormatError("version-unsupported", f"{path}: version {found_version}")
-    return fields, data[header.size :]
-
-
-def read_feature_file(path: str) -> PatchFeatureGrid:
-    (grid_h, grid_w, dim), payload = read_framed_file(path, _HEADER, _MAGIC, _VERSION)
-    count = grid_h * grid_w * dim
-    if len(payload) != count * 4:
-        raise FormatError(
-            "truncated-file",
-            f"{path}: expected {count * 4} payload bytes, got {len(payload)}",
-        )
-    vectors = np.frombuffer(payload, dtype="<f4").reshape(grid_h * grid_w, dim)
-    return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=dim, vectors=vectors.copy())

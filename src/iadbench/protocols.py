@@ -1,7 +1,7 @@
 """Split construction for the five benchmark settings.
 
 Every operation is a pure, seeded transformation of a Dataset into a
-Split (or TaskSequence) with full provenance of moved, injected, or
+Split (or a list of Tasks) with full provenance of moved, injected, or
 augmented samples. Sampling is uniform without replacement through the
 splitmix64 stream in :mod:`iadbench.rng`, so identical inputs and seeds
 reproduce identical splits on any platform.
@@ -41,8 +41,6 @@ class TrainItem:
 
 @dataclass
 class Split:
-    setting: str
-    category: str
     train: list[TrainItem]
     test: list[Sample]
     provenance: list[ProvenanceRecord] = field(default_factory=list)
@@ -61,8 +59,6 @@ def make_unsupervised(dataset: Dataset, category: str) -> Split:
     """All normal train samples; the full test set; no provenance."""
     train = _category_train(dataset, category)
     return Split(
-        setting="unsupervised",
-        category=category,
         train=[TrainItem(s, NORMAL) for s in train],
         test=list(dataset.test.get(category, [])),
     )
@@ -83,10 +79,9 @@ def _move_abnormals_to_train(
     split.test = [s for i, s in enumerate(split.test) if i not in moved]
 
 
-def make_supervised(dataset: Dataset, category: str, n: int = 10, seed: int = 0) -> Split:
+def make_supervised(dataset: Dataset, category: str, n: int, seed: int) -> Split:
     """Unsupervised split plus n labeled abnormals moved out of the test set."""
     split = make_unsupervised(dataset, category)
-    split.setting = "supervised"
     abnormal_positions = [i for i, s in enumerate(split.test) if s.label == ABNORMAL]
     if len(abnormal_positions) < n:
         raise ProtocolError(
@@ -97,7 +92,7 @@ def make_supervised(dataset: Dataset, category: str, n: int = 10, seed: int = 0)
     return split
 
 
-def make_fewshot(dataset: Dataset, category: str, m: int, seed: int = 0) -> Split:
+def make_fewshot(dataset: Dataset, category: str, m: int, seed: int) -> Split:
     """m seeded normal train samples; the test set is untouched."""
     pool = _category_train(dataset, category)
     if len(pool) < m:
@@ -106,8 +101,6 @@ def make_fewshot(dataset: Dataset, category: str, m: int, seed: int = 0) -> Spli
         )
     drawn = sorted(sample_without_replacement(len(pool), m, seed))
     split = Split(
-        setting="fewshot",
-        category=category,
         train=[TrainItem(pool[i], NORMAL) for i in drawn],
         test=list(dataset.test.get(category, [])),
     )
@@ -162,23 +155,14 @@ def augment_rotations(split: Split, rotation_k: int) -> Split:
                     sample.id, "train", sample.label, item.observed_label, f"rot{angle}"
                 )
             )
-    return Split(
-        setting=split.setting,
-        category=split.category,
-        train=train,
-        test=split.test,
-        provenance=provenance,
-        info=dict(split.info),
-    )
+    return Split(train=train, test=split.test, provenance=provenance, info=dict(split.info))
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def inject_noise(
-    dataset: Dataset, category: str, noise_ratio: float, seed: int = 0
-) -> Split:
+def inject_noise(dataset: Dataset, category: str, noise_ratio: float, seed: int) -> Split:
     """Move seeded test abnormals into train, observed as normal.
 
     The injected count n solves n / (m + n) = noise_ratio for the m
@@ -189,7 +173,6 @@ def inject_noise(
     if not 0.0 < noise_ratio < 1.0:
         raise ProtocolError("invalid-ratio", f"noise_ratio={noise_ratio} not in (0, 1)")
     split = make_unsupervised(dataset, category)
-    split.setting = "noisy"
     m = len(split.train)
     abnormal_positions = [i for i, s in enumerate(split.test) if s.label == ABNORMAL]
     if not abnormal_positions:
@@ -222,12 +205,7 @@ class Task:
     test: list[Sample]
 
 
-@dataclass
-class TaskSequence:
-    tasks: list[Task]
-
-
-def make_continual(dataset: Dataset, category_order: list[str]) -> TaskSequence:
+def make_continual(dataset: Dataset, category_order: list[str]) -> list[Task]:
     """Order categories into tasks, each with its unsupervised train split."""
     if len(category_order) < 2:
         raise ProtocolError("too-few-categories", "continual needs at least 2 categories")
@@ -237,4 +215,4 @@ def make_continual(dataset: Dataset, category_order: list[str]) -> TaskSequence:
     for index, category in enumerate(category_order, start=1):
         base = make_unsupervised(dataset, category)
         tasks.append(Task(index=index, category=category, train=base.train, test=base.test))
-    return TaskSequence(tasks=tasks)
+    return tasks

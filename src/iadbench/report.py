@@ -238,9 +238,27 @@ def _check_renderable(document: dict, path: str) -> None:
     for label, matrix in matrices.items():
         require(
             isinstance(matrix, dict)
-            and type(matrix.get("k")) is int
+            and isinstance(matrix.get("order"), list)
+            and all(isinstance(name, str) for name in matrix["order"])
+            and type(matrix.get("k")) is int and matrix["k"] == len(matrix["order"])
             and "fm_mean" in matrix and _number_or_null(matrix["fm_mean"])
             and isinstance(matrix.get("entries"), dict)
             and all(_number_or_null(v) for v in matrix["entries"].values()),
-            f"task_matrices[{label!r}] needs an integer k, a numeric fm_mean and numeric entries",
+            f"task_matrices[{label!r}] needs an order of names, k = its length, "
+            "a numeric fm_mean and numeric entries",
         )
+        for key in matrix["entries"]:
+            require(
+                _is_entry_key(key, matrix["k"]),
+                f"task_matrices[{label!r}].entries: key {key!r} is not 'l,j' with 1 <= j <= l <= k",
+            )
+
+
+def _is_entry_key(key: str, k: int) -> bool:
+    """Whether ``key`` names a cell "l,j" of a k-step task matrix, 1 <= j <= l <= k."""
+    step, _, task = key.partition(",")
+    try:
+        l, j = int(step), int(task)
+    except ValueError:  # not integers, or too many digits to convert
+        return False
+    return 1 <= j <= l <= k and key == f"{l},{j}"

@@ -434,6 +434,9 @@ class EfficiencyStats:
     latency_ms_p95: float
 
 
+WARMUP_IMAGES = 3  # leading per-image latencies that efficiency_stats drops
+
+
 def _nearest_rank(sorted_values: list[float], q: float) -> float:
     rank = max(1, int(np.ceil(q * len(sorted_values))))
     return sorted_values[rank - 1]
@@ -455,13 +458,13 @@ def evaluate(
     return scores, maps, latencies_ms
 
 
-def efficiency_stats(latencies_ms: list[float], warmup: int = 3) -> EfficiencyStats:
-    """Per-image inference latency after warmup discards."""
-    if len(latencies_ms) < warmup + 5:
+def efficiency_stats(latencies_ms: list[float]) -> EfficiencyStats:
+    """Per-image inference latency after the first WARMUP_IMAGES are discarded."""
+    if len(latencies_ms) < WARMUP_IMAGES + 5:
         raise ConfigError(
-            "too-few-samples", f"need >= {warmup + 5} samples, got {len(latencies_ms)}"
+            "too-few-samples", f"need >= {WARMUP_IMAGES + 5} samples, got {len(latencies_ms)}"
         )
-    kept = sorted(latencies_ms[warmup:])
+    kept = sorted(latencies_ms[WARMUP_IMAGES:])
     return EfficiencyStats(
         latency_ms_mean=float(np.mean(kept)),
         latency_ms_p50=_nearest_rank(kept, 0.50),
@@ -680,17 +683,17 @@ def _run_continual_job(
     job_seed: int,
 ) -> tuple[list[CellResult], dict]:
     """Train on the categories in order; score every task seen so far after each."""
-    sequence = make_continual(dataset, order)
-    k = len(sequence.tasks)
+    tasks = make_continual(dataset, order)
+    k = len(tasks)
     bank = MemoryBank.empty(config.feature.patch_size**2)
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
-    for step, task in enumerate(sequence.tasks, start=1):
+    for step, task in enumerate(tasks, start=1):
         grids = [extract_features(i.sample.image, config.feature) for i in task.train]
         params = config.coreset_params(derive_seed(job_seed, "coreset", step))
         bank = extend_bank_for_task(bank, grids, step, params)
         state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
-        for prev in sequence.tasks[:step]:
+        for prev in tasks[:step]:
             scored = evaluate(state, prev.test)
             labels = [s.label == ABNORMAL for s in prev.test]
             entries[(step, prev.index)] = auroc(LabeledScores(scored[0], labels))
@@ -699,7 +702,7 @@ def _run_continual_job(
 
     fm = forgetting_measure(TaskMatrix(k=k, values=entries))
     cells = []
-    for task in sequence.tasks:
+    for task in tasks:
         cell = _scored_cell(
             config, dataset, task.category, label, job_seed,
             task.test, final_scores[task.index], bank, keep_bank=False,
@@ -714,7 +717,7 @@ def _run_continual_job(
         cells.append(cell)
     matrix_doc = {
         "k": k,
-        "order": [t.category for t in sequence.tasks],
+        "order": [t.category for t in tasks],
         "entries": {f"{l},{j}": v for (l, j), v in sorted(entries.items())},
         "fm_per_task": {str(j): v for j, v in sorted(fm.per_task.items())},
         "fm_mean": fm.mean,

@@ -321,10 +321,10 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     )
     bank = MemoryBank.empty(config.feature.patch_size**2)
     previous_distances: dict[int, np.ndarray] = {}
-    for step, task in enumerate(sequence.tasks, start=1):
+    for step, task in enumerate(sequence, start=1):
         grids = [extract_features(i.sample.image, config.feature) for i in task.train]
         bank = extend_bank_for_task(bank, grids, step, params(step))
-        for prev in sequence.tasks[:step]:
+        for prev in sequence[:step]:
             distances = np.concatenate(
                 [
                     score_patches(bank, extract_features(s.image, config.feature))[0]

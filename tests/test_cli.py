@@ -246,18 +246,23 @@ NOT_UTF8 = b"\xff\xfe{}"
 TOO_DEEP = b"[" * 200000
 
 
-def _results_with_cells(tmp_path, cells, seed=1) -> str:
+def _results_with_cells(tmp_path, cells, seed=1, task_matrices=None) -> str:
     from iadbench.runner import config_digest
 
     document = {"config": {}, "config_hash": config_digest({}), "cells": cells}
     if seed is not None:
         document["seed"] = seed
+    if task_matrices is not None:
+        document["task_matrices"] = task_matrices
     return _write(tmp_path, "results.json", json.dumps(document).encode())
 
 
 # the fewest fields a cell needs for both renderers
 CELL = {"cell_id": "a/unsupervised", "category": "a", "setting": "unsupervised",
         "status": "ok", "metrics": {"image_auroc": 0.5}}
+# a task matrix that render_markdown draws as a 2 x 2 table
+MATRIX = {"k": 2, "order": ["a", "b"], "entries": {"1,1": 0.9, "2,1": 0.8, "2,2": 0.7},
+          "fm_mean": 0.1}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "markdown"])
@@ -266,6 +271,12 @@ def test_report_renders_minimal_cell(tmp_path, fmt):
     assert main(["report", "--in", path, "--format", fmt]) == 0
     name = {"csv": "results.csv", "markdown": "report.md"}[fmt]
     assert "0.5000" in (tmp_path / name).read_text()
+
+
+def test_report_renders_valid_task_matrix(tmp_path):
+    path = _results_with_cells(tmp_path, [CELL], task_matrices={"continual": MATRIX})
+    assert main(["report", "--in", path, "--format", "markdown"]) == 0
+    assert "| 2 | 0.8000 | 0.7000 |" in (tmp_path / "report.md").read_text()
 
 
 @pytest.mark.parametrize(
@@ -355,6 +366,26 @@ def test_report_renders_minimal_cell(tmp_path, fmt):
                        "--format", "markdown"],
             3, "io-failure", id="report-no-seed",
         ),
+        *[
+            pytest.param(
+                lambda t, matrix=matrix: [
+                    "report", "--in",
+                    _results_with_cells(t, [CELL], task_matrices={"continual": matrix}),
+                    "--format", "markdown",
+                ],
+                3, "io-failure", id=f"report-matrix-{name}",
+            )
+            for name, matrix in [
+                # about 300 bytes that would render a 2000 x 2000 table
+                ("k-2000", dict(MATRIX, k=2000, entries={})),
+                ("k-not-order-length", dict(MATRIX, k=3)),
+                ("no-order", {key: v for key, v in MATRIX.items() if key != "order"}),
+                ("key-outside-k", dict(MATRIX, entries={"3,1": 0.5})),
+                ("key-above-diagonal", dict(MATRIX, entries={"1,2": 0.5})),
+                ("key-not-numeric", dict(MATRIX, entries={"a,b": 0.5})),
+                ("key-too-many-digits", dict(MATRIX, entries={"9" * 5000 + ",1": 0.5})),
+            ]
+        ],
     ],
 )
 def test_exit_code_table(tmp_path, capsys, make_argv, exit_code, code):

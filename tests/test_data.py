@@ -63,15 +63,6 @@ def test_empty_category(tmp_path):
     assert exc.value.code == "empty-category"
 
 
-def test_category_filter(tmp_path):
-    _make_tree(tmp_path)
-    with pytest.raises(DataError) as exc:
-        load_dataset(str(tmp_path), category_filter=["bolt"])
-    assert exc.value.code == "unknown-category"
-    dataset = load_dataset(str(tmp_path), category_filter=["widget"])
-    assert dataset.categories == ["widget"]
-
-
 def test_saturations_loaded(tmp_path):
     _make_tree(tmp_path)
     sat = {"scratch": {"relative_area": 0.25}}

@@ -85,13 +85,6 @@ def test_build_bank_single_patch():
 # --- projector ---------------------------------------------------------------------
 
 
-def test_projector_identity():
-    proj = make_projector(8, 8, seed=1)
-    v = np.arange(8.0).reshape(1, 8)
-    assert proj.apply(v) is not None
-    assert np.array_equal(proj.apply(v), v)
-
-
 def test_projector_forced_matrix():
     proj = Projector(2, 1, np.array([[1.0, 0.0]]))
     assert proj.apply(np.array([[3.0, 4.0]])).tolist() == [[3.0]]
@@ -613,10 +606,10 @@ def test_render_order_preserving_at_centers():
 
 def test_render_bad_dims():
     with pytest.raises(DetectorError) as exc:
-        render_anomaly_map(np.zeros((0, 2)), 8, 8, 4, 4)
+        render_anomaly_map(np.zeros((0, 2)), 8, 8, 4, 4, 4.0)
     assert exc.value.code == "bad-dims"
     with pytest.raises(DetectorError) as exc:
-        render_anomaly_map(np.zeros((3, 3)), 8, 8, 4, 4)  # 8px/patch4/stride4 -> 2x2
+        render_anomaly_map(np.zeros((3, 3)), 8, 8, 4, 4, 4.0)  # 8px/patch4/stride4 -> 2x2
     assert exc.value.code == "bad-dims"
 
 
@@ -694,6 +687,13 @@ def test_bank_file_errors(tmp_path):
     assert exc.value.code == "bad-magic"
 
     import struct
+
+    headless = tmp_path / "headless.iadb"
+    headless.write_bytes(struct.pack("<4sHIQ", b"IADB", 1, 4, 2)[:17])
+    with pytest.raises(FormatError) as exc:
+        read_bank_file(str(headless))
+    assert exc.value.code == "truncated-file"
+    assert "header incomplete" in exc.value.message
 
     short = tmp_path / "short.iadb"
     short.write_bytes(struct.pack("<4sHIQ", b"IADB", 1, 4, 2) + b"\x00" * 10)

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from iadbench.data import ImageGrid
-from iadbench.errors import ConfigError, FormatError
-from iadbench.features import (
-    FeatureProviderConfig,
-    PatchFeatureGrid,
-    extract_features,
-    read_feature_file,
-    write_feature_file,
-)
+from iadbench.errors import ConfigError
+from iadbench.features import FeatureProviderConfig, extract_features
 
 
 def test_grid_arithmetic():
@@ -51,47 +45,3 @@ def test_shape_law_matches_window_enumeration():
             grid.vectors[0], image.values[:p, :p].ravel().astype(np.float32)
         )
 
-
-def test_round_trip_randomized(tmp_path):
-    rng = np.random.default_rng(1)
-    path = str(tmp_path / "grid.iadf")
-    for _ in range(1000):
-        gh = int(rng.integers(1, 4))
-        gw = int(rng.integers(1, 4))
-        dim = int(rng.integers(1, 6))
-        vectors = rng.standard_normal((gh * gw, dim)).astype(np.float32)
-        grid = PatchFeatureGrid(gh, gw, dim, vectors)
-        write_feature_file(grid, path)
-        back = read_feature_file(path)
-        assert (back.grid_h, back.grid_w, back.dim) == (gh, gw, dim)
-        assert np.array_equal(back.vectors, vectors)
-
-
-def test_bad_magic(tmp_path):
-    path = tmp_path / "x.iadf"
-    path.write_bytes(b"XXXX" + b"\x00" * 32)
-    with pytest.raises(FormatError) as exc:
-        read_feature_file(str(path))
-    assert exc.value.code == "bad-magic"
-
-
-def test_truncated_payload(tmp_path):
-    import struct
-
-    path = tmp_path / "t.iadf"
-    header = struct.pack("<4sHIII", b"IADF", 1, 2, 2, 4)
-    path.write_bytes(header + b"\x00" * 60)  # needs 64 payload bytes
-    with pytest.raises(FormatError) as exc:
-        read_feature_file(str(path))
-    assert exc.value.code == "truncated-file"
-
-
-def test_version_unsupported(tmp_path):
-    import struct
-
-    path = tmp_path / "v.iadf"
-    header = struct.pack("<4sHIII", b"IADF", 9, 1, 1, 1)
-    path.write_bytes(header + b"\x00" * 4)
-    with pytest.raises(FormatError) as exc:
-        read_feature_file(str(path))
-    assert exc.value.code == "version-unsupported"

@@ -538,7 +538,7 @@ def test_efficiency_stats_counts():
     state = _tiny_state()
     samples = _samples(10)
     scored = evaluate(state, samples)
-    stats = efficiency_stats(scored[2], warmup=3)
+    stats = efficiency_stats(scored[2])
     assert stats.latency_ms_p50 <= stats.latency_ms_p95
     assert stats.latency_ms_mean > 0
     config = parse_config(_base_config())
@@ -551,7 +551,7 @@ def test_efficiency_stats_too_few():
     state = _tiny_state()
     _, _, latencies_ms = evaluate(state, _samples(4))
     with pytest.raises(ConfigError) as exc:
-        efficiency_stats(latencies_ms, warmup=3)
+        efficiency_stats(latencies_ms)
     assert exc.value.code == "too-few-samples"
 
 
