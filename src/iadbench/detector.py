@@ -51,7 +51,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
 from .errors import DetectorError, FormatError
 from .features import PatchFeatureGrid
@@ -625,8 +625,40 @@ def render_anomaly_map(
         + grid[np.ix_(y1, x1)] * wy * wx
     )
     if smoothing_sigma > 0:
-        upsampled = ndimage.gaussian_filter(upsampled, sigma=smoothing_sigma)
+        upsampled = _gaussian_blur(upsampled, smoothing_sigma)
     return upsampled
+
+
+def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur, bit-identical to ``ndimage.gaussian_filter``.
+
+    The kernel ``exp(-x^2 / (2 sigma^2))``, normalised, spans
+    ``int(4 sigma + 0.5)`` pixels each side; borders reflect
+    (``d c b a | a b c d | d c b a``), repeated for a kernel wider than
+    the image. Axis 0 is filtered first, then axis 1. Each output adds
+    ``x[i] w[r]``, then ``(x[i-j] + x[i+j]) w[r-j]`` from the outermost
+    pair inward: the order of ndimage's symmetric correlation, so every
+    rounding step is the same. Each pass filters along axis 0 of a
+    contiguous padded copy and hands on its transpose, so both passes
+    add whole rows.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    taps = taps / taps.sum()
+    out = image
+    for _axis in range(2):
+        n = out.shape[0]
+        index = np.arange(-radius, n + radius) % (2 * n)
+        padded = out[np.where(index < n, index, 2 * n - 1 - index)]
+        acc = padded[radius : radius + n] * taps[radius]
+        pair = np.empty_like(acc)
+        for j in range(radius, 0, -1):
+            lo, hi = radius - j, radius + j
+            np.add(padded[lo : lo + n], padded[hi : hi + n], out=pair)
+            pair *= taps[radius - j]
+            acc += pair
+        out = acc.T
+    return np.ascontiguousarray(out)
 
 
 def extend_bank_for_task(

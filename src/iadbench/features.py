@@ -20,7 +20,7 @@ from .errors import ConfigError, DetectorError
 class FeatureProviderConfig:
     patch_size: int
     stride: int
-    descriptor: str = "raw-patch"
+    descriptor: str
 
     def __post_init__(self):
         if self.patch_size < 1:

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
 from .data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
 from .errors import ConfigError

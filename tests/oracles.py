@@ -67,6 +67,27 @@ def flood_fill_regions(mask) -> list[list[tuple[int, int]]]:
     return regions
 
 
+def gaussian_filter_scipy(image, sigma) -> "np.ndarray":
+    """``scipy.ndimage.gaussian_filter`` at its defaults (reflect, truncate 4).
+
+    scipy is a test-only dependency, imported here on first use.
+    """
+    from scipy import ndimage
+
+    return ndimage.gaussian_filter(image, sigma=sigma)
+
+
+def label_scipy(bits) -> list["np.ndarray"]:
+    """8-connected components as ascending flat pixel indices, in
+    ``scipy.ndimage.label`` order (raster order of the first pixel)."""
+    import numpy as np
+    from scipy import ndimage
+
+    labeled, count = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+    flat = labeled.ravel()
+    return [np.flatnonzero(flat == k) for k in range(1, count + 1)]
+
+
 def region_curve_area(maps, masks, fpr_limit, relative_saturation=None) -> float:
     """Exhaustive-threshold PRO/sPRO curve area, no interpolation shortcuts.
 

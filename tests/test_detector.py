@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from iadbench.detector import (
     Projector,
     SingleThreadBlas,
     _farthest_first,
+    _gaussian_blur,
     _nearest_distances,
     build_bank,
     coreset_select,
@@ -36,6 +41,7 @@ from iadbench.features import PatchFeatureGrid
 from oracles import (
     coreset_reference,
     covering_radius,
+    gaussian_filter_scipy,
     greedy_kcenter,
     nearest_bruteforce,
     optimal_kcenter_radius,
@@ -374,6 +380,31 @@ def test_single_thread_blas_overlapping_users(monkeypatch):
     assert count[0] == 3
 
 
+def test_runtime_imports_neither_scipy_nor_lose_the_blas_pin():
+    """A fresh interpreter loading the CLI and runner imports no scipy, and
+    the BLAS pin still finds numpy's own OpenBLAS. In this suite scipy is
+    already loaded by the oracles, so only a new process can see this."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy is built against {blas.get('name')!r}, not OpenBLAS")
+    probe = (
+        "import json, sys\n"
+        "import iadbench.cli, iadbench.runner\n"
+        "from iadbench import detector\n"
+        "print(json.dumps({'scipy': 'scipy' in sys.modules,"
+        " 'controls': len(detector._openblas_thread_controls())}))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["scipy"] is False
+    assert seen["controls"] >= 1
+
+
 # --- scoring -------------------------------------------------------------------------
 
 
@@ -611,6 +642,29 @@ def test_render_bad_dims():
     with pytest.raises(DetectorError) as exc:
         render_anomaly_map(np.zeros((3, 3)), 8, 8, 4, 4, 4.0)  # 8px/patch4/stride4 -> 2x2
     assert exc.value.code == "bad-dims"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    height=st.integers(1, 48),
+    width=st.integers(1, 48),
+    sigma=st.floats(0.5, 8.0),
+    magnitude=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(height=1, width=1, sigma=8.0, magnitude=0, seed=0)
+@example(height=1, width=40, sigma=2.0, magnitude=0, seed=1)
+@example(height=40, width=1, sigma=4.0, magnitude=0, seed=2)
+@example(height=3, width=5, sigma=0.5, magnitude=3, seed=3)
+@example(height=48, width=48, sigma=2.0, magnitude=0, seed=4)
+def test_gaussian_blur_matches_scipy_bitwise(height, width, sigma, magnitude, seed):
+    """Bit for bit, including images narrower than the kernel's radius."""
+    image = np.random.default_rng(seed).random((height, width)) * 10.0**magnitude
+    before = image.tobytes()
+    got = _gaussian_blur(image, sigma)
+    assert image.tobytes() == before
+    assert got.shape == image.shape and got.flags.c_contiguous
+    assert np.array_equal(got, gaussian_filter_scipy(image, sigma))
 
 
 # --- continual extension -----------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 The digest below is the sha256 of ``results.json`` with its ``timings``
 subtree removed, re-serialised with sorted keys. It was recorded with
-Python 3.11.7, numpy 2.4.6 and scipy 1.17.1. A change to the runner, the
-protocols, the detector or the metrics that moves any result byte fails
-this test; a change that is meant to move results must say so and
-re-record the digest.
+Python 3.11.7 and numpy 2.4.6. A change to the runner, the protocols,
+the detector or the metrics that moves any result byte fails this test;
+a change that is meant to move results must say so and re-record the
+digest.
 
 The config has a sweep in each of few-shot and noisy, a supervised
 instance that fails on every category (too few test abnormals), a

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from iadbench.data import PixelMask
 from iadbench.errors import MetricError
@@ -22,6 +25,7 @@ from oracles import (
     auroc_pairwise,
     flood_fill_regions,
     forgetting_direct,
+    label_scipy,
     region_curve_area,
 )
 
@@ -127,6 +131,48 @@ def test_regions_diagonal_touch_is_one_region():
     mask = np.zeros((4, 4), bool)
     mask[0, 0] = mask[1, 1] = True
     assert len(connected_regions(PixelMask(mask)).regions) == 1
+
+
+_CORNER_RUNS = np.array(
+    [[1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 0], [1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0, 0]], bool
+)
+
+
+def _dense_mask(height, width, density, seed):
+    return np.random.default_rng(seed).random((height, width)) < density
+
+
+_MASKS = st.one_of(
+    hnp.arrays(bool, st.tuples(st.integers(1, 24), st.integers(1, 24)), elements=st.booleans()),
+    st.builds(
+        _dense_mask,
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.02, 0.9),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_MASKS)
+@example(np.zeros((1, 1), bool))
+@example(np.ones((1, 1), bool))
+@example(np.zeros((5, 7), bool))
+@example(np.ones((6, 4), bool))
+@example(np.eye(6, dtype=bool))
+@example(np.eye(6, dtype=bool)[::-1])
+@example(np.eye(3, 8, k=2, dtype=bool) | np.eye(3, 8, k=-1, dtype=bool))
+@example(np.indices((7, 7)).sum(axis=0) % 2 == 0)  # checkerboard: one region
+@example(np.array([[1, 0, 1, 1, 0, 1, 0, 1]], bool))
+@example(np.array([[1, 0, 1, 1, 0, 1, 0, 1]], bool).T)
+@example(_CORNER_RUNS)
+@example(_CORNER_RUNS[::-1])
+@example(_CORNER_RUNS[:, ::-1])
+def test_regions_match_scipy_label(bits):
+    """Same regions, same order, same pixels as ``ndimage.label`` (8-connected)."""
+    got = [r.pixels.tolist() for r in connected_regions(PixelMask(bits)).regions]
+    assert got == [pixels.tolist() for pixels in label_scipy(bits)]
 
 
 def test_regions_match_flood_fill_oracle():

@@ -521,7 +521,7 @@ def _tiny_state(bank_vectors=1000, dim=16):
         np.zeros((bank_vectors, dim), np.float32),
         np.zeros(bank_vectors, np.uint32),
     )
-    return DetectorState(bank, FeatureProviderConfig(4, 4), 1, 0.0)
+    return DetectorState(bank, FeatureProviderConfig(4, 4, "raw-patch"), 1, 0.0)
 
 
 def _samples(count):
