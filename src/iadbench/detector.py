@@ -13,7 +13,12 @@ The nearest-neighbour search is exact. A screen from one BLAS matmul,
 bound of its row's minimum; those candidates are re-ranked with the
 reference ``((t - b)**2).sum()``, so only reference values reach an
 output. Peak memory per chunk of test patches is a few ``chunk x bank``
-arrays, never a ``chunk x bank x dim`` one.
+arrays, never a ``chunk x bank x dim`` one. Search and re-weighting read
+a ``SearchIndex``: the bank's vectors in float64 and their squared
+norms, prepared once per bank and extended, not rebuilt, when a task
+appends vectors. Because banks only grow at the end and ties go to the
+lowest index, a search can also start from a known answer over the
+bank's first rows and look only at the rows appended since (``search``).
 
 The coreset's farthest-first update is exact in the same way. The
 points are sorted once by norm. At each pick q with current covering
@@ -454,19 +459,62 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
     return selected, min_d2
 
 
+@dataclass(frozen=True)
+class SearchIndex:
+    """A bank's vectors as the searches read them: float64 rows and their squared norms.
+
+    Built once per bank, and extended rather than rebuilt when a task
+    appends vectors, so no search converts the bank again. The float64
+    rows equal the float32 ones exactly.
+    """
+
+    vectors: np.ndarray  # (count, dim) float64
+    sq: np.ndarray  # (count,) float64, ||row||^2 as the screen computes it
+
+    @classmethod
+    def of(cls, vectors: np.ndarray) -> "SearchIndex":
+        rows = np.asarray(vectors, dtype=np.float64)
+        return cls(rows, np.einsum("nd,nd->n", rows, rows))
+
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[0]
+
+    def extended(self, vectors: np.ndarray) -> "SearchIndex":
+        """The index of this bank with ``vectors`` appended."""
+        new = SearchIndex.of(vectors)
+        return SearchIndex(
+            np.concatenate([self.vectors, new.vectors]), np.concatenate([self.sq, new.sq])
+        )
+
+
+@dataclass(frozen=True)
+class Nearest:
+    """Per test vector, its nearest among a bank's first ``rows`` vectors."""
+
+    rows: int
+    d2: np.ndarray  # (n,) float64 reference squared distance
+    index: np.ndarray  # (n,) int64 bank index, the lowest on ties
+
+
 @dataclass
 class ScoreResult:
     s_star: float  # raw max-min distance over patches
     neighbor_index: int  # bank index of the winning patch's nearest vector
     s: float  # re-weighted image score, 0 <= s <= s_star
+    nearest: Nearest  # per patch, for a later search of appended rows
 
 
-def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per test vector: (Euclidean distance, index) of the nearest bank vector.
+def _nearest_distances(
+    index: SearchIndex, vectors: np.ndarray, start: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per test vector: (squared distance, bank index) of the nearest of
+    the index's rows ``start`` onwards.
 
-    The result equals the reference search bit for bit: for each test
-    vector t, the bank index j minimising d_j = ``((t - b_j)**2).sum()``
-    in float64, ties to the lowest j, and ``sqrt(d_j)``.
+    The result equals the reference search over those rows bit for bit:
+    for each test vector t, the bank index j >= start minimising
+    d_j = ``((t - b_j)**2).sum()`` in float64, ties to the lowest j, and
+    d_j.
 
     Screen. For each chunk of test vectors one matmul gives
     s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j; ``_screen_tolerance`` gives
@@ -483,16 +531,16 @@ def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarra
     is inf keep every index and equal the reference exactly; this
     includes every row whose screen is not finite.
     """
-    bank_v = bank.vectors.astype(np.float64)
+    bank_v = index.vectors[start:]
+    bank_sq = index.sq[start:]
     test_v = np.asarray(vectors, dtype=np.float64)
     dim = bank_v.shape[1]
-    bank_sq = np.einsum("nd,nd->n", bank_v, bank_v)
     bank_sq_max = bank_sq.max()
     pairs_per_block = max(1, _RERANK_ELEMENTS // dim)
     nn_idx = np.empty(test_v.shape[0], dtype=np.int64)
     nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
-    for start in range(0, test_v.shape[0], _SCORE_CHUNK):
-        chunk = test_v[start : start + _SCORE_CHUNK]
+    for first in range(0, test_v.shape[0], _SCORE_CHUNK):
+        chunk = test_v[first : first + _SCORE_CHUNK]
         rows = np.arange(chunk.shape[0])
         test_sq = np.einsum("nd,nd->n", chunk, chunk)
         screen = chunk @ bank_v.T
@@ -509,27 +557,57 @@ def _nearest_distances(bank: MemoryBank, vectors: np.ndarray) -> tuple[np.ndarra
             t_rows, b_rows = np.divmod(pick, bank_v.shape[0])
             flat[pick] = ((chunk[t_rows] - bank_v[b_rows]) ** 2).sum(axis=1)
         idx = np.argmin(screen, axis=1)
-        nn_idx[start : start + chunk.shape[0]] = idx
-        nn_d2[start : start + chunk.shape[0]] = screen[rows, idx]
-    return np.sqrt(nn_d2), nn_idx
+        nn_idx[first : first + chunk.shape[0]] = idx
+        nn_d2[first : first + chunk.shape[0]] = screen[rows, idx]
+    nn_idx += start
+    return nn_d2, nn_idx
+
+
+def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None) -> Nearest:
+    """Each test vector's nearest over every row of ``index``.
+
+    ``known`` is the answer for the same vectors over the index's first
+    ``known.rows`` rows; then only the rows after those are searched.
+    The result is bit-identical to searching every row: a row appended
+    later has a higher index, so it replaces the known winner only when
+    its reference d^2 is strictly smaller, and a tie keeps the older,
+    lower index, as the full search's argmin does. The comparison is on
+    d^2, never on its square root, which can round two distances to a
+    tie. A test vector's d^2 is NaN for every row of a finite bank or
+    for none, so NaN keeps the known index, as argmin would.
+    """
+    start = 0 if known is None else known.rows
+    d2, idx = _nearest_distances(index, vectors, start)
+    if known is not None:
+        older = ~(d2 < known.d2)
+        d2[older] = known.d2[older]
+        idx[older] = known.index[older]
+    return Nearest(index.count, d2, idx)
 
 
 def score_patches(
-    bank: MemoryBank, grid: PatchFeatureGrid
-) -> tuple[np.ndarray, float, int, int]:
-    """Nearest-bank distance per patch plus the maximum-score summary.
+    bank: MemoryBank,
+    grid: PatchFeatureGrid,
+    index: SearchIndex | None = None,
+    known: Nearest | None = None,
+) -> tuple[Nearest, float, int, int]:
+    """Nearest bank vector per patch plus the maximum-score summary.
 
-    Returns (distances in row-major patch order, s_star, patch_index,
-    neighbor_index); argmax ties resolve to the lowest row-major patch,
-    nearest-neighbor ties to the lowest bank index.
+    ``index`` is the bank's search index (built here when None); ``known``
+    lets ``search`` look only at the rows appended since it was found.
+    Returns (per-patch Nearest in row-major patch order, s_star,
+    patch_index, neighbor_index). s_star is the largest sqrt(d^2);
+    argmax ties resolve to the lowest row-major patch, nearest-neighbor
+    ties to the lowest bank index.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "bank has no vectors")
     if grid.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
-    distances, neighbors = _nearest_distances(bank, grid.vectors)
+    nearest = search(SearchIndex.of(bank.vectors) if index is None else index, grid.vectors, known)
+    distances = np.sqrt(nearest.d2)
     patch_index = int(np.argmax(distances))
-    return distances, float(distances[patch_index]), patch_index, int(neighbors[patch_index])
+    return nearest, float(distances[patch_index]), patch_index, int(nearest.index[patch_index])
 
 
 def reweight(
@@ -538,6 +616,7 @@ def reweight(
     s_star: float,
     neighbor_index: int,
     b: int,
+    index: SearchIndex | None = None,
 ) -> float:
     """Softmax importance re-weighting of the raw image score.
 
@@ -545,6 +624,7 @@ def reweight(
     vectors nearest to the test vector (including its nearest neighbor)
     form the neighborhood; the score scales by one minus the softmax
     weight of the nearest neighbor, with max-subtraction for stability.
+    ``index``, the bank's search index, saves converting the bank.
     """
     if not 1 <= b <= bank.count:
         raise DetectorError("b-out-of-range", f"b={b} for bank of {bank.count}")
@@ -553,7 +633,8 @@ def reweight(
     test = np.asarray(test_vector, dtype=np.float64).ravel()
     if test.size != bank.dim:
         raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {bank.dim}")
-    d = np.sqrt(((bank.vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+    rows = bank.vectors if index is None else index.vectors
+    d = np.sqrt(((rows.astype(np.float64, copy=False) - test) ** 2).sum(axis=1))
     order = np.lexsort((np.arange(bank.count), d))  # distance, then index
     hood = d[order[:b]]
     d_star = d[neighbor_index]
@@ -563,17 +644,24 @@ def reweight(
 
 
 def score_image(
-    bank: MemoryBank, grid: PatchFeatureGrid, b: int
+    bank: MemoryBank,
+    grid: PatchFeatureGrid,
+    b: int,
+    index: SearchIndex | None = None,
+    known: Nearest | None = None,
 ) -> tuple[ScoreResult, np.ndarray]:
     """Image-level score plus the grid-resolution anomaly map.
 
     The map keeps the raw per-patch nearest distances; only the scalar
-    image score is re-weighted.
+    image score is re-weighted. ``index`` and ``known`` are as in
+    ``score_patches``; re-weighting always ranks the whole bank.
     """
-    distances, s_star, patch_index, neighbor_index = score_patches(bank, grid)
-    s = reweight(bank, grid.vectors[patch_index], s_star, neighbor_index, b)
-    patch_map = distances.reshape(grid.grid_h, grid.grid_w)
-    return ScoreResult(s_star, neighbor_index, s), patch_map
+    if index is None:
+        index = SearchIndex.of(bank.vectors)
+    nearest, s_star, patch_index, neighbor_index = score_patches(bank, grid, index, known)
+    s = reweight(bank, grid.vectors[patch_index], s_star, neighbor_index, b, index)
+    patch_map = np.sqrt(nearest.d2).reshape(grid.grid_h, grid.grid_w)
+    return ScoreResult(s_star, neighbor_index, s, nearest), patch_map
 
 
 def render_anomaly_map(
@@ -678,10 +766,10 @@ def extend_bank_for_task(
             f"task {task_index} not greater than existing tags",
         )
     task_bank = build_bank(new_grids)
-    picked = coreset_select(task_bank, per_task_params)
-    new_tags = np.full(len(picked), task_index, dtype=np.uint32)
     if task_bank.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"task dim {task_bank.dim} != {bank.dim}")
+    picked = coreset_select(task_bank, per_task_params)
+    new_tags = np.full(len(picked), task_index, dtype=np.uint32)
     vectors = np.concatenate([bank.vectors, task_bank.vectors[picked]], axis=0)
     tags = np.concatenate([bank.task_tags, new_tags])
     return MemoryBank(bank.dim, vectors, tags)

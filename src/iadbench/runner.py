@@ -26,6 +26,9 @@ from .data import ABNORMAL, NORMAL, Dataset, Sample, dataset_digest, load_datase
 from .detector import (
     CoresetParams,
     MemoryBank,
+    Nearest,
+    ScoreResult,
+    SearchIndex,
     build_bank,
     coreset_select,
     extend_bank_for_task,
@@ -406,16 +409,35 @@ def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig
 
 @dataclass
 class DetectorState:
-    """A scored-and-frozen bank plus the knobs needed to run inference."""
+    """A frozen bank, its search index and the knobs needed to run inference."""
 
     bank: MemoryBank
     feature: FeatureProviderConfig
     b: int
     smoothing_sigma: float
+    index: SearchIndex | None = None  # the bank's; built from it when not given
 
-    def score_sample(self, sample: Sample) -> tuple[float, np.ndarray]:
+    def __post_init__(self):
+        if self.index is None:
+            self.index = SearchIndex.of(self.bank.vectors)
+
+    def extended(self, bank: MemoryBank) -> "DetectorState":
+        """This state over ``bank``, which appends vectors to this state's bank."""
+        return replace(self, bank=bank, index=self.index.extended(bank.vectors[self.bank.count :]))
+
+    def score_sample(
+        self, sample: Sample, known: Nearest | None = None, render: bool = True
+    ) -> tuple[ScoreResult, np.ndarray | None]:
+        """The sample's score and, when ``render``, its pixel map.
+
+        ``known`` is the sample's ``ScoreResult.nearest`` from an earlier
+        state whose bank this one extends; only the appended rows are
+        then searched.
+        """
         grid = extract_features(sample.image, self.feature)
-        result, patch_map = score_image(self.bank, grid, self.b)
+        result, patch_map = score_image(self.bank, grid, self.b, self.index, known)
+        if not render:
+            return result, None
         pixel_map = render_anomaly_map(
             patch_map,
             sample.image.height,
@@ -424,7 +446,7 @@ class DetectorState:
             self.feature.stride,
             self.smoothing_sigma,
         )
-        return result.s, pixel_map
+        return result, pixel_map
 
 
 @dataclass
@@ -443,17 +465,29 @@ def _nearest_rank(sorted_values: list[float], q: float) -> float:
 
 
 def evaluate(
-    state: DetectorState, samples: list[Sample]
-) -> tuple[list[float], list[np.ndarray], list[float]]:
-    """Score each sample once: image scores, pixel maps, wall-clock ms per image."""
+    state: DetectorState,
+    samples: list[Sample],
+    known: list[Nearest | None] | None = None,
+    render: bool = True,
+) -> tuple[list[float], list[np.ndarray | None], list[float]]:
+    """Score each sample once: image scores, pixel maps, wall-clock ms per image.
+
+    ``known``, when given, holds each sample's last search
+    (``ScoreResult.nearest``; None before the first) against an earlier
+    state whose bank this one extends: only the appended rows are
+    searched, and each entry is replaced by the new search. Maps are
+    None unless ``render``.
+    """
     scores = []
     maps = []
     latencies_ms = []
-    for sample in samples:
+    for i, sample in enumerate(samples):
         start = time.perf_counter()
-        score, pixel_map = state.score_sample(sample)
+        result, pixel_map = state.score_sample(sample, None if known is None else known[i], render)
         latencies_ms.append((time.perf_counter() - start) * 1000.0)
-        scores.append(score)
+        if known is not None:
+            known[i] = result.nearest
+        scores.append(result.s)
         maps.append(pixel_map)
     return scores, maps, latencies_ms
 
@@ -665,10 +699,12 @@ def _run_plain_cell(
 ) -> CellResult:
     split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
     bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"))
-    state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
+    # the state, and with it the bank's search index, is freed before the metrics run
+    scored = evaluate(
+        DetectorState(bank, config.feature, config.b, config.smoothing_sigma), split.test
+    )
     cell = _scored_cell(
-        config, dataset, category, setting["label"], cell_seed,
-        split.test, evaluate(state, split.test), bank, keep_bank,
+        config, dataset, category, setting["label"], cell_seed, split.test, scored, bank, keep_bank
     )
     cell.provenance = [asdict(p) for p in split.provenance]
     cell.info = split.info
@@ -682,23 +718,46 @@ def _run_continual_job(
     label: str,
     job_seed: int,
 ) -> tuple[list[CellResult], dict]:
-    """Train on the categories in order; score every task seen so far after each."""
+    """Train on the categories in order; score every task seen so far after each.
+
+    Banks are append-only and search ties go to the lowest index, so
+    after step l a test patch's nearest vector changes only if one
+    appended at step l is strictly closer (``detector.search``). Each
+    step therefore searches every earlier task's test set against only
+    the step's new slice, merging into that task's per-patch (d^2,
+    index) from the step before; only the new task is searched against
+    the whole bank. Over k steps each task's test set meets each of the
+    k slices once: k^2 slice searches, where rescoring every seen task
+    against the whole bank takes sum(l^2). Image scores, the task matrix
+    and the final cells are bit-identical to that rescoring. Test
+    features are re-extracted each step, since caching them would grow
+    with k x test set x patches x dim; re-weighting ranks the whole
+    bank; maps are rendered at step k only, and the cells' latencies
+    time that final pass per image.
+    """
     tasks = make_continual(dataset, order)
     k = len(tasks)
-    bank = MemoryBank.empty(config.feature.patch_size**2)
+    state = DetectorState(
+        MemoryBank.empty(config.feature.patch_size**2),
+        config.feature,
+        config.b,
+        config.smoothing_sigma,
+    )
+    known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
     for step, task in enumerate(tasks, start=1):
         grids = [extract_features(i.sample.image, config.feature) for i in task.train]
         params = config.coreset_params(derive_seed(job_seed, "coreset", step))
-        bank = extend_bank_for_task(bank, grids, step, params)
-        state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
+        state = state.extended(extend_bank_for_task(state.bank, grids, step, params))
         for prev in tasks[:step]:
-            scored = evaluate(state, prev.test)
+            scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
             entries[(step, prev.index)] = auroc(LabeledScores(scored[0], labels))
             if step == k:
                 final_scores[prev.index] = scored
+    bank = state.bank
+    del state, known  # the search index and the cached searches, before the metrics run
 
     fm = forgetting_measure(TaskMatrix(k=k, values=entries))
     cells = []

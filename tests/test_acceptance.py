@@ -320,19 +320,19 @@ def test_criterion_10_continual_memory_bank(bench_runs):
         derive_seed(42, "acceptance-continual", step)
     )
     bank = MemoryBank.empty(config.feature.patch_size**2)
-    previous_distances: dict[int, np.ndarray] = {}
+    previous_d2: dict[int, np.ndarray] = {}
     for step, task in enumerate(sequence, start=1):
         grids = [extract_features(i.sample.image, config.feature) for i in task.train]
         bank = extend_bank_for_task(bank, grids, step, params(step))
         for prev in sequence[:step]:
-            distances = np.concatenate(
+            d2 = np.concatenate(
                 [
-                    score_patches(bank, extract_features(s.image, config.feature))[0]
+                    score_patches(bank, extract_features(s.image, config.feature))[0].d2
                     for s in prev.test
                 ]
             )
-            if prev.index in previous_distances:
-                assert np.all(distances <= previous_distances[prev.index])
-            previous_distances[prev.index] = distances
+            if prev.index in previous_d2:
+                assert np.all(d2 <= previous_d2[prev.index])
+            previous_d2[prev.index] = d2
     _report(10, f"continual mean FM = {matrix['fm_mean']:.4f} <= 0.05; "
                 f"append-only banks never increase earlier-task distances")

@@ -20,6 +20,7 @@ from iadbench.detector import (
     CoresetParams,
     MemoryBank,
     Projector,
+    SearchIndex,
     SingleThreadBlas,
     _farthest_first,
     _gaussian_blur,
@@ -33,6 +34,7 @@ from iadbench.detector import (
     reweight,
     score_image,
     score_patches,
+    search,
     single_thread_blas,
     write_bank_file,
 )
@@ -411,15 +413,15 @@ def test_runtime_imports_neither_scipy_nor_lose_the_blas_pin():
 def test_score_patches_hand_example():
     bank = _bank([[0.0, 0.0]])
     grid = _grid([[0.0, 0.0], [5.0, 0.0]])
-    distances, s_star, patch_index, neighbor = score_patches(bank, grid)
-    assert distances.tolist() == [0.0, 5.0]
+    nearest, s_star, patch_index, neighbor = score_patches(bank, grid)
+    assert (nearest.rows, nearest.d2.tolist(), nearest.index.tolist()) == (1, [0.0, 25.0], [0, 0])
     assert (s_star, patch_index, neighbor) == (5.0, 1, 0)
 
 
 def test_score_patches_nearest_choice():
     bank = _bank([[0.0, 0.0], [1.0, 0.0]])
     grid = _grid([[0.0, 1.0]])
-    distances, s_star, patch_index, neighbor = score_patches(bank, grid)
+    _, s_star, patch_index, neighbor = score_patches(bank, grid)
     assert s_star == pytest.approx(1.0)
     assert neighbor == 0  # 1 < sqrt(2)
 
@@ -467,12 +469,50 @@ def _search_case(kind, dim, bank_size, test_count, seed):
 @example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
 def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
     bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
-    bank = MemoryBank(dim, bank_v, np.zeros(bank_size, np.uint32))
     with np.errstate(over="ignore", invalid="ignore"):
-        distances, indices = _nearest_distances(bank, tests)
+        d2, indices = _nearest_distances(SearchIndex.of(bank_v), tests)
         want_d, want_i = nearest_bruteforce(bank_v, tests)
     assert indices.tolist() == want_i
-    assert distances.tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
+    assert np.sqrt(d2).tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["random", "duplicates", "equidistant", "offset", "overflow", "cross-slice-tie"]
+    ),
+    dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
+    slice_sizes=st.lists(st.integers(1, 10), min_size=2, max_size=5),
+    test_count=st.sampled_from([1, 255, 257]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="cross-slice-tie", dim=3, slice_sizes=[4, 4, 4], test_count=257, seed=0)
+@example(kind="cross-slice-tie", dim=1, slice_sizes=[1, 1, 1, 1, 1], test_count=255, seed=1)
+@example(kind="offset", dim=64, slice_sizes=[6, 10, 8], test_count=257, seed=2)
+@example(kind="overflow", dim=9, slice_sizes=[3, 5], test_count=255, seed=3)
+def test_search_of_appended_slices_matches_whole_bank_bitwise(
+    kind, dim, slice_sizes, test_count, seed
+):
+    bounds = np.cumsum(slice_sizes)
+    if kind == "cross-slice-tie":
+        # every later vector repeats one of the first slice, so a test
+        # vector's nearest distance recurs at a higher index: the lower wins
+        first, tests = _search_case("equidistant", dim, slice_sizes[0], test_count, seed)
+        repeats = np.random.default_rng(seed).integers(0, slice_sizes[0], bounds[-1] - bounds[0])
+        bank_v = np.concatenate([first, first[repeats]])
+    else:
+        bank_v, tests = _search_case(kind, dim, int(bounds[-1]), test_count, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        index = SearchIndex.of(bank_v[: bounds[0]])
+        nearest = search(index, tests)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            index = index.extended(bank_v[lo:hi])
+            nearest = search(index, tests, nearest)
+        want_d2, want_i = _nearest_distances(SearchIndex.of(bank_v), tests)
+    assert index.vectors.tobytes() == bank_v.astype(np.float64).tobytes()
+    assert nearest.rows == bank_v.shape[0]
+    assert nearest.index.tolist() == want_i.tolist()
+    assert nearest.d2.tobytes() == want_d2.tobytes()
 
 
 def test_nearest_distances_all_duplicate_bank_memory():
@@ -481,12 +521,12 @@ def test_nearest_distances_all_duplicate_bank_memory():
     tests = np.random.default_rng(3).random((_SCORE_CHUNK, dim))
     tracemalloc.start()
     try:
-        distances, indices = _nearest_distances(bank, tests)
+        d2, indices = _nearest_distances(SearchIndex.of(bank.vectors), tests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert indices.tolist() == [0] * _SCORE_CHUNK  # every index ties; lowest wins
-    assert distances.tolist() == [float(np.sqrt(((t - 0.5) ** 2).sum())) for t in tests]
+    assert d2.tolist() == [float(((t - 0.5) ** 2).sum()) for t in tests]
     broadcast = _SCORE_CHUNK * count * dim * 8  # the chunk x bank x dim float64 array
     assert peak < broadcast / 8
 
@@ -705,6 +745,18 @@ def test_extend_task_order_violation():
     assert exc.value.code == "task-order-violation"
 
 
+def test_extend_checks_dim_before_coreset(monkeypatch):
+    def no_coreset(bank, params):
+        raise AssertionError("coreset_select ran on a task of the wrong dim")
+
+    monkeypatch.setattr(detector, "coreset_select", no_coreset)
+    bank = MemoryBank(2, np.zeros((1, 2), np.float32), np.ones(1, np.uint32))
+    grid = PatchFeatureGrid(1, 1, 3, np.zeros((1, 3), np.float32))
+    with pytest.raises(DetectorError) as exc:
+        extend_bank_for_task(bank, [grid], 2, CoresetParams(l=1))
+    assert (exc.value.code, exc.value.message) == ("dim-mismatch", "task dim 3 != 2")
+
+
 def test_extend_never_increases_earlier_distances():
     rng = np.random.default_rng(17)
     g1 = PatchFeatureGrid(4, 4, 3, rng.random((16, 3)).astype(np.float32))
@@ -714,7 +766,7 @@ def test_extend_never_increases_earlier_distances():
     bank2 = extend_bank_for_task(bank1, [g2], 2, CoresetParams(l=8))
     before, _, _, _ = score_patches(bank1, probe)
     after, _, _, _ = score_patches(bank2, probe)
-    assert np.all(after <= before + 1e-15)
+    assert np.all(after.d2 <= before.d2)  # the search is exact: no slack
 
 
 # --- bank snapshots ------------------------------------------------------------------------

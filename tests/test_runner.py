@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iadbench import runner
+from iadbench import detector, runner
 from iadbench.data import Sample
 from iadbench.detector import build_bank, read_bank_file
 from iadbench.errors import BenchError, ConfigError, DataError, ReportError
@@ -446,6 +446,67 @@ def test_continual_task_matrix(sweep_run):
     assert by_cat[last]["na_reasons"]["fm"] == "fm-undefined-for-final-task"
 
 
+def _without_timings(document: dict) -> str:
+    return json.dumps({k: v for k, v in document.items() if k != "timings"}, sort_keys=True)
+
+
+def test_continual_incremental_matches_full_rescoring(monkeypatch):
+    k, test_images = 4, 4 + 6  # categories; normal + abnormal test images per category
+    dataset = {
+        "synthetic": {
+            "categories": k,
+            "normals_train": 6,
+            "normals_test": 4,
+            "abnormals_test": 6,
+            "image_size": 24,
+            "defect_kinds": ["blob", "scratch"],
+        }
+    }
+    config = parse_config(_base_config(dataset=dataset, setting={"type": "continual"}))
+
+    # the work counters: bank rows each search starts and stops at, and maps rendered
+    searches, renders = [], []
+    nearest_distances = detector._nearest_distances
+    render_anomaly_map = runner.render_anomaly_map
+
+    def searching(index, vectors, start=0):
+        searches.append((start, index.count))
+        return nearest_distances(index, vectors, start)
+
+    def rendering(*args):
+        renders.append(args[0].shape)
+        return render_anomaly_map(*args)
+
+    monkeypatch.setattr(detector, "_nearest_distances", searching)
+    monkeypatch.setattr(runner, "render_anomaly_map", rendering)
+    incremental = run_experiment(config, threads=1).document
+    monkeypatch.undo()
+
+    # the reference: after each step every seen task is rescored against
+    # the whole bank, with maps, as if nothing were known from the step before
+    full = runner.evaluate
+    monkeypatch.setattr(
+        runner, "evaluate", lambda state, samples, known=None, render=True: full(state, samples)
+    )
+    reference = run_experiment(config, threads=1).document
+
+    assert incremental["task_matrices"]["continual"]["k"] == k
+    assert json.dumps(incremental["task_matrices"]) == json.dumps(reference["task_matrices"])
+    assert _without_timings(incremental) == _without_timings(reference)
+
+    # each search covers whole slices: from a step's first row to its last
+    steps = sorted({stop for _, stop in searches})
+    assert len(steps) == k
+    assert {start for start, _ in searches} <= {0, *steps[:-1]}
+    slices = sum(sum(start < stop_l <= stop for stop_l in steps) for start, stop in searches)
+    # the k tasks' test sets each meet each of the k slices once: k^2
+    # slice searches per test image position, where rescoring every seen
+    # task against the whole bank takes sum(l^2) = 30
+    assert len(searches) == test_images * k * (k + 1) // 2
+    assert slices == test_images * k**2
+    assert len(renders) == test_images * k
+
+
 def test_efficiency_sanity(sweep_run):
     result, _ = sweep_run
     timings = result.document["timings"]
@@ -559,9 +620,9 @@ def test_plain_cell_scores_each_test_image_once(monkeypatch):
     scored = []
     score_sample = DetectorState.score_sample
 
-    def counting(self, sample):
+    def counting(self, sample, *args):
         scored.append((sample.category, sample.id))
-        return score_sample(self, sample)
+        return score_sample(self, sample, *args)
 
     monkeypatch.setattr(DetectorState, "score_sample", counting)
     result = run_experiment(parse_config(_base_config()), threads=1)
@@ -618,9 +679,9 @@ def test_run_restores_blas_threads(blas_counts, monkeypatch):
     inside = []
     score_sample = DetectorState.score_sample
 
-    def recording(self, sample):
+    def recording(self, sample, *args):
         inside.append(blas_counts())
-        return score_sample(self, sample)
+        return score_sample(self, sample, *args)
 
     monkeypatch.setattr(DetectorState, "score_sample", recording)
     run_experiment(parse_config(_base_config()), threads=2)
