@@ -635,8 +635,7 @@ def reweight(
         raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {bank.dim}")
     rows = bank.vectors if index is None else index.vectors
     d = np.sqrt(((rows.astype(np.float64, copy=False) - test) ** 2).sum(axis=1))
-    order = np.lexsort((np.arange(bank.count), d))  # distance, then index
-    hood = d[order[:b]]
+    hood = np.sort(np.partition(d, b - 1)[:b])  # the b smallest, ascending
     d_star = d[neighbor_index]
     shift = hood.max()
     weight = np.exp(d_star - shift) / np.sum(np.exp(hood - shift))
@@ -654,7 +653,7 @@ def score_image(
 
     The map keeps the raw per-patch nearest distances; only the scalar
     image score is re-weighted. ``index`` and ``known`` are as in
-    ``score_patches``; re-weighting always ranks the whole bank.
+    ``score_patches``; re-weighting always reads the whole bank.
     """
     if index is None:
         index = SearchIndex.of(bank.vectors)
@@ -678,6 +677,13 @@ def render_anomaly_map(
     (r*stride + (patch_size-1)/2, likewise for columns); pixels outside
     the span of centers clamp to the border value. A Gaussian blur with
     ``smoothing_sigma`` pixels follows (sigma = 0 disables it).
+
+    Each pixel is ``((g00 (1-wy)) (1-wx)) + ((g01 (1-wy)) wx)
+    + ((g10 wy) (1-wx)) + ((g11 wy) wx)``, added left to right. The grid
+    rows are weighted by ``1 - wy`` and ``wy`` first, at image height by
+    grid width; each term is then a column take of one of them, scaled by
+    ``1 - wx`` or ``wx`` in one scratch buffer, so only the result and
+    that buffer are full-size.
     """
     grid = np.asarray(patch_map, dtype=np.float64)
     if grid.ndim != 2 or grid.size == 0:
@@ -704,14 +710,19 @@ def render_anomaly_map(
 
     y0, y1, wy = coords(image_h, gh)
     x0, x1, wx = coords(image_w, gw)
-    wy = wy[:, None]
-    wx = wx[None, :]
-    upsampled = (
-        grid[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-        + grid[np.ix_(y0, x1)] * (1 - wy) * wx
-        + grid[np.ix_(y1, x0)] * wy * (1 - wx)
-        + grid[np.ix_(y1, x1)] * wy * wx
-    )
+    top = grid[y0] * (1 - wy)[:, None]
+    bottom = grid[y1] * wy[:, None]
+    # mode="clip" lets take write straight into ``out``; the indices are
+    # in range by construction, so it clips nothing
+    vx = 1 - wx
+    upsampled = np.take(top, x0, axis=1, mode="clip")
+    upsampled *= vx
+    term = np.empty_like(upsampled)
+    for rows, cols, weight in ((top, x1, wx), (bottom, x0, vx), (bottom, x1, wx)):
+        np.take(rows, cols, axis=1, out=term, mode="clip")
+        term *= weight
+        upsampled += term
+    del term, rows, top, bottom  # the blur's buffers peak next
     if smoothing_sigma > 0:
         upsampled = _gaussian_blur(upsampled, smoothing_sigma)
     return upsampled

@@ -326,11 +326,14 @@ def _overlap_curve_area(
 
     # A pixel is covered from the threshold equal to its score on: index
     # k - above in descending order, or k if it is below every kept one.
-    # Coverage changes only at those indices, so the overlap is summed,
-    # region by region as before, once per stretch between two of them
-    # and then repeated over the stretch.
+    # Each region's entries come ascending from its scores sorted first
+    # (searched in order, then reversed). Coverage changes only at those
+    # indices, so the overlap is summed, region by region as before, once
+    # per stretch between two of them and then repeated over the stretch.
+    # Every entry below k starts a stretch, so a region's coverage over
+    # the stretches is a running count of its entries at each start.
     entries = [
-        np.sort(k - np.searchsorted(ascending, scores, side="right"))
+        (k - np.searchsorted(ascending, np.sort(scores), side="right"))[::-1]
         for scores, _sat in region_scores
     ]
     del ascending
@@ -339,8 +342,10 @@ def _overlap_curve_area(
     starts = starts[starts < k]
     overlap = np.zeros(starts.size, dtype=np.float64)
     for entered, (_scores, sat) in zip(entries, region_scores):
-        covered = np.searchsorted(entered, starts, side="right")
-        overlap += np.minimum(covered / sat, 1.0)
+        below = entered[: np.searchsorted(entered, k, side="left")]
+        covered = np.bincount(np.searchsorted(starts, below), minlength=starts.size)
+        share = np.cumsum(covered, out=covered) / sat
+        overlap += np.minimum(share, 1.0, out=share)
     overlap /= len(region_scores)
     ys[1:] = np.repeat(overlap, np.diff(starts, append=k))
     return _integrate_to_limit(xs, ys, fpr_limit)

@@ -83,7 +83,12 @@ class SynthSpec:
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.round(np.clip(values, 0.0, 1.0) * 255.0) / 255.0
+    # round(clip(v) * 255) / 255, in one fresh array
+    out = np.clip(values, 0.0, 1.0)
+    out *= 255.0
+    np.round(out, out=out)
+    out /= 255.0
+    return out
 
 
 def _background(category_index: int, size: int) -> np.ndarray:

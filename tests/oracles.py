@@ -77,6 +77,57 @@ def gaussian_filter_scipy(image, sigma) -> "np.ndarray":
     return ndimage.gaussian_filter(image, sigma=sigma)
 
 
+def render_reference(patch_map, image_h, image_w, patch_size, stride, smoothing_sigma):
+    """The package's original map rendering, verbatim: four ``np.ix_``
+    gathers of the full map weighted and summed in one expression, then
+    ``gaussian_filter_scipy`` (skipped at sigma 0). Input checks are left
+    out."""
+    import numpy as np
+
+    grid = np.asarray(patch_map, dtype=np.float64)
+    gh, gw = grid.shape
+    offset = (patch_size - 1) / 2.0
+
+    def coords(n_pixels, n_cells):
+        u = (np.arange(n_pixels, dtype=np.float64) - offset) / stride
+        u = np.clip(u, 0.0, n_cells - 1.0)
+        lo = np.floor(u).astype(np.int64)
+        lo = np.minimum(lo, n_cells - 1)
+        hi = np.minimum(lo + 1, n_cells - 1)
+        return lo, hi, u - lo
+
+    y0, y1, wy = coords(image_h, gh)
+    x0, x1, wx = coords(image_w, gw)
+    wy = wy[:, None]
+    wx = wx[None, :]
+    upsampled = (
+        grid[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
+        + grid[np.ix_(y0, x1)] * (1 - wy) * wx
+        + grid[np.ix_(y1, x0)] * wy * (1 - wx)
+        + grid[np.ix_(y1, x1)] * wy * wx
+    )
+    if smoothing_sigma > 0:
+        upsampled = gaussian_filter_scipy(upsampled, smoothing_sigma)
+    return upsampled
+
+
+def reweight_reference(bank_vectors, test_vector, s_star, neighbor_index, b) -> float:
+    """The package's original re-weighting, verbatim: the whole bank
+    ranked by (distance, index) with ``np.lexsort``, the first b kept.
+    Range checks and the b = 1 pass-through are left out."""
+    import numpy as np
+
+    test = np.asarray(test_vector, dtype=np.float64).ravel()
+    rows = np.asarray(bank_vectors)
+    d = np.sqrt(((rows.astype(np.float64, copy=False) - test) ** 2).sum(axis=1))
+    order = np.lexsort((np.arange(rows.shape[0]), d))
+    hood = d[order[:b]]
+    d_star = d[neighbor_index]
+    shift = hood.max()
+    weight = np.exp(d_star - shift) / np.sum(np.exp(hood - shift))
+    return float((1.0 - weight) * s_star)
+
+
 def label_scipy(bits) -> list["np.ndarray"]:
     """8-connected components as ascending flat pixel indices, in
     ``scipy.ndimage.label`` order (raster order of the first pixel)."""

@@ -48,6 +48,8 @@ from oracles import (
     nearest_bruteforce,
     optimal_kcenter_radius,
     projection_reference,
+    render_reference,
+    reweight_reference,
 )
 
 
@@ -582,6 +584,36 @@ def test_reweight_bounds_and_monotonicity():
         previous = s
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(2, 60),
+    dim=st.integers(1, 4),
+    levels=st.sampled_from([1, 2, 3, 5, 1000]),
+    b_kind=st.sampled_from(["two", "some", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=2, dim=1, levels=1, b_kind="all", seed=0)
+@example(count=40, dim=2, levels=2, b_kind="all", seed=1)
+@example(count=40, dim=3, levels=3, b_kind="some", seed=2)
+def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
+    """Bit for bit, on banks quantized to a few levels, so most distances tie.
+
+    Coordinates lie in [0, 1), so distances differ by less than 2 and
+    every neighbour's softmax term reaches the score.
+    """
+    rng = np.random.default_rng(seed)
+    scale = max(levels, 4)
+    bank = _bank(rng.integers(0, levels, (count, dim)) / scale)
+    test = (rng.integers(0, levels, dim) + rng.choice([0.0, 0.5])) / scale
+    d = np.sqrt(((bank.vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+    neighbor = int(np.argmin(d))
+    b = {"two": 2, "some": int(rng.integers(2, count + 1)), "all": count}[b_kind]
+    index = SearchIndex.of(bank.vectors)
+    expected = reweight_reference(bank.vectors, test, float(d[neighbor]), neighbor, b)
+    assert reweight(bank, test, float(d[neighbor]), neighbor, b) == expected
+    assert reweight(bank, test, float(d[neighbor]), neighbor, b, index) == expected
+
+
 def test_reweight_b_out_of_range():
     bank = _bank([[0.0]])
     with pytest.raises(DetectorError) as exc:
@@ -705,6 +737,55 @@ def test_gaussian_blur_matches_scipy_bitwise(height, width, sigma, magnitude, se
     assert image.tobytes() == before
     assert got.shape == image.shape and got.flags.c_contiguous
     assert np.array_equal(got, gaussian_filter_scipy(image, sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid_h=st.integers(1, 12),
+    grid_w=st.integers(1, 12),
+    stride=st.integers(1, 6),
+    overlap=st.just(0) | st.integers(1, 4),
+    margins=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    sigma=st.just(0.0) | st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(grid_h=1, grid_w=1, stride=8, overlap=0, margins=(0, 0), sigma=0.0, seed=0)
+@example(grid_h=1, grid_w=1, stride=3, overlap=1, margins=(2, 1), sigma=2.0, seed=1)
+@example(grid_h=3, grid_w=7, stride=2, overlap=4, margins=(1, 0), sigma=0.0, seed=2)
+@example(grid_h=9, grid_w=2, stride=6, overlap=0, margins=(5, 3), sigma=1.5, seed=3)
+def test_render_matches_reference_bitwise(grid_h, grid_w, stride, overlap, margins, sigma, seed):
+    """Bit for bit against the four-gather expression and scipy's blur.
+
+    Patches overlap (stride < patch) or tile (``overlap`` 0); margins
+    shorter than the stride leave the grid size unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    patch_size = stride + overlap
+    image_h = (grid_h - 1) * stride + patch_size + margins[0] % stride
+    image_w = (grid_w - 1) * stride + patch_size + margins[1] % stride
+    patch_map = rng.random((grid_h, grid_w)) * 10.0 ** int(rng.integers(-3, 4))
+    got = render_anomaly_map(patch_map, image_h, image_w, patch_size, stride, sigma)
+    expected = render_reference(patch_map, image_h, image_w, patch_size, stride, sigma)
+    assert got.shape == (image_h, image_w)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("sigma, bound", [(0.0, 3.2), (2.0, 6.2)])
+def test_render_peak_memory(sigma, bound):
+    """Traced peak of one 256 px map from a 32 x 32 grid, in map sizes.
+
+    The result and one scratch term are full-size during upsampling; the
+    blur adds its padded copy, accumulator and pair buffer. The
+    four-gather expression this replaced peaked at 3.16 and 6.09 maps.
+    """
+    patch_map = np.random.default_rng(0).random((32, 32))
+    tracemalloc.start()
+    try:
+        out = render_anomaly_map(patch_map, 256, 256, 8, 8, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * out.nbytes
 
 
 # --- continual extension -----------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""Golden bytes of one small run covering all five settings.
+"""Golden bytes of two small runs.
 
-The digest below is the sha256 of ``results.json`` with its ``timings``
+Each digest below is the sha256 of ``results.json`` with its ``timings``
 subtree removed, re-serialised with sorted keys. It was recorded with
 Python 3.11.7 and numpy 2.4.6. A change to the runner, the protocols,
 the detector or the metrics that moves any result byte fails this test;
 a change that is meant to move results must say so and re-record the
 digest.
 
-The config has a sweep in each of few-shot and noisy, a supervised
-instance that fails on every category (too few test abnormals), a
-continual job over an explicit order of three categories, a projected
-coreset and explicit metric limits.
+``GOLDEN_CONFIG`` covers all five settings: a sweep in each of few-shot
+and noisy, a supervised instance that fails on every category (too few
+test abnormals), a continual job over an explicit order of three
+categories, a projected coreset and explicit metric limits.
+
+``HIRES_CONFIG`` is shaped like perfbench's ``hires_regions`` at 64 px:
+patches tile the image (stride == patch), and twenty defects per
+category give the region sweeps many regions, so map rendering and
+AUPRO/sPRO at that geometry are pinned here too.
 """
 
 from __future__ import annotations
@@ -52,6 +57,30 @@ GOLDEN_CONFIG = {
 
 GOLDEN_SHA256 = "ee250b34900523d0929a52a12319e28d72d4477e6417125f344fd903e1e7e4c2"
 
+HIRES_CONFIG = {
+    "schema": 1,
+    "dataset": {
+        "synthetic": {
+            "categories": 2,
+            "normals_train": 2,
+            "normals_test": 4,
+            "abnormals_test": 20,
+            "image_size": 64,
+        }
+    },
+    "setting": [{"type": "unsupervised"}],
+    "detector": {
+        "feature": {"patch_size": 8, "stride": 8},
+        "coreset": {"l": 16},
+        "b": 2,
+        "smoothing_sigma": 2.0,
+    },
+    "metrics": ["image_auroc", "pixel_auroc", "pixel_ap", "aupro", "mean_spro"],
+    "seed": 11,
+}
+
+HIRES_SHA256 = "2c6b3082efb82871fceea9c215ca33c88c8325865f43f5953f82877e10634c4b"
+
 
 def _digest_without_timings(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -66,3 +95,9 @@ def test_results_bytes_are_golden(tmp_path):
     statuses = {c["status"] for c in result.document["cells"]}
     assert statuses == {"ok", "failed"}
     assert _digest_without_timings(tmp_path / "results.json") == GOLDEN_SHA256
+
+
+def test_hires_shaped_results_bytes_are_golden(tmp_path):
+    result = run_experiment(parse_config(HIRES_CONFIG), output_dir=str(tmp_path))
+    assert {c["status"] for c in result.document["cells"]} == {"ok"}
+    assert _digest_without_timings(tmp_path / "results.json") == HIRES_SHA256

@@ -48,21 +48,58 @@ def _config(pro_limit, spro_limit):
 
 
 @st.composite
+def separate_regions(draw, shape):
+    """A mask of five or more 8-connected regions, and a mask of some of their pixels.
+
+    Each region lies in the top-left 2 x 2 of its own 3 x 3 cell, so a
+    pixel-wide gap keeps every pair of regions apart.
+    """
+    corners = [(r, c) for r in range(0, shape[0] - 1, 3) for c in range(0, shape[1] - 1, 3)]
+    chosen = draw(
+        st.lists(st.sampled_from(corners), min_size=5, max_size=len(corners), unique=True)
+    )
+    mask = np.zeros(shape, bool)
+    low = np.zeros(shape, bool)
+    for r, c in chosen:
+        block = np.array(draw(st.lists(st.booleans(), min_size=4, max_size=4))).reshape(2, 2)
+        block[0, 0] = True
+        mask[r : r + 2, c : c + 2] = block
+        part = draw(st.sampled_from(["none", "corner", "all"]))
+        if part == "corner":
+            low[r, c] = True
+        elif part == "all":
+            low[r : r + 2, c : c + 2] = block
+    return mask, low
+
+
+@st.composite
 def cells(draw):
-    """Score maps with many ties, masks (some absent), defect types and limits."""
+    """Score maps with many ties, masks (some absent), defect types and limits.
+
+    One draw in four has 10-16 px maps, and there most masks hold five or
+    more separate regions, some of whose pixels score below every other
+    pixel: below every threshold kept short of a limit under 1.
+    """
     n = draw(st.integers(1, 4))
     same_shape = draw(st.booleans())
-    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    big = draw(st.integers(0, 3)) == 0
+    sides = st.integers(10, 16) if big else st.integers(1, 6)
+    kinds = ["none", "empty", "full", "bits", "bits", "bits"] + ["regions"] * (12 if big else 0)
+    shape = (draw(sides), draw(sides))
     levels = draw(st.sampled_from([1, 2, 3, 5, 40]))  # 1 makes every map constant
     maps, masks, defects = [], [], []
     for _ in range(n):
         if not same_shape:
-            shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+            shape = (draw(sides), draw(sides))
         size = shape[0] * shape[1]
         values = draw(st.lists(st.integers(0, levels - 1), min_size=size, max_size=size))
         maps.append(np.array(values, dtype=np.float64).reshape(shape) / 7.0)
-        kind = draw(st.sampled_from(["none", "empty", "full", "bits", "bits", "bits"]))
-        if kind == "bits":
+        kind = draw(st.sampled_from(kinds))
+        if kind == "regions":
+            mask, low = draw(separate_regions(shape))
+            maps[-1][low] = -1.0 / 7.0
+            masks.append(mask)
+        elif kind == "bits":
             bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
             masks.append(np.array(bits).reshape(shape))
         else:

@@ -105,3 +105,24 @@ def test_tree_round_trip(tmp_path):
                 assert sample.label == other.label
                 if sample.mask is not None:
                     assert np.array_equal(sample.mask.bits, other.mask.bits)
+
+
+def test_quantize_matches_original_expression():
+    """Bit for bit against round(clip(v, 0, 1) * 255) / 255, input untouched:
+    values outside [0, 1], exact levels, halfway points and their neighbours."""
+    levels = np.arange(256) / 255.0
+    halfway = (np.arange(255) + 0.5) / 255.0
+    values = np.concatenate(
+        [
+            [-1.0, -0.0, 1.0, 1.5, np.inf, -np.inf],
+            levels,
+            halfway,
+            np.nextafter(halfway, 0.0),
+            np.nextafter(halfway, 1.0),
+            np.random.default_rng(0).random(4096) * 1.4 - 0.2,
+        ]
+    )
+    before = values.copy()
+    got = _quantize(values)
+    assert np.array_equal(values, before)
+    assert np.array_equal(got, np.round(np.clip(values, 0.0, 1.0) * 255.0) / 255.0)
