@@ -761,13 +761,11 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def extend_bank_for_task(
-    bank: MemoryBank,
-    new_grids: list[PatchFeatureGrid],
-    task_index: int,
-    per_task_params: CoresetParams,
+    bank: MemoryBank, task_vectors: np.ndarray, task_index: int
 ) -> MemoryBank:
-    """Append the coreset of a new task's patches; existing vectors are kept.
+    """Append a new task's selected vectors, tagged with its index; existing vectors are kept.
 
+    ``task_vectors`` is the task's coreset, (count, dim) in pick order.
     Queries on the result search the union of all tasks, so adding a
     task can only tighten nearest-neighbor distances for earlier tasks.
     """
@@ -776,12 +774,10 @@ def extend_bank_for_task(
             "task-order-violation",
             f"task {task_index} not greater than existing tags",
         )
-    task_bank = build_bank(new_grids)
-    if task_bank.dim != bank.dim:
-        raise DetectorError("dim-mismatch", f"task dim {task_bank.dim} != {bank.dim}")
-    picked = coreset_select(task_bank, per_task_params)
-    new_tags = np.full(len(picked), task_index, dtype=np.uint32)
-    vectors = np.concatenate([bank.vectors, task_bank.vectors[picked]], axis=0)
+    if task_vectors.shape[1:] != (bank.dim,):
+        raise DetectorError("dim-mismatch", f"task dim {task_vectors.shape[-1]} != {bank.dim}")
+    new_tags = np.full(len(task_vectors), task_index, dtype=np.uint32)
+    vectors = np.concatenate([bank.vectors, task_vectors], axis=0)
     tags = np.concatenate([bank.task_tags, new_tags])
     return MemoryBank(bank.dim, vectors, tags)
 

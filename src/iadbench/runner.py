@@ -6,6 +6,13 @@ jobs with seeds derived from the config hash and the cell coordinates,
 so results are identical no matter how many worker threads execute
 them; wall-clock timings are the only schedule-dependent output and are
 quarantined in their own subtree of the results document.
+
+Only images observed as normal enter a bank, so a category's
+unsupervised cell, its supervised cells and its continual task train on
+the same images and would select the same coreset. A run computes each
+distinct coreset once (``SharedCoresets``) and every job that needs it
+reads the same picks. A plain cell may therefore wait on the continual
+job, which starts first, while it selects that category's coreset.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import json
 import math
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -540,19 +548,56 @@ def _build_split(dataset: Dataset, category: str, setting: dict, seed: int) -> S
     return inject_noise(dataset, category, setting["noise_ratio"], seed)  # "noisy"
 
 
+class SharedCoresets:
+    """Each distinct coreset of one run, selected once and shared by its jobs.
+
+    The picks are decided by the ordered normal training samples, from
+    which every job builds the same bank with the run's one feature
+    config, and by the effective ``CoresetParams``. Those are the key,
+    so no bank is hashed. Samples are keyed by identity and held here
+    for the run, so no id is reused while its key lives. Without a
+    projection (``projection_dim`` None or the bank's dim, as in
+    ``coreset_select``) the seed decides nothing and is left out. The
+    first job to ask for a key selects; jobs asking meanwhile wait on
+    its future, which hands a selection error to each of them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._selections: dict[tuple, tuple[tuple[Sample, ...], Future]] = {}
+
+    def picks(self, samples: list[Sample], bank: MemoryBank, params: CoresetParams) -> list[int]:
+        """``coreset_select(bank, params)``, where ``bank`` is built from ``samples``."""
+        effective = params
+        if params.projection_dim in (None, bank.dim):
+            effective = replace(params, projection_dim=None, seed=0)
+        key = (tuple(map(id, samples)), effective)
+        with self._lock:
+            held = self._selections.get(key)
+            first = held is None
+            if first:
+                held = self._selections[key] = (tuple(samples), Future())
+        future = held[1]
+        if first:
+            try:
+                future.set_result(coreset_select(bank, params))
+            except BaseException as exc:  # raised below, and in every waiting job
+                future.set_exception(exc)
+        return future.result()
+
+
 def _train_bank(
-    config: ExperimentConfig, train: list[TrainItem], coreset_seed: int
+    config: ExperimentConfig,
+    train: list[TrainItem],
+    coreset_seed: int,
+    coresets: SharedCoresets,
 ) -> MemoryBank:
-    grids = [
-        extract_features(item.sample.image, config.feature)
-        for item in train
-        if item.observed_label == NORMAL
-    ]
-    bank = build_bank(grids)
+    normals = [item.sample for item in train if item.observed_label == NORMAL]
+    bank = build_bank([extract_features(s.image, config.feature) for s in normals])
     params = config.coreset_params(coreset_seed)
     if params.resolve_l(bank.count) == bank.count:
         return bank  # every vector would be picked: the bank is its own coreset
-    picked = coreset_select(bank, params)
+    picked = coresets.picks(normals, bank, params)
     return MemoryBank(
         bank.dim, bank.vectors[picked], np.zeros(len(picked), np.uint32)
     )
@@ -696,9 +741,10 @@ def _run_plain_cell(
     setting: dict,
     cell_seed: int,
     keep_bank: bool,
+    coresets: SharedCoresets,
 ) -> CellResult:
     split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
-    bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"))
+    bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"), coresets)
     # the state, and with it the bank's search index, is freed before the metrics run
     scored = evaluate(
         DetectorState(bank, config.feature, config.b, config.smoothing_sigma), split.test
@@ -717,6 +763,7 @@ def _run_continual_job(
     order: list[str],
     label: str,
     job_seed: int,
+    coresets: SharedCoresets,
 ) -> tuple[list[CellResult], dict]:
     """Train on the categories in order; score every task seen so far after each.
 
@@ -747,9 +794,12 @@ def _run_continual_job(
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
     for step, task in enumerate(tasks, start=1):
-        grids = [extract_features(i.sample.image, config.feature) for i in task.train]
+        normals = [item.sample for item in task.train]
+        task_bank = build_bank([extract_features(s.image, config.feature) for s in normals])
         params = config.coreset_params(derive_seed(job_seed, "coreset", step))
-        state = state.extended(extend_bank_for_task(state.bank, grids, step, params))
+        # no whole-bank shortcut here: a task's vectors go in pick order even when l is all
+        picked = coresets.picks(normals, task_bank, params)
+        state = state.extended(extend_bank_for_task(state.bank, task_bank.vectors[picked], step))
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
@@ -838,16 +888,17 @@ def run_experiment(
     # tasks in series. Stable, so task_matrices keep their order; the
     # cells are sorted below.
     jobs.sort(key=lambda job: job[0]["type"] != "continual")
+    coresets = SharedCoresets()
 
     def execute(job) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job
         try:
             if setting["type"] == "continual":
                 return _run_continual_job(
-                    config, dataset, job_categories, setting["label"], seed
+                    config, dataset, job_categories, setting["label"], seed, coresets
                 )
             cell = _run_plain_cell(
-                config, dataset, job_categories[0], setting, seed, save_banks
+                config, dataset, job_categories[0], setting, seed, save_banks, coresets
             )
             return [cell], None
         except BenchError as exc:

@@ -18,6 +18,7 @@ from iadbench.data import PixelMask
 from iadbench.detector import (
     CoresetParams,
     MemoryBank,
+    build_bank,
     coreset_select,
     extend_bank_for_task,
     reweight,
@@ -322,8 +323,11 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     bank = MemoryBank.empty(config.feature.patch_size**2)
     previous_d2: dict[int, np.ndarray] = {}
     for step, task in enumerate(sequence, start=1):
-        grids = [extract_features(i.sample.image, config.feature) for i in task.train]
-        bank = extend_bank_for_task(bank, grids, step, params(step))
+        task_bank = build_bank(
+            [extract_features(i.sample.image, config.feature) for i in task.train]
+        )
+        picked = coreset_select(task_bank, params(step))
+        bank = extend_bank_for_task(bank, task_bank.vectors[picked], step)
         for prev in sequence[:step]:
             d2 = np.concatenate(
                 [

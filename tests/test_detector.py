@@ -791,9 +791,15 @@ def test_render_peak_memory(sigma, bound):
 # --- continual extension -----------------------------------------------------------------
 
 
+def _selected(grids, params) -> np.ndarray:
+    """A task's coreset vectors in pick order, as the runner passes them."""
+    task = build_bank(grids)
+    return task.vectors[coreset_select(task, params)]
+
+
 def test_extend_from_empty():
     grid = PatchFeatureGrid(2, 2, 2, np.arange(8, dtype=np.float32).reshape(4, 2))
-    bank = extend_bank_for_task(MemoryBank.empty(2), [grid], 1, CoresetParams(l=4))
+    bank = extend_bank_for_task(MemoryBank.empty(2), _selected([grid], CoresetParams(l=4)), 1)
     assert bank.count == 4
     assert np.all(bank.task_tags == 1)
 
@@ -802,8 +808,8 @@ def test_extend_budgets_and_tags():
     rng = np.random.default_rng(16)
     g1 = PatchFeatureGrid(5, 4, 3, rng.random((20, 3)).astype(np.float32))
     g2 = PatchFeatureGrid(5, 4, 3, (rng.random((20, 3)) + 5).astype(np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(3), [g1], 1, CoresetParams(l=10))
-    bank = extend_bank_for_task(bank, [g2], 2, CoresetParams(l=10))
+    bank = extend_bank_for_task(MemoryBank.empty(3), _selected([g1], CoresetParams(l=10)), 1)
+    bank = extend_bank_for_task(bank, _selected([g2], CoresetParams(l=10)), 2)
     assert bank.count == 20
     assert (bank.task_tags == 1).sum() == 10
     assert (bank.task_tags == 2).sum() == 10
@@ -812,29 +818,30 @@ def test_extend_budgets_and_tags():
 def test_extend_union_search():
     g1 = PatchFeatureGrid(1, 1, 1, np.array([[0.0]], np.float32))
     g2 = PatchFeatureGrid(1, 1, 1, np.array([[10.0]], np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(1), [g1], 1, CoresetParams(l=1))
-    bank = extend_bank_for_task(bank, [g2], 2, CoresetParams(l=1))
+    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([g1], CoresetParams(l=1)), 1)
+    bank = extend_bank_for_task(bank, _selected([g2], CoresetParams(l=1)), 2)
     _, _, _, neighbor = score_patches(bank, _grid([[0.4]]))
     assert bank.task_tags[neighbor] == 1  # task-1 memory still reachable
 
 
 def test_extend_task_order_violation():
     g = PatchFeatureGrid(1, 1, 1, np.array([[0.0]], np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(1), [g], 2, CoresetParams(l=1))
+    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([g], CoresetParams(l=1)), 2)
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, [g], 2, CoresetParams(l=1))
+        extend_bank_for_task(bank, _selected([g], CoresetParams(l=1)), 2)
     assert exc.value.code == "task-order-violation"
 
 
 def test_extend_checks_dim_before_coreset(monkeypatch):
     def no_coreset(bank, params):
-        raise AssertionError("coreset_select ran on a task of the wrong dim")
+        raise AssertionError("coreset_select ran while extending a bank")
 
+    # the caller selects the task's coreset; extending checks dims and selects nothing
     monkeypatch.setattr(detector, "coreset_select", no_coreset)
     bank = MemoryBank(2, np.zeros((1, 2), np.float32), np.ones(1, np.uint32))
     grid = PatchFeatureGrid(1, 1, 3, np.zeros((1, 3), np.float32))
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, [grid], 2, CoresetParams(l=1))
+        extend_bank_for_task(bank, grid.vectors, 2)
     assert (exc.value.code, exc.value.message) == ("dim-mismatch", "task dim 3 != 2")
 
 
@@ -843,8 +850,8 @@ def test_extend_never_increases_earlier_distances():
     g1 = PatchFeatureGrid(4, 4, 3, rng.random((16, 3)).astype(np.float32))
     g2 = PatchFeatureGrid(4, 4, 3, rng.random((16, 3)).astype(np.float32))
     probe = PatchFeatureGrid(3, 3, 3, rng.random((9, 3)).astype(np.float32))
-    bank1 = extend_bank_for_task(MemoryBank.empty(3), [g1], 1, CoresetParams(l=8))
-    bank2 = extend_bank_for_task(bank1, [g2], 2, CoresetParams(l=8))
+    bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected([g1], CoresetParams(l=8)), 1)
+    bank2 = extend_bank_for_task(bank1, _selected([g2], CoresetParams(l=8)), 2)
     before, _, _, _ = score_patches(bank1, probe)
     after, _, _, _ = score_patches(bank2, probe)
     assert np.all(after.d2 <= before.d2)  # the search is exact: no slack

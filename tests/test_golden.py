@@ -1,4 +1,4 @@
-"""Golden bytes of two small runs.
+"""Golden bytes of four small runs, each at 1 and 2 threads.
 
 Each digest below is the sha256 of ``results.json`` with its ``timings``
 subtree removed, re-serialised with sorted keys. It was recorded with
@@ -16,10 +16,22 @@ categories, a projected coreset and explicit metric limits.
 patches tile the image (stride == patch), and twenty defects per
 category give the region sweeps many regions, so map rendering and
 AUPRO/sPRO at that geometry are pinned here too.
+
+``SHARED_CONFIG`` trains unsupervised, supervised and continual on each
+category's same normal images with an unprojected coreset, so those
+cells and tasks share one set of picks; few-shot cells train on subsets
+and select their own. ``FULL_BANK_CONFIG`` is the same run with no
+coreset section: plain cells keep the whole bank without selecting, and
+each continual task picks every row, in pick order. Both digests were
+recorded before jobs shared coresets, when every job selected its own.
+
+Every run is checked at 1 and 2 threads; with 2, cells may wait on a
+coreset another job is selecting.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -81,6 +93,40 @@ HIRES_CONFIG = {
 
 HIRES_SHA256 = "2c6b3082efb82871fceea9c215ca33c88c8325865f43f5953f82877e10634c4b"
 
+SHARED_CONFIG = {
+    "schema": 1,
+    "dataset": {
+        "synthetic": {
+            "categories": 3,
+            "normals_train": 8,
+            "normals_test": 4,
+            "abnormals_test": 6,
+            "image_size": 24,
+            "defect_kinds": ["scratch", "blob", "missing-patch"],
+        }
+    },
+    "setting": [
+        {"type": "unsupervised"},
+        {"type": "supervised", "n": 2},
+        {"type": "fewshot", "m": [2, 4]},
+        {"type": "continual"},
+    ],
+    "detector": {
+        "feature": {"patch_size": 6, "stride": 3},
+        "coreset": {"target_fraction": 0.5},
+        "b": 2,
+        "smoothing_sigma": 1.5,
+    },
+    "seed": 9,
+}
+
+SHARED_SHA256 = "5cbe640fc03cdae0e7ca5d08d0fd33d33ac76d3d7757127b1e5e63b5333e4dc3"
+
+FULL_BANK_CONFIG = copy.deepcopy(SHARED_CONFIG)
+del FULL_BANK_CONFIG["detector"]["coreset"]
+
+FULL_BANK_SHA256 = "25e085cc47d889a046b811f92db3e30656092763ccad3eed08377479e3283ee1"
+
 
 def _digest_without_timings(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -90,14 +136,32 @@ def _digest_without_timings(path) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _golden_runs(tmp_path, config: dict, digest: str) -> list[dict]:
+    """The config's results documents at 1 and 2 threads, each checked against ``digest``."""
+    documents = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        result = run_experiment(parse_config(config), threads=threads, output_dir=str(out))
+        assert _digest_without_timings(out / "results.json") == digest, f"threads={threads}"
+        documents.append(result.document)
+    return documents
+
+
 def test_results_bytes_are_golden(tmp_path):
-    result = run_experiment(parse_config(GOLDEN_CONFIG), output_dir=str(tmp_path))
-    statuses = {c["status"] for c in result.document["cells"]}
-    assert statuses == {"ok", "failed"}
-    assert _digest_without_timings(tmp_path / "results.json") == GOLDEN_SHA256
+    for document in _golden_runs(tmp_path, GOLDEN_CONFIG, GOLDEN_SHA256):
+        assert {c["status"] for c in document["cells"]} == {"ok", "failed"}
 
 
 def test_hires_shaped_results_bytes_are_golden(tmp_path):
-    result = run_experiment(parse_config(HIRES_CONFIG), output_dir=str(tmp_path))
-    assert {c["status"] for c in result.document["cells"]} == {"ok"}
-    assert _digest_without_timings(tmp_path / "results.json") == HIRES_SHA256
+    for document in _golden_runs(tmp_path, HIRES_CONFIG, HIRES_SHA256):
+        assert {c["status"] for c in document["cells"]} == {"ok"}
+
+
+def test_shared_coreset_results_bytes_are_golden(tmp_path):
+    for document in _golden_runs(tmp_path, SHARED_CONFIG, SHARED_SHA256):
+        assert {c["status"] for c in document["cells"]} == {"ok"}
+
+
+def test_full_bank_results_bytes_are_golden(tmp_path):
+    for document in _golden_runs(tmp_path, FULL_BANK_CONFIG, FULL_BANK_SHA256):
+        assert {c["status"] for c in document["cells"]} == {"ok"}

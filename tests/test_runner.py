@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from iadbench import detector, runner
 from iadbench.data import Sample
 from iadbench.detector import build_bank, read_bank_file
-from iadbench.errors import BenchError, ConfigError, DataError, ReportError
+from iadbench.errors import BenchError, ConfigError, DataError, DetectorError, ReportError
 from iadbench.report import load_results, render_csv
 from iadbench.features import extract_features
 from iadbench.runner import (
@@ -645,9 +647,102 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
         raise AssertionError("coreset_select called for a full-fraction bank")
 
     monkeypatch.setattr(runner, "coreset_select", no_coreset)
-    cell = _run_plain_cell(config, dataset, "cat00", setting, 0, keep_bank=True)
+    cell = _run_plain_cell(
+        config, dataset, "cat00", setting, 0, keep_bank=True, coresets=runner.SharedCoresets()
+    )
     assert cell.status == "ok"
     assert np.array_equal(cell.bank.vectors, expected.vectors)
+
+
+# --- shared coresets -------------------------------------------------------------------------
+
+BUNDLED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth_benchmark.json"
+
+
+def _counting_coreset(monkeypatch) -> list:
+    """Record the (bank size, params) of every runner.coreset_select call."""
+    calls = []
+    select = runner.coreset_select
+
+    def counting(bank, params):
+        calls.append((bank.count, params))
+        return select(bank, params)
+
+    monkeypatch.setattr(runner, "coreset_select", counting)
+    return calls
+
+
+def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
+    config = runner.load_config(str(BUNDLED_CONFIG))
+    calls = _counting_coreset(monkeypatch)
+    result = run_experiment(config, threads=2, output_dir=str(tmp_path))
+    assert result.failures == [] and len(result.document["cells"]) == 15
+    # per category: one for unsupervised, supervised and the continual
+    # task (the same normal images), one for fewshot, one for noisy
+    assert len(calls) == 9
+
+
+def test_projected_cells_select_their_own_coresets(monkeypatch):
+    cfg = _base_config(
+        setting=[{"type": "unsupervised"}, {"type": "supervised", "n": 2}, {"type": "continual"}]
+    )
+    cfg["detector"]["coreset"]["projection_dim"] = 8
+    calls = _counting_coreset(monkeypatch)
+    result = run_experiment(parse_config(cfg), threads=2)
+    assert result.failures == []
+    # each cell projects with its own seed, so none can share its picks
+    assert len(calls) == len(result.document["cells"]) == 6
+    assert len({params.seed for _, params in calls}) == 6
+
+
+def test_full_bank_cells_select_nothing(monkeypatch):
+    cfg = _base_config(
+        setting=[{"type": "unsupervised"}, {"type": "supervised", "n": 2}, {"type": "continual"}]
+    )
+    del cfg["detector"]["coreset"]
+    calls = _counting_coreset(monkeypatch)
+    result = run_experiment(parse_config(cfg), threads=2)
+    assert result.failures == []
+    # only the continual tasks select (every row, in pick order); plain cells keep the bank
+    assert [(size, params.resolve_l(size)) for size, params in calls] == [(6 * 49, 6 * 49)] * 2
+
+
+def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
+    cfg = _base_config(
+        setting=[
+            {"type": "unsupervised"},
+            {"type": "supervised", "n": 2},
+            {"type": "fewshot", "m": 2},
+            {"type": "continual"},
+        ]
+    )
+    config = parse_config(cfg)
+    dataset = runner._resolve_dataset(config)
+    doomed = build_bank([extract_features(s.image, config.feature) for s in dataset.train["cat00"]])
+    select = runner.coreset_select
+    raised = []
+
+    def failing(bank, params):
+        if np.array_equal(bank.vectors, doomed.vectors):
+            raised.append(params)
+            time.sleep(0.2)  # long enough for a second job to ask for the same picks
+            raise DetectorError("no-coreset", "cat00's normal set")
+        return select(bank, params)
+
+    monkeypatch.setattr(runner, "coreset_select", failing)
+    for threads in (1, 2):
+        raised.clear()
+        runs = ThreadPoolExecutor(max_workers=1)
+        try:
+            result = runs.submit(run_experiment, config, threads).result(timeout=60)
+        finally:
+            runs.shutdown(wait=False)
+        failed = {c["cell_id"]: c["error"] for c in result.document["cells"] if c["error"]}
+        assert sorted(failed) == [
+            "cat00/continual", "cat00/supervised_n2", "cat00/unsupervised", "cat01/continual",
+        ], threads
+        assert list(failed.values()) == [{"code": "no-coreset", "message": "cat00's normal set"}] * 4
+        assert len(raised) == 1  # selected once per run, and again by the next run
 
 
 # --- scheduling and BLAS threads -----------------------------------------------------------
