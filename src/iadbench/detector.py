@@ -53,7 +53,7 @@ import os
 import struct
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
@@ -251,6 +251,11 @@ class CoresetParams:
         if self.projection_dim is not None and self.projection_dim < 1:
             raise DetectorError("bad-dims", f"projection_dim={self.projection_dim} must be >= 1")
 
+    def effective(self, dim: int) -> "CoresetParams":
+        """These params on a bank of ``dim``; with no projection the seed decides nothing."""
+        projected = self.projection_dim not in (None, dim)
+        return self if projected else replace(self, projection_dim=None, seed=0)
+
     def resolve_l(self, bank_size: int) -> int:
         if self.l is not None:
             l = self.l
@@ -375,7 +380,8 @@ def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
     l = params.resolve_l(bank.count)
     points = bank.vectors
-    if params.projection_dim is not None and params.projection_dim != bank.dim:
+    params = params.effective(bank.dim)
+    if params.projection_dim is not None:
         points = make_projector(bank.dim, params.projection_dim, params.seed).apply(points)
     return _farthest_first(points, l)[0]
 

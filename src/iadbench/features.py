@@ -30,6 +30,13 @@ class FeatureProviderConfig:
         if self.descriptor != "raw-patch":
             raise ConfigError("invalid-spec", f"unknown descriptor {self.descriptor!r}")
 
+    def grid_shape(self, image: ImageGrid) -> tuple[int, int]:
+        """(grid_h, grid_w) of the patch grid ``extract_features`` makes of ``image``."""
+        p, s, h, w = self.patch_size, self.stride, image.height, image.width
+        if h < p or w < p:
+            raise ConfigError("patch-too-large", f"patch {p} exceeds image {h}x{w}")
+        return (h - p) // s + 1, (w - p) // s + 1
+
 
 @dataclass
 class PatchFeatureGrid:
@@ -54,14 +61,9 @@ class PatchFeatureGrid:
 
 def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatureGrid:
     """Slide the patch window over the image and flatten each window."""
+    grid_h, grid_w = cfg.grid_shape(image)
     p, s = cfg.patch_size, cfg.stride
-    if image.height < p or image.width < p:
-        raise ConfigError(
-            "patch-too-large",
-            f"patch {p} exceeds image {image.height}x{image.width}",
-        )
     windows = sliding_window_view(image.values, (p, p))[::s, ::s]
-    grid_h, grid_w = windows.shape[0], windows.shape[1]
     vectors = windows.reshape(grid_h * grid_w, p * p).astype(np.float32)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=p * p, vectors=vectors)
 

@@ -9,10 +9,10 @@ quarantined in their own subtree of the results document.
 
 Only images observed as normal enter a bank, so a category's
 unsupervised cell, its supervised cells and its continual task train on
-the same images and would select the same coreset. A run computes each
-distinct coreset once (``SharedCoresets``) and every job that needs it
-reads the same picks. A plain cell may therefore wait on the continual
-job, which starts first, while it selects that category's coreset.
+the same images and select the same coreset. A run plans every job's
+training sets, selects each distinct coreset once, then scores the jobs
+on the picked rows; a plain cell whose ``l`` is its whole bank builds
+that bank instead. No job waits on another.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import json
 import math
 import os
 import sys
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
@@ -65,6 +64,7 @@ from .metrics import (
 from .protocols import (
     ROTATION_ANGLES,
     Split,
+    Task,
     TrainItem,
     augment_rotations,
     inject_noise,
@@ -548,59 +548,16 @@ def _build_split(dataset: Dataset, category: str, setting: dict, seed: int) -> S
     return inject_noise(dataset, category, setting["noise_ratio"], seed)  # "noisy"
 
 
-class SharedCoresets:
-    """Each distinct coreset of one run, selected once and shared by its jobs.
-
-    The picks are decided by the ordered normal training samples, from
-    which every job builds the same bank with the run's one feature
-    config, and by the effective ``CoresetParams``. Those are the key,
-    so no bank is hashed. Samples are keyed by identity and held here
-    for the run, so no id is reused while its key lives. Without a
-    projection (``projection_dim`` None or the bank's dim, as in
-    ``coreset_select``) the seed decides nothing and is left out. The
-    first job to ask for a key selects; jobs asking meanwhile wait on
-    its future, which hands a selection error to each of them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._selections: dict[tuple, tuple[tuple[Sample, ...], Future]] = {}
-
-    def picks(self, samples: list[Sample], bank: MemoryBank, params: CoresetParams) -> list[int]:
-        """``coreset_select(bank, params)``, where ``bank`` is built from ``samples``."""
-        effective = params
-        if params.projection_dim in (None, bank.dim):
-            effective = replace(params, projection_dim=None, seed=0)
-        key = (tuple(map(id, samples)), effective)
-        with self._lock:
-            held = self._selections.get(key)
-            first = held is None
-            if first:
-                held = self._selections[key] = (tuple(samples), Future())
-        future = held[1]
-        if first:
-            try:
-                future.set_result(coreset_select(bank, params))
-            except BaseException as exc:  # raised below, and in every waiting job
-                future.set_exception(exc)
-        return future.result()
+def _normals(train: list[TrainItem]) -> list[Sample]:
+    """The training samples observed as normal: only they enter a bank."""
+    return [item.sample for item in train if item.observed_label == NORMAL]
 
 
-def _train_bank(
-    config: ExperimentConfig,
-    train: list[TrainItem],
-    coreset_seed: int,
-    coresets: SharedCoresets,
-) -> MemoryBank:
-    normals = [item.sample for item in train if item.observed_label == NORMAL]
-    bank = build_bank([extract_features(s.image, config.feature) for s in normals])
-    params = config.coreset_params(coreset_seed)
-    if params.resolve_l(bank.count) == bank.count:
-        return bank  # every vector would be picked: the bank is its own coreset
-    picked = coresets.picks(normals, bank, params)
-    return MemoryBank(
-        bank.dim, bank.vectors[picked], np.zeros(len(picked), np.uint32)
-    )
+def _unfailed(outcome):
+    """A plan's or a selection's outcome; its ``BenchError`` is raised in the job reading it."""
+    if isinstance(outcome, BenchError):
+        raise outcome
+    return outcome
 
 
 def _category_region_sets(
@@ -738,19 +695,24 @@ def _run_plain_cell(
     config: ExperimentConfig,
     dataset: Dataset,
     category: str,
-    setting: dict,
+    label: str,
     cell_seed: int,
+    split: Split,
+    rows: np.ndarray | None,
     keep_bank: bool,
-    coresets: SharedCoresets,
 ) -> CellResult:
-    split = _build_split(dataset, category, setting, derive_seed(cell_seed, "protocol"))
-    bank = _train_bank(config, split.train, derive_seed(cell_seed, "coreset"), coresets)
+    """Score ``split`` against its coreset ``rows``; None means its whole bank."""
+    if rows is None:
+        normals = _normals(split.train)
+        bank = build_bank([extract_features(s.image, config.feature) for s in normals])
+    else:
+        bank = MemoryBank(rows.shape[1], rows, np.zeros(len(rows), np.uint32))
     # the state, and with it the bank's search index, is freed before the metrics run
     scored = evaluate(
         DetectorState(bank, config.feature, config.b, config.smoothing_sigma), split.test
     )
     cell = _scored_cell(
-        config, dataset, category, setting["label"], cell_seed, split.test, scored, bank, keep_bank
+        config, dataset, category, label, cell_seed, split.test, scored, bank, keep_bank
     )
     cell.provenance = [asdict(p) for p in split.provenance]
     cell.info = split.info
@@ -760,12 +722,12 @@ def _run_plain_cell(
 def _run_continual_job(
     config: ExperimentConfig,
     dataset: Dataset,
-    order: list[str],
+    tasks: list[Task],
     label: str,
     job_seed: int,
-    coresets: SharedCoresets,
+    task_rows: list[np.ndarray | BenchError],
 ) -> tuple[list[CellResult], dict]:
-    """Train on the categories in order; score every task seen so far after each.
+    """Train on the tasks in order; score every task seen so far after each.
 
     Banks are append-only and search ties go to the lowest index, so
     after step l a test patch's nearest vector changes only if one
@@ -782,7 +744,6 @@ def _run_continual_job(
     bank; maps are rendered at step k only, and the cells' latencies
     time that final pass per image.
     """
-    tasks = make_continual(dataset, order)
     k = len(tasks)
     state = DetectorState(
         MemoryBank.empty(config.feature.patch_size**2),
@@ -793,13 +754,8 @@ def _run_continual_job(
     known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
-    for step, task in enumerate(tasks, start=1):
-        normals = [item.sample for item in task.train]
-        task_bank = build_bank([extract_features(s.image, config.feature) for s in normals])
-        params = config.coreset_params(derive_seed(job_seed, "coreset", step))
-        # no whole-bank shortcut here: a task's vectors go in pick order even when l is all
-        picked = coresets.picks(normals, task_bank, params)
-        state = state.extended(extend_bank_for_task(state.bank, task_bank.vectors[picked], step))
+    for step, rows in enumerate(task_rows, start=1):
+        state = state.extended(extend_bank_for_task(state.bank, _unfailed(rows), step))
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
@@ -888,17 +844,52 @@ def run_experiment(
     # tasks in series. Stable, so task_matrices keep their order; the
     # cells are sorted below.
     jobs.sort(key=lambda job: job[0]["type"] != "continual")
-    coresets = SharedCoresets()
 
-    def execute(job) -> tuple[list[CellResult], dict | None]:
+    # plan: each job's training sets and the distinct coresets they read, keyed by
+    # normal samples (by identity, held here for the run) and effective params
+    wanted: dict[tuple, list[Sample]] = {}
+
+    def want(normals: list[Sample], seed: int) -> tuple:
+        params = config.coreset_params(seed).effective(config.feature.patch_size**2)
+        key = (tuple(map(id, normals)), params)
+        wanted.setdefault(key, normals)
+        return key
+
+    def plan(job) -> tuple[Split | list[Task], list[tuple | None]] | BenchError:
         setting, job_categories, seed = job
         try:
+            if setting["type"] == "continual":  # every task selects: its rows go in pick order
+                tasks = make_continual(dataset, job_categories)
+                return tasks, [
+                    want(_normals(t.train), derive_seed(seed, "coreset", t.index)) for t in tasks
+                ]
+            split = _build_split(dataset, job_categories[0], setting, derive_seed(seed, "protocol"))
+            normals = _normals(split.train)
+            count = sum(math.prod(config.feature.grid_shape(s.image)) for s in normals)
+            full = config.coreset.resolve_l(count) == count  # the bank is its own coreset
+            return split, [None if full else want(normals, derive_seed(seed, "coreset"))]
+        except BenchError as exc:
+            return exc
+
+    plans = [plan(job) for job in jobs]
+
+    def select(key: tuple) -> np.ndarray | BenchError:
+        try:
+            bank = build_bank([extract_features(s.image, config.feature) for s in wanted[key]])
+            return bank.vectors[coreset_select(bank, key[1])]  # in pick order
+        except BenchError as exc:
+            return exc
+
+    def execute(job, planned) -> tuple[list[CellResult], dict | None]:
+        setting, job_categories, seed = job
+        try:
+            sets, keys = _unfailed(planned)
             if setting["type"] == "continual":
-                return _run_continual_job(
-                    config, dataset, job_categories, setting["label"], seed, coresets
-                )
+                rows = [selected[key] for key in keys]
+                return _run_continual_job(config, dataset, sets, setting["label"], seed, rows)
+            rows = None if keys[0] is None else _unfailed(selected[keys[0]])
             cell = _run_plain_cell(
-                config, dataset, job_categories[0], setting, seed, save_banks, coresets
+                config, dataset, job_categories[0], setting["label"], seed, sets, rows, save_banks
             )
             return [cell], None
         except BenchError as exc:
@@ -906,7 +897,8 @@ def run_experiment(
 
     # cells are the parallelism; BLAS threads would only contend with them
     with single_thread_blas, ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(execute, jobs))
+        selected = dict(zip(wanted, pool.map(select, wanted)))
+        outcomes = list(pool.map(execute, jobs, plans))
 
     cells: list[CellResult] = []
     task_matrices: dict[str, dict] = {}

@@ -25,8 +25,8 @@ coreset section: plain cells keep the whole bank without selecting, and
 each continual task picks every row, in pick order. Both digests were
 recorded before jobs shared coresets, when every job selected its own.
 
-Every run is checked at 1 and 2 threads; with 2, cells may wait on a
-coreset another job is selecting.
+Every run is checked at 1 and 2 threads: with 2, the coresets are
+selected and the jobs scored two at a time.
 """
 
 from __future__ import annotations

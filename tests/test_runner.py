@@ -640,15 +640,15 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     config = parse_config(cfg)
     dataset = synth_dataset(config.synth_spec, 0)
     setting = config.settings[0]
-    train = _build_split(dataset, "cat00", setting, 0).train
-    expected = build_bank([extract_features(i.sample.image, config.feature) for i in train])
+    split = _build_split(dataset, "cat00", setting, 0)
+    expected = build_bank([extract_features(i.sample.image, config.feature) for i in split.train])
 
     def no_coreset(bank, params):
         raise AssertionError("coreset_select called for a full-fraction bank")
 
     monkeypatch.setattr(runner, "coreset_select", no_coreset)
     cell = _run_plain_cell(
-        config, dataset, "cat00", setting, 0, keep_bank=True, coresets=runner.SharedCoresets()
+        config, dataset, "cat00", setting["label"], 0, split, rows=None, keep_bank=True
     )
     assert cell.status == "ok"
     assert np.array_equal(cell.bank.vectors, expected.vectors)
@@ -675,11 +675,16 @@ def _counting_coreset(monkeypatch) -> list:
 def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     config = runner.load_config(str(BUNDLED_CONFIG))
     calls = _counting_coreset(monkeypatch)
+    built = []
+    build_bank = runner.build_bank
+    monkeypatch.setattr(runner, "build_bank", lambda grids: built.append(1) or build_bank(grids))
     result = run_experiment(config, threads=2, output_dir=str(tmp_path))
     assert result.failures == [] and len(result.document["cells"]) == 15
     # per category: one for unsupervised, supervised and the continual
     # task (the same normal images), one for fewshot, one for noisy
     assert len(calls) == 9
+    # only a selection builds its bank: no cell that reads its picks builds it again
+    assert len(built) == 9
 
 
 def test_projected_cells_select_their_own_coresets(monkeypatch):
@@ -725,7 +730,7 @@ def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
     def failing(bank, params):
         if np.array_equal(bank.vectors, doomed.vectors):
             raised.append(params)
-            time.sleep(0.2)  # long enough for a second job to ask for the same picks
+            time.sleep(0.2)  # long enough for a second selection of the same set to start
             raise DetectorError("no-coreset", "cat00's normal set")
         return select(bank, params)
 
@@ -743,6 +748,26 @@ def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
         ], threads
         assert list(failed.values()) == [{"code": "no-coreset", "message": "cat00's normal set"}] * 4
         assert len(raised) == 1  # selected once per run, and again by the next run
+
+
+def test_plan_errors_fail_only_their_job():
+    cfg = _base_config(
+        setting=[
+            {"type": "unsupervised"},
+            {"type": "supervised", "n": 2},
+            {"type": "fewshot", "m": 1},
+            {"type": "continual"},
+        ]
+    )
+    # l = 100 fits a category's 6 x 49-vector bank, not a one-shot 49-vector one
+    cfg["detector"]["coreset"] = {"l": 100}
+    config = parse_config(cfg)
+    for threads in (1, 2):
+        cells = run_experiment(config, threads=threads).document["cells"]
+        failed = {c["cell_id"]: c["error"]["code"] for c in cells if c["status"] == "failed"}
+        assert failed == dict.fromkeys(["cat00/fewshot_m1", "cat01/fewshot_m1"], "l-out-of-range")
+        assert len(cells) == 8
+        assert all(c["status"] == "ok" for c in cells if c["cell_id"] not in failed), threads
 
 
 # --- scheduling and BLAS threads -----------------------------------------------------------
