@@ -771,7 +771,8 @@ def extend_bank_for_task(
 ) -> MemoryBank:
     """Append a new task's selected vectors, tagged with its index; existing vectors are kept.
 
-    ``task_vectors`` is the task's coreset, (count, dim) in pick order.
+    ``task_vectors`` is (count, dim): the task's coreset in pick order, or
+    its whole bank in natural order when its ``l`` keeps every row.
     Queries on the result search the union of all tasks, so adding a
     task can only tighten nearest-neighbor distances for earlier tasks.
     """

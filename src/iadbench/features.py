@@ -30,6 +30,11 @@ class FeatureProviderConfig:
         if self.descriptor != "raw-patch":
             raise ConfigError("invalid-spec", f"unknown descriptor {self.descriptor!r}")
 
+    @property
+    def dim(self) -> int:
+        """The descriptor's length: a raw patch's patch_size**2 pixels."""
+        return self.patch_size**2
+
     def grid_shape(self, image: ImageGrid) -> tuple[int, int]:
         """(grid_h, grid_w) of the patch grid ``extract_features`` makes of ``image``."""
         p, s, h, w = self.patch_size, self.stride, image.height, image.width
@@ -64,6 +69,6 @@ def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatu
     grid_h, grid_w = cfg.grid_shape(image)
     p, s = cfg.patch_size, cfg.stride
     windows = sliding_window_view(image.values, (p, p))[::s, ::s]
-    vectors = windows.reshape(grid_h * grid_w, p * p).astype(np.float32)
-    return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=p * p, vectors=vectors)
+    vectors = windows.reshape(grid_h * grid_w, cfg.dim).astype(np.float32)
+    return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)
 

@@ -297,20 +297,21 @@ def _overlap_curve_area(
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError("no-regions", f"fpr_limit {fpr_limit} not in (0, 1]")
     region_scores: list[tuple[np.ndarray, int]] = []
-    in_regions = []
     for smap, rset in zip(score_maps, region_sets):
         flat = smap.ravel()
-        in_regions.append(np.zeros(flat.size, dtype=bool))
-        for region in rset.regions:
-            in_regions[-1][region.pixels] = True
-            region_scores.append((flat[region.pixels], region.saturation))
+        region_scores.extend((flat[region.pixels], region.saturation) for region in rset.regions)
     if not region_scores:
         raise MetricError("no-regions", "no ground-truth regions in the evaluation set")
     if pool is None:  # finite maps holding a region: this cannot raise
+        in_regions = []
+        for smap, rset in zip(score_maps, region_sets):
+            in_regions.append(np.zeros(smap.size, dtype=bool))
+            for region in rset.regions:
+                in_regions[-1][region.pixels] = True
         pool = LabeledScores(
             np.concatenate([m.ravel() for m in score_maps]), np.concatenate(in_regions)
         )
-    del in_regions
+        del in_regions
     normal, anomalous = pool.negatives, pool.positives
     if normal.size == 0:
         raise MetricError("no-normal-pixels", "no normal pixels in the evaluation set")

@@ -247,11 +247,17 @@ def _check_renderable(document: dict, path: str) -> None:
             f"task_matrices[{label!r}] needs an order of names, k = its length, "
             "a numeric fm_mean and numeric entries",
         )
+        k = matrix["k"]
         for key in matrix["entries"]:
             require(
-                _is_entry_key(key, matrix["k"]),
+                _is_entry_key(key, k),
                 f"task_matrices[{label!r}].entries: key {key!r} is not 'l,j' with 1 <= j <= l <= k",
             )
+        # distinct valid keys, so all k(k+1)/2 are there: the table cannot outgrow the file
+        require(
+            len(matrix["entries"]) == k * (k + 1) // 2,
+            f"task_matrices[{label!r}].entries: needs every 'l,j' with 1 <= j <= l <= k = {k}",
+        )
 
 
 def _is_entry_key(key: str, k: int) -> bool:

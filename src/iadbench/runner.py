@@ -11,8 +11,8 @@ Only images observed as normal enter a bank, so a category's
 unsupervised cell, its supervised cells and its continual task train on
 the same images and select the same coreset. A run plans every job's
 training sets, selects each distinct coreset once, then scores the jobs
-on the picked rows; a plain cell whose ``l`` is its whole bank builds
-that bank instead. No job waits on another.
+on the picked rows. No training set whose ``l`` is its whole bank is
+selected: its job builds that bank in natural order. No job waits on another.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -335,10 +336,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         projection_dim = None
     if projection_dim is not None:
         _expect_number(projection_dim, "detector.coreset.projection_dim", int)
-        if projection_dim > patch_size**2:  # the raw-patch descriptor's dim
+        if projection_dim > feature.dim:
             raise ConfigError(
                 "invalid-config",
-                f"detector.coreset.projection_dim: must be <= patch_size**2 = {patch_size**2}",
+                f"detector.coreset.projection_dim: must be <= patch_size**2 = {feature.dim}",
             )
     try:
         coreset = CoresetParams(target_fraction=fraction, l=l, projection_dim=projection_dim)
@@ -698,15 +699,11 @@ def _run_plain_cell(
     label: str,
     cell_seed: int,
     split: Split,
-    rows: np.ndarray | None,
+    rows: np.ndarray,
     keep_bank: bool,
 ) -> CellResult:
-    """Score ``split`` against its coreset ``rows``; None means its whole bank."""
-    if rows is None:
-        normals = _normals(split.train)
-        bank = build_bank([extract_features(s.image, config.feature) for s in normals])
-    else:
-        bank = MemoryBank(rows.shape[1], rows, np.zeros(len(rows), np.uint32))
+    """Score ``split`` against its bank ``rows``: its coreset or its whole bank."""
+    bank = MemoryBank(rows.shape[1], rows, np.zeros(len(rows), np.uint32))
     # the state, and with it the bank's search index, is freed before the metrics run
     scored = evaluate(
         DetectorState(bank, config.feature, config.b, config.smoothing_sigma), split.test
@@ -725,9 +722,11 @@ def _run_continual_job(
     tasks: list[Task],
     label: str,
     job_seed: int,
-    task_rows: list[np.ndarray | BenchError],
+    task_rows: Iterable[np.ndarray],
 ) -> tuple[list[CellResult], dict]:
     """Train on the tasks in order; score every task seen so far after each.
+
+    ``task_rows`` yields each task's coreset, or whole bank, as its step starts.
 
     Banks are append-only and search ties go to the lowest index, so
     after step l a test patch's nearest vector changes only if one
@@ -745,17 +744,13 @@ def _run_continual_job(
     time that final pass per image.
     """
     k = len(tasks)
-    state = DetectorState(
-        MemoryBank.empty(config.feature.patch_size**2),
-        config.feature,
-        config.b,
-        config.smoothing_sigma,
-    )
+    empty = MemoryBank.empty(config.feature.dim)
+    state = DetectorState(empty, config.feature, config.b, config.smoothing_sigma)
     known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
     for step, rows in enumerate(task_rows, start=1):
-        state = state.extended(extend_bank_for_task(state.bank, _unfailed(rows), step))
+        state = state.extended(extend_bank_for_task(state.bank, rows, step))
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
@@ -845,51 +840,56 @@ def run_experiment(
     # cells are sorted below.
     jobs.sort(key=lambda job: job[0]["type"] != "continual")
 
-    # plan: each job's training sets and the distinct coresets they read, keyed by
-    # normal samples (by identity, held here for the run) and effective params
+    # plan: each job's training sets as (normals, coreset key). A set whose l is its whole
+    # bank has no key; others key by normals (by identity, held for the run) and params
     wanted: dict[tuple, list[Sample]] = {}
 
-    def want(normals: list[Sample], seed: int) -> tuple:
-        params = config.coreset_params(seed).effective(config.feature.patch_size**2)
-        key = (tuple(map(id, normals)), params)
+    def training_set(normals: list[Sample], seed: int) -> tuple[list[Sample], tuple | None]:
+        count = sum(math.prod(config.feature.grid_shape(s.image)) for s in normals)
+        if config.coreset.resolve_l(count) == count:  # the bank is its own coreset
+            return normals, None
+        key = (tuple(map(id, normals)), config.coreset_params(seed).effective(config.feature.dim))
         wanted.setdefault(key, normals)
-        return key
+        return normals, key
 
-    def plan(job) -> tuple[Split | list[Task], list[tuple | None]] | BenchError:
+    def plan(job) -> tuple[Split | list[Task], list[tuple]] | BenchError:
         setting, job_categories, seed = job
         try:
-            if setting["type"] == "continual":  # every task selects: its rows go in pick order
+            if setting["type"] == "continual":
                 tasks = make_continual(dataset, job_categories)
-                return tasks, [
-                    want(_normals(t.train), derive_seed(seed, "coreset", t.index)) for t in tasks
-                ]
+                seeds = (derive_seed(seed, "coreset", t.index) for t in tasks)
+                return tasks, [training_set(_normals(t.train), s) for t, s in zip(tasks, seeds)]
             split = _build_split(dataset, job_categories[0], setting, derive_seed(seed, "protocol"))
-            normals = _normals(split.train)
-            count = sum(math.prod(config.feature.grid_shape(s.image)) for s in normals)
-            full = config.coreset.resolve_l(count) == count  # the bank is its own coreset
-            return split, [None if full else want(normals, derive_seed(seed, "coreset"))]
+            return split, [training_set(_normals(split.train), derive_seed(seed, "coreset"))]
         except BenchError as exc:
             return exc
 
     plans = [plan(job) for job in jobs]
 
+    def bank_of(normals: list[Sample]) -> MemoryBank:
+        return build_bank([extract_features(s.image, config.feature) for s in normals])
+
     def select(key: tuple) -> np.ndarray | BenchError:
         try:
-            bank = build_bank([extract_features(s.image, config.feature) for s in wanted[key]])
+            bank = bank_of(wanted[key])
             return bank.vectors[coreset_select(bank, key[1])]  # in pick order
         except BenchError as exc:
             return exc
 
+    def rows(normals: list[Sample], key: tuple | None) -> np.ndarray:
+        """A training set's bank rows: its whole bank in natural order, or its picks."""
+        return bank_of(normals).vectors if key is None else _unfailed(selected[key])
+
     def execute(job, planned) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job
         try:
-            sets, keys = _unfailed(planned)
+            sets, training = _unfailed(planned)
             if setting["type"] == "continual":
-                rows = [selected[key] for key in keys]
-                return _run_continual_job(config, dataset, sets, setting["label"], seed, rows)
-            rows = None if keys[0] is None else _unfailed(selected[keys[0]])
+                task_rows = (rows(*t) for t in training)  # each made as its step starts
+                return _run_continual_job(config, dataset, sets, setting["label"], seed, task_rows)
             cell = _run_plain_cell(
-                config, dataset, job_categories[0], setting["label"], seed, sets, rows, save_banks
+                config, dataset, job_categories[0], setting["label"], seed, sets,
+                rows(*training[0]), save_banks,
             )
             return [cell], None
         except BenchError as exc:

@@ -378,6 +378,9 @@ def test_report_renders_valid_task_matrix(tmp_path):
             for name, matrix in [
                 # about 300 bytes that would render a 2000 x 2000 table
                 ("k-2000", dict(MATRIX, k=2000, entries={})),
+                # about 8 KB whose 2000 x 2000 table has no entries: each must be present
+                ("order-2000-no-entries", dict(MATRIX, k=2000, order=["a"] * 2000, entries={})),
+                ("entry-missing", dict(MATRIX, entries={"1,1": 0.9, "2,2": 0.7})),
                 ("k-not-order-length", dict(MATRIX, k=3)),
                 ("no-order", {key: v for key, v in MATRIX.items() if key != "order"}),
                 ("key-outside-k", dict(MATRIX, entries={"3,1": 0.5})),

@@ -21,9 +21,10 @@ AUPRO/sPRO at that geometry are pinned here too.
 category's same normal images with an unprojected coreset, so those
 cells and tasks share one set of picks; few-shot cells train on subsets
 and select their own. ``FULL_BANK_CONFIG`` is the same run with no
-coreset section: plain cells keep the whole bank without selecting, and
-each continual task picks every row, in pick order. Both digests were
-recorded before jobs shared coresets, when every job selected its own.
+coreset section: no cell or continual task selects, and each keeps its
+whole bank in natural order. Both digests were recorded before jobs
+shared coresets, when every job selected its own, and the whole-bank one
+when each continual task still picked every row, in pick order.
 
 Every run is checked at 1 and 2 threads: with 2, the coresets are
 selected and the jobs scored two at a time.

@@ -638,18 +638,23 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     cfg = _base_config()
     del cfg["detector"]["coreset"]  # target_fraction defaults to 1.0
     config = parse_config(cfg)
-    dataset = synth_dataset(config.synth_spec, 0)
-    setting = config.settings[0]
-    split = _build_split(dataset, "cat00", setting, 0)
+    dataset = runner._resolve_dataset(config)
+    split = _build_split(dataset, "cat00", config.settings[0], 0)
     expected = build_bank([extract_features(i.sample.image, config.feature) for i in split.train])
 
     def no_coreset(bank, params):
         raise AssertionError("coreset_select called for a full-fraction bank")
 
+    cells = []
+
+    def recording(*args):
+        cells.append(_run_plain_cell(*args))
+        return cells[-1]
+
     monkeypatch.setattr(runner, "coreset_select", no_coreset)
-    cell = _run_plain_cell(
-        config, dataset, "cat00", setting["label"], 0, split, rows=None, keep_bank=True
-    )
+    monkeypatch.setattr(runner, "_run_plain_cell", recording)
+    run_experiment(config, threads=1, save_banks=True)  # the cells keep their banks
+    cell = next(c for c in cells if c.category == "cat00")
     assert cell.status == "ok"
     assert np.array_equal(cell.bank.vectors, expected.vectors)
 
@@ -708,8 +713,43 @@ def test_full_bank_cells_select_nothing(monkeypatch):
     calls = _counting_coreset(monkeypatch)
     result = run_experiment(parse_config(cfg), threads=2)
     assert result.failures == []
-    # only the continual tasks select (every row, in pick order); plain cells keep the bank
-    assert [(size, params.resolve_l(size)) for size, params in calls] == [(6 * 49, 6 * 49)] * 2
+    # no training set whose l is its whole bank selects: cells and tasks keep theirs
+    assert calls == []
+
+
+def test_whole_bank_continual_tasks_extend_in_natural_order(monkeypatch):
+    cfg = _base_config(setting=[{"type": "continual"}])
+    del cfg["detector"]["coreset"]
+    config = parse_config(cfg)
+    dataset = runner._resolve_dataset(config)
+    extended = []
+    extend = runner.extend_bank_for_task
+
+    def recording(bank, task_vectors, task_index):
+        extended.append((task_index, task_vectors.copy()))
+        return extend(bank, task_vectors, task_index)
+
+    monkeypatch.setattr(runner, "extend_bank_for_task", recording)
+    assert run_experiment(config, threads=1).failures == []
+    tasks = runner.make_continual(dataset, dataset.categories)
+    assert [index for index, _ in extended] == [t.index for t in tasks] == [1, 2]
+    for (_, vectors), task in zip(extended, tasks):
+        normals = runner._normals(task.train)
+        whole = build_bank([extract_features(s.image, config.feature) for s in normals])
+        assert vectors.dtype == whole.vectors.dtype
+        assert np.array_equal(vectors, whole.vectors)  # every row, unreordered
+
+
+def test_continual_l_above_a_task_bank_fails_its_cells():
+    cfg = _base_config(setting=[{"type": "continual"}])
+    cfg["detector"]["coreset"] = {"l": 300}  # each task's bank has 6 x 49 = 294 rows
+    config = parse_config(cfg)
+    error = {"code": "l-out-of-range", "message": "l=300 for bank of 294"}
+    for threads in (1, 2):
+        result = run_experiment(config, threads=threads)
+        cells = [(c["cell_id"], c["status"], c["error"]) for c in result.document["cells"]]
+        assert cells == [(f"{c}/continual", "failed", error) for c in ("cat00", "cat01")]
+        assert result.document["task_matrices"] == {}
 
 
 def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
