@@ -530,12 +530,15 @@ def _nearest_distances(
     s_j <= s_m + tau is kept as a candidate, j* among them.
 
     Rerank. Each candidate's d_j is computed with the reference
-    expression in blocks of pairs; the others read +inf, and argmin
-    picks the first minimum, so any candidate before j* has d_j > d_j*
-    and the result is j*. Screen values never reach an output, so BLAS
-    threads or summation order cannot change a result. Rows whose tau
-    is inf keep every index and equal the reference exactly; this
-    includes every row whose screen is not finite.
+    expression in blocks of pairs, and each row takes the first minimum
+    over its own candidates, in bank order, as argmin over the row
+    would: any candidate before j* has d_j > d_j*, so the result is j*.
+    A row's first NaN wins, as argmin's does. Every row keeps at least
+    its screen minimum (tau >= 0, and a NaN bound keeps every index).
+    Screen values never reach an output, so BLAS threads or summation
+    order cannot change a result. Rows whose tau is inf keep every
+    index and equal the reference exactly; this includes every row
+    whose screen is not finite.
     """
     bank_v = index.vectors[start:]
     bank_sq = index.sq[start:]
@@ -547,7 +550,6 @@ def _nearest_distances(
     nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
     for first in range(0, test_v.shape[0], _SCORE_CHUNK):
         chunk = test_v[first : first + _SCORE_CHUNK]
-        rows = np.arange(chunk.shape[0])
         test_sq = np.einsum("nd,nd->n", chunk, chunk)
         screen = chunk @ bank_v.T
         screen *= -2.0
@@ -556,15 +558,23 @@ def _nearest_distances(
         bound = screen.min(axis=1) + _screen_tolerance(dim, test_sq + bank_sq_max)
         # ~(s > bound) also keeps NaN screens and every index of a NaN row
         candidates = np.flatnonzero(~(screen > bound[:, None]))
-        screen.fill(np.inf)
-        flat = screen.reshape(-1)
-        for lo in range(0, candidates.size, pairs_per_block):
-            pick = candidates[lo : lo + pairs_per_block]
-            t_rows, b_rows = np.divmod(pick, bank_v.shape[0])
-            flat[pick] = ((chunk[t_rows] - bank_v[b_rows]) ** 2).sum(axis=1)
-        idx = np.argmin(screen, axis=1)
-        nn_idx[first : first + chunk.shape[0]] = idx
-        nn_d2[first : first + chunk.shape[0]] = screen[rows, idx]
+        del screen
+        # row-major: each row's candidates are one run, in bank order
+        t_rows, b_rows = np.divmod(candidates, bank_v.shape[0])
+        del candidates
+        d2 = np.empty(t_rows.size)
+        for lo in range(0, d2.size, pairs_per_block):
+            pick = slice(lo, lo + pairs_per_block)
+            d2[pick] = ((chunk[t_rows[pick]] - bank_v[b_rows[pick]]) ** 2).sum(axis=1)
+        row_starts = np.searchsorted(t_rows, np.arange(chunk.shape[0]))
+        row_min = np.minimum.reduceat(d2, row_starts)  # NaN if the row has one
+        # each row's first candidate at its minimum, or its first NaN
+        at_min = d2 == row_min[t_rows]
+        at_min |= np.isnan(d2)
+        hits = np.flatnonzero(at_min)
+        first_hits = hits[np.searchsorted(hits, row_starts)]
+        nn_idx[first : first + chunk.shape[0]] = b_rows[first_hits]
+        nn_d2[first : first + chunk.shape[0]] = d2[first_hits]
     nn_idx += start
     return nn_d2, nn_idx
 

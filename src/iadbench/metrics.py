@@ -9,6 +9,13 @@ overlap against pooled false-positive rate, and integrate the resulting
 curve up to an FPR limit with linear interpolation between operating
 points; the sweep stops at the first operating point past the limit,
 the last one the integral reads.
+
+Pixel metrics read a ``PixelPool``: every pixel of a set of maps, split
+by the ground truth into sorted normal and anomalous sides, plus each
+labelled region's scores. A pool is sized from the ground truth before
+any map exists and fed one map at a time, so a caller need not hold its
+maps; ``pooled_pixel_scores`` feeds one from a list, and ``aupro`` and
+``mean_spro`` called with maps pool them the same way.
 """
 
 from __future__ import annotations
@@ -142,7 +149,9 @@ class RegionSet:
                 rel = float(saturation)
                 if not 0.0 < rel <= 1.0:
                     raise MetricError("no-regions", f"relative saturation {rel} not in (0, 1]")
-                sat = int(round(rel * self.height * self.width))
+                # times the area, as one product: rel * h * w rounds twice
+                # and can land on the other side of .5 (0.05 * 14 * 15)
+                sat = int(round(rel * (self.height * self.width)))
             regions.append(Region(pixels=region.pixels, saturation=max(1, min(sat, area))))
         return RegionSet(self.height, self.width, regions)
 
@@ -216,31 +225,117 @@ def _eight_connected_pixels(bits: np.ndarray) -> list[np.ndarray]:
     return [pixels[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-class PixelPool(LabeledScores):
-    """Every pixel of a cell's score maps, pooled, checked and sorted once.
+def mask_regions(
+    masks: list[PixelMask | None], shapes: list[tuple[int, int]]
+) -> list[RegionSet]:
+    """Each mask's 8-connected regions, saturating at their own area.
 
-    Built by ``pooled_pixel_scores``. Normal pixels are the negatives and
-    masked pixels the positives, so pixel AUROC and AP read it as they
-    read any ``LabeledScores``; ``aupro`` and ``mean_spro`` read the same
-    two sorted sides as their normal and anomalous pixels, and ``regions``
-    labels each mask's connected components once for both of them.
+    A None mask has no regions and takes its map's shape from ``shapes``;
+    a mask gives its own.
+    """
+    return [
+        connected_regions(m) if m is not None else RegionSet(shape[0], shape[1], [])
+        for m, shape in zip(masks, shapes)
+    ]
+
+
+def _in_regions(rset: RegionSet) -> np.ndarray:
+    """Flat boolean map of the pixels in any of the set's regions."""
+    inside = np.zeros(rset.height * rset.width, dtype=bool)
+    for region in rset.regions:
+        inside[region.pixels] = True
+    return inside
+
+
+class PixelPool(LabeledScores):
+    """Every pixel of a cell's score maps, pooled as each map arrives.
+
+    Sized from the ground truth before any map exists: one region set per
+    map gives its shape, its anomalous pixels (those in any region) and
+    its labelled regions. ``add`` takes the maps in order and keeps none
+    of them: a map's normal pixels go into the next slice of
+    ``negatives`` and its anomalous ones into ``positives``, both in
+    pixel order, and each region's scores are gathered, sorted, into
+    ``region_scores``. As the last map arrives both sides are sorted in
+    place and checked finite, once. Pixel AUROC and AP read
+    ``ranked()``; ``aupro`` and ``mean_spro`` read the sorted sides as
+    their normal and anomalous pixels and ``region_scores`` as their
+    regions', so the maps are pooled and labelled once for all four.
     """
 
-    def __init__(self, scores, labels, shapes, masks):
-        super().__init__(scores, labels)
-        self._shapes = shapes
-        self._masks = masks
-        self._regions: list[RegionSet] | None = None
+    def __init__(self, region_sets: list[RegionSet]):
+        self.regions = region_sets
+        self.region_scores: list[np.ndarray] = []  # per region, in region order
+        total = sum(rset.height * rset.width for rset in region_sets)
+        anomalous = sum(int(np.count_nonzero(_in_regions(rset))) for rset in region_sets)
+        self.negatives = np.empty(total - anomalous)
+        self.positives = np.empty(anomalous)
+        self._finite = True
+        self._added = 0
+        self._filled = (0, 0)  # negatives and positives written so far
+        self._error: MetricError | None = None  # a map that does not fit
 
-    @property
-    def regions(self) -> list[RegionSet]:
-        """Each mask's 8-connected regions, saturating at their own area."""
-        if self._regions is None:
-            self._regions = [
-                connected_regions(m) if m is not None else RegionSet(shape[0], shape[1], [])
-                for m, shape in zip(self._masks, self._shapes)
-            ]
-        return self._regions
+    def add(self, score_map: np.ndarray) -> None:
+        """Pool the next map; a map that does not fit is recorded, not raised."""
+        smap = np.asarray(score_map, dtype=np.float64)
+        i = self._added
+        self._added += 1
+        if self._error is not None:
+            return
+        if i == len(self.regions):
+            self._error = MetricError("dim-mismatch", "score maps and ground truth counts differ")
+            return
+        rset = self.regions[i]
+        shape = (rset.height, rset.width)
+        if smap.shape != shape:
+            self._error = MetricError("dim-mismatch", f"score map {smap.shape} vs ground truth {shape}")
+            return
+        flat = smap.ravel()
+        inside = _in_regions(rset)
+        anomalous = int(np.count_nonzero(inside))
+        neg, pos = self._filled
+        self.negatives[neg : neg + flat.size - anomalous] = flat[~inside]
+        self.positives[pos : pos + anomalous] = flat[inside]
+        self._filled = neg + flat.size - anomalous, pos + anomalous
+        self.region_scores.extend(np.sort(flat[region.pixels]) for region in rset.regions)
+        if self._added == len(self.regions):
+            self.negatives.sort()
+            self.positives.sort()
+            # NaN sorts last, so the ends show any non-finite pixel
+            self._finite = all(
+                side.size == 0 or (-np.inf < side[0] and side[-1] < np.inf)
+                for side in (self.negatives, self.positives)
+            )
+
+    def _mismatch(self) -> MetricError | None:
+        if self._error is None and self._added != len(self.regions):
+            return MetricError("dim-mismatch", "score maps and ground truth counts differ")
+        return self._error
+
+    def ranked(self) -> PixelPool:
+        """This pool for pixel AUROC and AP; raises as pooling the maps at once would."""
+        if self._added == 0:
+            raise MetricError("degenerate-labels", "no score maps to pool")
+        error = self._mismatch()
+        if error is not None:
+            raise error
+        if self.negatives.size + self.positives.size == 0:
+            raise MetricError("degenerate-labels", "no pixels to pool")
+        if not self._finite:
+            raise MetricError("degenerate-labels", "scores must be finite")
+        return self
+
+    def check_maps(self, region_sets: list[RegionSet]) -> None:
+        """Raise what ``mean_spro`` raises for the pooled maps against ``region_sets``."""
+        error = self._mismatch()
+        if error is not None:
+            raise error
+        if [(rs.height, rs.width, len(rs.regions)) for rs in region_sets] != [
+            (rs.height, rs.width, len(rs.regions)) for rs in self.regions
+        ]:
+            raise MetricError("dim-mismatch", "region sets differ from the pooled ground truth")
+        if not self._finite:
+            raise MetricError("dim-mismatch", "score maps must be finite")
 
 
 def _check_maps(score_maps, shapes, finite: bool = True) -> None:
@@ -280,12 +375,7 @@ def _thresholds_to_limit(
     return kept[_run_starts(kept)]
 
 
-def _overlap_curve_area(
-    score_maps: list[np.ndarray],
-    region_sets: list[RegionSet],
-    fpr_limit: float,
-    pool: LabeledScores | None,
-) -> float:
+def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit: float) -> float:
     """Shared threshold sweep behind aupro and mean_spro.
 
     Thresholds are the distinct score values pooled over every map, in
@@ -293,62 +383,51 @@ def _overlap_curve_area(
     The curve starts at the synthetic empty-prediction point (0, 0) and
     is integrated over [0, fpr_limit], normalized by the limit. Only the
     thresholds the integral reads are swept (``_thresholds_to_limit``).
+    Regions are the pool's, with the saturations of ``region_sets``.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError("no-regions", f"fpr_limit {fpr_limit} not in (0, 1]")
-    region_scores: list[tuple[np.ndarray, int]] = []
-    for smap, rset in zip(score_maps, region_sets):
-        flat = smap.ravel()
-        region_scores.extend((flat[region.pixels], region.saturation) for region in rset.regions)
-    if not region_scores:
+    saturations = [region.saturation for rset in region_sets for region in rset.regions]
+    if not saturations:
         raise MetricError("no-regions", "no ground-truth regions in the evaluation set")
-    if pool is None:  # finite maps holding a region: this cannot raise
-        in_regions = []
-        for smap, rset in zip(score_maps, region_sets):
-            in_regions.append(np.zeros(smap.size, dtype=bool))
-            for region in rset.regions:
-                in_regions[-1][region.pixels] = True
-        pool = LabeledScores(
-            np.concatenate([m.ravel() for m in score_maps]), np.concatenate(in_regions)
-        )
-        del in_regions
     normal, anomalous = pool.negatives, pool.positives
     if normal.size == 0:
         raise MetricError("no-normal-pixels", "no normal pixels in the evaluation set")
 
     ascending = _thresholds_to_limit(normal, anomalous, fpr_limit)
     k = ascending.size
-    # the curve's points: (0, 0), then one per threshold, descending
-    xs = np.zeros(k + 1, dtype=np.float64)
-    ys = np.zeros(k + 1, dtype=np.float64)
-    false_pos = normal.size - np.searchsorted(normal, ascending, side="left")
-    xs[1:] = false_pos[::-1] / normal.size
-    del false_pos
-
     # A pixel is covered from the threshold equal to its score on: index
     # k - above in descending order, or k if it is below every kept one.
-    # Each region's entries come ascending from its scores sorted first
+    # Each region's entries come ascending from its sorted scores
     # (searched in order, then reversed). Coverage changes only at those
     # indices, so the overlap is summed, region by region as before, once
     # per stretch between two of them and then repeated over the stretch.
     # Every entry below k starts a stretch, so a region's coverage over
     # the stretches is a running count of its entries at each start.
     entries = [
-        (k - np.searchsorted(ascending, np.sort(scores), side="right"))[::-1]
-        for scores, _sat in region_scores
+        (k - np.searchsorted(ascending, scores, side="right"))[::-1]
+        for scores in pool.region_scores
     ]
+    # the curve's points: (0, 0), then one per threshold, descending
+    false_pos = np.searchsorted(normal, ascending, side="left")
     del ascending
+    np.subtract(normal.size, false_pos, out=false_pos)
+    xs = np.empty(k + 1, dtype=np.float64)
+    xs[0] = 0.0
+    np.divide(false_pos[::-1], normal.size, out=xs[1:])
+    del false_pos
+
     starts = np.sort(np.concatenate([[0], *entries]))
     starts = starts[_run_starts(starts)]
     starts = starts[starts < k]
-    overlap = np.zeros(starts.size, dtype=np.float64)
-    for entered, (_scores, sat) in zip(entries, region_scores):
+    overlap = np.zeros(starts.size + 1, dtype=np.float64)  # the (0, 0) point first
+    for entered, sat in zip(entries, saturations):
         below = entered[: np.searchsorted(entered, k, side="left")]
         covered = np.bincount(np.searchsorted(starts, below), minlength=starts.size)
         share = np.cumsum(covered, out=covered) / sat
-        overlap += np.minimum(share, 1.0, out=share)
-    overlap /= len(region_scores)
-    ys[1:] = np.repeat(overlap, np.diff(starts, append=k))
+        overlap[1:] += np.minimum(share, 1.0, out=share)
+    overlap /= len(saturations)
+    ys = np.repeat(overlap, np.diff(starts, prepend=-1, append=k))
     return _integrate_to_limit(xs, ys, fpr_limit)
 
 
@@ -369,8 +448,8 @@ def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
 
 
 def aupro(
-    score_maps: list[np.ndarray],
-    masks: list[PixelMask | None],
+    score_maps: list[np.ndarray] | None,
+    masks: list[PixelMask | None] | None,
     fpr_limit: float = DEFAULT_PRO_LIMIT,
     pool: PixelPool | None = None,
 ) -> float:
@@ -379,25 +458,20 @@ def aupro(
     Regions are the 8-connected components of each mask; a None (or
     all-false) mask contributes only normal pixels. The false-positive
     rate pools normal pixels across every image. ``pool``, if given, is
-    ``pooled_pixel_scores(score_maps, masks)``; its sorted pixels and
-    labelled regions are then used instead of pooling and labelling
-    again.
+    a ``PixelPool`` of these maps labelled by these masks (as
+    ``pooled_pixel_scores`` returns); neither ``score_maps`` nor
+    ``masks`` is then read, and may be None.
     """
+    if pool is not None:
+        return mean_spro(score_maps, pool.regions, fpr_limit, pool=pool)
     maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
     if len(maps) != len(masks):
         raise MetricError("dim-mismatch", "score maps and masks counts differ")
-    if pool is not None:
-        region_sets = pool.regions
-    else:
-        region_sets = [
-            connected_regions(m) if m is not None else RegionSet(s.shape[0], s.shape[1], [])
-            for m, s in zip(masks, maps)
-        ]
-    return mean_spro(maps, region_sets, fpr_limit, pool=pool)
+    return mean_spro(maps, mask_regions(masks, [m.shape for m in maps]), fpr_limit)
 
 
 def mean_spro(
-    score_maps: list[np.ndarray],
+    score_maps: list[np.ndarray] | None,
     region_sets: list[RegionSet],
     fpr_limit: float = DEFAULT_SPRO_LIMIT,
     pool: PixelPool | None = None,
@@ -406,36 +480,39 @@ def mean_spro(
 
     Per threshold, each region contributes min(|A ∩ P| / s, 1); with
     s equal to the region area this reduces exactly to the plain
-    per-region overlap. ``pool``, if given, is the
-    ``pooled_pixel_scores`` of these maps and of masks whose regions are
-    ``region_sets`` (saturations aside); the maps are then known finite,
-    and its sorted sides are the normal and anomalous pixels.
+    per-region overlap. ``pool``, if given, is a ``PixelPool`` of these
+    maps whose regions are ``region_sets`` (saturations aside);
+    ``score_maps`` is then not read, and may be None. Without it the
+    maps are checked and pooled here.
     """
-    maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
-    _check_maps(maps, [(rs.height, rs.width) for rs in region_sets], finite=pool is None)
-    return _overlap_curve_area(maps, region_sets, fpr_limit, pool)
+    if pool is None:
+        maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
+        _check_maps(maps, [(rs.height, rs.width) for rs in region_sets])
+        pool = PixelPool(region_sets)
+        for smap in maps:
+            pool.add(smap)
+    else:
+        pool.check_maps(region_sets)
+    return _overlap_curve_area(pool, region_sets, fpr_limit)
 
 
 def pooled_pixel_scores(
     score_maps: list[np.ndarray], masks: list[PixelMask | None]
 ) -> PixelPool:
-    """Pool every pixel of every map, split by mask and sorted, in one pass."""
+    """The ``PixelPool`` of a list of maps, labelled by their masks.
+
+    Checks the pairs first, then feeds the maps in order, as a cell
+    feeds each map as it is rendered.
+    """
     if not score_maps:
         raise MetricError("degenerate-labels", "no score maps to pool")
     maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
     # a None mask labels its map all normal, whatever the map's shape
     _check_maps(maps, [None if m is None else m.bits.shape for m in masks], finite=False)
-    scores = []
-    labels = []
-    shapes = []
-    for smap, mask in zip(maps, masks):
-        scores.append(smap.ravel())
-        shapes.append(smap.shape)
-        if mask is None:
-            labels.append(np.zeros(smap.size, dtype=bool))
-        else:
-            labels.append(mask.bits.ravel())
-    return PixelPool(np.concatenate(scores), np.concatenate(labels), shapes, list(masks))
+    pool = PixelPool(mask_regions(masks, [m.shape for m in maps]))
+    for smap in maps:
+        pool.add(smap)
+    return pool.ranked()
 
 
 @dataclass

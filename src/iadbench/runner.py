@@ -57,10 +57,9 @@ from .metrics import (
     aupro,
     auroc,
     average_precision,
-    connected_regions,
     forgetting_measure,
+    mask_regions,
     mean_spro,
-    pooled_pixel_scores,
 )
 from .protocols import (
     ROTATION_ANGLES,
@@ -478,18 +477,27 @@ def evaluate(
     samples: list[Sample],
     known: list[Nearest | None] | None = None,
     render: bool = True,
-) -> tuple[list[float], list[np.ndarray | None], list[float]]:
-    """Score each sample once: image scores, pixel maps, wall-clock ms per image.
+) -> tuple[list[float], PixelPool | None, list[float]]:
+    """Score each sample once: image scores, the pixel pool, wall-clock ms per image.
 
     ``known``, when given, holds each sample's last search
     (``ScoreResult.nearest``; None before the first) against an earlier
     state whose bank this one extends: only the appended rows are
-    searched, and each entry is replaced by the new search. Maps are
-    None unless ``render``.
+    searched, and each entry is replaced by the new search.
+
+    When ``render``, the samples' ``PixelPool`` is sized from their masks
+    and image shapes before any map exists, and each pixel map is fed
+    into it as soon as it is rendered and then dropped, so no map
+    outlives its sample. Pooling runs outside the timed span: the
+    latencies time scoring and rendering only. The pool is None unless
+    ``render``.
     """
     scores = []
-    maps = []
     latencies_ms = []
+    pool = None
+    if render:
+        shapes = [s.image.values.shape for s in samples]
+        pool = PixelPool(mask_regions([s.mask for s in samples], shapes))
     for i, sample in enumerate(samples):
         start = time.perf_counter()
         result, pixel_map = state.score_sample(sample, None if known is None else known[i], render)
@@ -497,8 +505,10 @@ def evaluate(
         if known is not None:
             known[i] = result.nearest
         scores.append(result.s)
-        maps.append(pixel_map)
-    return scores, maps, latencies_ms
+        if pool is not None:
+            pool.add(pixel_map)
+        del pixel_map  # before the next one is rendered
+    return scores, pool, latencies_ms
 
 
 def efficiency_stats(latencies_ms: list[float]) -> EfficiencyStats:
@@ -562,23 +572,11 @@ def _unfailed(outcome):
 
 
 def _category_region_sets(
-    dataset: Dataset,
-    category: str,
-    test: list[Sample],
-    maps: list[np.ndarray],
-    pool: PixelPool | None,
+    dataset: Dataset, category: str, test: list[Sample], pool: PixelPool
 ) -> list[RegionSet]:
-    """sPRO's regions: each mask's, saturating at its defect type's table entry."""
+    """sPRO's regions: the pool's, saturating at their defect type's table entry."""
     table = dataset.saturation_table.get(category, {})
-    if pool is not None:  # labelled once, for aupro too
-        return [rset.saturated(table.get(s.defect_type)) for s, rset in zip(test, pool.regions)]
-    out = []
-    for sample, smap in zip(test, maps):
-        if sample.mask is None:
-            out.append(RegionSet(smap.shape[0], smap.shape[1], []))
-        else:
-            out.append(connected_regions(sample.mask, table.get(sample.defect_type)))
-    return out
+    return [rset.saturated(table.get(s.defect_type)) for s, rset in zip(test, pool.regions)]
 
 
 def _cell_metrics(
@@ -587,12 +585,12 @@ def _cell_metrics(
     category: str,
     test: list[Sample],
     image_scores: list[float],
-    pixel_maps: list[np.ndarray],
+    pool: PixelPool,
 ) -> tuple[dict, dict]:
+    """The cell's metric values and N/A reasons; pixel metrics read only ``pool``."""
     values: dict = {}
     reasons: dict = {}
     labels = [s.label == ABNORMAL for s in test]
-    masks = [s.mask for s in test]
 
     def attempt(name, fn):
         if name not in config.metric_names:
@@ -603,33 +601,21 @@ def _cell_metrics(
             values[name] = None
             reasons[name] = exc.code
 
-    # every pixel metric reads one pool; if pooling fails, the ranking
-    # metrics report its error and the region metrics check the maps
-    # themselves, as they would alone
-    pool = pool_error = None
-    if not {"pixel_auroc", "pixel_ap", "aupro", "mean_spro"}.isdisjoint(config.metric_names):
-        try:
-            pool = pooled_pixel_scores(pixel_maps, masks)
-        except MetricError as exc:
-            pool_error = exc
-
-    def pooled() -> PixelPool:
-        if pool_error is not None:
-            raise pool_error
-        return pool
-
+    # the pool's checks give the codes each metric gives alone: a map
+    # that is not finite is degenerate-labels for the ranking metrics and
+    # dim-mismatch for the region metrics
     attempt("image_auroc", lambda: auroc(LabeledScores(image_scores, labels)))
     attempt("image_ap", lambda: average_precision(LabeledScores(image_scores, labels)))
-    attempt("pixel_auroc", lambda: auroc(pooled()))
-    attempt("pixel_ap", lambda: average_precision(pooled()))
-    attempt("aupro", lambda: aupro(pixel_maps, masks, config.pro_limit, pool=pool))
+    attempt("pixel_auroc", lambda: auroc(pool.ranked()))
+    attempt("pixel_ap", lambda: average_precision(pool.ranked()))
+    attempt("aupro", lambda: aupro(None, None, config.pro_limit, pool=pool))
     if "mean_spro" in config.metric_names:
         if dataset.saturation_table.get(category):
             attempt(
                 "mean_spro",
                 lambda: mean_spro(
-                    pixel_maps,
-                    _category_region_sets(dataset, category, test, pixel_maps, pool),
+                    None,
+                    _category_region_sets(dataset, category, test, pool),
                     config.spro_limit,
                     pool=pool,
                 ),
@@ -650,13 +636,13 @@ def _scored_cell(
     label: str,
     seed: int,
     test: list[Sample],
-    scored: tuple[list[float], list[np.ndarray], list[float]],
+    scored: tuple[list[float], PixelPool, list[float]],
     bank: MemoryBank,
     keep_bank: bool,
 ) -> CellResult:
     """The ok cell of a test set scored against ``bank`` by ``evaluate``."""
-    image_scores, pixel_maps, latencies_ms = scored
-    metrics, na_reasons = _cell_metrics(config, dataset, category, test, image_scores, pixel_maps)
+    image_scores, pool, latencies_ms = scored
+    metrics, na_reasons = _cell_metrics(config, dataset, category, test, image_scores, pool)
     try:
         efficiency = efficiency_stats(latencies_ms)
     except ConfigError:
@@ -740,15 +726,16 @@ def _run_continual_job(
     and the final cells are bit-identical to that rescoring. Test
     features are re-extracted each step, since caching them would grow
     with k x test set x patches x dim; re-weighting ranks the whole
-    bank; maps are rendered at step k only, and the cells' latencies
-    time that final pass per image.
+    bank; maps are rendered at step k only, each pooled into its task's
+    cell as it is rendered, and the cells' latencies time that final
+    pass per image.
     """
     k = len(tasks)
     empty = MemoryBank.empty(config.feature.dim)
     state = DetectorState(empty, config.feature, config.b, config.smoothing_sigma)
     known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
-    final_scores: dict[int, tuple[list[float], list[np.ndarray], list[float]]] = {}
+    final_scores: dict[int, tuple[list[float], PixelPool, list[float]]] = {}
     for step, rows in enumerate(task_rows, start=1):
         state = state.extended(extend_bank_for_task(state.bank, rows, step))
         for prev in tasks[:step]:

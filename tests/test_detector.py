@@ -450,6 +450,11 @@ def _search_case(kind, dim, bank_size, test_count, seed):
         # several u * ||t||^2, larger than many of the distance gaps
         bank = 1e3 + rng.random((bank_size, dim)) * 1e-3
         tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-3, (test_count, dim))
+    elif kind == "nan":
+        # a NaN test row is NaN against every bank row: argmin's first NaN, index 0
+        bank = rng.random((bank_size, dim))
+        tests = rng.random((test_count, dim))
+        tests[rng.random(test_count) < 0.3, rng.integers(0, dim)] = np.nan
     else:  # "overflow": every reference distance is inf
         bank = rng.random((bank_size, dim))
         tests = 1e160 + rng.random((test_count, dim))
@@ -458,7 +463,7 @@ def _search_case(kind, dim, bank_size, test_count, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "overflow"]),
+    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "overflow", "nan"]),
     dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
     bank_size=st.integers(1, 24),
     test_count=st.sampled_from([1, 255, 256, 257, 513]),
@@ -469,6 +474,7 @@ def _search_case(kind, dim, bank_size, test_count, seed):
 @example(kind="equidistant", dim=3, bank_size=20, test_count=256, seed=2)
 @example(kind="offset", dim=9, bank_size=5, test_count=257, seed=3)
 @example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
+@example(kind="nan", dim=9, bank_size=12, test_count=257, seed=5)
 def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
     bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,7 +487,7 @@ def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_c
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(
-        ["random", "duplicates", "equidistant", "offset", "overflow", "cross-slice-tie"]
+        ["random", "duplicates", "equidistant", "offset", "overflow", "nan", "cross-slice-tie"]
     ),
     dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
     slice_sizes=st.lists(st.integers(1, 10), min_size=2, max_size=5),

@@ -200,6 +200,9 @@ def test_region_saturation_modes():
     assert clamped.regions[0].saturation == 8
     floor = connected_regions(PixelMask(mask), saturation=0.001)
     assert floor.regions[0].saturation == 1
+    # 0.05 of 210 px is 10.5, rounded half to even; 0.05 * 14 * 15 is just above it
+    whole = connected_regions(PixelMask(np.ones((14, 15), bool)), saturation=0.05)
+    assert whole.regions[0].saturation == 10
 
 
 # --- aupro / mean_spro -------------------------------------------------------------

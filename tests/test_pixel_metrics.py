@@ -16,8 +16,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iadbench.data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
-from iadbench.metrics import aupro, auroc, average_precision, pooled_pixel_scores
-from iadbench.runner import _cell_metrics, parse_config
+from iadbench.detector import MemoryBank
+from iadbench.errors import MetricError
+from iadbench.features import FeatureProviderConfig
+from iadbench.metrics import (
+    PixelPool,
+    aupro,
+    auroc,
+    average_precision,
+    mask_regions,
+    pooled_pixel_scores,
+)
+from iadbench.runner import DetectorState, _cell_metrics, evaluate, parse_config
 from oracles import pixel_metrics_reference
 
 PIXEL_METRICS = ["pixel_auroc", "pixel_ap", "aupro", "mean_spro"]
@@ -110,21 +120,35 @@ def cells(draw):
     return maps, masks, defects, draw(LIMITS), draw(LIMITS)
 
 
-def _cell_inputs(maps, masks, defects, pro_limit, spro_limit):
-    """``_cell_metrics``'s arguments for one category of these maps."""
+def _cell_pool(test, maps):
+    """The samples' pixel pool fed these maps one at a time, as ``evaluate`` feeds it."""
+    pool = PixelPool(mask_regions([s.mask for s in test], [s.image.values.shape for s in test]))
+    for smap in maps:
+        pool.add(smap)
+    return pool
+
+
+def _cell_test(images, masks, defects):
+    """One category's test samples and its dataset."""
     test = [
         Sample(
             id=f"s{i}",
-            image=ImageGrid(np.zeros(smap.shape)),
+            image=ImageGrid(image),
             label=ABNORMAL if mask is not None and mask.any() else NORMAL,
             mask=None if mask is None else PixelMask(mask),
             defect_type=defect,
             category="c",
         )
-        for i, (smap, mask, defect) in enumerate(zip(maps, masks, defects))
+        for i, (image, mask, defect) in enumerate(zip(images, masks, defects))
     ]
-    dataset = Dataset(["c"], {}, {"c": test}, {"c": dict(SATURATIONS)})
-    return _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), maps
+    return test, Dataset(["c"], {}, {"c": test}, {"c": dict(SATURATIONS)})
+
+
+def _cell_inputs(maps, masks, defects, pro_limit, spro_limit):
+    """``_cell_metrics``'s arguments for one category of these maps."""
+    test, dataset = _cell_test([np.zeros(m.shape) for m in maps], masks, defects)
+    pool = _cell_pool(test, maps)
+    return _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), pool
 
 
 def _cell(*args):
@@ -184,29 +208,145 @@ def test_cli_pixel_metrics_match_reference(cell):
 
 @pytest.mark.parametrize(
     "pro_limit, spro_limit, bytes_per_pixel",
-    [(0.3, 0.05, 32), (1.0, 1.0, 56)],  # the runner's defaults; a sweep of every threshold
+    [(0.3, 0.05, 28), (1.0, 1.0, 44)],  # the runner's defaults; a sweep of every threshold
 )
 def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
     """Traced peak of the pass on 16 maps of 256 x 256 (1,048,576 distinct scores).
 
-    Apart from the maps, a few float64 arrays of the pixel count are alive
-    at once; the per-metric pooling it replaced peaked near 90 bytes a
-    pixel here.
+    The maps are made inside the trace and fed to the pool one at a time,
+    as a cell renders them, so they count. The pool is 8 bytes a pixel;
+    the rest is the metrics' own transients over it (average precision's
+    at the defaults, the region sweep's at limit 1). Holding the maps
+    and pooling them at once peaked at 32.4 and 56.2 bytes a pixel here.
     """
     rng = np.random.default_rng(0)
-    maps, masks = [], []
+    masks = []
     for i in range(16):
         mask = np.zeros((256, 256), bool)
         for y, x in rng.integers(0, 236, (3 * (i % 4 > 0), 2)):
             mask[y : y + 12, x : x + 15] = True
-        maps.append(rng.random((256, 256)) + 0.3 * mask)
         masks.append(mask)
-    inputs = _cell_inputs(maps, masks, ["small"] * len(maps), pro_limit, spro_limit)
+    test, dataset = _cell_test([np.zeros(m.shape) for m in masks], masks, ["small"] * len(masks))
     tracemalloc.start()
     try:
-        values, reasons = _cell_metrics(*inputs)
+        pool = _cell_pool(test, (rng.random((256, 256)) + 0.3 * mask for mask in masks))
+        values, reasons = _cell_metrics(
+            _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), pool
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert not reasons and all(values[name] is not None for name in PIXEL_METRICS)
-    assert peak <= bytes_per_pixel * sum(m.size for m in maps)
+    assert peak <= bytes_per_pixel * sum(m.size for m in masks)
+
+
+def test_cell_render_peak_memory():
+    """Traced peak of one 256 px cell's 16 maps, from rendering to its metrics.
+
+    ``evaluate`` sizes the pool first, then feeds each map into it as it
+    is rendered and drops it, so rendering peaks at the pool plus one
+    map's scratch (seven maps here; one map more if the last map were
+    kept while the next renders) and the metrics start with
+    only the pool and its region scores alive. A list of maps alongside
+    the pool would add sixteen.
+    """
+    rng = np.random.default_rng(0)
+    bank = MemoryBank(64, rng.random((32, 64)).astype(np.float32), np.zeros(32, np.uint32))
+    state = DetectorState(bank, FeatureProviderConfig(8, 8, "raw-patch"), 2, 2.0)
+    masks = [None] * 16
+    for i in range(1, 16, 2):
+        masks[i] = np.zeros((256, 256), bool)
+        masks[i][40 + 5 * i : 70 + 5 * i, 100:140] = True
+    images = [rng.random((256, 256)) for _ in masks]
+    test, dataset = _cell_test(images, masks, ["small"] * 16)
+    map_bytes = 256 * 256 * 8
+    tracemalloc.start()
+    try:
+        image_scores, pool, _ = evaluate(state, test)
+        held, render_peak = tracemalloc.get_traced_memory()
+        values, reasons = _cell_metrics(_config(0.3, 0.05), dataset, "c", test, image_scores, pool)
+    finally:
+        tracemalloc.stop()
+    assert not reasons and all(values[name] is not None for name in PIXEL_METRICS)
+    pool_bytes = pool.negatives.nbytes + pool.positives.nbytes
+    assert pool_bytes == 16 * map_bytes
+    assert render_peak <= pool_bytes + 7.5 * map_bytes
+    assert held <= pool_bytes + map_bytes
+
+
+def _code(fn):
+    try:
+        return fn()
+    except MetricError as exc:
+        return exc.code
+
+
+def _non_finite(value):
+    """Two maps and masks, the second map holding ``value`` in one pixel."""
+    maps = [np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0 for _ in range(2)]
+    maps[1][1, 2] = value
+    masks = [np.eye(3, 4, dtype=bool), np.zeros((3, 4), bool)]
+    return maps, masks, ["small", "small"], 0.3, 0.3
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells(), st.integers(0, 2), st.integers(0, 3))
+@example(_non_finite(np.nan), 1, 0)
+@example(_non_finite(np.inf), 1, 0)
+@example(_non_finite(-np.inf), 1, 0)
+@example(_non_finite(1.0), 0, 0)
+def test_streamed_pool_equals_pooled_list(cell, transpose, which):
+    """A pool fed map by map equals ``pooled_pixel_scores`` on the list.
+
+    Both hold the bytes the original concatenation sorted and the same
+    per-region scores, and pixel AUROC, AP and AUPRO read from the
+    streamed pool give the values or reason codes of the list and of the
+    original code. One draw in three feeds the ``which``-th masked map
+    transposed: a shape mismatch unless it is square.
+    """
+    maps, masks, _defects, pro_limit, _spro_limit = cell
+    pixel_masks = [None if m is None else PixelMask(m) for m in masks]
+    shapes = [m.shape for m in maps]
+    masked = [i for i, m in enumerate(masks) if m is not None]
+    fed = list(maps)
+    if masked and transpose == 0:
+        i = masked[which % len(masked)]
+        fed[i] = np.ascontiguousarray(maps[i].T)
+    streamed = PixelPool(mask_regions(pixel_masks, shapes))
+    for smap in fed:
+        streamed.add(smap)
+
+    def listed():
+        return pooled_pixel_scores(fed, pixel_masks)
+
+    got = {
+        "pixel_auroc": _code(lambda: auroc(streamed.ranked())),
+        "pixel_ap": _code(lambda: average_precision(streamed.ranked())),
+        "aupro": _code(lambda: aupro(None, None, pro_limit, pool=streamed)),
+    }
+    assert got == {
+        "pixel_auroc": _code(lambda: auroc(listed())),
+        "pixel_ap": _code(lambda: average_precision(listed())),
+        "aupro": _code(lambda: aupro(fed, pixel_masks, pro_limit)),
+    }
+    if [m.shape for m in fed] != shapes:
+        return
+    expected = pixel_metrics_reference(fed, masks, pro_limit, pro_limit)
+    assert got == {name: expected[name] for name in got}
+    # the original pooling: every pixel concatenated, split by label, sorted
+    scores = np.concatenate([m.ravel() for m in fed])
+    labels = np.concatenate(
+        [np.zeros(m.size, bool) if k is None else k.ravel() for m, k in zip(fed, masks)]
+    )
+    region_scores = [
+        np.sort(m.ravel()[region.pixels]).tobytes()
+        for m, rset in zip(fed, streamed.regions)
+        for region in rset.regions
+    ]
+    pools = [streamed]
+    if isinstance(_code(listed), PixelPool):  # finite and not empty
+        pools.append(listed())
+    for pool in pools:
+        assert pool.negatives.tobytes() == np.sort(scores[~labels]).tobytes()
+        assert pool.positives.tobytes() == np.sort(scores[labels]).tobytes()
+        assert [r.tobytes() for r in pool.region_scores] == region_scores
