@@ -10,6 +10,10 @@ A dataset root follows the common industrial-inspection layout::
 ``saturations.json`` maps defect_type to {"relative_area": r} with
 r in (0, 1], expressing each defect type's saturation threshold as a
 fraction of the image area.
+
+Images are held as their 8-bit codes (``ImageGrid.codes``, one byte per
+pixel), exactly as a maxval-255 PGM stores them; the intensity k/255 is
+computed only where a float is needed.
 """
 
 from __future__ import annotations
@@ -30,25 +34,42 @@ ABNORMAL = "abnormal"
 
 @dataclass
 class ImageGrid:
-    """Single-channel image with intensities in [0, 1], row-major."""
+    """Single-channel image held as its 8-bit codes, row-major.
 
-    values: np.ndarray
+    ``codes`` is an (h, w) uint8 array; code k stands for the intensity
+    k/255 in [0, 1], so an image costs one byte per pixel. ``values`` is
+    computed on each read, never stored. The constructor takes uint8
+    codes, or a float array that lies exactly on the 1/255 grid; any
+    other value raises ``malformed-pgm``.
+    """
+
+    codes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.asarray(self.codes)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DataError("dim-mismatch", f"image must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise DataError("malformed-pgm", "image values must lie in [0, 1]")
-        self.values = arr
+        if arr.dtype != np.uint8:
+            values = np.asarray(arr, dtype=np.float64)
+            if not np.all(np.isfinite(values)) or values.min() < 0.0 or values.max() > 1.0:
+                raise DataError("malformed-pgm", "image values must lie in [0, 1]")
+            arr = np.round(values * 255.0).astype(np.uint8)
+            if not np.array_equal(arr / 255.0, values):
+                raise DataError("malformed-pgm", "image values must lie on the 1/255 grid")
+        self.codes = arr
+
+    @property
+    def values(self) -> np.ndarray:
+        """The intensities k/255 as a fresh float64 array."""
+        return self.codes / 255.0
 
     @property
     def height(self) -> int:
-        return self.values.shape[0]
+        return self.codes.shape[0]
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.codes.shape[1]
 
 
 @dataclass
@@ -143,8 +164,8 @@ class Dataset:
 
 
 def grid_from_pgm(path: str) -> ImageGrid:
-    """A PGM image (or score map) as intensities v/255."""
-    return ImageGrid(read_pgm(path) / 255.0)
+    """A PGM image (or score map); its raw bytes are the codes, read as v/255."""
+    return ImageGrid(read_pgm(path))
 
 
 def mask_from_pgm(path: str) -> PixelMask:

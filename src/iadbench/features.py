@@ -3,6 +3,8 @@
 The reference descriptor is the raw patch: a sliding window of
 patch_size x patch_size pixels flattened row-major, giving a grid of
 (grid_h x grid_w) vectors of dimension patch_size^2, stored as float32.
+Images arrive as 8-bit codes; each code k becomes the float32 quotient
+k/255, the value a float64 image cast to float32 would give.
 """
 
 from __future__ import annotations
@@ -68,7 +70,12 @@ def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatu
     """Slide the patch window over the image and flatten each window."""
     grid_h, grid_w = cfg.grid_shape(image)
     p, s = cfg.patch_size, cfg.stride
-    windows = sliding_window_view(image.values, (p, p))[::s, ::s]
-    vectors = windows.reshape(grid_h * grid_w, cfg.dim).astype(np.float32)
+    # float32(k) / 255 is k/255 rounded correctly to float32, and so is
+    # float32(k / 255.0): float64 carries more than 2 x 24 + 2 bits, so
+    # rounding its quotient twice is harmless. Both give the same value.
+    intensities = image.codes.astype(np.float32)
+    intensities /= np.float32(255.0)
+    windows = sliding_window_view(intensities, (p, p))[::s, ::s]
+    vectors = windows.reshape(grid_h * grid_w, cfg.dim)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)
 

@@ -32,6 +32,9 @@ from .errors import MetricError
 DEFAULT_PRO_LIMIT = 0.3
 DEFAULT_SPRO_LIMIT = 0.05
 
+# segments per block of the trapezoid terms in ``_integrate_to_limit``
+_SEGMENT_BLOCK = 1 << 16
+
 
 class LabeledScores:
     """Per-item scores with binary labels (True = positive/anomalous).
@@ -96,17 +99,22 @@ def average_precision(data: LabeledScores) -> float:
     recall = tp / total_pos
     steps = np.diff(recall, prepend=0.0)
     # distinct scores above each value: positive ones, plus negative ones,
-    # minus the values both classes hold
-    neg_distinct = neg[_run_starts(neg)]
-    shared = neg_below < neg.size
-    shared[shared] = neg[neg_below[shared]] == values[shared]
+    # minus the values both classes hold. The negatives at or below a
+    # value are a prefix of ``neg``; its distinct ones are its length
+    # less the repeats in it, each repeat being an element equal to the
+    # one before it.
+    repeats = np.flatnonzero(~_run_starts(neg))
+    neg_upto = np.searchsorted(neg, values, side="right")
+    distinct_upto = neg_upto - np.searchsorted(repeats, neg_upto, side="left")
+    neg_distinct = neg.size - repeats.size
+    del repeats
+    shared = neg_upto > neg_below
     place = (
         np.arange(values.size)
-        + (neg_distinct.size - np.searchsorted(neg_distinct, values, side="right"))
+        + (neg_distinct - distinct_upto)
         - (np.cumsum(shared) - shared)
     )
-    terms = np.zeros(values.size + neg_distinct.size - int(shared.sum()))
-    del neg_distinct
+    terms = np.zeros(values.size + neg_distinct - int(shared.sum()))
     terms[place] = steps * precision
     return float(np.sum(terms))
 
@@ -436,10 +444,18 @@ def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
 
     ``xs`` never decreases, so the segments that end inside the limit
     are a prefix, and only the segment after it can straddle the limit.
+    The prefix's terms (x1 - x0) * (y0 + y1) * 0.5 are formed block by
+    block into one array, which one ``np.sum`` adds.
     """
     n = int(np.count_nonzero(xs[1:] <= limit))
-    x0, x1, y0, y1 = xs[:n], xs[1 : n + 1], ys[:n], ys[1 : n + 1]
-    area = float(np.sum((x1 - x0) * (y0 + y1) * 0.5))
+    terms = np.empty(n, dtype=np.float64)
+    for lo in range(0, n, _SEGMENT_BLOCK):
+        hi = min(lo + _SEGMENT_BLOCK, n)
+        block = terms[lo:hi]
+        np.subtract(xs[lo + 1 : hi + 1], xs[lo:hi], out=block)
+        block *= ys[lo:hi] + ys[lo + 1 : hi + 1]
+        block *= 0.5
+    area = float(np.sum(terms))
     x0, x1, y0, y1 = xs[n : n + 1], xs[n + 1 : n + 2], ys[n : n + 1], ys[n + 1 : n + 2]
     if x1.size and x0[0] < limit:
         y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)

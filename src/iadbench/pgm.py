@@ -1,8 +1,10 @@
 """Minimal binary PGM (P5) reader/writer.
 
 Images are single-channel with maxval 255; a raw pixel value v maps to
-the intensity v/255 in [0, 1]. Masks use the convention that any value
-greater than zero marks an anomalous pixel.
+the intensity v/255 in [0, 1]. The raw bytes are what ``ImageGrid``
+holds as its codes, so reading and writing an image copies no float.
+Masks use the convention that any value greater than zero marks an
+anomalous pixel.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def make_fewshot(dataset: Dataset, category: str, m: int, seed: int) -> Split:
 
 def _rotated_sample(sample: Sample, angle: int) -> Sample:
     turns = angle // 90
-    image = ImageGrid(np.rot90(sample.image.values, k=turns).copy())
+    image = ImageGrid(np.rot90(sample.image.codes, k=turns).copy())
     mask = None
     if sample.mask is not None:
         mask = PixelMask(np.rot90(sample.mask.bits, k=turns).copy())

@@ -496,7 +496,7 @@ def evaluate(
     latencies_ms = []
     pool = None
     if render:
-        shapes = [s.image.values.shape for s in samples]
+        shapes = [(s.image.height, s.image.width) for s in samples]
         pool = PixelPool(mask_regions([s.mask for s in samples], shapes))
     for i, sample in enumerate(samples):
         start = time.perf_counter()

@@ -2,9 +2,10 @@
 
 Each category gets a distinct sinusoidal background texture; abnormal
 test samples carry one drawn defect (scratch, blob, or missing-patch)
-together with an exactly matching pixel mask. All intensities live on
-the 1/255 grid so writing to PGM and loading back is lossless, and the
-whole generation is a pure function of (spec, seed).
+together with an exactly matching pixel mask. Images are made as 8-bit
+codes k (intensity k/255), the bytes a PGM stores, so writing to PGM and
+loading back is lossless, and the whole generation is a pure function of
+(spec, seed).
 """
 
 from __future__ import annotations
@@ -83,12 +84,11 @@ class SynthSpec:
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
-    # round(clip(v) * 255) / 255, in one fresh array
+    """The 8-bit codes round(clip(v) * 255) of intensities ``values``."""
     out = np.clip(values, 0.0, 1.0)
     out *= 255.0
     np.round(out, out=out)
-    out /= 255.0
-    return out
+    return out.astype(np.uint8)
 
 
 def _background(category_index: int, size: int) -> np.ndarray:
@@ -154,12 +154,15 @@ _DEFECT_DRAWERS = {
 
 
 def _apply_defect(clean: np.ndarray, mask: np.ndarray, delta: float) -> np.ndarray:
-    # push dark pixels up and bright pixels down; re-quantizing keeps the
-    # result bit-identical to a PGM write/read round trip
-    image = clean.copy()
-    lift = clean <= 0.5
-    image[mask & lift] = clean[mask & lift] + delta
-    image[mask & ~lift] = clean[mask & ~lift] - delta
+    """The codes of image ``clean`` (codes) with ``delta`` pushed into ``mask``.
+
+    Dark pixels go up and bright ones down, in intensity k/255; the
+    result is quantized again onto the same grid.
+    """
+    image = clean / 255.0
+    lift = image <= 0.5
+    image[mask & lift] += delta
+    image[mask & ~lift] -= delta
     return _quantize(image)
 
 
@@ -178,16 +181,16 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
 
         for i in range(spec.normals_train):
             rng = np.random.default_rng(derive_seed(seed, category, "train", i))
-            values = _quantize(background + _sample_noise(rng, size))
+            codes = _quantize(background + _sample_noise(rng, size))
             train[category].append(
-                Sample(f"good/{i:03d}", ImageGrid(values), NORMAL, None, "good", category)
+                Sample(f"good/{i:03d}", ImageGrid(codes), NORMAL, None, "good", category)
             )
 
         for i in range(spec.normals_test):
             rng = np.random.default_rng(derive_seed(seed, category, "test-good", i))
-            values = _quantize(background + _sample_noise(rng, size))
+            codes = _quantize(background + _sample_noise(rng, size))
             test[category].append(
-                Sample(f"good/{i:03d}", ImageGrid(values), NORMAL, None, "good", category)
+                Sample(f"good/{i:03d}", ImageGrid(codes), NORMAL, None, "good", category)
             )
 
         kind_counters = {kind: 0 for kind in spec.defect_kinds}
@@ -239,8 +242,7 @@ def _write_sample(cat_dir: str, split: str, sample: Sample) -> None:
     defect_type, _, stem = sample.id.partition("/")
     img_dir = os.path.join(cat_dir, split, defect_type)
     os.makedirs(img_dir, exist_ok=True)
-    pixels = np.round(sample.image.values * 255.0).astype(np.uint8)
-    write_pgm(os.path.join(img_dir, f"{stem}.pgm"), pixels)
+    write_pgm(os.path.join(img_dir, f"{stem}.pgm"), sample.image.codes)
     if sample.mask is not None:
         mask_dir = os.path.join(cat_dir, "ground_truth", defect_type)
         os.makedirs(mask_dir, exist_ok=True)

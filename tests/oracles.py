@@ -463,3 +463,64 @@ def pixel_metrics_reference(score_maps, masks, pro_limit, spro_limit, saturation
         except MetricError as exc:
             out[name] = exc.code
     return out
+
+
+def patch_vectors_reference(values, patch_size, stride) -> "np.ndarray":
+    """The package's original feature extraction, verbatim: windows of a
+    float64 image, flattened row-major, then cast to float32."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    values = np.asarray(values, dtype=np.float64)
+    p, s = patch_size, stride
+    windows = sliding_window_view(values, (p, p))[::s, ::s]
+    return windows.reshape(windows.shape[0] * windows.shape[1], p * p).astype(np.float32)
+
+
+def average_precision_reference(negatives, positives) -> float:
+    """The package's original step-sum AP, verbatim, over the two classes'
+    sorted scores: it copies the distinct negatives to place each distinct
+    positive score among all distinct scores."""
+    import numpy as np
+
+    def run_starts(sorted_values):
+        starts = np.empty(sorted_values.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+        return starts
+
+    pos, neg = positives, negatives
+    total_pos = pos.size
+    starts = np.flatnonzero(run_starts(pos))[::-1]
+    values = pos[starts]
+    tp = total_pos - starts
+    neg_below = np.searchsorted(neg, values, side="left")
+    precision = tp / (tp + (neg.size - neg_below))
+    recall = tp / total_pos
+    steps = np.diff(recall, prepend=0.0)
+    neg_distinct = neg[run_starts(neg)]
+    shared = neg_below < neg.size
+    shared[shared] = neg[neg_below[shared]] == values[shared]
+    place = (
+        np.arange(values.size)
+        + (neg_distinct.size - np.searchsorted(neg_distinct, values, side="right"))
+        - (np.cumsum(shared) - shared)
+    )
+    terms = np.zeros(values.size + neg_distinct.size - int(shared.sum()))
+    terms[place] = steps * precision
+    return float(np.sum(terms))
+
+
+def integrate_to_limit_reference(xs, ys, limit) -> float:
+    """The package's original clipped trapezoid integral, verbatim: the
+    prefix's terms as whole-array expressions, then one sum."""
+    import numpy as np
+
+    n = int(np.count_nonzero(xs[1:] <= limit))
+    x0, x1, y0, y1 = xs[:n], xs[1 : n + 1], ys[:n], ys[1 : n + 1]
+    area = float(np.sum((x1 - x0) * (y0 + y1) * 0.5))
+    x0, x1, y0, y1 = xs[n : n + 1], xs[n + 1 : n + 2], ys[n : n + 1], ys[n + 1 : n + 2]
+    if x1.size and x0[0] < limit:
+        y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
+        area += float(np.sum((limit - x0) * (y0 + y_at) * 0.5))
+    return area / limit

@@ -121,3 +121,30 @@ def test_normal_sample_rejects_anomalous_mask():
 def test_image_values_range_checked():
     with pytest.raises(DataError):
         ImageGrid(np.full((2, 2), 1.5))
+
+
+def test_every_code_reads_as_its_intensity():
+    """Each of the 256 codes k reads as the float64 k/255, and those floats
+    give the same codes back."""
+    codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    image = ImageGrid(codes)
+    assert image.codes.dtype == np.uint8
+    assert image.values.dtype == np.float64
+    assert image.values.tobytes() == (codes / 255.0).tobytes()
+    assert image.values.ravel().tolist() == [k / 255 for k in range(256)]
+    assert ImageGrid(image.values).codes.tobytes() == codes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.full((4, 4), 0.5),
+        np.random.default_rng(0).random((8, 8)),
+        np.full((2, 3), np.nextafter(128 / 255, 1.0)),
+    ],
+    ids=["half", "random", "one-ulp-off"],
+)
+def test_off_grid_intensity_rejected(values):
+    with pytest.raises(DataError) as exc:
+        ImageGrid(values)
+    assert exc.value.code == "malformed-pgm"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from iadbench import metrics
 from iadbench.data import PixelMask
 from iadbench.errors import MetricError
 from iadbench.metrics import (
@@ -23,8 +24,10 @@ from iadbench.metrics import (
 from oracles import (
     ap_stepsum,
     auroc_pairwise,
+    average_precision_reference,
     flood_fill_regions,
     forgetting_direct,
+    integrate_to_limit_reference,
     label_scipy,
     region_curve_area,
 )
@@ -109,6 +112,91 @@ def test_ap_no_positives():
     with pytest.raises(MetricError) as exc:
         average_precision(LabeledScores([0.1], [False]))
     assert exc.value.code == "no-positives"
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def _ap_inputs(draw):
+    """Scores and labels with at least one positive: heavy ties, all
+    distinct, or every value held by both classes."""
+    kind = draw(st.sampled_from(["ties", "distinct", "shared"]))
+    if kind == "ties":
+        n = draw(st.integers(1, 300))
+        levels = draw(st.integers(1, 6))
+        scores = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
+        scores = scores / levels
+    else:
+        values = np.array(draw(st.lists(_FINITE, min_size=1, max_size=150, unique=True)))
+        scores = values if kind == "distinct" else np.concatenate([values, values[::-1]])
+    labels = np.array(draw(st.lists(st.booleans(), min_size=scores.size, max_size=scores.size)))
+    if kind == "shared":
+        labels[: values.size] = True
+        labels[values.size :] = False
+    labels[draw(st.integers(0, scores.size - 1))] = True
+    return scores, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ap_inputs())
+@example((np.array([0.0, -0.0, 0.5, 0.5]), np.array([True, False, True, False])))
+@example((np.array([0.3, 0.3, 0.3]), np.array([True, True, True])))
+def test_ap_equals_original_code(inputs):
+    """``==`` the original function, which copied the distinct negatives."""
+    data = LabeledScores(*inputs)
+    assert average_precision(data) == average_precision_reference(data.negatives, data.positives)
+
+
+# --- clipped trapezoid integral --------------------------------------------------
+
+
+@st.composite
+def _curves(draw):
+    """A curve from (0, y0) with nondecreasing xs in [0, 1] (ties kept),
+    and a limit at an operating point or anywhere in (0, 1]."""
+    k = draw(st.integers(0, 40))
+    unit = st.floats(0.0, 1.0)
+    xs = np.concatenate([[0.0], np.sort(draw(st.lists(unit, min_size=k, max_size=k)))])
+    ys = np.array(draw(st.lists(unit, min_size=k + 1, max_size=k + 1)))
+    points = [x for x in xs if x > 0.0]
+    if points and draw(st.booleans()):
+        limit = draw(st.sampled_from(points))
+    else:
+        limit = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return xs, ys, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curves(), st.integers(1, 5))
+def test_integrate_to_limit_equals_original_code(curve, block):
+    """``==`` the original whole-array expression for any block size."""
+    saved = metrics._SEGMENT_BLOCK
+    metrics._SEGMENT_BLOCK = block
+    try:
+        got = metrics._integrate_to_limit(*curve)
+    finally:
+        metrics._SEGMENT_BLOCK = saved
+    assert got == integrate_to_limit_reference(*curve)
+
+
+@pytest.mark.parametrize(
+    "blocks, offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1)]
+)
+def test_integrate_to_limit_at_block_boundaries(blocks, offset):
+    """n segments inside the limit for n at, below and above a multiple of
+    the block (n = 0 and n = 1 among them), the limit on the n-th operating
+    point and between it and the next."""
+    n = blocks * metrics._SEGMENT_BLOCK + offset
+    rng = np.random.default_rng(n)
+    xs = np.concatenate([[0.0], np.sort(rng.random(2 * metrics._SEGMENT_BLOCK + 3))])
+    ys = rng.random(xs.size)
+    for limit in (xs[n], 0.5 * (xs[n] + xs[n + 1])):
+        if limit <= 0.0:
+            continue
+        assert int(np.count_nonzero(xs[1:] <= limit)) == n
+        got = metrics._integrate_to_limit(xs, ys, limit)
+        assert got == integrate_to_limit_reference(xs, ys, limit)
 
 
 # --- connected regions -----------------------------------------------------------

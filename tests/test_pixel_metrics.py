@@ -257,7 +257,7 @@ def test_cell_render_peak_memory():
     for i in range(1, 16, 2):
         masks[i] = np.zeros((256, 256), bool)
         masks[i][40 + 5 * i : 70 + 5 * i, 100:140] = True
-    images = [rng.random((256, 256)) for _ in masks]
+    images = [rng.integers(0, 256, (256, 256), dtype=np.uint8) for _ in masks]
     test, dataset = _cell_test(images, masks, ["small"] * 16)
     map_bytes = 256 * 256 * 8
     tracemalloc.start()

@@ -157,7 +157,7 @@ def test_rotation_of_constant_image(small_dataset):
     from iadbench.data import ImageGrid, Sample
     from iadbench.protocols import Split, TrainItem
 
-    sample = Sample("c", ImageGrid(np.full((8, 8), 0.25)), NORMAL, None, "good", CAT)
+    sample = Sample("c", ImageGrid(np.full((8, 8), 64, dtype=np.uint8)), NORMAL, None, "good", CAT)
     split = Split([TrainItem(sample, NORMAL)], [])
     rotated = augment_rotations(split, 4)
     for item in rotated.train:

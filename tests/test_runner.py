@@ -592,7 +592,14 @@ def _samples(count):
 
     rng = np.random.default_rng(0)
     return [
-        Sample(f"good/{i}", ImageGrid(rng.random((8, 8))), "normal", None, "good", "c")
+        Sample(
+            f"good/{i}",
+            ImageGrid(rng.integers(0, 256, (8, 8), dtype=np.uint8)),
+            "normal",
+            None,
+            "good",
+            "c",
+        )
         for i in range(count)
     ]
 
@@ -616,6 +623,25 @@ def test_efficiency_stats_too_few():
     with pytest.raises(ConfigError) as exc:
         efficiency_stats(latencies_ms)
     assert exc.value.code == "too-few-samples"
+
+
+def test_evaluate_pools_non_square_images():
+    """Each 8 x 12 map fills the pool slot its mask sized: (height, width)."""
+    from iadbench.data import ImageGrid, PixelMask
+
+    rng = np.random.default_rng(1)
+    mask = np.zeros((8, 12), bool)
+    mask[2:5, 3:9] = True
+    samples = [
+        Sample(sid, ImageGrid(rng.integers(0, 256, (8, 12), np.uint8)), label, bits, kind, "c")
+        for sid, label, bits, kind in [
+            ("good/0", "normal", None, "good"),
+            ("dent/0", "abnormal", PixelMask(mask), "dent"),
+        ]
+    ]
+    _, pool, _ = evaluate(_tiny_state(), samples, render=True)
+    assert pool.ranked() is pool
+    assert (pool.negatives.size, pool.positives.size) == (2 * 96 - 18, 18)
 
 
 def test_plain_cell_scores_each_test_image_once(monkeypatch):

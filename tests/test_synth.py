@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def test_mask_fidelity_and_contrast():
         background = _background(ci, spec.image_size)
         for i, sample in enumerate(s for s in dataset.test[category] if s.label == ABNORMAL):
             rng = np.random.default_rng(derive_seed(11, category, "test-defect", i))
-            clean = _quantize(background + 0.02 * rng.standard_normal(background.shape))
+            clean = _quantize(background + 0.02 * rng.standard_normal(background.shape)) / 255.0
             diff = np.abs(sample.image.values - clean)
             changed = diff > 0
             assert np.array_equal(changed, sample.mask.bits)
@@ -101,15 +103,34 @@ def test_tree_round_trip(tmp_path):
             assert original.keys() == read_back.keys()
             for sid, sample in original.items():
                 other = read_back[sid]
-                assert np.array_equal(sample.image.values, other.image.values)
+                assert sample.image.codes.dtype == other.image.codes.dtype == np.uint8
+                assert np.array_equal(sample.image.codes, other.image.codes)
                 assert sample.label == other.label
                 if sample.mask is not None:
                     assert np.array_equal(sample.mask.bits, other.mask.bits)
 
 
+def test_dataset_images_hold_one_byte_per_pixel():
+    """A synthetic dataset's traced size is about one byte per image pixel
+    (plus its masks' one byte per pixel); float64 images would be eight."""
+    spec = _spec(normals_train=8, normals_test=4, abnormals_test=4, image_size=128)
+    tracemalloc.start()
+    try:
+        dataset = synth_dataset(spec, seed=0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    samples = dataset.train["cat00"] + dataset.test["cat00"]
+    pixels = sum(s.image.height * s.image.width for s in samples)
+    mask_bytes = sum(s.mask.bits.nbytes for s in samples if s.mask is not None)
+    assert all(s.image.codes.dtype == np.uint8 for s in samples)
+    assert held - mask_bytes <= 1.25 * pixels
+
+
 def test_quantize_matches_original_expression():
-    """Bit for bit against round(clip(v, 0, 1) * 255) / 255, input untouched:
-    values outside [0, 1], exact levels, halfway points and their neighbours."""
+    """uint8 codes whose intensities k/255 are bit for bit round(clip(v, 0, 1) * 255) / 255,
+    input untouched: values outside [0, 1], exact levels, halfway points and their
+    neighbours."""
     levels = np.arange(256) / 255.0
     halfway = (np.arange(255) + 0.5) / 255.0
     values = np.concatenate(
@@ -125,4 +146,5 @@ def test_quantize_matches_original_expression():
     before = values.copy()
     got = _quantize(values)
     assert np.array_equal(values, before)
-    assert np.array_equal(got, np.round(np.clip(values, 0.0, 1.0) * 255.0) / 255.0)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got / 255.0, np.round(np.clip(values, 0.0, 1.0) * 255.0) / 255.0)
