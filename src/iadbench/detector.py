@@ -8,6 +8,14 @@ patch distance, softened by softmax importance re-weighting over the b
 bank vectors nearest to the winning patch. Distances are always
 accumulated in double precision; bank storage is float32.
 
+Training patches are held as 8-bit codes (``features.CodeBank``) until
+selection. ``coreset_select`` reads a code bank's float32 rows, or a
+``MemoryBank``'s, through one path (``rows``), a block at a time: no
+selection holds a float32 bank, a list of grids or a float64 copy other
+than its sorted one, and the caller reads only the picked rows back. A
+training set kept whole becomes its float32 bank in one preallocated
+array (``build_bank``).
+
 The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
 bound of its row's minimum; those candidates are re-ranked with the
@@ -59,7 +67,7 @@ import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
 from .errors import DetectorError, FormatError
-from .features import PatchFeatureGrid
+from .features import CodeBank, PatchFeatureGrid
 
 _MAGIC = b"IADB"
 _VERSION = 1
@@ -180,8 +188,10 @@ class MemoryBank:
             raise DetectorError("dim-mismatch", f"bank vectors must be (n, {self.dim})")
         if tags.shape != (vectors.shape[0],):
             raise DetectorError("dim-mismatch", "one task tag per vector required")
-        if not np.all(np.isfinite(vectors)):
-            raise DetectorError("dim-mismatch", "bank vectors must be finite")
+        step = _block_rows(max(1, self.dim))  # no count x dim mask
+        for start in range(0, vectors.shape[0], step):
+            if not np.isfinite(vectors[start : start + step]).all():
+                raise DetectorError("dim-mismatch", "bank vectors must be finite")
         self.vectors = vectors
         self.task_tags = tags
 
@@ -189,13 +199,23 @@ class MemoryBank:
     def count(self) -> int:
         return self.vectors.shape[0]
 
+    def rows(self, index) -> np.ndarray:
+        """The float32 vectors at ``index``, as ``CodeBank.rows`` gives its own."""
+        return self.vectors[index]
+
     @classmethod
     def empty(cls, dim: int) -> "MemoryBank":
         return cls(dim, np.zeros((0, dim), np.float32), np.zeros(0, np.uint32))
 
 
-def build_bank(grids: list[PatchFeatureGrid]) -> MemoryBank:
-    """Union of every patch vector of every grid, in (grid, row-major) order."""
+def build_bank(grids: list[PatchFeatureGrid] | CodeBank) -> MemoryBank:
+    """Union of every patch vector of every grid, in (grid, row-major) order.
+
+    A ``CodeBank`` gives its float32 rows, in its order, converted into
+    one array the size of the bank: no grid list, no concatenation.
+    """
+    if isinstance(grids, CodeBank):
+        return MemoryBank(grids.dim, grids.rows(slice(None)), np.zeros(grids.count, np.uint32))
     if not grids:
         raise DetectorError("empty-input", "need at least one feature grid")
     dim = grids[0].dim
@@ -369,24 +389,51 @@ def _shell_slack(dim: int, sq_max: float) -> float:
     return 8.0 * (dim + 2) * (2.0**-53 * math.sqrt(sq_max) + 2.0**-537)
 
 
-def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
+@dataclass(frozen=True)
+class _BankPoints:
+    """A bank's rows as the coreset reads them, made on each read.
+
+    ``points[index]`` is the float32 rows ``bank.rows(index)``, or their
+    float64 projection when ``projector`` is set; ``shape`` is that of
+    every point at once. ``_farthest_first`` reads it a block at a time,
+    as it reads an array, so no copy of all the points is made but its
+    own sorted one. ``Projector.apply`` gives a row the same bits in any
+    block, so the points read in sorted order equal those read in order.
+    """
+
+    bank: MemoryBank | CodeBank
+    projector: Projector | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        width = self.bank.dim if self.projector is None else self.projector.out_dim
+        return self.bank.count, width
+
+    def __getitem__(self, index) -> np.ndarray:
+        rows = self.bank.rows(index)
+        return rows if self.projector is None else self.projector.apply(rows)
+
+
+def coreset_select(bank: MemoryBank | CodeBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
     The bank's first vector seeds the selection; each following pick is
     the vector farthest from the current selection, ties broken by the
     lowest index. Returns exactly l distinct indices in selection order.
+    A ``MemoryBank`` and a ``CodeBank`` of the same float32 rows give the
+    same picks: both are read through ``rows``, a block at a time.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
     l = params.resolve_l(bank.count)
-    points = bank.vectors
     params = params.effective(bank.dim)
+    projector = None
     if params.projection_dim is not None:
-        points = make_projector(bank.dim, params.projection_dim, params.seed).apply(points)
-    return _farthest_first(points, l)[0]
+        projector = make_projector(bank.dim, params.projection_dim, params.seed)
+    return _farthest_first(_BankPoints(bank, projector), l)[0]
 
 
-def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
+def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     """Farthest-first picks over ``points``, read as float64, and the final min_d2.
 
     min_d2[j] is the smallest reference ``((p_j - q)**2).sum()`` over the
@@ -394,10 +441,12 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
     (lowest index on ties). Both equal, bit for bit, the loop that
     recomputes every row at every pick. ``points`` is not modified.
 
-    The rows are copied once, a block at a time, in order of their
-    squared norm sq (a stable sort); this sorted float64 copy is the
-    only one the loop holds. Picks and min_d2 stay in the caller's row
-    order.
+    ``points`` is an (n, d) array, or a ``_BankPoints`` that makes its
+    rows as they are read. A first pass reads them in order, a block at
+    a time, for their squared norms sq; a second reads them again, a
+    block at a time, in order of sq (a stable sort) into a float64 copy.
+    That sorted copy is the only one the loop holds. Picks and min_d2
+    stay in the caller's row order.
 
     Shell. Let M be min_d2 at the pick q, the largest of all. A row
     whose norm differs from ||q|| by more than sqrt(M) is at least M
@@ -454,15 +503,33 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
         screen = ranked[lo:hi] @ (-2.0 * q)
         screen += sq[lo:hi]
         screen += sq[pos] - tau
-        rows = np.flatnonzero(~(screen > ranked_d2[lo:hi]))
+        kept = ~(screen > ranked_d2[lo:hi])
+        del screen  # each temporary is freed before the next one is made
+        rows = np.flatnonzero(kept)
+        del kept
         rows += lo
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
-            d2 = np.minimum(ranked_d2[block], ((ranked[block] - q) ** 2).sum(axis=1))
-            ranked_d2[block] = d2
-            min_d2[order[block]] = d2
+        _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order)
+        del rows
         ranked_d2[pos] = min_d2[idx] = -1.0
     return selected, min_d2
+
+
+def _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order) -> None:
+    """Lower each of ``rows`` (sorted positions) to its reference
+    ``((p - q)**2).sum()`` where that is smaller, in ranked_d2 and, at
+    the row's caller index ``order[row]``, in min_d2. A row block at a
+    time, its differences squared in place: one block-sized temporary at
+    a time, none of which outlives the call."""
+    step = _block_rows(ranked.shape[1])
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        diff = ranked[block]
+        diff -= q
+        np.square(diff, out=diff)  # the reference's ** 2
+        d2 = np.minimum(ranked_d2[block], diff.sum(axis=1))
+        del diff
+        ranked_d2[block] = d2
+        min_d2[order[block]] = d2
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,20 @@ The reference descriptor is the raw patch: a sliding window of
 patch_size x patch_size pixels flattened row-major, giving a grid of
 (grid_h x grid_w) vectors of dimension patch_size^2, stored as float32.
 Images arrive as 8-bit codes; each code k becomes the float32 quotient
-k/255, the value a float64 image cast to float32 would give.
+k/255 (``intensities``), the value a float64 image cast to float32
+would give.
+
+Training patches are held as codes until selection. A ``CodeBank`` is
+every window of a training set's images as a uint8 row, one byte per
+element where the float32 bank takes four, filled image by image into
+one preallocated array. Its float32 rows are made by ``intensities``
+on demand, a block or a set of picked rows at a time, and equal the
+rows ``extract_features`` gives for the same windows byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,16 +75,58 @@ class PatchFeatureGrid:
         self.vectors = arr
 
 
-def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatureGrid:
-    """Slide the patch window over the image and flatten each window."""
-    grid_h, grid_w = cfg.grid_shape(image)
-    p, s = cfg.patch_size, cfg.stride
+def intensities(codes: np.ndarray) -> np.ndarray:
+    """The float32 intensities of 8-bit codes: code k becomes k/255."""
     # float32(k) / 255 is k/255 rounded correctly to float32, and so is
     # float32(k / 255.0): float64 carries more than 2 x 24 + 2 bits, so
     # rounding its quotient twice is harmless. Both give the same value.
-    intensities = image.codes.astype(np.float32)
-    intensities /= np.float32(255.0)
-    windows = sliding_window_view(intensities, (p, p))[::s, ::s]
-    vectors = windows.reshape(grid_h * grid_w, cfg.dim)
+    values = codes.astype(np.float32)
+    values /= np.float32(255.0)
+    return values
+
+
+def _windows(pixels: np.ndarray, cfg: FeatureProviderConfig) -> np.ndarray:
+    """Each patch window of ``pixels`` as a row, in row-major window order."""
+    p, s = cfg.patch_size, cfg.stride
+    windows = sliding_window_view(pixels, (p, p))[::s, ::s]
+    return windows.reshape(windows.shape[0] * windows.shape[1], cfg.dim)
+
+
+def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatureGrid:
+    """Slide the patch window over the image and flatten each window."""
+    grid_h, grid_w = cfg.grid_shape(image)
+    vectors = _windows(intensities(image.codes), cfg)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)
 
+
+@dataclass(frozen=True)
+class CodeBank:
+    """A training set's patches as 8-bit codes, in (image, row-major) order."""
+
+    dim: int
+    codes: np.ndarray  # (count, dim) uint8
+
+    @property
+    def count(self) -> int:
+        return self.codes.shape[0]
+
+    def rows(self, index) -> np.ndarray:
+        """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
+        return intensities(self.codes[index])
+
+
+def code_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> CodeBank:
+    """Every patch window of ``images`` as a code row, in (image, row-major) order.
+
+    Rows of different image sizes share one array, preallocated from the
+    grid shapes and filled one image at a time.
+    """
+    if not images:
+        raise DetectorError("empty-input", "need at least one feature grid")
+    counts = [math.prod(cfg.grid_shape(image)) for image in images]
+    codes = np.empty((sum(counts), cfg.dim), np.uint8)
+    end = 0
+    for image, count in zip(images, counts):
+        codes[end : end + count] = _windows(image.codes, cfg)
+        end += count
+    return CodeBank(cfg.dim, codes)

@@ -11,8 +11,11 @@ Only images observed as normal enter a bank, so a category's
 unsupervised cell, its supervised cells and its continual task train on
 the same images and select the same coreset. A run plans every job's
 training sets, selects each distinct coreset once, then scores the jobs
-on the picked rows. No training set whose ``l`` is its whole bank is
-selected: its job builds that bank in natural order. No job waits on another.
+on the picked rows. A training set's patches are held as 8-bit codes
+(``features.CodeBank``) until then: a selection reads its float32 rows
+from them a block at a time and keeps only the picked ones. No training
+set whose ``l`` is its whole bank is selected: its job builds that bank
+from its codes, in natural order. No job waits on another.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .detector import (
     write_bank_file,
 )
 from .errors import BenchError, ConfigError, DetectorError, MetricError
-from .features import FeatureProviderConfig, extract_features
+from .features import CodeBank, FeatureProviderConfig, code_bank, extract_features
 from .metrics import (
     DEFAULT_PRO_LIMIT,
     DEFAULT_SPRO_LIMIT,
@@ -853,19 +856,19 @@ def run_experiment(
 
     plans = [plan(job) for job in jobs]
 
-    def bank_of(normals: list[Sample]) -> MemoryBank:
-        return build_bank([extract_features(s.image, config.feature) for s in normals])
+    def codes_of(normals: list[Sample]) -> CodeBank:
+        return code_bank([s.image for s in normals], config.feature)
 
     def select(key: tuple) -> np.ndarray | BenchError:
         try:
-            bank = bank_of(wanted[key])
-            return bank.vectors[coreset_select(bank, key[1])]  # in pick order
+            codes = codes_of(wanted[key])
+            return codes.rows(coreset_select(codes, key[1]))  # float32, in pick order
         except BenchError as exc:
             return exc
 
     def rows(normals: list[Sample], key: tuple | None) -> np.ndarray:
         """A training set's bank rows: its whole bank in natural order, or its picks."""
-        return bank_of(normals).vectors if key is None else _unfailed(selected[key])
+        return build_bank(codes_of(normals)).vectors if key is None else _unfailed(selected[key])
 
     def execute(job, planned) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job

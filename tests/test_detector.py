@@ -38,8 +38,15 @@ from iadbench.detector import (
     single_thread_blas,
     write_bank_file,
 )
+from iadbench.data import ImageGrid
 from iadbench.errors import DetectorError, FormatError
-from iadbench.features import PatchFeatureGrid
+from iadbench.features import (
+    FeatureProviderConfig,
+    PatchFeatureGrid,
+    code_bank,
+    extract_features,
+    intensities,
+)
 from oracles import (
     coreset_reference,
     covering_radius,
@@ -92,6 +99,29 @@ def test_build_bank_single_patch():
     assert build_bank([g]).count == 1
 
 
+def test_memory_bank_checks_every_row_block_for_finiteness():
+    dim = 16
+    count = 3 * detector._block_rows(dim) + 5
+    vectors = np.random.default_rng(20).random((count, dim)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        MemoryBank(dim, vectors, np.zeros(count, np.uint32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a row block's mask at a time, never a count x dim one
+    assert peak < 2 * detector._BLOCK_ELEMENTS
+    for row in (0, count // 2, count - 1):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = vectors.copy()
+            broken[row, dim - 1] = bad
+            with pytest.raises(DetectorError) as exc:
+                MemoryBank(dim, broken, np.zeros(count, np.uint32))
+            assert (exc.value.code, exc.value.message) == (
+                "dim-mismatch", "bank vectors must be finite"
+            )
+
+
 # --- projector ---------------------------------------------------------------------
 
 
@@ -118,6 +148,34 @@ def test_projector_blocks_match_whole_bank_projection(in_dim, out_dim):
         got = proj.apply(vectors)
         assert got.dtype == np.float64
         assert got.tobytes() == projection_reference(vectors, proj.matrix).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    in_dim=st.sampled_from([2, 4, 9, 16, 36, 64]),
+    count=st.integers(1, 700),
+    codes=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_projector_gives_a_row_the_same_bits_in_any_block(in_dim, count, codes, seed, data):
+    """A row's projection does not depend on the rows it is projected
+    with, their order or their number: the coreset projects the rows it
+    reads in sorted order, a block at a time, and relies on this."""
+    rng = np.random.default_rng(seed)
+    proj = make_projector(in_dim, data.draw(st.integers(1, in_dim - 1)), seed)
+    if codes:  # the rows a code bank gives
+        vectors = intensities(rng.integers(0, 256, (count, in_dim), dtype=np.uint8))
+    else:
+        vectors = (rng.standard_normal((count, in_dim)) * 10.0**rng.integers(-3, 4)).astype(np.float32)
+    whole = proj.apply(vectors)
+    order = rng.permutation(count)
+    assert proj.apply(vectors[order]).tobytes() == whole[order].tobytes()
+    cuts = np.unique(rng.integers(0, count + 1, data.draw(st.integers(0, 6))))
+    for block in np.split(order, cuts):
+        assert proj.apply(vectors[block]).tobytes() == whole[block].tobytes()
+    row = int(rng.integers(0, count))
+    assert proj.apply(vectors[row : row + 1]).tobytes() == whole[row : row + 1].tobytes()
 
 
 def test_projector_bad_dims():
@@ -156,6 +214,19 @@ def test_coreset_l_out_of_range():
     assert exc.value.code == "l-out-of-range"
     with pytest.raises(DetectorError):
         coreset_select(bank, CoresetParams())  # neither fraction nor l
+
+
+def test_coreset_l_out_of_range_from_codes():
+    cfg = FeatureProviderConfig(2, 1, "raw-patch")
+    codes = code_bank([ImageGrid(np.zeros((3, 4), np.uint8))], cfg)  # 2 x 3 patches
+    bank = build_bank(codes)
+    for params in (CoresetParams(l=7), CoresetParams(l=7, projection_dim=2)):
+        with pytest.raises(DetectorError) as got:
+            coreset_select(codes, params)
+        with pytest.raises(DetectorError) as want:
+            coreset_select(bank, params)
+        assert (got.value.code, got.value.message) == ("l-out-of-range", "l=7 for bank of 6")
+        assert (want.value.code, want.value.message) == (got.value.code, got.value.message)
 
 
 def test_coreset_params_check_their_own_rules():
@@ -224,6 +295,76 @@ def test_coreset_select_peak_memory(projection_dim):
     assert peak < points_bytes + 10 * count * 8 + 4 * detector._BLOCK_ELEMENTS * 8
     if projection_dim:
         assert peak < count * dim * 8  # no float64 copy of the whole bank
+
+
+@pytest.mark.parametrize("projection_dim", [16, None])
+def test_selection_from_images_peak_memory(projection_dim):
+    """Code bank, selection and the picked rows of 36,000 patches of 64."""
+    cfg = FeatureProviderConfig(8, 4, "raw-patch")
+    rng = np.random.default_rng(14)
+    # 160 images of 64 px give 160 x 15 x 15 = 36,000 patches
+    images = [ImageGrid(rng.integers(0, 256, (64, 64), dtype=np.uint8)) for _ in range(160)]
+    params = CoresetParams(l=20, projection_dim=projection_dim, seed=1)
+    tracemalloc.start()
+    try:
+        codes = code_bank(images, cfg)
+        rows = codes.rows(coreset_select(codes, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count, dim = 36000, 64
+    assert codes.count == count and rows.shape == (20, dim)
+    # the code bank, one sorted float64 copy of the points, ten length-n
+    # vectors and four row blocks
+    ranked_bytes = count * (projection_dim or dim) * 8
+    assert peak < count * dim + ranked_bytes + 10 * count * 8 + 4 * detector._BLOCK_ELEMENTS * 8
+    if projection_dim:
+        assert peak < count * dim * 4  # less than the float32 bank alone
+
+
+@st.composite
+def _coreset_images(draw):
+    """A feature config and 1-3 images: random codes, few distinct codes
+    (many tied distances) or one constant code (every distance ties)."""
+    p = draw(st.integers(1, 4))
+    s = draw(st.integers(1, p))
+    sizes = draw(
+        st.lists(st.tuples(st.integers(p, p + 9), st.integers(p, p + 9)), min_size=1, max_size=3)
+    )
+    kind = draw(st.sampled_from(["random", "levels", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = {"random": np.arange(256), "levels": np.array([0, 128, 255]), "constant": [77]}[kind]
+    images = [ImageGrid(rng.choice(levels, (h, w)).astype(np.uint8)) for h, w in sizes]
+    return FeatureProviderConfig(p, s, "raw-patch"), images
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=_coreset_images(),
+    l_kind=st.sampled_from(["one", "some", "all"]),
+    projection=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    case=(FeatureProviderConfig(3, 1, "raw-patch"), [ImageGrid(np.full((7, 9), 77, np.uint8))]),
+    l_kind="all", projection=True, seed=0,
+)
+def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
+    """Picks and picked float32 rows from a code bank equal those of the
+    float32 bank of the same images, and the reference loop's picks."""
+    cfg, images = case
+    codes = code_bank(images, cfg)
+    bank = build_bank([extract_features(image, cfg) for image in images])
+    l = {"one": 1, "some": max(1, codes.count // 3), "all": codes.count}[l_kind]
+    projection_dim = max(1, cfg.dim // 4) if projection else None
+    params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
+    picks = coreset_select(codes, params)
+    assert picks == coreset_select(bank, params)
+    assert codes.rows(picks).tobytes() == bank.vectors[picks].tobytes()
+    points = bank.vectors.astype(np.float64)
+    if params.effective(cfg.dim).projection_dim is not None:
+        points = projection_reference(bank.vectors, make_projector(cfg.dim, projection_dim, seed).matrix)
+    assert picks == coreset_reference(points, l)[0]
 
 
 def _coreset_points(kind, dim, bank_size, seed):

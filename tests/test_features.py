@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iadbench.data import ImageGrid
-from iadbench.errors import ConfigError
-from iadbench.features import FeatureProviderConfig, extract_features
+from iadbench.detector import build_bank
+from iadbench.errors import ConfigError, DetectorError
+from iadbench.features import FeatureProviderConfig, code_bank, extract_features
 from oracles import patch_vectors_reference
 
 
@@ -79,3 +80,61 @@ def test_features_from_codes_equal_float_path(case):
     expected = patch_vectors_reference(image.values, p, s)
     assert grid.vectors.dtype == np.float32 and grid.vectors.shape == expected.shape
     assert grid.vectors.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _training_images(draw):
+    """A patch size, a stride and 1-4 images of mixed, mostly non-square
+    sizes that each fit the patch, with random codes or all one code."""
+    p = draw(st.integers(1, 8))
+    s = draw(st.integers(1, p))
+    sizes = draw(
+        st.lists(st.tuples(st.integers(p, p + 14), st.integers(p, p + 14)), min_size=1, max_size=4)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    constant = draw(st.booleans())
+    images = [
+        ImageGrid(
+            np.full((h, w), rng.integers(0, 256), np.uint8)
+            if constant
+            else rng.integers(0, 256, (h, w), dtype=np.uint8)
+        )
+        for h, w in sizes
+    ]
+    return images, p, s, rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(_training_images())
+def test_code_bank_rows_equal_extracted_features(case):
+    """A code bank's float32 rows are the training set's feature vectors,
+    byte for byte: all at once, picked in any order, or as a float32 bank."""
+    images, p, s, rng = case
+    cfg = FeatureProviderConfig(p, s, "raw-patch")
+    codes = code_bank(images, cfg)
+    expected = np.concatenate([extract_features(image, cfg).vectors for image in images])
+    assert codes.codes.dtype == np.uint8 and codes.codes.shape == expected.shape
+    assert (codes.count, codes.dim) == expected.shape
+    assert codes.rows(slice(None)).tobytes() == expected.tobytes()
+    picks = rng.permutation(codes.count)[: rng.integers(1, codes.count + 1)]
+    assert codes.rows(picks).tobytes() == expected[picks].tobytes()
+    bank = build_bank(codes)
+    assert bank.vectors.tobytes() == expected.tobytes()
+    assert bank.task_tags.tolist() == [0] * codes.count
+
+
+def test_code_bank_errors_match_the_float_path():
+    cfg = FeatureProviderConfig(4, 1, "raw-patch")
+    with pytest.raises(DetectorError) as got:
+        code_bank([], cfg)
+    with pytest.raises(DetectorError) as want:
+        build_bank([])
+    assert (got.value.code, got.value.message) == ("empty-input", "need at least one feature grid")
+    assert (want.value.code, want.value.message) == (got.value.code, got.value.message)
+    small = ImageGrid(np.zeros((3, 5), np.uint8))
+    with pytest.raises(ConfigError) as got:
+        code_bank([ImageGrid(np.zeros((6, 6), np.uint8)), small], cfg)
+    with pytest.raises(ConfigError) as want:
+        extract_features(small, cfg)
+    assert (got.value.code, got.value.message) == ("patch-too-large", "patch 4 exceeds image 3x5")
+    assert (want.value.code, want.value.message) == (got.value.code, got.value.message)

@@ -17,7 +17,7 @@ from iadbench.data import Sample
 from iadbench.detector import build_bank, read_bank_file
 from iadbench.errors import BenchError, ConfigError, DataError, DetectorError, ReportError
 from iadbench.report import load_results, render_csv
-from iadbench.features import extract_features
+from iadbench.features import code_bank, extract_features
 from iadbench.runner import (
     DetectorState,
     _build_split,
@@ -706,16 +706,21 @@ def _counting_coreset(monkeypatch) -> list:
 def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     config = runner.load_config(str(BUNDLED_CONFIG))
     calls = _counting_coreset(monkeypatch)
-    built = []
-    build_bank = runner.build_bank
+    coded, built = [], []
+    code_bank, build_bank = runner.code_bank, runner.build_bank
+    monkeypatch.setattr(
+        runner, "code_bank", lambda images, cfg: coded.append(1) or code_bank(images, cfg)
+    )
     monkeypatch.setattr(runner, "build_bank", lambda grids: built.append(1) or build_bank(grids))
     result = run_experiment(config, threads=2, output_dir=str(tmp_path))
     assert result.failures == [] and len(result.document["cells"]) == 15
     # per category: one for unsupervised, supervised and the continual
     # task (the same normal images), one for fewshot, one for noisy
     assert len(calls) == 9
-    # only a selection builds its bank: no cell that reads its picks builds it again
-    assert len(built) == 9
+    # only a selection codes its training set: no cell that reads its picks codes it again
+    assert len(coded) == 9
+    # and no selection builds a float32 bank: each reads rows from its codes
+    assert built == []
 
 
 def test_projected_cells_select_their_own_coresets(monkeypatch):
@@ -789,12 +794,12 @@ def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
     )
     config = parse_config(cfg)
     dataset = runner._resolve_dataset(config)
-    doomed = build_bank([extract_features(s.image, config.feature) for s in dataset.train["cat00"]])
+    doomed = code_bank([s.image for s in dataset.train["cat00"]], config.feature)
     select = runner.coreset_select
     raised = []
 
     def failing(bank, params):
-        if np.array_equal(bank.vectors, doomed.vectors):
+        if np.array_equal(bank.codes, doomed.codes):  # cat00's set, by its patch codes
             raised.append(params)
             time.sleep(0.2)  # long enough for a second selection of the same set to start
             raise DetectorError("no-coreset", "cat00's normal set")
