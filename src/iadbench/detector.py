@@ -6,15 +6,15 @@ randomly projected space. Scoring computes each test patch's Euclidean
 distance to its nearest bank vector; the image score is the maximum
 patch distance, softened by softmax importance re-weighting over the b
 bank vectors nearest to the winning patch. Distances are always
-accumulated in double precision; bank storage is float32.
+accumulated in double precision.
 
-Training patches are held as 8-bit codes (``features.CodeBank``) until
-selection. ``coreset_select`` reads a code bank's float32 rows, or a
-``MemoryBank``'s, through one path (``rows``), a block at a time: no
-selection holds a float32 bank, a list of grids or a float64 copy other
-than its sorted one, and the caller reads only the picked rows back. A
-training set kept whole becomes its float32 bank in one preallocated
-array (``build_bank``).
+A bank row is an 8-bit code row from training to snapshot; only
+``features.intensities`` turns codes into floats. ``coreset_select``
+reads a ``features.CodeBank``'s rows as intensities a block at a time,
+so no selection holds a float bank or a float64 copy other than its
+sorted one, and the caller keeps the picked codes. A ``MemoryBank``
+holds codes and task tags, and gives float32 rows through ``rows``; a
+training set kept whole becomes one without a copy (``build_bank``).
 
 The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
@@ -50,7 +50,8 @@ only time.
 
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
-count * dim IEEE-754 binary32 little-endian vectors.
+count * dim IEEE-754 binary32 little-endian vectors: each element is
+the intensity of its code.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
-from .errors import DetectorError, FormatError
-from .features import CodeBank, PatchFeatureGrid
+from .errors import DetectorError
+from .features import CodeBank, PatchFeatureGrid, intensities
 
 _MAGIC = b"IADB"
 _VERSION = 1
@@ -177,53 +178,42 @@ single_thread_blas = SingleThreadBlas()
 
 @dataclass
 class MemoryBank:
+    """A detector's bank: its rows as 8-bit codes, and a task tag per row.
+
+    Row values are ``intensities`` of the codes, so every one is finite
+    and in [0, 1]: a bank cannot hold NaN or inf.
+    """
+
     dim: int
-    vectors: np.ndarray  # (count, dim) float32
+    codes: np.ndarray  # (count, dim) uint8
     task_tags: np.ndarray  # (count,) uint32; 0 for single-task banks
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        if not isinstance(self.codes, np.ndarray) or self.codes.dtype != np.uint8:
+            raise DetectorError("dim-mismatch", "bank rows must be uint8 codes")
         tags = np.ascontiguousarray(self.task_tags, dtype=np.uint32)
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise DetectorError("dim-mismatch", f"bank vectors must be (n, {self.dim})")
-        if tags.shape != (vectors.shape[0],):
+        if self.codes.ndim != 2 or self.codes.shape[1] != self.dim:
+            raise DetectorError("dim-mismatch", f"bank codes must be (n, {self.dim})")
+        if tags.shape != (self.codes.shape[0],):
             raise DetectorError("dim-mismatch", "one task tag per vector required")
-        step = _block_rows(max(1, self.dim))  # no count x dim mask
-        for start in range(0, vectors.shape[0], step):
-            if not np.isfinite(vectors[start : start + step]).all():
-                raise DetectorError("dim-mismatch", "bank vectors must be finite")
-        self.vectors = vectors
         self.task_tags = tags
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.codes.shape[0]
 
     def rows(self, index) -> np.ndarray:
-        """The float32 vectors at ``index``, as ``CodeBank.rows`` gives its own."""
-        return self.vectors[index]
+        """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
+        return intensities(self.codes[index])
 
     @classmethod
     def empty(cls, dim: int) -> "MemoryBank":
-        return cls(dim, np.zeros((0, dim), np.float32), np.zeros(0, np.uint32))
+        return cls(dim, np.zeros((0, dim), np.uint8), np.zeros(0, np.uint32))
 
 
-def build_bank(grids: list[PatchFeatureGrid] | CodeBank) -> MemoryBank:
-    """Union of every patch vector of every grid, in (grid, row-major) order.
-
-    A ``CodeBank`` gives its float32 rows, in its order, converted into
-    one array the size of the bank: no grid list, no concatenation.
-    """
-    if isinstance(grids, CodeBank):
-        return MemoryBank(grids.dim, grids.rows(slice(None)), np.zeros(grids.count, np.uint32))
-    if not grids:
-        raise DetectorError("empty-input", "need at least one feature grid")
-    dim = grids[0].dim
-    for g in grids:
-        if g.dim != dim:
-            raise DetectorError("dim-mismatch", f"grid dim {g.dim} != bank dim {dim}")
-    vectors = np.concatenate([g.vectors for g in grids], axis=0)
-    return MemoryBank(dim, vectors, np.zeros(vectors.shape[0], np.uint32))
+def build_bank(codes: CodeBank) -> MemoryBank:
+    """The bank of every row of ``codes``, in its order, sharing its array."""
+    return MemoryBank(codes.dim, codes.codes, np.zeros(codes.count, np.uint32))
 
 
 @dataclass
@@ -391,7 +381,7 @@ def _shell_slack(dim: int, sq_max: float) -> float:
 
 @dataclass(frozen=True)
 class _BankPoints:
-    """A bank's rows as the coreset reads them, made on each read.
+    """A code bank's rows as the coreset reads them, made on each read.
 
     ``points[index]`` is the float32 rows ``bank.rows(index)``, or their
     float64 projection when ``projector`` is set; ``shape`` is that of
@@ -401,7 +391,7 @@ class _BankPoints:
     block, so the points read in sorted order equal those read in order.
     """
 
-    bank: MemoryBank | CodeBank
+    bank: CodeBank
     projector: Projector | None
 
     @property
@@ -414,14 +404,13 @@ class _BankPoints:
         return rows if self.projector is None else self.projector.apply(rows)
 
 
-def coreset_select(bank: MemoryBank | CodeBank, params: CoresetParams) -> list[int]:
+def coreset_select(bank: CodeBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
     The bank's first vector seeds the selection; each following pick is
     the vector farthest from the current selection, ties broken by the
     lowest index. Returns exactly l distinct indices in selection order.
-    A ``MemoryBank`` and a ``CodeBank`` of the same float32 rows give the
-    same picks: both are read through ``rows``, a block at a time.
+    The bank's float32 rows are read through ``rows``, a block at a time.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
@@ -536,9 +525,9 @@ def _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order) -> None:
 class SearchIndex:
     """A bank's vectors as the searches read them: float64 rows and their squared norms.
 
-    Built once per bank, and extended rather than rebuilt when a task
-    appends vectors, so no search converts the bank again. The float64
-    rows equal the float32 ones exactly.
+    Built once per bank from its float rows, and extended rather than
+    rebuilt when a task appends vectors, so no search converts the bank
+    again. The float64 rows equal the float32 ones exactly.
     """
 
     vectors: np.ndarray  # (count, dim) float64
@@ -552,6 +541,10 @@ class SearchIndex:
     @property
     def count(self) -> int:
         return self.vectors.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def extended(self, vectors: np.ndarray) -> "SearchIndex":
         """The index of this bank with ``vectors`` appended."""
@@ -671,13 +664,13 @@ def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None
 def score_patches(
     bank: MemoryBank,
     grid: PatchFeatureGrid,
-    index: SearchIndex | None = None,
+    index: SearchIndex,
     known: Nearest | None = None,
 ) -> tuple[Nearest, float, int, int]:
     """Nearest bank vector per patch plus the maximum-score summary.
 
-    ``index`` is the bank's search index (built here when None); ``known``
-    lets ``search`` look only at the rows appended since it was found.
+    ``index`` is the bank's search index; ``known`` lets ``search`` look
+    only at the rows appended since it was found.
     Returns (per-patch Nearest in row-major patch order, s_star,
     patch_index, neighbor_index). s_star is the largest sqrt(d^2);
     argmax ties resolve to the lowest row-major patch, nearest-neighbor
@@ -687,37 +680,35 @@ def score_patches(
         raise DetectorError("empty-bank", "bank has no vectors")
     if grid.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
-    nearest = search(SearchIndex.of(bank.vectors) if index is None else index, grid.vectors, known)
+    nearest = search(index, grid.vectors, known)
     distances = np.sqrt(nearest.d2)
     patch_index = int(np.argmax(distances))
     return nearest, float(distances[patch_index]), patch_index, int(nearest.index[patch_index])
 
 
 def reweight(
-    bank: MemoryBank,
+    index: SearchIndex,
     test_vector: np.ndarray,
     s_star: float,
     neighbor_index: int,
     b: int,
-    index: SearchIndex | None = None,
 ) -> float:
     """Softmax importance re-weighting of the raw image score.
 
-    With b = 1 the score passes through unchanged. Otherwise the b bank
-    vectors nearest to the test vector (including its nearest neighbor)
-    form the neighborhood; the score scales by one minus the softmax
-    weight of the nearest neighbor, with max-subtraction for stability.
-    ``index``, the bank's search index, saves converting the bank.
+    With b = 1 the score passes through unchanged. Otherwise the b rows
+    of the bank's search index nearest to the test vector (including its
+    nearest neighbor) form the neighborhood; the score scales by one
+    minus the softmax weight of the nearest neighbor, with
+    max-subtraction for stability.
     """
-    if not 1 <= b <= bank.count:
-        raise DetectorError("b-out-of-range", f"b={b} for bank of {bank.count}")
+    if not 1 <= b <= index.count:
+        raise DetectorError("b-out-of-range", f"b={b} for bank of {index.count}")
     if b == 1:
         return s_star
     test = np.asarray(test_vector, dtype=np.float64).ravel()
-    if test.size != bank.dim:
-        raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {bank.dim}")
-    rows = bank.vectors if index is None else index.vectors
-    d = np.sqrt(((rows.astype(np.float64, copy=False) - test) ** 2).sum(axis=1))
+    if test.size != index.dim:
+        raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {index.dim}")
+    d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
     hood = np.sort(np.partition(d, b - 1)[:b])  # the b smallest, ascending
     d_star = d[neighbor_index]
     shift = hood.max()
@@ -729,7 +720,7 @@ def score_image(
     bank: MemoryBank,
     grid: PatchFeatureGrid,
     b: int,
-    index: SearchIndex | None = None,
+    index: SearchIndex,
     known: Nearest | None = None,
 ) -> tuple[ScoreResult, np.ndarray]:
     """Image-level score plus the grid-resolution anomaly map.
@@ -738,10 +729,8 @@ def score_image(
     image score is re-weighted. ``index`` and ``known`` are as in
     ``score_patches``; re-weighting always reads the whole bank.
     """
-    if index is None:
-        index = SearchIndex.of(bank.vectors)
     nearest, s_star, patch_index, neighbor_index = score_patches(bank, grid, index, known)
-    s = reweight(bank, grid.vectors[patch_index], s_star, neighbor_index, b, index)
+    s = reweight(index, grid.vectors[patch_index], s_star, neighbor_index, b)
     patch_map = np.sqrt(nearest.d2).reshape(grid.grid_h, grid.grid_w)
     return ScoreResult(s_star, neighbor_index, s, nearest), patch_map
 
@@ -844,51 +833,30 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def extend_bank_for_task(
-    bank: MemoryBank, task_vectors: np.ndarray, task_index: int
+    bank: MemoryBank, task_codes: np.ndarray, task_index: int
 ) -> MemoryBank:
-    """Append a new task's selected vectors, tagged with its index; existing vectors are kept.
+    """Append a new task's selected code rows, tagged with its index; existing rows are kept.
 
-    ``task_vectors`` is (count, dim): the task's coreset in pick order, or
-    its whole bank in natural order when its ``l`` keeps every row.
-    Queries on the result search the union of all tasks, so adding a
-    task can only tighten nearest-neighbor distances for earlier tasks.
+    ``task_codes`` is (count, dim) uint8: the task's coreset in pick
+    order, or its whole bank in natural order when its ``l`` keeps every
+    row. Queries on the result search the union of all tasks, so adding
+    a task can only tighten nearest-neighbor distances for earlier tasks.
     """
     if bank.count > 0 and task_index <= int(bank.task_tags.max()):
         raise DetectorError(
             "task-order-violation",
             f"task {task_index} not greater than existing tags",
         )
-    if task_vectors.shape[1:] != (bank.dim,):
-        raise DetectorError("dim-mismatch", f"task dim {task_vectors.shape[-1]} != {bank.dim}")
-    new_tags = np.full(len(task_vectors), task_index, dtype=np.uint32)
-    vectors = np.concatenate([bank.vectors, task_vectors], axis=0)
+    if task_codes.shape[1:] != (bank.dim,):
+        raise DetectorError("dim-mismatch", f"task dim {task_codes.shape[-1]} != {bank.dim}")
+    new_tags = np.full(len(task_codes), task_index, dtype=np.uint32)
+    codes = np.concatenate([bank.codes, task_codes], axis=0)
     tags = np.concatenate([bank.task_tags, new_tags])
-    return MemoryBank(bank.dim, vectors, tags)
+    return MemoryBank(bank.dim, codes, tags)
 
 
 def write_bank_file(bank: MemoryBank, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, bank.dim, bank.count))
         fh.write(np.ascontiguousarray(bank.task_tags, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(bank.vectors, dtype="<f4").tobytes())
-
-
-def read_bank_file(path: str) -> MemoryBank:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise FormatError("truncated-file", f"{path}: header incomplete")
-    magic, version, dim, count = _HEADER.unpack_from(data)
-    if magic != _MAGIC:
-        raise FormatError("bad-magic", f"{path}: expected {_MAGIC.decode()}, got {magic!r}")
-    if version != _VERSION:
-        raise FormatError("version-unsupported", f"{path}: version {version}")
-    payload, tags_bytes = data[_HEADER.size :], count * 4
-    if len(payload) != tags_bytes * (1 + dim):
-        raise FormatError(
-            "truncated-file",
-            f"{path}: expected {tags_bytes * (1 + dim)} payload bytes, got {len(payload)}",
-        )
-    tags = np.frombuffer(payload[:tags_bytes], dtype="<u4").copy()
-    vectors = np.frombuffer(payload[tags_bytes:], dtype="<f4").reshape(count, dim).copy()
-    return MemoryBank(dim, vectors, tags)
+        fh.write(np.ascontiguousarray(bank.rows(slice(None)), dtype="<f4").tobytes())

@@ -2,17 +2,17 @@
 
 The reference descriptor is the raw patch: a sliding window of
 patch_size x patch_size pixels flattened row-major, giving a grid of
-(grid_h x grid_w) vectors of dimension patch_size^2, stored as float32.
-Images arrive as 8-bit codes; each code k becomes the float32 quotient
-k/255 (``intensities``), the value a float64 image cast to float32
-would give.
+(grid_h x grid_w) vectors of dimension patch_size^2. Images arrive as
+8-bit codes; each code k becomes the float32 quotient k/255
+(``intensities``), the value a float64 image cast to float32 would
+give. ``intensities`` is the one rule that turns codes into floats.
 
-Training patches are held as codes until selection. A ``CodeBank`` is
-every window of a training set's images as a uint8 row, one byte per
-element where the float32 bank takes four, filled image by image into
-one preallocated array. Its float32 rows are made by ``intensities``
-on demand, a block or a set of picked rows at a time, and equal the
-rows ``extract_features`` gives for the same windows byte for byte.
+Training patches stay codes. A ``CodeBank`` is every window of a
+training set's images as a uint8 row, filled image by image into one
+preallocated array; selection reads its rows as ``intensities`` a block
+at a time, and a detector's bank keeps the codes of the rows it keeps.
+Those values equal the rows ``extract_features`` gives for the same
+windows byte for byte.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ class PatchFeatureGrid:
                 "bad-dims",
                 f"vectors shape {arr.shape} != ({self.grid_h * self.grid_w}, {self.dim})",
             )
-        if not np.all(np.isfinite(arr)):
-            raise DetectorError("bad-dims", "feature vectors must be finite")
         self.vectors = arr
 
 

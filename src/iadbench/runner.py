@@ -11,11 +11,11 @@ Only images observed as normal enter a bank, so a category's
 unsupervised cell, its supervised cells and its continual task train on
 the same images and select the same coreset. A run plans every job's
 training sets, selects each distinct coreset once, then scores the jobs
-on the picked rows. A training set's patches are held as 8-bit codes
-(``features.CodeBank``) until then: a selection reads its float32 rows
-from them a block at a time and keeps only the picked ones. No training
-set whose ``l`` is its whole bank is selected: its job builds that bank
-from its codes, in natural order. No job waits on another.
+on the picked rows. A training set's patches are 8-bit codes
+(``features.CodeBank``), and a bank keeps the codes of the rows it
+keeps: a selection returns the picked code rows. No training set whose
+``l`` is its whole bank is selected: its job builds that bank from its
+codes, in natural order. No job waits on another.
 """
 
 from __future__ import annotations
@@ -430,11 +430,12 @@ class DetectorState:
 
     def __post_init__(self):
         if self.index is None:
-            self.index = SearchIndex.of(self.bank.vectors)
+            self.index = SearchIndex.of(self.bank.rows(slice(None)))
 
     def extended(self, bank: MemoryBank) -> "DetectorState":
-        """This state over ``bank``, which appends vectors to this state's bank."""
-        return replace(self, bank=bank, index=self.index.extended(bank.vectors[self.bank.count :]))
+        """This state over ``bank``, which appends rows to this state's bank."""
+        appended = bank.rows(slice(self.bank.count, None))
+        return replace(self, bank=bank, index=self.index.extended(appended))
 
     def score_sample(
         self, sample: Sample, known: Nearest | None = None, render: bool = True
@@ -691,7 +692,7 @@ def _run_plain_cell(
     rows: np.ndarray,
     keep_bank: bool,
 ) -> CellResult:
-    """Score ``split`` against its bank ``rows``: its coreset or its whole bank."""
+    """Score ``split`` against its bank's code ``rows``: its coreset or its whole bank."""
     bank = MemoryBank(rows.shape[1], rows, np.zeros(len(rows), np.uint32))
     # the state, and with it the bank's search index, is freed before the metrics run
     scored = evaluate(
@@ -715,7 +716,8 @@ def _run_continual_job(
 ) -> tuple[list[CellResult], dict]:
     """Train on the tasks in order; score every task seen so far after each.
 
-    ``task_rows`` yields each task's coreset, or whole bank, as its step starts.
+    ``task_rows`` yields each task's coreset, or whole bank, as code rows
+    as its step starts.
 
     Banks are append-only and search ties go to the lowest index, so
     after step l a test patch's nearest vector changes only if one
@@ -862,13 +864,13 @@ def run_experiment(
     def select(key: tuple) -> np.ndarray | BenchError:
         try:
             codes = codes_of(wanted[key])
-            return codes.rows(coreset_select(codes, key[1]))  # float32, in pick order
+            return codes.codes[coreset_select(codes, key[1])]  # in pick order
         except BenchError as exc:
             return exc
 
     def rows(normals: list[Sample], key: tuple | None) -> np.ndarray:
-        """A training set's bank rows: its whole bank in natural order, or its picks."""
-        return build_bank(codes_of(normals)).vectors if key is None else _unfailed(selected[key])
+        """A training set's bank code rows: its whole bank in natural order, or its picks."""
+        return build_bank(codes_of(normals)).codes if key is None else _unfailed(selected[key])
 
     def execute(job, planned) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job

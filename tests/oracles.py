@@ -524,3 +524,45 @@ def integrate_to_limit_reference(xs, ys, limit) -> float:
         y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
         area += float(np.sum((limit - x0) * (y0 + y_at) * 0.5))
     return area / limit
+
+
+def read_bank_file(path) -> tuple[int, "np.ndarray", "np.ndarray"]:
+    """An IADB bank snapshot's (dim, task tags, float32 rows), read from
+    the documented layout: magic ``IADB``, u16 version 1, u32 dim, u64
+    count, count u32 task tags, then count x dim binary32 values, all
+    little-endian. A malformed file raises the ``FormatError`` a reader
+    of the format owes: ``truncated-file``, ``bad-magic`` or
+    ``version-unsupported``."""
+    import struct
+
+    import numpy as np
+
+    from iadbench.errors import FormatError
+
+    header = struct.Struct("<4sHIQ")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < header.size:
+        raise FormatError("truncated-file", f"{path}: header incomplete")
+    magic, version, dim, count = header.unpack_from(data)
+    if magic != b"IADB":
+        raise FormatError("bad-magic", f"{path}: expected IADB, got {magic!r}")
+    if version != 1:
+        raise FormatError("version-unsupported", f"{path}: version {version}")
+    payload, tags_bytes = data[header.size :], count * 4
+    if len(payload) != tags_bytes * (1 + dim):
+        raise FormatError(
+            "truncated-file",
+            f"{path}: expected {tags_bytes * (1 + dim)} payload bytes, got {len(payload)}",
+        )
+    tags = np.frombuffer(payload[:tags_bytes], dtype="<u4").copy()
+    vectors = np.frombuffer(payload[tags_bytes:], dtype="<f4").reshape(count, dim).copy()
+    return dim, tags, vectors
+
+
+def bank_from_grids(grids) -> "np.ndarray":
+    """The float32 bank of feature grids: every grid's vectors, in (grid,
+    row-major) order, concatenated."""
+    import numpy as np
+
+    return np.concatenate([g.vectors for g in grids], axis=0)

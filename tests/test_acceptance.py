@@ -18,13 +18,13 @@ from iadbench.data import PixelMask
 from iadbench.detector import (
     CoresetParams,
     MemoryBank,
-    build_bank,
+    SearchIndex,
     coreset_select,
     extend_bank_for_task,
     reweight,
     score_patches,
 )
-from iadbench.features import extract_features
+from iadbench.features import CodeBank, code_bank, extract_features
 from iadbench.metrics import (
     LabeledScores,
     TaskMatrix,
@@ -145,16 +145,15 @@ def test_criterion_4_coreset_oracle():
     for _ in range(200):
         n = int(rng.integers(2, 13))
         dim = int(rng.integers(1, 5))
-        vectors = (rng.integers(0, 10, size=(n, dim)) / 3.0).astype(np.float32)
-        bank = MemoryBank(dim, vectors, np.zeros(n, np.uint32))
+        # ten code levels: ties as dense as on a grid of ten values
+        bank = CodeBank(dim, rng.integers(0, 10, size=(n, dim), dtype=np.uint8))
         l = int(rng.integers(1, n + 1))
-        points = [tuple(map(float, row)) for row in bank.vectors.astype(np.float64)]
+        points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
         assert coreset_select(bank, CoresetParams(l=l)) == greedy_kcenter(points, l)
     for _ in range(60):
         n = int(rng.integers(3, 11))
-        vectors = rng.random((n, 2)).astype(np.float32)
-        bank = MemoryBank(2, vectors, np.zeros(n, np.uint32))
-        points = [tuple(map(float, row)) for row in bank.vectors.astype(np.float64)]
+        bank = CodeBank(2, rng.integers(0, 256, (n, 2), dtype=np.uint8))
+        points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
         for l in (1, 2, 3):
             if l > n:
                 continue
@@ -167,23 +166,21 @@ def test_criterion_4_coreset_oracle():
 
 
 def test_criterion_5_reweighting_formula():
-    bank = MemoryBank(1, np.array([[0.0], [3.0]], np.float32), np.zeros(2, np.uint32))
-    assert reweight(bank, np.array([1.0]), 0.73, 0, 1) == 0.73
-    worked = reweight(bank, np.array([1.0]), 1.0, 0, 2)
+    index = SearchIndex.of(np.array([[0.0], [3.0]], np.float32))
+    assert reweight(index, np.array([1.0]), 0.73, 0, 1) == 0.73
+    worked = reweight(index, np.array([1.0]), 1.0, 0, 2)
     assert abs(worked - np.e / (1.0 + np.e)) <= 1e-9
     rng = np.random.default_rng(1005)
     for _ in range(1000):
         n = int(rng.integers(1, 15))
         dim = int(rng.integers(1, 5))
-        bank = MemoryBank(
-            dim, rng.standard_normal((n, dim)).astype(np.float32), np.zeros(n, np.uint32)
-        )
+        index = SearchIndex.of(rng.standard_normal((n, dim)).astype(np.float32))
         test = rng.standard_normal(dim)
-        d = np.sqrt(((bank.vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+        d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
-        s = reweight(bank, test, s_star, neighbor, b)
+        s = reweight(index, test, s_star, neighbor, b)
         assert 0.0 <= s <= s_star
     _report(5, "b=1 passes s_star through; 1-D worked example gives e/(1+e) "
                "within 1e-9; 0 <= s <= s_star on 1000 random queries")
@@ -323,15 +320,14 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     bank = MemoryBank.empty(config.feature.patch_size**2)
     previous_d2: dict[int, np.ndarray] = {}
     for step, task in enumerate(sequence, start=1):
-        task_bank = build_bank(
-            [extract_features(i.sample.image, config.feature) for i in task.train]
-        )
-        picked = coreset_select(task_bank, params(step))
-        bank = extend_bank_for_task(bank, task_bank.vectors[picked], step)
+        task_codes = code_bank([i.sample.image for i in task.train], config.feature)
+        picked = coreset_select(task_codes, params(step))
+        bank = extend_bank_for_task(bank, task_codes.codes[picked], step)
+        index = SearchIndex.of(bank.rows(slice(None)))
         for prev in sequence[:step]:
             d2 = np.concatenate(
                 [
-                    score_patches(bank, extract_features(s.image, config.feature))[0].d2
+                    score_patches(bank, extract_features(s.image, config.feature), index)[0].d2
                     for s in prev.test
                 ]
             )

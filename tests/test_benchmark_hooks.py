@@ -3,8 +3,11 @@
 ``perfbench/spans.py`` wraps functions by module attribute. A name that
 no longer resolves is skipped with a "not traced" note, and its spans
 (and any count derived from them) silently vanish from a traced run.
-These checks resolve every wrapped name without installing the tracer,
-so no module global is patched.
+These checks resolve every wrapped name without installing the tracer.
+The count functions read the wrapped calls' arguments (a bank's
+``count`` and ``dim``, a grid's ``vectors``); the last check feeds them
+the arguments of a real run's calls, so a field they read cannot vanish
+while the tier-1 tests still pass.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from pathlib import Path
 
 from iadbench import detector, metrics, runner
+from iadbench.runner import parse_config, run_experiment
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -57,3 +61,50 @@ def test_runner_hook_points():
         (detector.coreset_select, {"bank", "params"}),
     ):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_count_functions_read_real_arguments(monkeypatch):
+    spans = _spans_module(monkeypatch)
+    counted = {}  # wrapped function -> its count functions
+    for module_name, attr, _span, count in spans.WRAPS:
+        fn = getattr(importlib.import_module(f"iadbench.{module_name}"), attr, None)
+        if count is not None and fn is not None:
+            counted.setdefault(fn, set()).add(count)
+    calls = {}  # wrapped function -> the bound arguments of its first call
+
+    def recording(fn):
+        signature = inspect.signature(fn)
+
+        def call(*args, **kwargs):
+            calls.setdefault(fn, signature.bind(*args, **kwargs).arguments)
+            return fn(*args, **kwargs)
+
+        return call
+
+    # each name wrapped where it is looked up, as the tracer wraps it
+    for module_name, attr, _span, _count in spans.WRAPS:
+        module = importlib.import_module(f"iadbench.{module_name}")
+        fn = getattr(module, attr, None)
+        if fn in counted:
+            monkeypatch.setattr(module, attr, recording(fn))
+    config = {
+        "dataset": {
+            "synthetic": {
+                "categories": 2,
+                "normals_train": 3,
+                "normals_test": 2,
+                "abnormals_test": 2,
+                "image_size": 16,
+            }
+        },
+        "setting": [{"type": "unsupervised"}],
+        "detector": {"feature": {"patch_size": 4, "stride": 4}, "coreset": {"l": 4}, "b": 2},
+        "seed": 3,
+    }
+    run_experiment(parse_config(config))
+    assert set(calls) == set(counted)
+    tracer = spans.Tracer()
+    for fn, counts in counted.items():
+        for count in counts:
+            count(tracer, calls[fn])
+    assert tracer.counters["detector.score_patches.dist_evals"] > 0

@@ -29,7 +29,6 @@ from iadbench.detector import (
     coreset_select,
     extend_bank_for_task,
     make_projector,
-    read_bank_file,
     render_anomaly_map,
     reweight,
     score_image,
@@ -41,6 +40,7 @@ from iadbench.detector import (
 from iadbench.data import ImageGrid
 from iadbench.errors import DetectorError, FormatError
 from iadbench.features import (
+    CodeBank,
     FeatureProviderConfig,
     PatchFeatureGrid,
     code_bank,
@@ -48,6 +48,7 @@ from iadbench.features import (
     intensities,
 )
 from oracles import (
+    bank_from_grids,
     coreset_reference,
     covering_radius,
     gaussian_filter_scipy,
@@ -55,14 +56,26 @@ from oracles import (
     nearest_bruteforce,
     optimal_kcenter_radius,
     projection_reference,
+    read_bank_file,
     render_reference,
     reweight_reference,
 )
 
 
-def _bank(rows) -> MemoryBank:
-    arr = np.asarray(rows, dtype=np.float32)
+def _bank(codes) -> MemoryBank:
+    """A single-task bank of these code rows."""
+    arr = np.asarray(codes, dtype=np.uint8)
     return MemoryBank(arr.shape[1], arr, np.zeros(arr.shape[0], np.uint32))
+
+
+def _code_bank(codes) -> CodeBank:
+    arr = np.asarray(codes, dtype=np.uint8)
+    return CodeBank(arr.shape[1], arr)
+
+
+def _index(bank: MemoryBank) -> SearchIndex:
+    """The bank's search index, as a detector state builds it."""
+    return SearchIndex.of(bank.rows(slice(None)))
 
 
 def _grid(rows) -> PatchFeatureGrid:
@@ -74,52 +87,74 @@ def _grid(rows) -> PatchFeatureGrid:
 
 
 def test_build_bank_union_order():
-    g1 = PatchFeatureGrid(2, 2, 3, np.arange(12, dtype=np.float32).reshape(4, 3))
-    g2 = PatchFeatureGrid(2, 2, 3, np.arange(12, 24, dtype=np.float32).reshape(4, 3))
-    bank = build_bank([g1, g2])
+    cfg = FeatureProviderConfig(2, 2, "raw-patch")
+    images = [ImageGrid(np.arange(16, dtype=np.uint8).reshape(4, 4) + 16 * i) for i in range(2)]
+    codes = code_bank(images, cfg)
+    bank = build_bank(codes)
     assert bank.count == 8
-    assert np.array_equal(bank.vectors[:4], g1.vectors)
-    assert np.array_equal(bank.vectors[4:], g2.vectors)
+    assert bank.codes is codes.codes  # the code bank's rows, not a copy
+    want = bank_from_grids([extract_features(image, cfg) for image in images])
+    assert bank.rows(slice(None)).tobytes() == want.tobytes()
     assert np.all(bank.task_tags == 0)
 
 
 def test_build_bank_errors():
     with pytest.raises(DetectorError) as exc:
-        build_bank([])
+        code_bank([], FeatureProviderConfig(4, 4, "raw-patch"))
     assert exc.value.code == "empty-input"
-    g16 = PatchFeatureGrid(1, 1, 16, np.zeros((1, 16), np.float32))
-    g32 = PatchFeatureGrid(1, 1, 32, np.zeros((1, 32), np.float32))
     with pytest.raises(DetectorError) as exc:
-        build_bank([g16, g32])
+        MemoryBank(16, np.zeros((1, 32), np.uint8), np.zeros(1, np.uint32))
     assert exc.value.code == "dim-mismatch"
 
 
 def test_build_bank_single_patch():
-    g = PatchFeatureGrid(1, 1, 4, np.ones((1, 4), np.float32))
-    assert build_bank([g]).count == 1
+    cfg = FeatureProviderConfig(2, 1, "raw-patch")
+    codes = code_bank([ImageGrid(np.full((2, 2), 255, np.uint8))], cfg)
+    assert build_bank(codes).count == 1
 
 
-def test_memory_bank_checks_every_row_block_for_finiteness():
-    dim = 16
-    count = 3 * detector._block_rows(dim) + 5
-    vectors = np.random.default_rng(20).random((count, dim)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        MemoryBank(dim, vectors, np.zeros(count, np.uint32))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # a row block's mask at a time, never a count x dim one
-    assert peak < 2 * detector._BLOCK_ELEMENTS
-    for row in (0, count // 2, count - 1):
-        for bad in (np.nan, np.inf, -np.inf):
-            broken = vectors.copy()
-            broken[row, dim - 1] = bad
-            with pytest.raises(DetectorError) as exc:
-                MemoryBank(dim, broken, np.zeros(count, np.uint32))
-            assert (exc.value.code, exc.value.message) == (
-                "dim-mismatch", "bank vectors must be finite"
-            )
+def test_memory_bank_rejects_float_rows():
+    """A bank holds 8-bit codes, so it cannot hold NaN or inf: a float
+    array, finite or not, is refused rather than cast."""
+    dim, count = 16, 5
+    codes = np.random.default_rng(20).integers(0, 256, (count, dim), dtype=np.uint8)
+    assert MemoryBank(dim, codes, np.zeros(count, np.uint32)).count == count
+    for rows in (intensities(codes), codes.astype(np.float64), np.full((count, dim), np.nan),
+                 codes.astype(np.int64)):
+        with pytest.raises(DetectorError) as exc:
+            MemoryBank(dim, rows, np.zeros(count, np.uint32))
+        assert (exc.value.code, exc.value.message) == (
+            "dim-mismatch", "bank rows must be uint8 codes"
+        )
+
+
+def test_every_code_reads_as_the_float32_quotient():
+    """Each of the 256 codes gives, through a bank and its search index,
+    the value the float32 bank held: the float64 intensity k / 255 of an
+    image pixel, rounded to float32."""
+    codes = np.arange(256, dtype=np.uint8).reshape(256, 1)
+    old = np.array([np.float32(k / 255.0) for k in range(256)], np.float32)
+    bank = _bank(codes)
+    rows = bank.rows(slice(None))
+    assert rows.dtype == np.float32 and rows.ravel().tobytes() == old.tobytes()
+    index = _index(bank)
+    assert index.vectors.ravel().tobytes() == old.astype(np.float64).tobytes()
+    extended = _index(_bank(codes[:100])).extended(bank.rows(slice(100, None)))
+    assert extended.vectors.tobytes() == index.vectors.tobytes()
+    assert extended.sq.tobytes() == index.sq.tobytes()
+
+
+def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
+    rng = np.random.default_rng(21)
+    codes = rng.integers(0, 256, (300, 9), dtype=np.uint8)
+    codes[:256, 0] = np.arange(256)
+    tags = rng.integers(0, 4, 300).astype(np.uint32)
+    path = tmp_path / "bank.iadb"
+    write_bank_file(MemoryBank(9, codes, tags), str(path))
+    data = path.read_bytes()
+    header = 4 + 2 + 4 + 8
+    assert data[header + 300 * 4 :] == intensities(codes).astype("<f4").tobytes()
+    assert len(data) - header - 300 * 4 == 300 * 9 * 4  # the bank_bytes formula
 
 
 # --- projector ---------------------------------------------------------------------
@@ -188,12 +223,12 @@ def test_projector_bad_dims():
 
 
 def test_coreset_1d_example():
-    bank = _bank([[0.0], [1.0], [10.0]])
+    bank = _code_bank([[0], [1], [10]])
     assert coreset_select(bank, CoresetParams(l=2)) == [0, 2]
 
 
 def test_coreset_exhaustion_and_singleton():
-    bank = _bank([[0.0], [5.0], [1.0], [9.0]])
+    bank = _code_bank([[0], [5], [1], [9]])
     full = coreset_select(bank, CoresetParams(l=4))
     assert sorted(full) == [0, 1, 2, 3]
     assert full == coreset_select(bank, CoresetParams(l=4))
@@ -201,14 +236,14 @@ def test_coreset_exhaustion_and_singleton():
 
 
 def test_coreset_fraction_resolution():
-    bank = _bank([[float(i)] for i in range(10)])
+    bank = _code_bank([[i] for i in range(10)])
     assert len(coreset_select(bank, CoresetParams(target_fraction=0.25))) == 3  # round half up
     assert len(coreset_select(bank, CoresetParams(target_fraction=1.0))) == 10
     assert len(coreset_select(bank, CoresetParams(target_fraction=0.01))) == 1
 
 
 def test_coreset_l_out_of_range():
-    bank = _bank([[0.0], [1.0]])
+    bank = _code_bank([[0], [1]])
     with pytest.raises(DetectorError) as exc:
         coreset_select(bank, CoresetParams(l=3))
     assert exc.value.code == "l-out-of-range"
@@ -219,14 +254,10 @@ def test_coreset_l_out_of_range():
 def test_coreset_l_out_of_range_from_codes():
     cfg = FeatureProviderConfig(2, 1, "raw-patch")
     codes = code_bank([ImageGrid(np.zeros((3, 4), np.uint8))], cfg)  # 2 x 3 patches
-    bank = build_bank(codes)
     for params in (CoresetParams(l=7), CoresetParams(l=7, projection_dim=2)):
         with pytest.raises(DetectorError) as got:
             coreset_select(codes, params)
-        with pytest.raises(DetectorError) as want:
-            coreset_select(bank, params)
         assert (got.value.code, got.value.message) == ("l-out-of-range", "l=7 for bank of 6")
-        assert (want.value.code, want.value.message) == (got.value.code, got.value.message)
 
 
 def test_coreset_params_check_their_own_rules():
@@ -245,12 +276,11 @@ def test_coreset_matches_bruteforce_oracle():
     for _ in range(60):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(1, 5))
-        vectors = (rng.integers(0, 8, size=(n, dim)) / 2.0).astype(np.float32)
-        bank = _bank(vectors)
+        bank = _code_bank(rng.integers(0, 8, size=(n, dim)))  # 8 levels: many ties
         l = int(rng.integers(1, n + 1))
         ours = coreset_select(bank, CoresetParams(l=l))
         reference = greedy_kcenter(
-            [tuple(map(float, row)) for row in bank.vectors.astype(np.float64)], l
+            [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)], l
         )
         assert ours == reference
 
@@ -259,11 +289,10 @@ def test_coreset_two_approximation():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(4, 9))
-        points = [tuple(map(float, rng.random(2))) for _ in range(n)]
-        bank = _bank(np.array(points, dtype=np.float32))
+        bank = _code_bank(rng.integers(0, 256, (n, 2)))
         for l in (1, 2, 3):
             selected = coreset_select(bank, CoresetParams(l=l))
-            points64 = [tuple(map(float, r)) for r in bank.vectors.astype(np.float64)]
+            points64 = [tuple(map(float, r)) for r in bank.rows(slice(None)).astype(np.float64)]
             ours = covering_radius(points64, selected)
             best = optimal_kcenter_radius(points64, l)
             assert ours <= 2.0 * best + 1e-12
@@ -271,7 +300,7 @@ def test_coreset_two_approximation():
 
 def test_coreset_with_projection_deterministic():
     rng = np.random.default_rng(12)
-    bank = _bank(rng.random((20, 8)).astype(np.float32))
+    bank = _code_bank(rng.integers(0, 256, (20, 8)))
     params = CoresetParams(l=5, projection_dim=2, seed=3)
     assert coreset_select(bank, params) == coreset_select(bank, params)
 
@@ -279,8 +308,7 @@ def test_coreset_with_projection_deterministic():
 @pytest.mark.parametrize("projection_dim", [16, None])
 def test_coreset_select_peak_memory(projection_dim):
     count, dim = 36000, 64
-    vectors = np.random.default_rng(13).random((count, dim)).astype(np.float32)
-    bank = MemoryBank(dim, vectors, np.zeros(count, np.uint32))
+    bank = _code_bank(np.random.default_rng(13).integers(0, 256, (count, dim)))
     params = CoresetParams(l=20, projection_dim=projection_dim, seed=1)
     tracemalloc.start()
     try:
@@ -308,7 +336,7 @@ def test_selection_from_images_peak_memory(projection_dim):
     tracemalloc.start()
     try:
         codes = code_bank(images, cfg)
-        rows = codes.rows(coreset_select(codes, params))
+        rows = codes.codes[coreset_select(codes, params)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -350,28 +378,30 @@ def _coreset_images(draw):
     l_kind="all", projection=True, seed=0,
 )
 def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
-    """Picks and picked float32 rows from a code bank equal those of the
-    float32 bank of the same images, and the reference loop's picks."""
+    """Picks from a code bank equal the reference loop's picks over the
+    float32 bank of the same images' features, and the picked rows'
+    values equal that bank's rows."""
     cfg, images = case
     codes = code_bank(images, cfg)
-    bank = build_bank([extract_features(image, cfg) for image in images])
+    vectors = bank_from_grids([extract_features(image, cfg) for image in images])
     l = {"one": 1, "some": max(1, codes.count // 3), "all": codes.count}[l_kind]
     projection_dim = max(1, cfg.dim // 4) if projection else None
     params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
     picks = coreset_select(codes, params)
-    assert picks == coreset_select(bank, params)
-    assert codes.rows(picks).tobytes() == bank.vectors[picks].tobytes()
-    points = bank.vectors.astype(np.float64)
+    assert build_bank(codes).rows(picks).tobytes() == vectors[picks].tobytes()
+    points = vectors.astype(np.float64)
     if params.effective(cfg.dim).projection_dim is not None:
-        points = projection_reference(bank.vectors, make_projector(cfg.dim, projection_dim, seed).matrix)
+        points = projection_reference(vectors, make_projector(cfg.dim, projection_dim, seed).matrix)
     assert picks == coreset_reference(points, l)[0]
 
 
 def _coreset_points(kind, dim, bank_size, seed):
-    """(float32 bank rows, None) or (None, float64 points) built to stress
-    the farthest-first screen.
+    """(code rows, None) or (None, float32 or float64 points) built to
+    stress the farthest-first screen.
 
-    The float64 kinds have no bank: "offset64" puts a spread of 1e-3 on
+    Only code rows make a bank; the float kinds are points alone. The
+    float32 ones are projected as a bank's rows would be. The float64
+    kinds: "offset64" puts a spread of 1e-3 on
     an offset of 1e6, so the screen's rounding error is many times every
     distance, and "tiny" puts points near 1e-161, where squares and
     products are subnormal.
@@ -385,13 +415,13 @@ def _coreset_points(kind, dim, bank_size, seed):
     """
     rng = np.random.default_rng(seed)
     if kind == "random":
-        rows = rng.random((bank_size, dim))
+        return rng.integers(0, 256, (bank_size, dim), dtype=np.uint8), None
     elif kind == "duplicates":
-        base = rng.random((max(1, bank_size // 4), dim))
-        rows = base[rng.integers(0, base.shape[0], bank_size)]
+        base = rng.integers(0, 256, (max(1, bank_size // 4), dim), dtype=np.uint8)
+        return base[rng.integers(0, base.shape[0], bank_size)], None
     elif kind == "grid":
-        # integer grid: many rows tie exactly for the farthest one
-        rows = rng.integers(-2, 3, (bank_size, dim)).astype(np.float64)
+        # five levels: many rows tie exactly for the farthest one
+        return rng.integers(0, 5, (bank_size, dim), dtype=np.uint8), None
     elif kind == "offset":
         # a common offset of 1e3 over a spread of 1e-3 makes the screen
         # cancel badly
@@ -412,7 +442,7 @@ def _coreset_points(kind, dim, bank_size, seed):
         return None, start + rng.random((bank_size, 1)) * rng.standard_normal(dim)
     else:  # "tiny"
         return None, rng.random((bank_size, dim)) * 1e-161
-    return rows.astype(np.float32), None
+    return None, rows.astype(np.float32)
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,16 +475,17 @@ def _coreset_points(kind, dim, bank_size, seed):
 @example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=False)
 @example(kind="offset", dim=16, bank_size=2000, l_kind="some", projection=False, seed=7, pinned=True)
 def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, projection, seed, pinned):
-    vectors, points = _coreset_points(kind, dim, bank_size, seed)
+    codes, points = _coreset_points(kind, dim, bank_size, seed)
     l = {"one": 1, "some": max(1, bank_size // 3), "all": bank_size}[l_kind]
     projection_dim = max(1, dim // 4) if projection else None
-    if vectors is not None:
-        bank = MemoryBank(dim, vectors, np.zeros(bank_size, np.uint32))
-        params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
-        if projection_dim is not None and projection_dim != dim:
-            points = make_projector(dim, projection_dim, seed).apply(vectors)
+    params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
+    if codes is not None:
+        points = intensities(codes)
+    if points.dtype == np.float32:  # a bank's rows, as the coreset reads them
+        if params.effective(dim).projection_dim is not None:
+            points = make_projector(dim, projection_dim, seed).apply(points)
         else:
-            points = vectors.astype(np.float64)
+            points = points.astype(np.float64)
     want_selected, want_d2 = coreset_reference(points, l)
     before = points.tobytes()
     with single_thread_blas if pinned else nullcontext():
@@ -462,9 +493,10 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
     assert points.tobytes() == before
     assert selected == want_selected
     assert min_d2.tobytes() == want_d2.tobytes()
-    if vectors is not None:
-        assert coreset_select(bank, params) == want_selected
-        assert bank.vectors.tobytes() == vectors.astype(np.float32).tobytes()
+    if codes is not None:
+        before = codes.tobytes()
+        assert coreset_select(_code_bank(codes), params) == want_selected
+        assert codes.tobytes() == before
 
 
 # --- BLAS threads ---------------------------------------------------------------------
@@ -554,17 +586,17 @@ def test_runtime_imports_neither_scipy_nor_lose_the_blas_pin():
 
 
 def test_score_patches_hand_example():
-    bank = _bank([[0.0, 0.0]])
+    bank = _bank([[0, 0]])
     grid = _grid([[0.0, 0.0], [5.0, 0.0]])
-    nearest, s_star, patch_index, neighbor = score_patches(bank, grid)
+    nearest, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
     assert (nearest.rows, nearest.d2.tolist(), nearest.index.tolist()) == (1, [0.0, 25.0], [0, 0])
     assert (s_star, patch_index, neighbor) == (5.0, 1, 0)
 
 
 def test_score_patches_nearest_choice():
-    bank = _bank([[0.0, 0.0], [1.0, 0.0]])
+    bank = _bank([[0, 0], [255, 0]])  # code 255 is 1.0
     grid = _grid([[0.0, 1.0]])
-    _, s_star, patch_index, neighbor = score_patches(bank, grid)
+    _, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
     assert s_star == pytest.approx(1.0)
     assert neighbor == 0  # 1 < sqrt(2)
 
@@ -666,11 +698,11 @@ def test_search_of_appended_slices_matches_whole_bank_bitwise(
 
 def test_nearest_distances_all_duplicate_bank_memory():
     count, dim = 2000, 64
-    bank = MemoryBank(dim, np.full((count, dim), 0.5, np.float32), np.zeros(count, np.uint32))
+    index = SearchIndex.of(np.full((count, dim), 0.5, np.float32))
     tests = np.random.default_rng(3).random((_SCORE_CHUNK, dim))
     tracemalloc.start()
     try:
-        d2, indices = _nearest_distances(SearchIndex.of(bank.vectors), tests)
+        d2, indices = _nearest_distances(index, tests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -681,29 +713,30 @@ def test_nearest_distances_all_duplicate_bank_memory():
 
 
 def test_score_patches_errors():
-    bank = _bank([[0.0, 0.0]])
+    bank = _bank([[0, 0]])
+    empty = MemoryBank.empty(2)
     with pytest.raises(DetectorError) as exc:
-        score_patches(MemoryBank.empty(2), _grid([[0.0, 0.0]]))
+        score_patches(empty, _grid([[0.0, 0.0]]), _index(empty))
     assert exc.value.code == "empty-bank"
     with pytest.raises(DetectorError) as exc:
-        score_patches(bank, _grid([[0.0, 0.0, 0.0]]))
+        score_patches(bank, _grid([[0.0, 0.0, 0.0]]), _index(bank))
     assert exc.value.code == "dim-mismatch"
 
 
 def test_reweight_b1_no_reweighting():
-    bank = _bank([[0.0], [3.0]])
-    assert reweight(bank, np.array([1.0]), 1.0, 0, 1) == 1.0
+    index = SearchIndex.of([[0.0], [3.0]])
+    assert reweight(index, np.array([1.0]), 1.0, 0, 1) == 1.0
 
 
 def test_reweight_worked_example():
-    bank = _bank([[0.0], [3.0]])
-    s = reweight(bank, np.array([1.0]), 1.0, 0, 2)
+    index = SearchIndex.of([[0.0], [3.0]])
+    s = reweight(index, np.array([1.0]), 1.0, 0, 2)
     assert s == pytest.approx(np.e / (1 + np.e), abs=1e-9)
 
 
 def test_reweight_equidistant_neighbors():
-    bank = _bank([[1.0, 0.0], [-1.0, 0.0]])
-    s = reweight(bank, np.array([0.0, 0.0]), 1.0, 0, 2)
+    index = SearchIndex.of([[1.0, 0.0], [-1.0, 0.0]])
+    s = reweight(index, np.array([0.0, 0.0]), 1.0, 0, 2)
     assert s == pytest.approx(0.5, abs=1e-12)
 
 
@@ -712,20 +745,20 @@ def test_reweight_bounds_and_monotonicity():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(1, 4))
-        bank = _bank(rng.standard_normal((n, dim)).astype(np.float32))
+        index = SearchIndex.of(rng.standard_normal((n, dim)).astype(np.float32))
         test = rng.standard_normal(dim)
-        d = np.sqrt(((bank.vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+        d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
-        s = reweight(bank, test, s_star, neighbor, b)
+        s = reweight(index, test, s_star, neighbor, b)
         assert 0.0 <= s <= s_star
     # a second neighbor moving closer strictly lowers the score
     test = np.array([0.0])
     previous = None
     for second in (10.0, 5.0, 2.0, 1.0):
-        bank = _bank([[0.5], [second]])
-        s = reweight(bank, test, 0.5, 0, 2)
+        index = SearchIndex.of([[0.5], [second]])
+        s = reweight(index, test, 0.5, 0, 2)
         if previous is not None:
             assert s < previous
         previous = s
@@ -750,73 +783,72 @@ def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
     """
     rng = np.random.default_rng(seed)
     scale = max(levels, 4)
-    bank = _bank(rng.integers(0, levels, (count, dim)) / scale)
+    vectors = (rng.integers(0, levels, (count, dim)) / scale).astype(np.float32)
     test = (rng.integers(0, levels, dim) + rng.choice([0.0, 0.5])) / scale
-    d = np.sqrt(((bank.vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+    d = np.sqrt(((vectors.astype(np.float64) - test) ** 2).sum(axis=1))
     neighbor = int(np.argmin(d))
     b = {"two": 2, "some": int(rng.integers(2, count + 1)), "all": count}[b_kind]
-    index = SearchIndex.of(bank.vectors)
-    expected = reweight_reference(bank.vectors, test, float(d[neighbor]), neighbor, b)
-    assert reweight(bank, test, float(d[neighbor]), neighbor, b) == expected
-    assert reweight(bank, test, float(d[neighbor]), neighbor, b, index) == expected
+    expected = reweight_reference(vectors, test, float(d[neighbor]), neighbor, b)
+    assert reweight(SearchIndex.of(vectors), test, float(d[neighbor]), neighbor, b) == expected
 
 
 def test_reweight_b_out_of_range():
-    bank = _bank([[0.0]])
+    index = SearchIndex.of([[0.0]])
     with pytest.raises(DetectorError) as exc:
-        reweight(bank, np.array([1.0]), 1.0, 0, 2)
+        reweight(index, np.array([1.0]), 1.0, 0, 2)
     assert exc.value.code == "b-out-of-range"
 
 
 def test_score_image_replay_zero():
-    grid = PatchFeatureGrid(2, 2, 2, np.arange(8, dtype=np.float32).reshape(4, 2))
-    bank = build_bank([grid])
-    result, patch_map = score_image(bank, grid, b=2)
+    codes = np.arange(8, dtype=np.uint8).reshape(4, 2)
+    grid = PatchFeatureGrid(2, 2, 2, intensities(codes))
+    bank = _bank(codes)
+    result, patch_map = score_image(bank, grid, 2, _index(bank))
     assert result.s_star == 0.0
     assert result.s == 0.0
     assert np.all(patch_map == 0.0)
 
 
 def test_score_image_max_aggregation():
-    bank = _bank([[0.0, 0.0]])
+    bank = _bank([[0, 0]])
     grid = PatchFeatureGrid(2, 1, 2, np.array([[0.1, 0.0], [0.7, 0.0]], np.float32))
-    result, patch_map = score_image(bank, grid, b=1)
+    result, patch_map = score_image(bank, grid, 1, _index(bank))
     assert result.s == pytest.approx(0.7, abs=1e-6)
     assert patch_map.shape == (2, 1)
 
 
 def test_score_image_single_patch():
-    bank = _bank([[0.0], [2.0]])
-    grid = _grid([[1.0]])
-    result, _ = score_image(bank, grid, b=2)
+    bank = _bank([[0], [2]])
+    grid = PatchFeatureGrid(1, 1, 1, intensities(np.array([[1]], np.uint8)))
+    result, _ = score_image(bank, grid, 2, _index(bank))
     assert result.s == pytest.approx(
-        reweight(bank, np.array([1.0]), result.s_star, result.neighbor_index, 2)
+        reweight(_index(bank), grid.vectors[0], result.s_star, result.neighbor_index, 2)
     )
 
 
 def test_permutation_invariance_of_scores():
     rng = np.random.default_rng(14)
-    vectors = rng.standard_normal((10, 3)).astype(np.float32)
-    grid = PatchFeatureGrid(2, 2, 3, rng.standard_normal((4, 3)).astype(np.float32))
-    bank = _bank(vectors)
-    result, _ = score_image(bank, grid, b=3)
+    codes = rng.integers(0, 256, (10, 3), dtype=np.uint8)
+    grid = PatchFeatureGrid(2, 2, 3, rng.random((4, 3)).astype(np.float32))
+    bank = _bank(codes)
+    result, _ = score_image(bank, grid, 3, _index(bank))
     order = rng.permutation(10)
-    shuffled = _bank(vectors[order])
-    result2, _ = score_image(shuffled, grid, b=3)
+    shuffled = _bank(codes[order])
+    result2, _ = score_image(shuffled, grid, 3, _index(shuffled))
     assert result2.s_star == pytest.approx(result.s_star, abs=1e-12)
     assert result2.s == pytest.approx(result.s, abs=1e-12)
 
 
 def test_monotone_coreset_degradation():
     rng = np.random.default_rng(15)
-    vectors = rng.standard_normal((30, 4)).astype(np.float32)
-    bank = _bank(vectors)
-    grid = PatchFeatureGrid(1, 3, 4, rng.standard_normal((3, 4)).astype(np.float32))
-    _, full_s_star, _, _ = score_patches(bank, grid)
+    codes = rng.integers(0, 256, (30, 4), dtype=np.uint8)
+    bank = _bank(codes)
+    grid = PatchFeatureGrid(1, 3, 4, rng.random((3, 4)).astype(np.float32))
+    _, full_s_star, _, _ = score_patches(bank, grid, _index(bank))
     for l in (1, 5, 10, 20, 30):
-        picked = coreset_select(bank, CoresetParams(l=l))
-        sub = _bank(vectors[picked])
-        _, s_star, _, _ = score_patches(sub, grid)
+        picked = coreset_select(_code_bank(codes), CoresetParams(l=l))
+        sub = _bank(codes[picked])
+        _, s_star, _, _ = score_patches(sub, grid, _index(sub))
         assert s_star >= full_s_star - 1e-12
 
 
@@ -938,44 +970,41 @@ def test_render_peak_memory(sigma, bound):
 # --- continual extension -----------------------------------------------------------------
 
 
-def _selected(grids, params) -> np.ndarray:
-    """A task's coreset vectors in pick order, as the runner passes them."""
-    task = build_bank(grids)
-    return task.vectors[coreset_select(task, params)]
+def _selected(codes, params) -> np.ndarray:
+    """A task's coreset code rows in pick order, as the runner passes them."""
+    task = _code_bank(codes)
+    return task.codes[coreset_select(task, params)]
 
 
 def test_extend_from_empty():
-    grid = PatchFeatureGrid(2, 2, 2, np.arange(8, dtype=np.float32).reshape(4, 2))
-    bank = extend_bank_for_task(MemoryBank.empty(2), _selected([grid], CoresetParams(l=4)), 1)
+    codes = np.arange(8, dtype=np.uint8).reshape(4, 2)
+    bank = extend_bank_for_task(MemoryBank.empty(2), _selected(codes, CoresetParams(l=4)), 1)
     assert bank.count == 4
     assert np.all(bank.task_tags == 1)
 
 
 def test_extend_budgets_and_tags():
     rng = np.random.default_rng(16)
-    g1 = PatchFeatureGrid(5, 4, 3, rng.random((20, 3)).astype(np.float32))
-    g2 = PatchFeatureGrid(5, 4, 3, (rng.random((20, 3)) + 5).astype(np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(3), _selected([g1], CoresetParams(l=10)), 1)
-    bank = extend_bank_for_task(bank, _selected([g2], CoresetParams(l=10)), 2)
+    codes1 = rng.integers(0, 128, (20, 3))
+    codes2 = rng.integers(128, 256, (20, 3))
+    bank = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=10)), 1)
+    bank = extend_bank_for_task(bank, _selected(codes2, CoresetParams(l=10)), 2)
     assert bank.count == 20
     assert (bank.task_tags == 1).sum() == 10
     assert (bank.task_tags == 2).sum() == 10
 
 
 def test_extend_union_search():
-    g1 = PatchFeatureGrid(1, 1, 1, np.array([[0.0]], np.float32))
-    g2 = PatchFeatureGrid(1, 1, 1, np.array([[10.0]], np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([g1], CoresetParams(l=1)), 1)
-    bank = extend_bank_for_task(bank, _selected([g2], CoresetParams(l=1)), 2)
-    _, _, _, neighbor = score_patches(bank, _grid([[0.4]]))
+    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)), 1)
+    bank = extend_bank_for_task(bank, _selected([[250]], CoresetParams(l=1)), 2)
+    _, _, _, neighbor = score_patches(bank, _grid([[0.4]]), _index(bank))
     assert bank.task_tags[neighbor] == 1  # task-1 memory still reachable
 
 
 def test_extend_task_order_violation():
-    g = PatchFeatureGrid(1, 1, 1, np.array([[0.0]], np.float32))
-    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([g], CoresetParams(l=1)), 2)
+    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)), 2)
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, _selected([g], CoresetParams(l=1)), 2)
+        extend_bank_for_task(bank, _selected([[0]], CoresetParams(l=1)), 2)
     assert exc.value.code == "task-order-violation"
 
 
@@ -985,22 +1014,21 @@ def test_extend_checks_dim_before_coreset(monkeypatch):
 
     # the caller selects the task's coreset; extending checks dims and selects nothing
     monkeypatch.setattr(detector, "coreset_select", no_coreset)
-    bank = MemoryBank(2, np.zeros((1, 2), np.float32), np.ones(1, np.uint32))
-    grid = PatchFeatureGrid(1, 1, 3, np.zeros((1, 3), np.float32))
+    bank = MemoryBank(2, np.zeros((1, 2), np.uint8), np.ones(1, np.uint32))
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, grid.vectors, 2)
+        extend_bank_for_task(bank, np.zeros((1, 3), np.uint8), 2)
     assert (exc.value.code, exc.value.message) == ("dim-mismatch", "task dim 3 != 2")
 
 
 def test_extend_never_increases_earlier_distances():
     rng = np.random.default_rng(17)
-    g1 = PatchFeatureGrid(4, 4, 3, rng.random((16, 3)).astype(np.float32))
-    g2 = PatchFeatureGrid(4, 4, 3, rng.random((16, 3)).astype(np.float32))
+    codes1 = rng.integers(0, 256, (16, 3))
+    codes2 = rng.integers(0, 256, (16, 3))
     probe = PatchFeatureGrid(3, 3, 3, rng.random((9, 3)).astype(np.float32))
-    bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected([g1], CoresetParams(l=8)), 1)
-    bank2 = extend_bank_for_task(bank1, _selected([g2], CoresetParams(l=8)), 2)
-    before, _, _, _ = score_patches(bank1, probe)
-    after, _, _, _ = score_patches(bank2, probe)
+    bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=8)), 1)
+    bank2 = extend_bank_for_task(bank1, _selected(codes2, CoresetParams(l=8)), 2)
+    before, _, _, _ = score_patches(bank1, probe, _index(bank1))
+    after, _, _, _ = score_patches(bank2, probe, _index(bank2))
     assert np.all(after.d2 <= before.d2)  # the search is exact: no slack
 
 
@@ -1009,15 +1037,15 @@ def test_extend_never_increases_earlier_distances():
 
 def test_bank_file_round_trip(tmp_path):
     rng = np.random.default_rng(18)
-    vectors = rng.standard_normal((7, 5)).astype(np.float32)
+    codes = rng.integers(0, 256, (7, 5), dtype=np.uint8)
     tags = np.array([0, 0, 1, 1, 2, 2, 2], np.uint32)
-    bank = MemoryBank(5, vectors, tags)
+    bank = MemoryBank(5, codes, tags)
     path = str(tmp_path / "bank.iadb")
     write_bank_file(bank, path)
-    back = read_bank_file(path)
-    assert back.dim == 5
-    assert np.array_equal(back.vectors, vectors)
-    assert np.array_equal(back.task_tags, tags)
+    dim, back_tags, vectors = read_bank_file(path)
+    assert dim == 5
+    assert np.array_equal(vectors, bank.rows(slice(None)))
+    assert np.array_equal(back_tags, tags)
 
 
 def test_bank_file_errors(tmp_path):

@@ -28,6 +28,11 @@ when each continual task still picked every row, in pick order.
 
 Every run is checked at 1 and 2 threads: with 2, the coresets are
 selected and the jobs scored two at a time.
+
+Each run also saves its banks (``save_banks``), and each ``*_BANKS``
+maps a snapshot's file name under ``banks/`` to the sha256 of its IADB
+bytes, recorded with the same versions while banks were still stored
+as float32.
 """
 
 from __future__ import annotations
@@ -70,6 +75,12 @@ GOLDEN_CONFIG = {
 
 GOLDEN_SHA256 = "ee250b34900523d0929a52a12319e28d72d4477e6417125f344fd903e1e7e4c2"
 
+GOLDEN_BANKS = {
+    "cat00.iadb": "4a39aad5c4dae3660eaa48af8cbc577005fa19a68b51e76f6a9890b46e591e4f",
+    "cat01.iadb": "ea59266a464195ee37016572c700b2d53ddbc73e478b3fb101ba35fed320ef60",
+    "cat02.iadb": "311b397669fb254cff5ff319818c9698dbd028754afeb464a9f989dc4051cb2b",
+}
+
 HIRES_CONFIG = {
     "schema": 1,
     "dataset": {
@@ -93,6 +104,11 @@ HIRES_CONFIG = {
 }
 
 HIRES_SHA256 = "2c6b3082efb82871fceea9c215ca33c88c8325865f43f5953f82877e10634c4b"
+
+HIRES_BANKS = {
+    "cat00.iadb": "4cd950e9664f65f76108f08cc5a75f295bf74f5cf1e5931dba9336233d8fa730",
+    "cat01.iadb": "d108680093e82a637a261fc9475889711e80685302fa63bde7f37e954763dce1",
+}
 
 SHARED_CONFIG = {
     "schema": 1,
@@ -123,10 +139,22 @@ SHARED_CONFIG = {
 
 SHARED_SHA256 = "5cbe640fc03cdae0e7ca5d08d0fd33d33ac76d3d7757127b1e5e63b5333e4dc3"
 
+SHARED_BANKS = {
+    "cat00.iadb": "405ef506e21100805c6b31d9ef72a313bf2c040b944f156b85f2f149cde4ef25",
+    "cat01.iadb": "a96f7cde45835ab4703ad8c16f458236625bb9f6bbf1440d2a8a0d64f48a1f92",
+    "cat02.iadb": "4a922d8b1081bbde5a6237f51d987ca655151fd2ab76cbe6056ac4048c6e6a9b",
+}
+
 FULL_BANK_CONFIG = copy.deepcopy(SHARED_CONFIG)
 del FULL_BANK_CONFIG["detector"]["coreset"]
 
 FULL_BANK_SHA256 = "25e085cc47d889a046b811f92db3e30656092763ccad3eed08377479e3283ee1"
+
+FULL_BANK_BANKS = {
+    "cat00.iadb": "d886ac6b4d72d862db9c23e57c7cd8734e74586c59050e7b18006cf90b1db42f",
+    "cat01.iadb": "4534b9de99ccda38db541f07585ca78049c334d4307cb6c7730648bc569d1a4d",
+    "cat02.iadb": "1924e0cd26edb36472f9f9bfc12b2a29d7008329ece6ac7597d2cec3a74b17a9",
+}
 
 
 def _digest_without_timings(path) -> str:
@@ -137,32 +165,40 @@ def _digest_without_timings(path) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _golden_runs(tmp_path, config: dict, digest: str) -> list[dict]:
-    """The config's results documents at 1 and 2 threads, each checked against ``digest``."""
+def _bank_digests(banks_dir) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in banks_dir.iterdir()}
+
+
+def _golden_runs(tmp_path, config: dict, digest: str, banks: dict[str, str]) -> list[dict]:
+    """The config's results documents at 1 and 2 threads, each checked
+    against ``digest``, and its saved banks against ``banks``."""
     documents = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
-        result = run_experiment(parse_config(config), threads=threads, output_dir=str(out))
+        result = run_experiment(
+            parse_config(config), threads=threads, save_banks=True, output_dir=str(out)
+        )
         assert _digest_without_timings(out / "results.json") == digest, f"threads={threads}"
+        assert _bank_digests(out / "banks") == banks, f"threads={threads}"
         documents.append(result.document)
     return documents
 
 
 def test_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, GOLDEN_CONFIG, GOLDEN_SHA256):
+    for document in _golden_runs(tmp_path, GOLDEN_CONFIG, GOLDEN_SHA256, GOLDEN_BANKS):
         assert {c["status"] for c in document["cells"]} == {"ok", "failed"}
 
 
 def test_hires_shaped_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, HIRES_CONFIG, HIRES_SHA256):
+    for document in _golden_runs(tmp_path, HIRES_CONFIG, HIRES_SHA256, HIRES_BANKS):
         assert {c["status"] for c in document["cells"]} == {"ok"}
 
 
 def test_shared_coreset_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, SHARED_CONFIG, SHARED_SHA256):
+    for document in _golden_runs(tmp_path, SHARED_CONFIG, SHARED_SHA256, SHARED_BANKS):
         assert {c["status"] for c in document["cells"]} == {"ok"}
 
 
 def test_full_bank_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, FULL_BANK_CONFIG, FULL_BANK_SHA256):
+    for document in _golden_runs(tmp_path, FULL_BANK_CONFIG, FULL_BANK_SHA256, FULL_BANK_BANKS):
         assert {c["status"] for c in document["cells"]} == {"ok"}

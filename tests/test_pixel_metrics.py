@@ -251,7 +251,7 @@ def test_cell_render_peak_memory():
     the pool would add sixteen.
     """
     rng = np.random.default_rng(0)
-    bank = MemoryBank(64, rng.random((32, 64)).astype(np.float32), np.zeros(32, np.uint32))
+    bank = MemoryBank(64, rng.integers(0, 256, (32, 64), dtype=np.uint8), np.zeros(32, np.uint32))
     state = DetectorState(bank, FeatureProviderConfig(8, 8, "raw-patch"), 2, 2.0)
     masks = [None] * 16
     for i in range(1, 16, 2):

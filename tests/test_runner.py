@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 
 from iadbench import detector, runner
 from iadbench.data import Sample
-from iadbench.detector import build_bank, read_bank_file
 from iadbench.errors import BenchError, ConfigError, DataError, DetectorError, ReportError
 from iadbench.report import load_results, render_csv
-from iadbench.features import code_bank, extract_features
+from iadbench.features import code_bank, extract_features, intensities
 from iadbench.runner import (
     DetectorState,
     _build_split,
@@ -29,6 +28,7 @@ from iadbench.runner import (
     run_experiment,
 )
 from iadbench.synth import SynthSpec, synth_dataset, write_dataset_tree
+from oracles import bank_from_grids, read_bank_file
 
 
 def _base_config(**overrides):
@@ -526,10 +526,10 @@ def test_bank_snapshots(sweep_run):
     for cell in unsup:
         path = os.path.join(banks_dir, f"{cell['category']}.iadb")
         assert os.path.isfile(path)
-        bank = read_bank_file(path)
-        assert bank.count == cell["bank_vectors"]
+        _, task_tags, _ = read_bank_file(path)
+        assert task_tags.size == cell["bank_vectors"]
         # vector payload size equals the recorded bank_bytes
-        header, tags = 18, 4 * bank.count
+        header, tags = 18, 4 * task_tags.size
         assert os.path.getsize(path) - header - tags == cell["bank_bytes"]
 
 
@@ -581,7 +581,7 @@ def _tiny_state(bank_vectors=1000, dim=16):
 
     bank = MemoryBank(
         dim,
-        np.zeros((bank_vectors, dim), np.float32),
+        np.zeros((bank_vectors, dim), np.uint8),
         np.zeros(bank_vectors, np.uint32),
     )
     return DetectorState(bank, FeatureProviderConfig(4, 4, "raw-patch"), 1, 0.0)
@@ -666,7 +666,8 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     config = parse_config(cfg)
     dataset = runner._resolve_dataset(config)
     split = _build_split(dataset, "cat00", config.settings[0], 0)
-    expected = build_bank([extract_features(i.sample.image, config.feature) for i in split.train])
+    grids = [extract_features(i.sample.image, config.feature) for i in split.train]
+    expected = bank_from_grids(grids)
 
     def no_coreset(bank, params):
         raise AssertionError("coreset_select called for a full-fraction bank")
@@ -682,7 +683,7 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     run_experiment(config, threads=1, save_banks=True)  # the cells keep their banks
     cell = next(c for c in cells if c.category == "cat00")
     assert cell.status == "ok"
-    assert np.array_equal(cell.bank.vectors, expected.vectors)
+    assert np.array_equal(cell.bank.rows(slice(None)), expected)
 
 
 # --- shared coresets -------------------------------------------------------------------------
@@ -711,7 +712,7 @@ def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     monkeypatch.setattr(
         runner, "code_bank", lambda images, cfg: coded.append(1) or code_bank(images, cfg)
     )
-    monkeypatch.setattr(runner, "build_bank", lambda grids: built.append(1) or build_bank(grids))
+    monkeypatch.setattr(runner, "build_bank", lambda codes: built.append(1) or build_bank(codes))
     result = run_experiment(config, threads=2, output_dir=str(tmp_path))
     assert result.failures == [] and len(result.document["cells"]) == 15
     # per category: one for unsupervised, supervised and the continual
@@ -719,7 +720,7 @@ def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     assert len(calls) == 9
     # only a selection codes its training set: no cell that reads its picks codes it again
     assert len(coded) == 9
-    # and no selection builds a float32 bank: each reads rows from its codes
+    # and no selected set builds its whole bank: its cells read the picked codes
     assert built == []
 
 
@@ -756,19 +757,19 @@ def test_whole_bank_continual_tasks_extend_in_natural_order(monkeypatch):
     extended = []
     extend = runner.extend_bank_for_task
 
-    def recording(bank, task_vectors, task_index):
-        extended.append((task_index, task_vectors.copy()))
-        return extend(bank, task_vectors, task_index)
+    def recording(bank, task_codes, task_index):
+        extended.append((task_index, task_codes.copy()))
+        return extend(bank, task_codes, task_index)
 
     monkeypatch.setattr(runner, "extend_bank_for_task", recording)
     assert run_experiment(config, threads=1).failures == []
     tasks = runner.make_continual(dataset, dataset.categories)
     assert [index for index, _ in extended] == [t.index for t in tasks] == [1, 2]
-    for (_, vectors), task in zip(extended, tasks):
+    for (_, codes), task in zip(extended, tasks):
         normals = runner._normals(task.train)
-        whole = build_bank([extract_features(s.image, config.feature) for s in normals])
-        assert vectors.dtype == whole.vectors.dtype
-        assert np.array_equal(vectors, whole.vectors)  # every row, unreordered
+        whole = bank_from_grids([extract_features(s.image, config.feature) for s in normals])
+        assert codes.dtype == np.uint8
+        assert np.array_equal(intensities(codes), whole)  # every row, unreordered
 
 
 def test_continual_l_above_a_task_bank_fails_its_cells():
