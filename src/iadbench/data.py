@@ -188,7 +188,8 @@ def _load_saturations(path: str) -> dict[str, float]:
     table = {}
     for defect_type, entry in raw.items():
         rel = entry.get("relative_area") if isinstance(entry, dict) else None
-        if not isinstance(rel, (int, float)) or not 0.0 < rel <= 1.0:
+        number = isinstance(rel, (int, float)) and not isinstance(rel, bool)
+        if not number or not 0.0 < rel <= 1.0:
             raise DataError(
                 "malformed-pgm",
                 f"{path}: relative_area for {defect_type!r} must be in (0, 1]",

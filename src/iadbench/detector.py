@@ -8,13 +8,14 @@ patch distance, softened by softmax importance re-weighting over the b
 bank vectors nearest to the winning patch. Distances are always
 accumulated in double precision.
 
-A bank row is an 8-bit code row from training to snapshot; only
-``features.intensities`` turns codes into floats. ``coreset_select``
-reads a ``features.CodeBank``'s rows as intensities a block at a time,
-so no selection holds a float bank or a float64 copy other than its
-sorted one, and the caller keeps the picked codes. A ``MemoryBank``
-holds codes and task tags, and gives float32 rows through ``rows``; a
-training set kept whole becomes one without a copy (``build_bank``).
+A bank row is an 8-bit code row from training to snapshot. Only
+``features.intensities`` turns codes into floats. ``MemoryBank`` is
+the one bank type: a code row and a task tag per row, with float32 rows
+through ``rows``. ``build_bank`` is the one way from training images to
+a bank. ``MemoryBank.take`` keeps the rows a coreset picks, and
+``extend_bank_for_task`` appends a task's bank. ``coreset_select``
+reads a bank's rows as intensities a block at a time, so no selection
+holds a float bank or a float64 copy other than its sorted one.
 
 The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
@@ -67,8 +68,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
+from .data import ImageGrid
 from .errors import DetectorError
-from .features import CodeBank, PatchFeatureGrid, intensities
+from .features import FeatureProviderConfig, PatchFeatureGrid, intensities, windows
 
 _MAGIC = b"IADB"
 _VERSION = 1
@@ -191,7 +193,7 @@ class MemoryBank:
     def __post_init__(self):
         if not isinstance(self.codes, np.ndarray) or self.codes.dtype != np.uint8:
             raise DetectorError("dim-mismatch", "bank rows must be uint8 codes")
-        tags = np.ascontiguousarray(self.task_tags, dtype=np.uint32)
+        tags = np.asarray(self.task_tags, dtype=np.uint32)
         if self.codes.ndim != 2 or self.codes.shape[1] != self.dim:
             raise DetectorError("dim-mismatch", f"bank codes must be (n, {self.dim})")
         if tags.shape != (self.codes.shape[0],):
@@ -206,14 +208,31 @@ class MemoryBank:
         """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
         return intensities(self.codes[index])
 
+    def take(self, index) -> "MemoryBank":
+        """The bank of the rows at ``index`` (indices), in that order."""
+        return MemoryBank(self.dim, self.codes[index], self.task_tags[index])
+
     @classmethod
     def empty(cls, dim: int) -> "MemoryBank":
         return cls(dim, np.zeros((0, dim), np.uint8), np.zeros(0, np.uint32))
 
 
-def build_bank(codes: CodeBank) -> MemoryBank:
-    """The bank of every row of ``codes``, in its order, sharing its array."""
-    return MemoryBank(codes.dim, codes.codes, np.zeros(codes.count, np.uint32))
+def build_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> MemoryBank:
+    """Every patch window of ``images`` as a code row, in (image, row-major) order.
+
+    Rows of different image sizes share one array, preallocated from the
+    grid shapes and filled one image at a time. Every tag is 0, read
+    from one shared zero (a stride-0 view), not a ``count``-long array.
+    """
+    if not images:
+        raise DetectorError("empty-input", "need at least one feature grid")
+    counts = [math.prod(cfg.grid_shape(image)) for image in images]
+    codes = np.empty((sum(counts), cfg.dim), np.uint8)
+    end = 0
+    for image, count in zip(images, counts):
+        codes[end : end + count] = windows(image.codes, cfg)
+        end += count
+    return MemoryBank(cfg.dim, codes, np.broadcast_to(np.uint32(0), (end,)))
 
 
 @dataclass
@@ -381,7 +400,7 @@ def _shell_slack(dim: int, sq_max: float) -> float:
 
 @dataclass(frozen=True)
 class _BankPoints:
-    """A code bank's rows as the coreset reads them, made on each read.
+    """A bank's rows as the coreset reads them, made on each read.
 
     ``points[index]`` is the float32 rows ``bank.rows(index)``, or their
     float64 projection when ``projector`` is set; ``shape`` is that of
@@ -391,7 +410,7 @@ class _BankPoints:
     block, so the points read in sorted order equal those read in order.
     """
 
-    bank: CodeBank
+    bank: MemoryBank
     projector: Projector | None
 
     @property
@@ -404,7 +423,7 @@ class _BankPoints:
         return rows if self.projector is None else self.projector.apply(rows)
 
 
-def coreset_select(bank: CodeBank, params: CoresetParams) -> list[int]:
+def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
     The bank's first vector seeds the selection; each following pick is
@@ -832,14 +851,12 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def extend_bank_for_task(
-    bank: MemoryBank, task_codes: np.ndarray, task_index: int
-) -> MemoryBank:
-    """Append a new task's selected code rows, tagged with its index; existing rows are kept.
+def extend_bank_for_task(bank: MemoryBank, task: MemoryBank, task_index: int) -> MemoryBank:
+    """Append a new task's bank, its rows tagged with its index; existing rows are kept.
 
-    ``task_codes`` is (count, dim) uint8: the task's coreset in pick
-    order, or its whole bank in natural order when its ``l`` keeps every
-    row. Queries on the result search the union of all tasks, so adding
+    ``task`` is the task's coreset in pick order, or its whole bank in
+    natural order when its ``l`` keeps every row; its own tags are not
+    kept. Queries on the result search the union of all tasks, so adding
     a task can only tighten nearest-neighbor distances for earlier tasks.
     """
     if bank.count > 0 and task_index <= int(bank.task_tags.max()):
@@ -847,10 +864,10 @@ def extend_bank_for_task(
             "task-order-violation",
             f"task {task_index} not greater than existing tags",
         )
-    if task_codes.shape[1:] != (bank.dim,):
-        raise DetectorError("dim-mismatch", f"task dim {task_codes.shape[-1]} != {bank.dim}")
-    new_tags = np.full(len(task_codes), task_index, dtype=np.uint32)
-    codes = np.concatenate([bank.codes, task_codes], axis=0)
+    if task.dim != bank.dim:
+        raise DetectorError("dim-mismatch", f"task dim {task.dim} != {bank.dim}")
+    new_tags = np.full(task.count, task_index, dtype=np.uint32)
+    codes = np.concatenate([bank.codes, task.codes], axis=0)
     tags = np.concatenate([bank.task_tags, new_tags])
     return MemoryBank(bank.dim, codes, tags)
 

@@ -7,17 +7,14 @@ patch_size x patch_size pixels flattened row-major, giving a grid of
 (``intensities``), the value a float64 image cast to float32 would
 give. ``intensities`` is the one rule that turns codes into floats.
 
-Training patches stay codes. A ``CodeBank`` is every window of a
-training set's images as a uint8 row, filled image by image into one
-preallocated array; selection reads its rows as ``intensities`` a block
-at a time, and a detector's bank keeps the codes of the rows it keeps.
-Those values equal the rows ``extract_features`` gives for the same
-windows byte for byte.
+``windows`` is the one window rule. ``extract_features`` applies it to
+an image's intensities. ``detector.build_bank`` applies it to the codes
+of training images, so a bank row's intensities equal the feature
+vector of the same window byte for byte.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,48 +80,15 @@ def intensities(codes: np.ndarray) -> np.ndarray:
     return values
 
 
-def _windows(pixels: np.ndarray, cfg: FeatureProviderConfig) -> np.ndarray:
+def windows(pixels: np.ndarray, cfg: FeatureProviderConfig) -> np.ndarray:
     """Each patch window of ``pixels`` as a row, in row-major window order."""
     p, s = cfg.patch_size, cfg.stride
-    windows = sliding_window_view(pixels, (p, p))[::s, ::s]
-    return windows.reshape(windows.shape[0] * windows.shape[1], cfg.dim)
+    view = sliding_window_view(pixels, (p, p))[::s, ::s]
+    return view.reshape(view.shape[0] * view.shape[1], cfg.dim)
 
 
 def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatureGrid:
     """Slide the patch window over the image and flatten each window."""
     grid_h, grid_w = cfg.grid_shape(image)
-    vectors = _windows(intensities(image.codes), cfg)
+    vectors = windows(intensities(image.codes), cfg)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)
-
-
-@dataclass(frozen=True)
-class CodeBank:
-    """A training set's patches as 8-bit codes, in (image, row-major) order."""
-
-    dim: int
-    codes: np.ndarray  # (count, dim) uint8
-
-    @property
-    def count(self) -> int:
-        return self.codes.shape[0]
-
-    def rows(self, index) -> np.ndarray:
-        """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
-        return intensities(self.codes[index])
-
-
-def code_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> CodeBank:
-    """Every patch window of ``images`` as a code row, in (image, row-major) order.
-
-    Rows of different image sizes share one array, preallocated from the
-    grid shapes and filled one image at a time.
-    """
-    if not images:
-        raise DetectorError("empty-input", "need at least one feature grid")
-    counts = [math.prod(cfg.grid_shape(image)) for image in images]
-    codes = np.empty((sum(counts), cfg.dim), np.uint8)
-    end = 0
-    for image, count in zip(images, counts):
-        codes[end : end + count] = _windows(image.codes, cfg)
-        end += count
-    return CodeBank(cfg.dim, codes)

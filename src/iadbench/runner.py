@@ -11,11 +11,10 @@ Only images observed as normal enter a bank, so a category's
 unsupervised cell, its supervised cells and its continual task train on
 the same images and select the same coreset. A run plans every job's
 training sets, selects each distinct coreset once, then scores the jobs
-on the picked rows. A training set's patches are 8-bit codes
-(``features.CodeBank``), and a bank keeps the codes of the rows it
-keeps: a selection returns the picked code rows. No training set whose
-``l`` is its whole bank is selected: its job builds that bank from its
-codes, in natural order. No job waits on another.
+on the picked rows. Every bank is a ``detector.MemoryBank``. A selection
+builds its training set's bank and returns the bank of its picks. No
+training set whose ``l`` is its whole bank is selected: its job builds
+that bank, in natural order. No job waits on another.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .detector import (
     write_bank_file,
 )
 from .errors import BenchError, ConfigError, DetectorError, MetricError
-from .features import CodeBank, FeatureProviderConfig, code_bank, extract_features
+from .features import FeatureProviderConfig, extract_features
 from .metrics import (
     DEFAULT_PRO_LIMIT,
     DEFAULT_SPRO_LIMIT,
@@ -689,11 +688,10 @@ def _run_plain_cell(
     label: str,
     cell_seed: int,
     split: Split,
-    rows: np.ndarray,
+    bank: MemoryBank,
     keep_bank: bool,
 ) -> CellResult:
-    """Score ``split`` against its bank's code ``rows``: its coreset or its whole bank."""
-    bank = MemoryBank(rows.shape[1], rows, np.zeros(len(rows), np.uint32))
+    """Score ``split`` against its bank: its coreset or its whole bank."""
     # the state, and with it the bank's search index, is freed before the metrics run
     scored = evaluate(
         DetectorState(bank, config.feature, config.b, config.smoothing_sigma), split.test
@@ -712,12 +710,12 @@ def _run_continual_job(
     tasks: list[Task],
     label: str,
     job_seed: int,
-    task_rows: Iterable[np.ndarray],
+    task_banks: Iterable[MemoryBank],
 ) -> tuple[list[CellResult], dict]:
     """Train on the tasks in order; score every task seen so far after each.
 
-    ``task_rows`` yields each task's coreset, or whole bank, as code rows
-    as its step starts.
+    ``task_banks`` yields each task's coreset, or whole bank, as its
+    step starts.
 
     Banks are append-only and search ties go to the lowest index, so
     after step l a test patch's nearest vector changes only if one
@@ -741,8 +739,8 @@ def _run_continual_job(
     known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], PixelPool, list[float]]] = {}
-    for step, rows in enumerate(task_rows, start=1):
-        state = state.extended(extend_bank_for_task(state.bank, rows, step))
+    for step, task_bank in enumerate(task_banks, start=1):
+        state = state.extended(extend_bank_for_task(state.bank, task_bank, step))
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
@@ -858,30 +856,30 @@ def run_experiment(
 
     plans = [plan(job) for job in jobs]
 
-    def codes_of(normals: list[Sample]) -> CodeBank:
-        return code_bank([s.image for s in normals], config.feature)
+    def whole(normals: list[Sample]) -> MemoryBank:
+        return build_bank([s.image for s in normals], config.feature)
 
-    def select(key: tuple) -> np.ndarray | BenchError:
+    def select(key: tuple) -> MemoryBank | BenchError:
         try:
-            codes = codes_of(wanted[key])
-            return codes.codes[coreset_select(codes, key[1])]  # in pick order
+            full = whole(wanted[key])
+            return full.take(coreset_select(full, key[1]))  # in pick order
         except BenchError as exc:
             return exc
 
-    def rows(normals: list[Sample], key: tuple | None) -> np.ndarray:
-        """A training set's bank code rows: its whole bank in natural order, or its picks."""
-        return build_bank(codes_of(normals)).codes if key is None else _unfailed(selected[key])
+    def bank(normals: list[Sample], key: tuple | None) -> MemoryBank:
+        """A training set's bank: its whole bank in natural order, or its picks."""
+        return whole(normals) if key is None else _unfailed(selected[key])
 
     def execute(job, planned) -> tuple[list[CellResult], dict | None]:
         setting, job_categories, seed = job
         try:
             sets, training = _unfailed(planned)
             if setting["type"] == "continual":
-                task_rows = (rows(*t) for t in training)  # each made as its step starts
-                return _run_continual_job(config, dataset, sets, setting["label"], seed, task_rows)
+                task_banks = (bank(*t) for t in training)  # each made as its step starts
+                return _run_continual_job(config, dataset, sets, setting["label"], seed, task_banks)
             cell = _run_plain_cell(
                 config, dataset, job_categories[0], setting["label"], seed, sets,
-                rows(*training[0]), save_banks,
+                bank(*training[0]), save_banks,
             )
             return [cell], None
         except BenchError as exc:

@@ -19,12 +19,13 @@ from iadbench.detector import (
     CoresetParams,
     MemoryBank,
     SearchIndex,
+    build_bank,
     coreset_select,
     extend_bank_for_task,
     reweight,
     score_patches,
 )
-from iadbench.features import CodeBank, code_bank, extract_features
+from iadbench.features import extract_features
 from iadbench.metrics import (
     LabeledScores,
     TaskMatrix,
@@ -54,6 +55,11 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "synth_benchm
 
 def _report(num: int, text: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {text}")
+
+
+def _bank(codes: np.ndarray) -> MemoryBank:
+    """A single-task bank of these code rows."""
+    return MemoryBank(codes.shape[1], codes, np.zeros(codes.shape[0], np.uint32))
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +152,13 @@ def test_criterion_4_coreset_oracle():
         n = int(rng.integers(2, 13))
         dim = int(rng.integers(1, 5))
         # ten code levels: ties as dense as on a grid of ten values
-        bank = CodeBank(dim, rng.integers(0, 10, size=(n, dim), dtype=np.uint8))
+        bank = _bank(rng.integers(0, 10, size=(n, dim), dtype=np.uint8))
         l = int(rng.integers(1, n + 1))
         points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
         assert coreset_select(bank, CoresetParams(l=l)) == greedy_kcenter(points, l)
     for _ in range(60):
         n = int(rng.integers(3, 11))
-        bank = CodeBank(2, rng.integers(0, 256, (n, 2), dtype=np.uint8))
+        bank = _bank(rng.integers(0, 256, (n, 2), dtype=np.uint8))
         points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
         for l in (1, 2, 3):
             if l > n:
@@ -320,9 +326,9 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     bank = MemoryBank.empty(config.feature.patch_size**2)
     previous_d2: dict[int, np.ndarray] = {}
     for step, task in enumerate(sequence, start=1):
-        task_codes = code_bank([i.sample.image for i in task.train], config.feature)
-        picked = coreset_select(task_codes, params(step))
-        bank = extend_bank_for_task(bank, task_codes.codes[picked], step)
+        task_bank = build_bank([i.sample.image for i in task.train], config.feature)
+        picked = coreset_select(task_bank, params(step))
+        bank = extend_bank_for_task(bank, task_bank.take(picked), step)
         index = SearchIndex.of(bank.rows(slice(None)))
         for prev in sequence[:step]:
             d2 = np.concatenate(

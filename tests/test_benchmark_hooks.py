@@ -5,9 +5,10 @@ no longer resolves is skipped with a "not traced" note, and its spans
 (and any count derived from them) silently vanish from a traced run.
 These checks resolve every wrapped name without installing the tracer.
 The count functions read the wrapped calls' arguments (a bank's
-``count`` and ``dim``, a grid's ``vectors``); the last check feeds them
-the arguments of a real run's calls, so a field they read cannot vanish
-while the tier-1 tests still pass.
+``count`` and ``dim``, a grid's ``vectors``); one check feeds them the
+arguments of a real run's calls, so a field they read cannot vanish
+while the tier-1 tests still pass. The last runs with the benchmark's
+tracer installed and checks that bank building shows in its spans.
 """
 
 from __future__ import annotations
@@ -33,6 +34,26 @@ KNOWN_STALE = {
 }
 
 
+_FEATURE = {"patch_size": 4, "stride": 4}
+
+
+def _tiny_config(settings: list[dict], detector_config: dict) -> dict:
+    """A run config over two synthetic categories of a few 16 px images."""
+    dataset = {
+        "categories": 2,
+        "normals_train": 3,
+        "normals_test": 2,
+        "abnormals_test": 2,
+        "image_size": 16,
+    }
+    return {
+        "dataset": {"synthetic": dataset},
+        "setting": settings,
+        "detector": detector_config,
+        "seed": 3,
+    }
+
+
 def _spans_module(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
@@ -47,7 +68,7 @@ def test_wrapped_names_resolve(monkeypatch):
         module = importlib.import_module(f"iadbench.{module_name}")
         if getattr(module, attr, None) is None:
             missing.add(f"{module_name}.{attr}")
-    assert missing <= KNOWN_STALE
+    assert missing == KNOWN_STALE
 
 
 def test_runner_hook_points():
@@ -87,24 +108,49 @@ def test_count_functions_read_real_arguments(monkeypatch):
         fn = getattr(module, attr, None)
         if fn in counted:
             monkeypatch.setattr(module, attr, recording(fn))
-    config = {
-        "dataset": {
-            "synthetic": {
-                "categories": 2,
-                "normals_train": 3,
-                "normals_test": 2,
-                "abnormals_test": 2,
-                "image_size": 16,
-            }
-        },
-        "setting": [{"type": "unsupervised"}],
-        "detector": {"feature": {"patch_size": 4, "stride": 4}, "coreset": {"l": 4}, "b": 2},
-        "seed": 3,
-    }
-    run_experiment(parse_config(config))
+    coreset = {"feature": _FEATURE, "coreset": {"l": 4}, "b": 2}
+    run_experiment(parse_config(_tiny_config([{"type": "unsupervised"}], coreset)))
     assert set(calls) == set(counted)
     tracer = spans.Tracer()
     for fn, counts in counted.items():
         for count in counts:
             count(tracer, calls[fn])
     assert tracer.counters["detector.score_patches.dist_evals"] > 0
+
+
+def _traced_run(monkeypatch, detector_config: dict):
+    """Run a tiny config with every name in WRAPS traced, as a traced
+    benchmark run installs them; returns the run's cells and its spans'
+    layer table."""
+    spans = _spans_module(monkeypatch)
+    tracer = spans.Tracer()
+    for module_name, attr, span_name, count in spans.WRAPS:
+        module = importlib.import_module(f"iadbench.{module_name}")
+        fn = getattr(module, attr, None)
+        if fn is not None:
+            monkeypatch.setattr(module, attr, tracer.wrap(fn, span_name, count))
+    settings = [
+        {"type": "unsupervised"},
+        {"type": "supervised", "n": 1},
+        {"type": "fewshot", "m": 2},
+        {"type": "continual"},
+    ]
+    result = run_experiment(parse_config(_tiny_config(settings, detector_config)), threads=2)
+    assert result.failures == []
+    return result.document["cells"], spans.layer_table(tracer.spans)
+
+
+def test_selected_bank_building_is_traced(monkeypatch):
+    _, table = _traced_run(monkeypatch, {"feature": _FEATURE, "coreset": {"l": 4}, "b": 2})
+    # per category, one selection for the unsupervised and supervised
+    # cells and the continual task (the same normal images), one for fewshot
+    assert table["detector.coreset_select"].calls == 4
+    assert table["detector.build_bank"].calls == 4  # one bank per selection
+    assert table["detector.build_bank"].total_s > 0
+
+
+def test_whole_bank_building_is_traced(monkeypatch):
+    cells, table = _traced_run(monkeypatch, {"feature": _FEATURE, "b": 2})
+    # no selection: one bank per plain cell and one per continual task
+    assert "detector.coreset_select" not in table
+    assert table["detector.build_bank"].calls == len(cells) == 8

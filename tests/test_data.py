@@ -80,6 +80,18 @@ def test_bad_saturation_value(tmp_path):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_saturation_is_malformed(tmp_path, value):
+    """JSON true is not the number 1: a boolean relative_area is refused."""
+    _make_tree(tmp_path)
+    path = tmp_path / "widget" / "saturations.json"
+    path.write_text(json.dumps({"scratch": {"relative_area": value}}))
+    with pytest.raises(DataError) as exc:
+        load_dataset(str(tmp_path))
+    assert exc.value.code == "malformed-pgm"
+    assert "relative_area for 'scratch' must be in (0, 1]" in exc.value.message
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -40,10 +40,8 @@ from iadbench.detector import (
 from iadbench.data import ImageGrid
 from iadbench.errors import DetectorError, FormatError
 from iadbench.features import (
-    CodeBank,
     FeatureProviderConfig,
     PatchFeatureGrid,
-    code_bank,
     extract_features,
     intensities,
 )
@@ -68,11 +66,6 @@ def _bank(codes) -> MemoryBank:
     return MemoryBank(arr.shape[1], arr, np.zeros(arr.shape[0], np.uint32))
 
 
-def _code_bank(codes) -> CodeBank:
-    arr = np.asarray(codes, dtype=np.uint8)
-    return CodeBank(arr.shape[1], arr)
-
-
 def _index(bank: MemoryBank) -> SearchIndex:
     """The bank's search index, as a detector state builds it."""
     return SearchIndex.of(bank.rows(slice(None)))
@@ -89,10 +82,8 @@ def _grid(rows) -> PatchFeatureGrid:
 def test_build_bank_union_order():
     cfg = FeatureProviderConfig(2, 2, "raw-patch")
     images = [ImageGrid(np.arange(16, dtype=np.uint8).reshape(4, 4) + 16 * i) for i in range(2)]
-    codes = code_bank(images, cfg)
-    bank = build_bank(codes)
+    bank = build_bank(images, cfg)
     assert bank.count == 8
-    assert bank.codes is codes.codes  # the code bank's rows, not a copy
     want = bank_from_grids([extract_features(image, cfg) for image in images])
     assert bank.rows(slice(None)).tobytes() == want.tobytes()
     assert np.all(bank.task_tags == 0)
@@ -100,7 +91,7 @@ def test_build_bank_union_order():
 
 def test_build_bank_errors():
     with pytest.raises(DetectorError) as exc:
-        code_bank([], FeatureProviderConfig(4, 4, "raw-patch"))
+        build_bank([], FeatureProviderConfig(4, 4, "raw-patch"))
     assert exc.value.code == "empty-input"
     with pytest.raises(DetectorError) as exc:
         MemoryBank(16, np.zeros((1, 32), np.uint8), np.zeros(1, np.uint32))
@@ -109,8 +100,7 @@ def test_build_bank_errors():
 
 def test_build_bank_single_patch():
     cfg = FeatureProviderConfig(2, 1, "raw-patch")
-    codes = code_bank([ImageGrid(np.full((2, 2), 255, np.uint8))], cfg)
-    assert build_bank(codes).count == 1
+    assert build_bank([ImageGrid(np.full((2, 2), 255, np.uint8))], cfg).count == 1
 
 
 def test_memory_bank_rejects_float_rows():
@@ -223,12 +213,12 @@ def test_projector_bad_dims():
 
 
 def test_coreset_1d_example():
-    bank = _code_bank([[0], [1], [10]])
+    bank = _bank([[0], [1], [10]])
     assert coreset_select(bank, CoresetParams(l=2)) == [0, 2]
 
 
 def test_coreset_exhaustion_and_singleton():
-    bank = _code_bank([[0], [5], [1], [9]])
+    bank = _bank([[0], [5], [1], [9]])
     full = coreset_select(bank, CoresetParams(l=4))
     assert sorted(full) == [0, 1, 2, 3]
     assert full == coreset_select(bank, CoresetParams(l=4))
@@ -236,14 +226,14 @@ def test_coreset_exhaustion_and_singleton():
 
 
 def test_coreset_fraction_resolution():
-    bank = _code_bank([[i] for i in range(10)])
+    bank = _bank([[i] for i in range(10)])
     assert len(coreset_select(bank, CoresetParams(target_fraction=0.25))) == 3  # round half up
     assert len(coreset_select(bank, CoresetParams(target_fraction=1.0))) == 10
     assert len(coreset_select(bank, CoresetParams(target_fraction=0.01))) == 1
 
 
 def test_coreset_l_out_of_range():
-    bank = _code_bank([[0], [1]])
+    bank = _bank([[0], [1]])
     with pytest.raises(DetectorError) as exc:
         coreset_select(bank, CoresetParams(l=3))
     assert exc.value.code == "l-out-of-range"
@@ -253,10 +243,10 @@ def test_coreset_l_out_of_range():
 
 def test_coreset_l_out_of_range_from_codes():
     cfg = FeatureProviderConfig(2, 1, "raw-patch")
-    codes = code_bank([ImageGrid(np.zeros((3, 4), np.uint8))], cfg)  # 2 x 3 patches
+    bank = build_bank([ImageGrid(np.zeros((3, 4), np.uint8))], cfg)  # 2 x 3 patches
     for params in (CoresetParams(l=7), CoresetParams(l=7, projection_dim=2)):
         with pytest.raises(DetectorError) as got:
-            coreset_select(codes, params)
+            coreset_select(bank, params)
         assert (got.value.code, got.value.message) == ("l-out-of-range", "l=7 for bank of 6")
 
 
@@ -276,7 +266,7 @@ def test_coreset_matches_bruteforce_oracle():
     for _ in range(60):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(1, 5))
-        bank = _code_bank(rng.integers(0, 8, size=(n, dim)))  # 8 levels: many ties
+        bank = _bank(rng.integers(0, 8, size=(n, dim)))  # 8 levels: many ties
         l = int(rng.integers(1, n + 1))
         ours = coreset_select(bank, CoresetParams(l=l))
         reference = greedy_kcenter(
@@ -289,7 +279,7 @@ def test_coreset_two_approximation():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(4, 9))
-        bank = _code_bank(rng.integers(0, 256, (n, 2)))
+        bank = _bank(rng.integers(0, 256, (n, 2)))
         for l in (1, 2, 3):
             selected = coreset_select(bank, CoresetParams(l=l))
             points64 = [tuple(map(float, r)) for r in bank.rows(slice(None)).astype(np.float64)]
@@ -300,7 +290,7 @@ def test_coreset_two_approximation():
 
 def test_coreset_with_projection_deterministic():
     rng = np.random.default_rng(12)
-    bank = _code_bank(rng.integers(0, 256, (20, 8)))
+    bank = _bank(rng.integers(0, 256, (20, 8)))
     params = CoresetParams(l=5, projection_dim=2, seed=3)
     assert coreset_select(bank, params) == coreset_select(bank, params)
 
@@ -308,7 +298,7 @@ def test_coreset_with_projection_deterministic():
 @pytest.mark.parametrize("projection_dim", [16, None])
 def test_coreset_select_peak_memory(projection_dim):
     count, dim = 36000, 64
-    bank = _code_bank(np.random.default_rng(13).integers(0, 256, (count, dim)))
+    bank = _bank(np.random.default_rng(13).integers(0, 256, (count, dim)))
     params = CoresetParams(l=20, projection_dim=projection_dim, seed=1)
     tracemalloc.start()
     try:
@@ -327,7 +317,7 @@ def test_coreset_select_peak_memory(projection_dim):
 
 @pytest.mark.parametrize("projection_dim", [16, None])
 def test_selection_from_images_peak_memory(projection_dim):
-    """Code bank, selection and the picked rows of 36,000 patches of 64."""
+    """Bank, selection and the picked bank of 36,000 patches of 64."""
     cfg = FeatureProviderConfig(8, 4, "raw-patch")
     rng = np.random.default_rng(14)
     # 160 images of 64 px give 160 x 15 x 15 = 36,000 patches
@@ -335,14 +325,14 @@ def test_selection_from_images_peak_memory(projection_dim):
     params = CoresetParams(l=20, projection_dim=projection_dim, seed=1)
     tracemalloc.start()
     try:
-        codes = code_bank(images, cfg)
-        rows = codes.codes[coreset_select(codes, params)]
+        bank = build_bank(images, cfg)
+        picked = bank.take(coreset_select(bank, params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     count, dim = 36000, 64
-    assert codes.count == count and rows.shape == (20, dim)
-    # the code bank, one sorted float64 copy of the points, ten length-n
+    assert bank.count == count and picked.codes.shape == (20, dim)
+    # the bank's codes, one sorted float64 copy of the points, ten length-n
     # vectors and four row blocks
     ranked_bytes = count * (projection_dim or dim) * 8
     assert peak < count * dim + ranked_bytes + 10 * count * 8 + 4 * detector._BLOCK_ELEMENTS * 8
@@ -378,17 +368,17 @@ def _coreset_images(draw):
     l_kind="all", projection=True, seed=0,
 )
 def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
-    """Picks from a code bank equal the reference loop's picks over the
-    float32 bank of the same images' features, and the picked rows'
+    """Picks from a built bank equal the reference loop's picks over the
+    float32 bank of the same images' features, and the picked bank's row
     values equal that bank's rows."""
     cfg, images = case
-    codes = code_bank(images, cfg)
+    bank = build_bank(images, cfg)
     vectors = bank_from_grids([extract_features(image, cfg) for image in images])
-    l = {"one": 1, "some": max(1, codes.count // 3), "all": codes.count}[l_kind]
+    l = {"one": 1, "some": max(1, bank.count // 3), "all": bank.count}[l_kind]
     projection_dim = max(1, cfg.dim // 4) if projection else None
     params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
-    picks = coreset_select(codes, params)
-    assert build_bank(codes).rows(picks).tobytes() == vectors[picks].tobytes()
+    picks = coreset_select(bank, params)
+    assert bank.take(picks).rows(slice(None)).tobytes() == vectors[picks].tobytes()
     points = vectors.astype(np.float64)
     if params.effective(cfg.dim).projection_dim is not None:
         points = projection_reference(vectors, make_projector(cfg.dim, projection_dim, seed).matrix)
@@ -495,7 +485,7 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
     assert min_d2.tobytes() == want_d2.tobytes()
     if codes is not None:
         before = codes.tobytes()
-        assert coreset_select(_code_bank(codes), params) == want_selected
+        assert coreset_select(_bank(codes), params) == want_selected
         assert codes.tobytes() == before
 
 
@@ -846,7 +836,7 @@ def test_monotone_coreset_degradation():
     grid = PatchFeatureGrid(1, 3, 4, rng.random((3, 4)).astype(np.float32))
     _, full_s_star, _, _ = score_patches(bank, grid, _index(bank))
     for l in (1, 5, 10, 20, 30):
-        picked = coreset_select(_code_bank(codes), CoresetParams(l=l))
+        picked = coreset_select(_bank(codes), CoresetParams(l=l))
         sub = _bank(codes[picked])
         _, s_star, _, _ = score_patches(sub, grid, _index(sub))
         assert s_star >= full_s_star - 1e-12
@@ -970,10 +960,10 @@ def test_render_peak_memory(sigma, bound):
 # --- continual extension -----------------------------------------------------------------
 
 
-def _selected(codes, params) -> np.ndarray:
-    """A task's coreset code rows in pick order, as the runner passes them."""
-    task = _code_bank(codes)
-    return task.codes[coreset_select(task, params)]
+def _selected(codes, params) -> MemoryBank:
+    """A task's coreset in pick order, as the runner passes it."""
+    task = _bank(codes)
+    return task.take(coreset_select(task, params))
 
 
 def test_extend_from_empty():
@@ -1016,7 +1006,7 @@ def test_extend_checks_dim_before_coreset(monkeypatch):
     monkeypatch.setattr(detector, "coreset_select", no_coreset)
     bank = MemoryBank(2, np.zeros((1, 2), np.uint8), np.ones(1, np.uint32))
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, np.zeros((1, 3), np.uint8), 2)
+        extend_bank_for_task(bank, _bank(np.zeros((1, 3))), 2)
     assert (exc.value.code, exc.value.message) == ("dim-mismatch", "task dim 3 != 2")
 
 

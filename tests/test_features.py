@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iadbench.data import ImageGrid
 from iadbench.detector import build_bank
 from iadbench.errors import ConfigError, DetectorError
-from iadbench.features import FeatureProviderConfig, code_bank, extract_features
+from iadbench.features import FeatureProviderConfig, extract_features
 from oracles import patch_vectors_reference
 
 
@@ -106,31 +106,33 @@ def _training_images(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_training_images())
-def test_code_bank_rows_equal_extracted_features(case):
-    """A code bank's float32 rows are the training set's feature vectors,
-    byte for byte: all at once, picked in any order, or through a bank."""
+def test_bank_rows_equal_extracted_features(case):
+    """A built bank's float32 rows are the training set's feature vectors,
+    byte for byte: all at once, picked in any order, or through the bank
+    of the picks."""
     images, p, s, rng = case
     cfg = FeatureProviderConfig(p, s, "raw-patch")
-    codes = code_bank(images, cfg)
+    bank = build_bank(images, cfg)
     expected = np.concatenate([extract_features(image, cfg).vectors for image in images])
-    assert codes.codes.dtype == np.uint8 and codes.codes.shape == expected.shape
-    assert (codes.count, codes.dim) == expected.shape
-    assert codes.rows(slice(None)).tobytes() == expected.tobytes()
-    picks = rng.permutation(codes.count)[: rng.integers(1, codes.count + 1)]
-    assert codes.rows(picks).tobytes() == expected[picks].tobytes()
-    bank = build_bank(codes)
+    assert bank.codes.dtype == np.uint8 and bank.codes.shape == expected.shape
+    assert (bank.count, bank.dim) == expected.shape
     assert bank.rows(slice(None)).tobytes() == expected.tobytes()
-    assert bank.task_tags.tolist() == [0] * codes.count
+    picks = rng.permutation(bank.count)[: rng.integers(1, bank.count + 1)]
+    assert bank.rows(picks).tobytes() == expected[picks].tobytes()
+    picked = bank.take(picks)
+    assert picked.rows(slice(None)).tobytes() == expected[picks].tobytes()
+    assert bank.task_tags.tolist() == [0] * bank.count
+    assert picked.task_tags.tolist() == [0] * len(picks)
 
 
-def test_code_bank_errors_match_the_float_path():
+def test_build_bank_errors_match_the_float_path():
     cfg = FeatureProviderConfig(4, 1, "raw-patch")
     with pytest.raises(DetectorError) as got:
-        code_bank([], cfg)
+        build_bank([], cfg)
     assert (got.value.code, got.value.message) == ("empty-input", "need at least one feature grid")
     small = ImageGrid(np.zeros((3, 5), np.uint8))
     with pytest.raises(ConfigError) as got:
-        code_bank([ImageGrid(np.zeros((6, 6), np.uint8)), small], cfg)
+        build_bank([ImageGrid(np.zeros((6, 6), np.uint8)), small], cfg)
     with pytest.raises(ConfigError) as want:
         extract_features(small, cfg)
     assert (got.value.code, got.value.message) == ("patch-too-large", "patch 4 exceeds image 3x5")

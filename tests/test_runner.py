@@ -16,7 +16,7 @@ from iadbench import detector, runner
 from iadbench.data import Sample
 from iadbench.errors import BenchError, ConfigError, DataError, DetectorError, ReportError
 from iadbench.report import load_results, render_csv
-from iadbench.features import code_bank, extract_features, intensities
+from iadbench.features import extract_features, intensities
 from iadbench.runner import (
     DetectorState,
     _build_split,
@@ -707,21 +707,19 @@ def _counting_coreset(monkeypatch) -> list:
 def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     config = runner.load_config(str(BUNDLED_CONFIG))
     calls = _counting_coreset(monkeypatch)
-    coded, built = [], []
-    code_bank, build_bank = runner.code_bank, runner.build_bank
+    built = []
+    build_bank = runner.build_bank
     monkeypatch.setattr(
-        runner, "code_bank", lambda images, cfg: coded.append(1) or code_bank(images, cfg)
+        runner, "build_bank", lambda images, cfg: built.append(1) or build_bank(images, cfg)
     )
-    monkeypatch.setattr(runner, "build_bank", lambda codes: built.append(1) or build_bank(codes))
     result = run_experiment(config, threads=2, output_dir=str(tmp_path))
     assert result.failures == [] and len(result.document["cells"]) == 15
     # per category: one for unsupervised, supervised and the continual
     # task (the same normal images), one for fewshot, one for noisy
     assert len(calls) == 9
-    # only a selection codes its training set: no cell that reads its picks codes it again
-    assert len(coded) == 9
-    # and no selected set builds its whole bank: its cells read the picked codes
-    assert built == []
+    # only a selection builds its training set's bank: no cell that reads
+    # its picks builds a bank again
+    assert len(built) == 9
 
 
 def test_projected_cells_select_their_own_coresets(monkeypatch):
@@ -757,9 +755,9 @@ def test_whole_bank_continual_tasks_extend_in_natural_order(monkeypatch):
     extended = []
     extend = runner.extend_bank_for_task
 
-    def recording(bank, task_codes, task_index):
-        extended.append((task_index, task_codes.copy()))
-        return extend(bank, task_codes, task_index)
+    def recording(bank, task, task_index):
+        extended.append((task_index, task.codes.copy()))
+        return extend(bank, task, task_index)
 
     monkeypatch.setattr(runner, "extend_bank_for_task", recording)
     assert run_experiment(config, threads=1).failures == []
@@ -795,7 +793,7 @@ def test_failed_shared_coreset_fails_every_job_that_needs_it(monkeypatch):
     )
     config = parse_config(cfg)
     dataset = runner._resolve_dataset(config)
-    doomed = code_bank([s.image for s in dataset.train["cat00"]], config.feature)
+    doomed = detector.build_bank([s.image for s in dataset.train["cat00"]], config.feature)
     select = runner.coreset_select
     raised = []
 
