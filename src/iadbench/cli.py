@@ -14,13 +14,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .data import PixelMask, grid_from_pgm, mask_from_pgm
+from .data import ImageGrid, PixelMask, grid_from_pgm, mask_from_pgm
 from .errors import BenchError, ConfigError, DataError
 from .metrics import (
-    DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, aupro, auroc, average_precision,
-    pooled_pixel_scores,
+    DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, PixelPool, aupro, auroc,
+    average_precision, mask_regions,
 )
 from .report import emit_report, load_results
 from .runner import SCHEMA_VERSION, load_config, run_experiment
@@ -144,14 +142,14 @@ def _read_scores_csv(path: str) -> LabeledScores:
     return LabeledScores(scores, labels)
 
 
-def _read_map_pairs(maps_dir: str, masks_dir: str) -> tuple[list[np.ndarray], list[PixelMask]]:
+def _read_map_pairs(maps_dir: str, masks_dir: str) -> tuple[list[ImageGrid], list[PixelMask]]:
     try:
         names = sorted(f for f in os.listdir(maps_dir) if f.endswith(".pgm"))
     except OSError as exc:
         raise DataError("malformed-pgm", f"cannot list {maps_dir}: {exc}") from exc
     if not names:
         raise DataError("malformed-pgm", f"no PGM score maps in {maps_dir}")
-    score_maps = []
+    grids = []
     masks = []
     for name in names:
         stem = os.path.splitext(name)[0]
@@ -166,15 +164,15 @@ def _read_map_pairs(maps_dir: str, masks_dir: str) -> tuple[list[np.ndarray], li
         )
         if mask_path is None:
             raise DataError("missing-mask", f"no mask for score map {name} in {masks_dir}")
-        smap = grid_from_pgm(os.path.join(maps_dir, name)).values
+        grid = grid_from_pgm(os.path.join(maps_dir, name))
         mask = mask_from_pgm(mask_path)
-        if mask.bits.shape != smap.shape:
+        if mask.bits.shape != grid.codes.shape:
             raise DataError(
-                "dim-mismatch", f"{name}: map {smap.shape} vs mask {mask.bits.shape}"
+                "dim-mismatch", f"{name}: map {grid.codes.shape} vs mask {mask.bits.shape}"
             )
-        score_maps.append(smap)
+        grids.append(grid)
         masks.append(mask)
-    return score_maps, masks
+    return grids, masks
 
 
 def _print_metric_json(values: dict[str, float]) -> None:
@@ -199,15 +197,18 @@ def cmd_metrics(args) -> int:
         data = _read_scores_csv(args.scores)
         values = {"auroc": auroc(data), "ap": average_precision(data)}
     else:
-        score_maps, masks = _read_map_pairs(args.maps, args.masks)
-        pool = pooled_pixel_scores(score_maps, masks)
+        grids, masks = _read_map_pairs(args.maps, args.masks)
+        # fed one map at a time, as a cell feeds each map it renders
+        pool = PixelPool(mask_regions(masks, [grid.codes.shape for grid in grids]))
+        for grid in grids:
+            pool.add(grid.values)
         # no saturation table here: mean_spro is the plain per-region
         # overlap at the sPRO limit
         values = {
-            "pixel_auroc": auroc(pool),
-            "pixel_ap": average_precision(pool),
-            "aupro": aupro(score_maps, masks, args.pro_limit, pool=pool),
-            "mean_spro": aupro(score_maps, masks, args.spro_limit, pool=pool),
+            "pixel_auroc": auroc(pool.ranked()),
+            "pixel_ap": average_precision(pool.ranked()),
+            "aupro": aupro(pool, args.pro_limit),
+            "mean_spro": aupro(pool, args.spro_limit),
         }
     _print_metric_json(values)
     return 0

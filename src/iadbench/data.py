@@ -39,8 +39,7 @@ class ImageGrid:
     ``codes`` is an (h, w) uint8 array; code k stands for the intensity
     k/255 in [0, 1], so an image costs one byte per pixel. ``values`` is
     computed on each read, never stored. The constructor takes uint8
-    codes, or a float array that lies exactly on the 1/255 grid; any
-    other value raises ``malformed-pgm``.
+    codes only; any other dtype raises ``malformed-pgm``.
     """
 
     codes: np.ndarray
@@ -50,12 +49,7 @@ class ImageGrid:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DataError("dim-mismatch", f"image must be 2-D, got shape {arr.shape}")
         if arr.dtype != np.uint8:
-            values = np.asarray(arr, dtype=np.float64)
-            if not np.all(np.isfinite(values)) or values.min() < 0.0 or values.max() > 1.0:
-                raise DataError("malformed-pgm", "image values must lie in [0, 1]")
-            arr = np.round(values * 255.0).astype(np.uint8)
-            if not np.array_equal(arr / 255.0, values):
-                raise DataError("malformed-pgm", "image values must lie on the 1/255 grid")
+            raise DataError("malformed-pgm", f"image codes must be uint8, got {arr.dtype}")
         self.codes = arr
 
     @property

@@ -13,9 +13,9 @@ the last one the integral reads.
 Pixel metrics read a ``PixelPool``: every pixel of a set of maps, split
 by the ground truth into sorted normal and anomalous sides, plus each
 labelled region's scores. A pool is sized from the ground truth before
-any map exists and fed one map at a time, so a caller need not hold its
-maps; ``pooled_pixel_scores`` feeds one from a list, and ``aupro`` and
-``mean_spro`` called with maps pool them the same way.
+any map exists and fed one map at a time by ``PixelPool.add``, the only
+way pixels enter it, so a caller need not hold its maps. ``aupro`` reads
+a pool; ``mean_spro`` called with maps feeds them into one the same way.
 """
 
 from __future__ import annotations
@@ -281,23 +281,21 @@ class PixelPool(LabeledScores):
         self._finite = True
         self._added = 0
         self._filled = (0, 0)  # negatives and positives written so far
-        self._error: MetricError | None = None  # a map that does not fit
 
     def add(self, score_map: np.ndarray) -> None:
-        """Pool the next map; a map that does not fit is recorded, not raised."""
+        """Pool the next map; a surplus or wrong-shaped one raises ``dim-mismatch``.
+
+        Whether the pixels are finite is checked only as the metrics read
+        the pool, since each metric reports it under its own code.
+        """
         smap = np.asarray(score_map, dtype=np.float64)
-        i = self._added
-        self._added += 1
-        if self._error is not None:
-            return
-        if i == len(self.regions):
-            self._error = MetricError("dim-mismatch", "score maps and ground truth counts differ")
-            return
-        rset = self.regions[i]
+        if self._added == len(self.regions):
+            raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
+        rset = self.regions[self._added]
         shape = (rset.height, rset.width)
         if smap.shape != shape:
-            self._error = MetricError("dim-mismatch", f"score map {smap.shape} vs ground truth {shape}")
-            return
+            raise MetricError("dim-mismatch", f"score map {smap.shape} vs ground truth {shape}")
+        self._added += 1
         flat = smap.ravel()
         inside = _in_regions(rset)
         anomalous = int(np.count_nonzero(inside))
@@ -315,18 +313,15 @@ class PixelPool(LabeledScores):
                 for side in (self.negatives, self.positives)
             )
 
-    def _mismatch(self) -> MetricError | None:
-        if self._error is None and self._added != len(self.regions):
-            return MetricError("dim-mismatch", "score maps and ground truth counts differ")
-        return self._error
+    def _check_complete(self) -> None:
+        if self._added != len(self.regions):
+            raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
 
     def ranked(self) -> PixelPool:
-        """This pool for pixel AUROC and AP; raises as pooling the maps at once would."""
+        """This pool for pixel AUROC and AP, once every map is in and finite."""
         if self._added == 0:
             raise MetricError("degenerate-labels", "no score maps to pool")
-        error = self._mismatch()
-        if error is not None:
-            raise error
+        self._check_complete()
         if self.negatives.size + self.positives.size == 0:
             raise MetricError("degenerate-labels", "no pixels to pool")
         if not self._finite:
@@ -335,26 +330,12 @@ class PixelPool(LabeledScores):
 
     def check_maps(self, region_sets: list[RegionSet]) -> None:
         """Raise what ``mean_spro`` raises for the pooled maps against ``region_sets``."""
-        error = self._mismatch()
-        if error is not None:
-            raise error
+        self._check_complete()
         if [(rs.height, rs.width, len(rs.regions)) for rs in region_sets] != [
             (rs.height, rs.width, len(rs.regions)) for rs in self.regions
         ]:
             raise MetricError("dim-mismatch", "region sets differ from the pooled ground truth")
         if not self._finite:
-            raise MetricError("dim-mismatch", "score maps must be finite")
-
-
-def _check_maps(score_maps, shapes, finite: bool = True) -> None:
-    if len(score_maps) != len(shapes):
-        raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
-    for smap, shape in zip(score_maps, shapes):
-        if shape is not None and smap.shape != shape:
-            raise MetricError(
-                "dim-mismatch", f"score map {smap.shape} vs ground truth {shape}"
-            )
-        if finite and not np.all(np.isfinite(smap)):
             raise MetricError("dim-mismatch", "score maps must be finite")
 
 
@@ -463,27 +444,16 @@ def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
     return area / limit
 
 
-def aupro(
-    score_maps: list[np.ndarray] | None,
-    masks: list[PixelMask | None] | None,
-    fpr_limit: float = DEFAULT_PRO_LIMIT,
-    pool: PixelPool | None = None,
-) -> float:
+def aupro(pool: PixelPool, fpr_limit: float = DEFAULT_PRO_LIMIT) -> float:
     """Area under the per-region-overlap curve up to ``fpr_limit``.
 
-    Regions are the 8-connected components of each mask; a None (or
-    all-false) mask contributes only normal pixels. The false-positive
-    rate pools normal pixels across every image. ``pool``, if given, is
-    a ``PixelPool`` of these maps labelled by these masks (as
-    ``pooled_pixel_scores`` returns); neither ``score_maps`` nor
-    ``masks`` is then read, and may be None.
+    ``pool`` holds the score maps, labelled by the 8-connected regions of
+    each mask (``mask_regions``); a map without regions contributes only
+    normal pixels. The false-positive rate pools normal pixels across
+    every map. This is ``mean_spro`` with each region saturating at its
+    own area.
     """
-    if pool is not None:
-        return mean_spro(score_maps, pool.regions, fpr_limit, pool=pool)
-    maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
-    if len(maps) != len(masks):
-        raise MetricError("dim-mismatch", "score maps and masks counts differ")
-    return mean_spro(maps, mask_regions(masks, [m.shape for m in maps]), fpr_limit)
+    return mean_spro(None, pool.regions, fpr_limit, pool=pool)
 
 
 def mean_spro(
@@ -499,36 +469,14 @@ def mean_spro(
     per-region overlap. ``pool``, if given, is a ``PixelPool`` of these
     maps whose regions are ``region_sets`` (saturations aside);
     ``score_maps`` is then not read, and may be None. Without it the
-    maps are checked and pooled here.
+    maps are fed into a pool of ``region_sets`` here.
     """
     if pool is None:
-        maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
-        _check_maps(maps, [(rs.height, rs.width) for rs in region_sets])
         pool = PixelPool(region_sets)
-        for smap in maps:
+        for smap in score_maps:
             pool.add(smap)
-    else:
-        pool.check_maps(region_sets)
+    pool.check_maps(region_sets)
     return _overlap_curve_area(pool, region_sets, fpr_limit)
-
-
-def pooled_pixel_scores(
-    score_maps: list[np.ndarray], masks: list[PixelMask | None]
-) -> PixelPool:
-    """The ``PixelPool`` of a list of maps, labelled by their masks.
-
-    Checks the pairs first, then feeds the maps in order, as a cell
-    feeds each map as it is rendered.
-    """
-    if not score_maps:
-        raise MetricError("degenerate-labels", "no score maps to pool")
-    maps = [np.asarray(m, dtype=np.float64) for m in score_maps]
-    # a None mask labels its map all normal, whatever the map's shape
-    _check_maps(maps, [None if m is None else m.bits.shape for m in masks], finite=False)
-    pool = PixelPool(mask_regions(masks, [m.shape for m in maps]))
-    for smap in maps:
-        pool.add(smap)
-    return pool.ranked()
 
 
 @dataclass

@@ -25,10 +25,10 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -514,12 +514,13 @@ def evaluate(
     return scores, pool, latencies_ms
 
 
-def efficiency_stats(latencies_ms: list[float]) -> EfficiencyStats:
-    """Per-image inference latency after the first WARMUP_IMAGES are discarded."""
+def efficiency_stats(latencies_ms: list[float]) -> EfficiencyStats | None:
+    """Per-image inference latency after the first WARMUP_IMAGES are discarded.
+
+    None when fewer than WARMUP_IMAGES + 5 latencies were timed.
+    """
     if len(latencies_ms) < WARMUP_IMAGES + 5:
-        raise ConfigError(
-            "too-few-samples", f"need >= {WARMUP_IMAGES + 5} samples, got {len(latencies_ms)}"
-        )
+        return None
     kept = sorted(latencies_ms[WARMUP_IMAGES:])
     return EfficiencyStats(
         latency_ms_mean=float(np.mean(kept)),
@@ -544,7 +545,7 @@ class CellResult:
     provenance: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
     bank_vectors: int = 0
-    bank_bytes: int = 0
+    bank_bytes: int = 0  # count x dim x 4: the bank's IADB float32 payload, not memory held
     cell_seed: int = 0
     efficiency: EfficiencyStats | None = None
     bank: MemoryBank | None = None  # retained only when snapshots are requested
@@ -582,6 +583,10 @@ def _category_region_sets(
     return [rset.saturated(table.get(s.defect_type)) for s, rset in zip(test, pool.regions)]
 
 
+def _not_continual() -> float:
+    raise MetricError("not-continual", "fm needs a continual setting")
+
+
 def _cell_metrics(
     config: ExperimentConfig,
     dataset: Dataset,
@@ -589,8 +594,12 @@ def _cell_metrics(
     test: list[Sample],
     image_scores: list[float],
     pool: PixelPool,
+    forgetting: Callable[[], float],
 ) -> tuple[dict, dict]:
-    """The cell's metric values and N/A reasons; pixel metrics read only ``pool``."""
+    """The cell's metric values and N/A reasons; pixel metrics read only ``pool``.
+
+    ``forgetting`` returns the cell's fm or raises its ``MetricError``.
+    """
     values: dict = {}
     reasons: dict = {}
     labels = [s.label == ABNORMAL for s in test]
@@ -611,7 +620,7 @@ def _cell_metrics(
     attempt("image_ap", lambda: average_precision(LabeledScores(image_scores, labels)))
     attempt("pixel_auroc", lambda: auroc(pool.ranked()))
     attempt("pixel_ap", lambda: average_precision(pool.ranked()))
-    attempt("aupro", lambda: aupro(None, None, config.pro_limit, pool=pool))
+    attempt("aupro", lambda: aupro(pool, config.pro_limit))
     if "mean_spro" in config.metric_names:
         if dataset.saturation_table.get(category):
             attempt(
@@ -626,9 +635,7 @@ def _cell_metrics(
         else:
             values["mean_spro"] = None
             reasons["mean_spro"] = "no-saturation-table"
-    if "fm" in config.metric_names:
-        values.setdefault("fm", None)
-        reasons.setdefault("fm", "not-continual")
+    attempt("fm", forgetting)
     return values, reasons
 
 
@@ -642,14 +649,13 @@ def _scored_cell(
     scored: tuple[list[float], PixelPool, list[float]],
     bank: MemoryBank,
     keep_bank: bool,
+    forgetting: Callable[[], float] = _not_continual,
 ) -> CellResult:
     """The ok cell of a test set scored against ``bank`` by ``evaluate``."""
     image_scores, pool, latencies_ms = scored
-    metrics, na_reasons = _cell_metrics(config, dataset, category, test, image_scores, pool)
-    try:
-        efficiency = efficiency_stats(latencies_ms)
-    except ConfigError:
-        efficiency = None
+    metrics, na_reasons = _cell_metrics(
+        config, dataset, category, test, image_scores, pool, forgetting
+    )
     return CellResult(
         cell_id=f"{category}/{label}",
         category=category,
@@ -659,7 +665,7 @@ def _scored_cell(
         bank_vectors=bank.count,
         bank_bytes=bank.count * bank.dim * 4,
         cell_seed=seed,
-        efficiency=efficiency,
+        efficiency=efficiency_stats(latencies_ms),
         bank=bank if keep_bank else None,
     )
 
@@ -751,18 +757,19 @@ def _run_continual_job(
     del state, known  # the search index and the cached searches, before the metrics run
 
     fm = forgetting_measure(TaskMatrix(k=k, values=entries))
+
+    def forgetting(task_index: int) -> float:
+        if task_index not in fm.per_task:
+            raise MetricError("fm-undefined-for-final-task", f"task {task_index} is trained last")
+        return fm.per_task[task_index]
+
     cells = []
     for task in tasks:
         cell = _scored_cell(
             config, dataset, task.category, label, job_seed,
             task.test, final_scores[task.index], bank, keep_bank=False,
+            forgetting=partial(forgetting, task.index),
         )
-        if "fm" in config.metric_names:  # _cell_metrics marked it "not-continual"
-            cell.metrics["fm"] = fm.per_task.get(task.index)
-            if task.index in fm.per_task:
-                del cell.na_reasons["fm"]
-            else:
-                cell.na_reasons["fm"] = "fm-undefined-for-final-task"
         cell.info = {"task_index": task.index, "steps": k}
         cells.append(cell)
     matrix_doc = {

@@ -28,6 +28,7 @@ from iadbench.detector import (
 from iadbench.features import extract_features
 from iadbench.metrics import (
     LabeledScores,
+    PixelPool,
     TaskMatrix,
     aupro,
     auroc,
@@ -112,11 +113,18 @@ def _random_region_instance(rng, size=16):
     return smap, mask
 
 
+def _aupro(smap, mask, limit):
+    """``aupro`` of one map, pooled against its mask's regions."""
+    pool = PixelPool([connected_regions(PixelMask(mask))])
+    pool.add(smap)
+    return aupro(pool, limit)
+
+
 def test_criterion_2_region_metric_oracle():
     rng = np.random.default_rng(1002)
     for _ in range(100):
         smap, mask = _random_region_instance(rng)
-        ours_pro = aupro([smap], [PixelMask(mask)], 0.3)
+        ours_pro = _aupro(smap, mask, 0.3)
         ref_pro = region_curve_area([smap.tolist()], [mask.tolist()], 0.3)
         assert abs(ours_pro - ref_pro) <= 1e-6
         rel = float(rng.uniform(0.002, 0.1))
@@ -129,7 +137,7 @@ def test_criterion_2_region_metric_oracle():
     mask = np.zeros((16, 16), dtype=bool)
     mask[4:7, 4:7] = True
     constant = np.full((16, 16), 0.5)
-    assert abs(aupro([constant], [PixelMask(mask)], 0.3) - 0.15) <= 1e-9
+    assert abs(_aupro(constant, mask, 0.3) - 0.15) <= 1e-9
     _report(2, "aupro and mean_spro match the exhaustive-threshold oracle on "
                "100 16x16 instances within 1e-6; constant map integrates to 0.15")
 
@@ -140,7 +148,7 @@ def test_criterion_3_spro_reduction_law():
         smap, mask = _random_region_instance(rng, size=12)
         limit = float(rng.choice([0.05, 0.1, 0.3, 1.0]))
         rset = connected_regions(PixelMask(mask))  # s_i = |A_i|
-        gap = mean_spro([smap], [rset], limit) - aupro([smap], [PixelMask(mask)], limit)
+        gap = mean_spro([smap], [rset], limit) - _aupro(smap, mask, limit)
         assert abs(gap) <= 1e-12
     _report(3, "with s_i = |A_i|, mean_spro equals aupro at equal limits on "
                "100 instances to 1e-12")

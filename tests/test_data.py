@@ -116,14 +116,14 @@ def test_malformed_saturations_file(tmp_path, text, message):
 
 
 def test_abnormal_sample_requires_nonempty_mask():
-    image = ImageGrid(np.zeros((4, 4)))
+    image = ImageGrid(np.zeros((4, 4), np.uint8))
     with pytest.raises(DataError) as exc:
         Sample("x", image, ABNORMAL, PixelMask(np.zeros((4, 4), bool)), "scratch", "c")
     assert exc.value.code == "missing-mask"
 
 
 def test_normal_sample_rejects_anomalous_mask():
-    image = ImageGrid(np.zeros((4, 4)))
+    image = ImageGrid(np.zeros((4, 4), np.uint8))
     mask = np.zeros((4, 4), bool)
     mask[0, 0] = True
     with pytest.raises(DataError):
@@ -136,15 +136,17 @@ def test_image_values_range_checked():
 
 
 def test_every_code_reads_as_its_intensity():
-    """Each of the 256 codes k reads as the float64 k/255, and those floats
-    give the same codes back."""
+    """Each of the 256 codes k reads as the float64 k/255; the grid takes
+    only the codes, not those floats."""
     codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
     image = ImageGrid(codes)
     assert image.codes.dtype == np.uint8
     assert image.values.dtype == np.float64
     assert image.values.tobytes() == (codes / 255.0).tobytes()
     assert image.values.ravel().tolist() == [k / 255 for k in range(256)]
-    assert ImageGrid(image.values).codes.tobytes() == codes.tobytes()
+    with pytest.raises(DataError) as exc:
+        ImageGrid(image.values)
+    assert exc.value.code == "malformed-pgm"
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ def test_constant_image_gives_identical_vectors():
 
 
 def test_patch_too_large():
-    image = ImageGrid(np.zeros((3, 3)))
+    image = ImageGrid(np.zeros((3, 3), np.uint8))
     config = FeatureProviderConfig(patch_size=4, stride=1, descriptor="raw-patch")
     with pytest.raises(ConfigError) as exc:
         extract_features(image, config)

@@ -11,6 +11,7 @@ from iadbench.data import PixelMask
 from iadbench.errors import MetricError
 from iadbench.metrics import (
     LabeledScores,
+    PixelPool,
     RegionSet,
     TaskMatrix,
     aupro,
@@ -18,8 +19,8 @@ from iadbench.metrics import (
     average_precision,
     connected_regions,
     forgetting_measure,
+    mask_regions,
     mean_spro,
-    pooled_pixel_scores,
 )
 from oracles import (
     ap_stepsum,
@@ -296,6 +297,18 @@ def test_region_saturation_modes():
 # --- aupro / mean_spro -------------------------------------------------------------
 
 
+def _pool(maps, masks):
+    """The pixel pool of ``maps``, fed one at a time, labelled by ``masks``."""
+    pool = PixelPool(mask_regions(masks, [m.shape for m in maps]))
+    for smap in maps:
+        pool.add(smap)
+    return pool
+
+
+def _aupro(maps, masks, fpr_limit):
+    return aupro(_pool(maps, masks), fpr_limit)
+
+
 def _one_region_mask(h=8, w=8):
     mask = np.zeros((h, w), bool)
     mask[2:4, 2:6] = True  # area 8
@@ -305,15 +318,15 @@ def _one_region_mask(h=8, w=8):
 def test_aupro_perfect_and_anti():
     mask = _one_region_mask()
     perfect = mask.astype(float)
-    assert aupro([perfect], [PixelMask(mask)], 0.3) == pytest.approx(1.0, abs=1e-12)
-    assert aupro([perfect], [PixelMask(mask)], 0.07) == pytest.approx(1.0, abs=1e-12)
-    assert aupro([1.0 - perfect], [PixelMask(mask)], 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert _aupro([perfect], [PixelMask(mask)], 0.3) == pytest.approx(1.0, abs=1e-12)
+    assert _aupro([perfect], [PixelMask(mask)], 0.07) == pytest.approx(1.0, abs=1e-12)
+    assert _aupro([1.0 - perfect], [PixelMask(mask)], 0.3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_aupro_constant_map():
     mask = _one_region_mask()
     constant = np.full(mask.shape, 0.42)
-    assert aupro([constant], [PixelMask(mask)], 0.3) == pytest.approx(0.15, abs=1e-9)
+    assert _aupro([constant], [PixelMask(mask)], 0.3) == pytest.approx(0.15, abs=1e-9)
 
 
 def test_spro_saturated_half_coverage():
@@ -335,7 +348,7 @@ def test_spro_reduces_to_aupro():
         smap = rng.random((12, 12))
         rset = connected_regions(PixelMask(mask))  # saturations = region areas
         for limit in (0.05, 0.3, 1.0):
-            assert mean_spro([smap], [rset], limit) == aupro(
+            assert mean_spro([smap], [rset], limit) == _aupro(
                 [smap], [PixelMask(mask)], limit
             )
 
@@ -351,7 +364,7 @@ def test_region_curve_matches_bruteforce_oracle():
             masks.append(mask)
         if not any(m.any() for m in masks):
             masks[0][4, 4] = True
-        ours = aupro([m for m in maps], [PixelMask(m) for m in masks], 0.3)
+        ours = _aupro([m for m in maps], [PixelMask(m) for m in masks], 0.3)
         reference = region_curve_area(
             [m.tolist() for m in maps], [m.tolist() for m in masks], 0.3
         )
@@ -361,10 +374,10 @@ def test_region_curve_matches_bruteforce_oracle():
 def test_curve_requires_regions_and_normals():
     smap = np.random.default_rng(0).random((4, 4))
     with pytest.raises(MetricError) as exc:
-        aupro([smap], [PixelMask(np.zeros((4, 4), bool))], 0.3)
+        _aupro([smap], [PixelMask(np.zeros((4, 4), bool))], 0.3)
     assert exc.value.code == "no-regions"
     with pytest.raises(MetricError) as exc:
-        aupro([smap], [PixelMask(np.ones((4, 4), bool))], 0.3)
+        _aupro([smap], [PixelMask(np.ones((4, 4), bool))], 0.3)
     assert exc.value.code == "no-normal-pixels"
 
 
@@ -400,11 +413,9 @@ def test_pixel_pooling_permutation_invariance():
     masks = [PixelMask(rng.random((6, 6)) < 0.3) for _ in range(3)] + [None]
     if not any(m is not None and m.any() for m in masks):
         masks[0] = PixelMask(np.eye(6, dtype=bool))
-    base = auroc(pooled_pixel_scores(maps, masks))
+    base = auroc(_pool(maps, masks).ranked())
     order = [2, 0, 3, 1]
-    shuffled = auroc(
-        pooled_pixel_scores([maps[i] for i in order], [masks[i] for i in order])
-    )
+    shuffled = auroc(_pool([maps[i] for i in order], [masks[i] for i in order]).ranked())
     assert base == shuffled
 
 
@@ -417,10 +428,12 @@ def test_pixel_pooling_permutation_invariance():
     ],
 )
 def test_pixel_pooling_checks_pairs(mask_shapes, message):
+    """A surplus or wrong-shaped map raises as it is added, a missing one as the pool is read."""
     smap = np.random.default_rng(3).random((4, 6))
-    masks = [PixelMask(np.eye(*shape, dtype=bool)) for shape in mask_shapes]
+    pool = PixelPool([connected_regions(PixelMask(np.eye(*shape))) for shape in mask_shapes])
     with pytest.raises(MetricError) as exc:
-        pooled_pixel_scores([smap], masks)
+        pool.add(smap)
+        pool.ranked()
     assert exc.value.code == "dim-mismatch"
     assert exc.value.message == message
 

@@ -2,8 +2,9 @@
 
 ``oracles.pixel_metrics_reference`` is the package's original code for
 pixel AUROC, pixel AP, AUPRO and sPRO, copied verbatim. The runner's
-``_cell_metrics`` and the public calls the CLI makes must return
-``==``-equal values and the same ``MetricError`` codes on every input.
+``_cell_metrics`` and the calls ``iadbench metrics`` makes on its pool
+must return ``==``-equal values and the same ``MetricError`` codes on
+every input.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from iadbench.metrics import (
     auroc,
     average_precision,
     mask_regions,
-    pooled_pixel_scores,
 )
-from iadbench.runner import DetectorState, _cell_metrics, evaluate, parse_config
+from iadbench.runner import DetectorState, _cell_metrics, _not_continual, evaluate, parse_config
 from oracles import pixel_metrics_reference
 
 PIXEL_METRICS = ["pixel_auroc", "pixel_ap", "aupro", "mean_spro"]
@@ -146,9 +146,10 @@ def _cell_test(images, masks, defects):
 
 def _cell_inputs(maps, masks, defects, pro_limit, spro_limit):
     """``_cell_metrics``'s arguments for one category of these maps."""
-    test, dataset = _cell_test([np.zeros(m.shape) for m in maps], masks, defects)
+    test, dataset = _cell_test([np.zeros(m.shape, np.uint8) for m in maps], masks, defects)
     pool = _cell_pool(test, maps)
-    return _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), pool
+    config = _config(pro_limit, spro_limit)
+    return config, dataset, "c", test, [0.0] * len(test), pool, _not_continual
 
 
 def _cell(*args):
@@ -191,18 +192,21 @@ def test_cell_pixel_metrics_match_reference(cell):
 @example(_ON_POINT)
 @example(_BELOW_NORMALS)
 def test_cli_pixel_metrics_match_reference(cell):
-    """The CLI's calls: one pool, and mean_spro as plain overlap at the sPRO limit."""
+    """The CLI's calls: one pool fed map by map, and mean_spro as plain
+    overlap at the sPRO limit."""
     maps, masks, _defects, pro_limit, spro_limit = cell
     expected = pixel_metrics_reference(maps, masks, pro_limit, spro_limit)
     if any(isinstance(v, str) for v in expected.values()):
         return  # the CLI stops at the first error; the runner test covers codes
     pixel_masks = [None if m is None else PixelMask(m) for m in masks]
-    pool = pooled_pixel_scores(maps, pixel_masks)
+    pool = PixelPool(mask_regions(pixel_masks, [m.shape for m in maps]))
+    for smap in maps:
+        pool.add(smap)
     assert {
-        "pixel_auroc": auroc(pool),
-        "pixel_ap": average_precision(pool),
-        "aupro": aupro(maps, pixel_masks, pro_limit, pool=pool),
-        "mean_spro": aupro(maps, pixel_masks, spro_limit, pool=pool),
+        "pixel_auroc": auroc(pool.ranked()),
+        "pixel_ap": average_precision(pool.ranked()),
+        "aupro": aupro(pool, pro_limit),
+        "mean_spro": aupro(pool, spro_limit),
     } == expected
 
 
@@ -226,12 +230,14 @@ def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
         for y, x in rng.integers(0, 236, (3 * (i % 4 > 0), 2)):
             mask[y : y + 12, x : x + 15] = True
         masks.append(mask)
-    test, dataset = _cell_test([np.zeros(m.shape) for m in masks], masks, ["small"] * len(masks))
+    images = [np.zeros(m.shape, np.uint8) for m in masks]
+    test, dataset = _cell_test(images, masks, ["small"] * len(masks))
     tracemalloc.start()
     try:
         pool = _cell_pool(test, (rng.random((256, 256)) + 0.3 * mask for mask in masks))
         values, reasons = _cell_metrics(
-            _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), pool
+            _config(pro_limit, spro_limit), dataset, "c", test, [0.0] * len(test), pool,
+            _not_continual,
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -264,7 +270,9 @@ def test_cell_render_peak_memory():
     try:
         image_scores, pool, _ = evaluate(state, test)
         held, render_peak = tracemalloc.get_traced_memory()
-        values, reasons = _cell_metrics(_config(0.3, 0.05), dataset, "c", test, image_scores, pool)
+        values, reasons = _cell_metrics(
+            _config(0.3, 0.05), dataset, "c", test, image_scores, pool, _not_continual
+        )
     finally:
         tracemalloc.stop()
     assert not reasons and all(values[name] is not None for name in PIXEL_METRICS)
@@ -296,41 +304,38 @@ def _non_finite(value):
 @example(_non_finite(-np.inf), 1, 0)
 @example(_non_finite(1.0), 0, 0)
 def test_streamed_pool_equals_pooled_list(cell, transpose, which):
-    """A pool fed map by map equals ``pooled_pixel_scores`` on the list.
+    """A pool fed map by map holds what the original code pooled from the list.
 
-    Both hold the bytes the original concatenation sorted and the same
-    per-region scores, and pixel AUROC, AP and AUPRO read from the
-    streamed pool give the values or reason codes of the list and of the
-    original code. One draw in three feeds the ``which``-th masked map
-    transposed: a shape mismatch unless it is square.
+    It holds the bytes the original concatenation sorted and the same
+    per-region scores, and pixel AUROC, AP and AUPRO read from it give
+    the original code's values or reason codes. One draw in three feeds
+    the ``which``-th masked map transposed: unless it is square, ``add``
+    raises ``dim-mismatch`` at that map.
     """
     maps, masks, _defects, pro_limit, _spro_limit = cell
     pixel_masks = [None if m is None else PixelMask(m) for m in masks]
     shapes = [m.shape for m in maps]
     masked = [i for i, m in enumerate(masks) if m is not None]
     fed = list(maps)
+    streamed = PixelPool(mask_regions(pixel_masks, shapes))
     if masked and transpose == 0:
         i = masked[which % len(masked)]
         fed[i] = np.ascontiguousarray(maps[i].T)
-    streamed = PixelPool(mask_regions(pixel_masks, shapes))
+        if fed[i].shape != shapes[i]:
+            for smap in fed[:i]:
+                streamed.add(smap)
+            with pytest.raises(MetricError) as exc:
+                streamed.add(fed[i])
+            assert exc.value.code == "dim-mismatch"
+            assert exc.value.message == f"score map {fed[i].shape} vs ground truth {shapes[i]}"
+            return
     for smap in fed:
         streamed.add(smap)
-
-    def listed():
-        return pooled_pixel_scores(fed, pixel_masks)
-
     got = {
         "pixel_auroc": _code(lambda: auroc(streamed.ranked())),
         "pixel_ap": _code(lambda: average_precision(streamed.ranked())),
-        "aupro": _code(lambda: aupro(None, None, pro_limit, pool=streamed)),
+        "aupro": _code(lambda: aupro(streamed, pro_limit)),
     }
-    assert got == {
-        "pixel_auroc": _code(lambda: auroc(listed())),
-        "pixel_ap": _code(lambda: average_precision(listed())),
-        "aupro": _code(lambda: aupro(fed, pixel_masks, pro_limit)),
-    }
-    if [m.shape for m in fed] != shapes:
-        return
     expected = pixel_metrics_reference(fed, masks, pro_limit, pro_limit)
     assert got == {name: expected[name] for name in got}
     # the original pooling: every pixel concatenated, split by label, sorted
@@ -338,15 +343,10 @@ def test_streamed_pool_equals_pooled_list(cell, transpose, which):
     labels = np.concatenate(
         [np.zeros(m.size, bool) if k is None else k.ravel() for m, k in zip(fed, masks)]
     )
-    region_scores = [
+    assert streamed.negatives.tobytes() == np.sort(scores[~labels]).tobytes()
+    assert streamed.positives.tobytes() == np.sort(scores[labels]).tobytes()
+    assert [r.tobytes() for r in streamed.region_scores] == [
         np.sort(m.ravel()[region.pixels]).tobytes()
         for m, rset in zip(fed, streamed.regions)
         for region in rset.regions
     ]
-    pools = [streamed]
-    if isinstance(_code(listed), PixelPool):  # finite and not empty
-        pools.append(listed())
-    for pool in pools:
-        assert pool.negatives.tobytes() == np.sort(scores[~labels]).tobytes()
-        assert pool.positives.tobytes() == np.sort(scores[labels]).tobytes()
-        assert [r.tobytes() for r in pool.region_scores] == region_scores

@@ -168,7 +168,7 @@ def test_rotation_rejects_non_square(small_dataset):
     from iadbench.data import ImageGrid, Sample
     from iadbench.protocols import Split, TrainItem
 
-    sample = Sample("r", ImageGrid(np.zeros((4, 6))), NORMAL, None, "good", CAT)
+    sample = Sample("r", ImageGrid(np.zeros((4, 6), np.uint8)), NORMAL, None, "good", CAT)
     split = Split([TrainItem(sample, NORMAL)], [])
     with pytest.raises(ProtocolError) as exc:
         augment_rotations(split, 2)

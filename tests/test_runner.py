@@ -620,9 +620,7 @@ def test_efficiency_stats_counts():
 def test_efficiency_stats_too_few():
     state = _tiny_state()
     _, _, latencies_ms = evaluate(state, _samples(4))
-    with pytest.raises(ConfigError) as exc:
-        efficiency_stats(latencies_ms)
-    assert exc.value.code == "too-few-samples"
+    assert efficiency_stats(latencies_ms) is None
 
 
 def test_evaluate_pools_non_square_images():
