@@ -16,6 +16,15 @@ labelled region's scores. A pool is sized from the ground truth before
 any map exists and fed one map at a time by ``PixelPool.add``, the only
 way pixels enter it, so a caller need not hold its maps. ``aupro`` reads
 a pool; ``mean_spro`` called with maps feeds them into one the same way.
+
+No metric holds a copy of the pool. Their sums run over a term per
+distinct score (AP) or per curve segment (the region sweeps), and each
+is taken by ``_pairwise_sum``, which walks numpy's summation tree and
+builds only its leaves of ``_SEGMENT_BLOCK`` terms, so it equals one
+``np.sum`` over all of them bit for bit. Beyond the pool, AP holds a
+few arrays per distinct positive score and one leaf; AUPRO and sPRO
+hold the kept thresholds (``_thresholds_to_limit``), a few arrays per
+anomalous pixel, and one leaf of points and terms.
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ from .errors import MetricError
 DEFAULT_PRO_LIMIT = 0.3
 DEFAULT_SPRO_LIMIT = 0.05
 
-# segments per block of the trapezoid terms in ``_integrate_to_limit``
-_SEGMENT_BLOCK = 1 << 16
+# elements per block or leaf of the metrics' block-at-a-time passes
+_SEGMENT_BLOCK = 1 << 15
+# numpy adds a float64 stretch of at most this many elements in one loop
+_PAIRWISE_BLOCK = 128
 
 
 class LabeledScores:
@@ -59,11 +70,13 @@ class LabeledScores:
         self.positives.sort()
 
 
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """True where a sorted array's element differs from the one before it."""
-    starts = np.empty(sorted_values.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=starts[1:])
+def _run_starts(sorted_values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """True where an element of a sorted array, or of its slice [lo, hi),
+    differs from the one before it; the array's first always does."""
+    hi = sorted_values.size if hi is None else hi
+    starts = np.empty(hi - lo, dtype=bool)
+    starts[:1] = lo == 0 or sorted_values[lo] != sorted_values[lo - 1]
+    np.not_equal(sorted_values[lo + 1 : hi], sorted_values[lo : hi - 1], out=starts[1:])
     return starts
 
 
@@ -78,14 +91,56 @@ def auroc(data: LabeledScores) -> float:
     return u / (pos.size * neg.size)
 
 
+def _pairwise_sum(n: int, block, lo: int = 0) -> float:
+    """``np.sum`` of a virtual length-``n`` float64 array, bit for bit.
+
+    ``block(a, b)`` builds the array's slice [a, b); ``lo`` is where
+    the stretch being summed starts in it. numpy adds a 1-D
+    float64 array pairwise: a stretch longer than ``_PAIRWISE_BLOCK``
+    elements is the sum of its two halves, split at half its length
+    rounded down to a multiple of 8, and a shorter one is added in one
+    unrolled loop; the whole sum is then added to 0.0. So the stretches
+    are split the same way down to leaves of at most ``_SEGMENT_BLOCK``
+    elements, never splitting one numpy adds in a loop, and only the
+    leaves are built. Each leaf's ``np.sum`` is its stretch's sum (plus
+    0.0), and the halves are added as numpy adds them; a sum that is zero
+    comes out +0.0 either way. An input of one leaf or less is one
+    ``block`` call and one ``np.sum``. ``tests/test_metrics.py`` pins
+    this tree against ``np.sum``.
+    """
+    if n <= max(_SEGMENT_BLOCK, _PAIRWISE_BLOCK):
+        return float(np.sum(block(lo, lo + n)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(half, block, lo) + _pairwise_sum(n - half, block, lo + half)
+
+
+def _distinct_upto(sorted_values: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, int]:
+    """Distinct values in ``sorted_values[:end]`` for each of ``ends``
+    (ascending), and in the whole array: each prefix's length less the
+    repeats in it, found a block at a time."""
+    counts = ends.copy()
+    repeats = 0  # in the blocks before this one
+    for lo in range(0, sorted_values.size, _SEGMENT_BLOCK):
+        hi = min(lo + _SEGMENT_BLOCK, sorted_values.size)
+        found = np.flatnonzero(~_run_starts(sorted_values, lo, hi))
+        found += lo
+        a, b = np.searchsorted(ends, (lo, hi), side="right")
+        counts[a:b] -= repeats + np.searchsorted(found, ends[a:b], side="left")
+        repeats += found.size
+    return counts, sorted_values.size - repeats
+
+
 def average_precision(data: LabeledScores) -> float:
     """Step-sum average precision over distinct descending score thresholds.
 
     The sum runs over one term per distinct score, in descending order.
     A threshold with no positive at it adds recall 0, so its term is an
     exact 0.0; only the distinct positive scores are computed, and each
-    is placed where it falls among all distinct scores, so ``np.sum``
-    adds the same array as a sweep over every threshold would.
+    is placed where it falls among all distinct scores. ``np.sum`` of
+    that array is taken a leaf at a time (``_pairwise_sum``), each leaf
+    built as zeros plus the terms placed in it, so no array has a slot
+    per distinct score.
     """
     pos, neg = data.positives, data.negatives
     total_pos = pos.size
@@ -97,26 +152,28 @@ def average_precision(data: LabeledScores) -> float:
     neg_below = np.searchsorted(neg, values, side="left")
     precision = tp / (tp + (neg.size - neg_below))
     recall = tp / total_pos
-    steps = np.diff(recall, prepend=0.0)
+    terms = np.diff(recall, prepend=0.0)
+    terms *= precision
+    del starts, tp, precision, recall
     # distinct scores above each value: positive ones, plus negative ones,
-    # minus the values both classes hold. The negatives at or below a
-    # value are a prefix of ``neg``; its distinct ones are its length
-    # less the repeats in it, each repeat being an element equal to the
-    # one before it.
-    repeats = np.flatnonzero(~_run_starts(neg))
+    # minus the values both classes hold
     neg_upto = np.searchsorted(neg, values, side="right")
-    distinct_upto = neg_upto - np.searchsorted(repeats, neg_upto, side="left")
-    neg_distinct = neg.size - repeats.size
-    del repeats
+    distinct_upto, neg_distinct = _distinct_upto(neg, neg_upto[::-1])
     shared = neg_upto > neg_below
     place = (
         np.arange(values.size)
-        + (neg_distinct - distinct_upto)
+        + (neg_distinct - distinct_upto[::-1])
         - (np.cumsum(shared) - shared)
     )
-    terms = np.zeros(values.size + neg_distinct - int(shared.sum()))
-    terms[place] = steps * precision
-    return float(np.sum(terms))
+    del neg_upto, distinct_upto, neg_below
+
+    def leaf(a: int, b: int) -> np.ndarray:
+        out = np.zeros(b - a)
+        lo, hi = np.searchsorted(place, (a, b))
+        out[place[lo:hi] - a] = terms[lo:hi]
+        return out
+
+    return _pairwise_sum(values.size + neg_distinct - int(shared.sum()), leaf)
 
 
 @dataclass
@@ -239,8 +296,10 @@ def mask_regions(
     """Each mask's 8-connected regions, saturating at their own area.
 
     A None mask has no regions and takes its map's shape from ``shapes``;
-    a mask gives its own.
+    a mask gives its own. Unequal counts raise ``dim-mismatch``.
     """
+    if len(masks) != len(shapes):
+        raise MetricError("dim-mismatch", "score maps and ground truth counts differ")
     return [
         connected_regions(m) if m is not None else RegionSet(shape[0], shape[1], [])
         for m, shape in zip(masks, shapes)
@@ -361,7 +420,17 @@ def _thresholds_to_limit(
         ]
     )
     kept.sort(kind="stable")  # two sorted runs: one merge
-    return kept[_run_starts(kept)]
+    # drop repeats in place. Writes land at or before the block just read,
+    # and reach the element before the next block only while nothing has
+    # been dropped, writing its own value back, so each block is still
+    # compared with its true predecessor
+    size = 0
+    for lo in range(0, kept.size, _SEGMENT_BLOCK):
+        hi = min(lo + _SEGMENT_BLOCK, kept.size)
+        distinct = kept[lo:hi][_run_starts(kept, lo, hi)]
+        kept[size : size + distinct.size] = distinct
+        size += distinct.size
+    return kept[:size]
 
 
 def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit: float) -> float:
@@ -397,15 +466,6 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
         (k - np.searchsorted(ascending, scores, side="right"))[::-1]
         for scores in pool.region_scores
     ]
-    # the curve's points: (0, 0), then one per threshold, descending
-    false_pos = np.searchsorted(normal, ascending, side="left")
-    del ascending
-    np.subtract(normal.size, false_pos, out=false_pos)
-    xs = np.empty(k + 1, dtype=np.float64)
-    xs[0] = 0.0
-    np.divide(false_pos[::-1], normal.size, out=xs[1:])
-    del false_pos
-
     starts = np.sort(np.concatenate([[0], *entries]))
     starts = starts[_run_starts(starts)]
     starts = starts[starts < k]
@@ -416,28 +476,65 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
         share = np.cumsum(covered, out=covered) / sat
         overlap[1:] += np.minimum(share, 1.0, out=share)
     overlap /= len(saturations)
-    ys = np.repeat(overlap, np.diff(starts, prepend=-1, append=k))
-    return _integrate_to_limit(xs, ys, fpr_limit)
+    # the curve's points: (0, 0), then one per threshold, descending. Point
+    # j > 0 has the overlap of the stretch holding j - 1, so overlap[t] is
+    # the y of the points before ends[t] and from ends[t - 1] on
+    ends = np.append(starts + 1, k + 1)
+
+    def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        first = max(a, 1)  # point j > 0 is threshold k - j
+        false_pos = np.searchsorted(normal, ascending[k - b + 1 : k - first + 1], side="left")
+        np.subtract(normal.size, false_pos, out=false_pos)
+        xs = np.empty(b - a, dtype=np.float64)
+        xs[: first - a] = 0.0
+        np.divide(false_pos[::-1], normal.size, out=xs[first - a :])
+        del false_pos
+        lo, hi = np.searchsorted(ends, (a, b - 1), side="right")
+        held = np.diff(np.clip(ends[lo : hi + 1], a, b), prepend=a)
+        return xs, np.repeat(overlap[lo : hi + 1], held)
+
+    return _integrate_to_limit(k + 1, points, fpr_limit)
 
 
-def _integrate_to_limit(xs: np.ndarray, ys: np.ndarray, limit: float) -> float:
+def _integrate_to_limit(size: int, points, limit: float) -> float:
     """Trapezoidal area under a piecewise-linear curve, clipped to [0, limit].
 
-    ``xs`` never decreases, so the segments that end inside the limit
-    are a prefix, and only the segment after it can straddle the limit.
-    The prefix's terms (x1 - x0) * (y0 + y1) * 0.5 are formed block by
-    block into one array, which one ``np.sum`` adds.
+    The curve has ``size`` points, and ``points(a, b)`` gives the xs and
+    ys of points a to b - 1, so no caller holds the whole curve. ``xs``
+    never decreases, so the segments that end inside the limit are a
+    prefix, and only the segment after it can straddle the limit. The
+    points past the limit are counted a block at a time from the end:
+    a region sweep has at most one (``_thresholds_to_limit``), so one
+    block does. The prefix's terms (x1 - x0) * (y0 + y1) * 0.5 are
+    formed a leaf at a time and added as one ``np.sum`` over them all
+    would add them (``_pairwise_sum``). A curve of one block is formed
+    once and sliced.
     """
-    n = int(np.count_nonzero(xs[1:] <= limit))
-    terms = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _SEGMENT_BLOCK):
-        hi = min(lo + _SEGMENT_BLOCK, n)
-        block = terms[lo:hi]
-        np.subtract(xs[lo + 1 : hi + 1], xs[lo:hi], out=block)
-        block *= ys[lo:hi] + ys[lo + 1 : hi + 1]
-        block *= 0.5
-    area = float(np.sum(terms))
-    x0, x1, y0, y1 = xs[n : n + 1], xs[n + 1 : n + 2], ys[n : n + 1], ys[n + 1 : n + 2]
+    if size <= _SEGMENT_BLOCK:
+        curve_xs, curve_ys = points(0, size)
+
+        def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            return curve_xs[a:b], curve_ys[a:b]
+
+    n = 0
+    for b in range(size, 1, -_SEGMENT_BLOCK):
+        a = max(b - _SEGMENT_BLOCK, 1)
+        inside = int(np.count_nonzero(points(a, b)[0] <= limit))
+        if inside:
+            n = a - 1 + inside  # every point before a is inside too
+            break
+
+    def terms(a: int, b: int) -> np.ndarray:
+        xs, ys = points(a, b + 1)
+        out = np.subtract(xs[1:], xs[:-1])
+        del xs
+        out *= ys[:-1] + ys[1:]
+        out *= 0.5
+        return out
+
+    area = _pairwise_sum(n, terms)
+    xs, ys = points(n, min(n + 2, size))
+    x0, x1, y0, y1 = xs[:1], xs[1:], ys[:1], ys[1:]
     if x1.size and x0[0] < limit:
         y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
         area += float(np.sum((limit - x0) * (y0 + y_at) * 0.5))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,10 +36,21 @@ from oracles import (
 )
 
 
-def _random_labeled(rng, max_n=60):
+@contextmanager
+def _leaves(size):
+    """Metrics' block-at-a-time passes and summation leaves of ``size`` elements."""
+    saved = metrics._SEGMENT_BLOCK
+    metrics._SEGMENT_BLOCK = size
+    try:
+        yield
+    finally:
+        metrics._SEGMENT_BLOCK = saved
+
+
+def _random_labeled(rng, max_n=60, levels=12):
     n = int(rng.integers(2, max_n))
     # quantized scores make ties common
-    scores = rng.integers(0, 12, size=n) / 11.0
+    scores = rng.integers(0, levels, size=n) / (levels - 1.0)
     labels = rng.random(n) < 0.4
     if not labels.any():
         labels[int(rng.integers(0, n))] = True
@@ -101,12 +114,16 @@ def test_ap_examples():
 
 
 def test_ap_matches_stepsum_oracle():
+    """On leaves of 128 terms; the long draws have hundreds of distinct
+    scores, so the summation tree has several levels."""
     rng = np.random.default_rng(3)
-    for _ in range(80):
-        scores, labels = _random_labeled(rng)
-        assert average_precision(LabeledScores(scores, labels)) == pytest.approx(
-            ap_stepsum(scores.tolist(), labels.tolist()), abs=1e-12
-        )
+    draws = [(60, 12)] * 80 + [(500, 1000)] * 8
+    with _leaves(128):
+        for max_n, levels in draws:
+            scores, labels = _random_labeled(rng, max_n, levels)
+            assert average_precision(LabeledScores(scores, labels)) == pytest.approx(
+                ap_stepsum(scores.tolist(), labels.tolist()), abs=1e-12
+            )
 
 
 def test_ap_no_positives():
@@ -121,17 +138,26 @@ _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
 @st.composite
 def _ap_inputs(draw):
     """Scores and labels with at least one positive: heavy ties, all
-    distinct, or every value held by both classes."""
-    kind = draw(st.sampled_from(["ties", "distinct", "shared"]))
+    distinct, every value held by both classes, or up to 3,000 scores
+    on up to 4,000 levels (hundreds of distinct ones)."""
+    kind = draw(st.sampled_from(["ties", "distinct", "shared", "many"]))
     if kind == "ties":
         n = draw(st.integers(1, 300))
         levels = draw(st.integers(1, 6))
         scores = np.array(draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n)))
         scores = scores / levels
+    elif kind == "many":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        levels = draw(st.integers(2, 4000))
+        scores = rng.integers(0, levels, draw(st.integers(1, 3000))) / levels
+        labels = rng.random(scores.size) < draw(st.floats(0.0, 1.0))
     else:
         values = np.array(draw(st.lists(_FINITE, min_size=1, max_size=150, unique=True)))
         scores = values if kind == "distinct" else np.concatenate([values, values[::-1]])
-    labels = np.array(draw(st.lists(st.booleans(), min_size=scores.size, max_size=scores.size)))
+    if kind != "many":
+        labels = np.array(
+            draw(st.lists(st.booleans(), min_size=scores.size, max_size=scores.size))
+        )
     if kind == "shared":
         labels[: values.size] = True
         labels[values.size :] = False
@@ -140,26 +166,38 @@ def _ap_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ap_inputs())
-@example((np.array([0.0, -0.0, 0.5, 0.5]), np.array([True, False, True, False])))
-@example((np.array([0.3, 0.3, 0.3]), np.array([True, True, True])))
-def test_ap_equals_original_code(inputs):
-    """``==`` the original function, which copied the distinct negatives."""
+@given(_ap_inputs(), st.sampled_from([128, 129]))
+@example((np.array([0.0, -0.0, 0.5, 0.5]), np.array([True, False, True, False])), 128)
+@example((np.array([0.3, 0.3, 0.3]), np.array([True, True, True])), 128)
+def test_ap_equals_original_code(inputs, leaf):
+    """``==`` the original function, which copied the distinct negatives
+    and summed one zero-padded array, on leaves and blocks of ``leaf``."""
     data = LabeledScores(*inputs)
-    assert average_precision(data) == average_precision_reference(data.negatives, data.positives)
+    with _leaves(leaf):
+        got = average_precision(data)
+    assert got == average_precision_reference(data.negatives, data.positives)
 
 
 # --- clipped trapezoid integral --------------------------------------------------
 
 
+def _integrate(xs, ys, limit):
+    return metrics._integrate_to_limit(xs.size, lambda a, b: (xs[a:b], ys[a:b]), limit)
+
+
 @st.composite
 def _curves(draw):
-    """A curve from (0, y0) with nondecreasing xs in [0, 1] (ties kept),
-    and a limit at an operating point or anywhere in (0, 1]."""
-    k = draw(st.integers(0, 40))
-    unit = st.floats(0.0, 1.0)
-    xs = np.concatenate([[0.0], np.sort(draw(st.lists(unit, min_size=k, max_size=k)))])
-    ys = np.array(draw(st.lists(unit, min_size=k + 1, max_size=k + 1)))
+    """A curve from (0, y0) with nondecreasing xs in [0, 1] (ties kept,
+    or made common), and a limit at an operating point or anywhere in
+    (0, 1]. Up to 1,500 points: several levels of 128-term leaves."""
+    k = draw(st.integers(0, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.sort(rng.random(k))
+    if draw(st.booleans()):
+        steps = draw(st.integers(1, 64))
+        xs = np.round(xs * steps) / steps
+    xs = np.concatenate([[0.0], xs])
+    ys = rng.random(k + 1)
     points = [x for x in xs if x > 0.0]
     if points and draw(st.booleans()):
         limit = draw(st.sampled_from(points))
@@ -169,15 +207,11 @@ def _curves(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_curves(), st.integers(1, 5))
-def test_integrate_to_limit_equals_original_code(curve, block):
-    """``==`` the original whole-array expression for any block size."""
-    saved = metrics._SEGMENT_BLOCK
-    metrics._SEGMENT_BLOCK = block
-    try:
-        got = metrics._integrate_to_limit(*curve)
-    finally:
-        metrics._SEGMENT_BLOCK = saved
+@given(_curves(), st.sampled_from([128, 129, 1 << 16]))
+def test_integrate_to_limit_equals_original_code(curve, leaf):
+    """``==`` the original whole-array expression for any leaf size."""
+    with _leaves(leaf):
+        got = _integrate(*curve)
     assert got == integrate_to_limit_reference(*curve)
 
 
@@ -186,18 +220,76 @@ def test_integrate_to_limit_equals_original_code(curve, block):
 )
 def test_integrate_to_limit_at_block_boundaries(blocks, offset):
     """n segments inside the limit for n at, below and above a multiple of
-    the block (n = 0 and n = 1 among them), the limit on the n-th operating
-    point and between it and the next."""
-    n = blocks * metrics._SEGMENT_BLOCK + offset
-    rng = np.random.default_rng(n)
-    xs = np.concatenate([[0.0], np.sort(rng.random(2 * metrics._SEGMENT_BLOCK + 3))])
-    ys = rng.random(xs.size)
-    for limit in (xs[n], 0.5 * (xs[n] + xs[n + 1])):
-        if limit <= 0.0:
-            continue
-        assert int(np.count_nonzero(xs[1:] <= limit)) == n
-        got = metrics._integrate_to_limit(xs, ys, limit)
-        assert got == integrate_to_limit_reference(xs, ys, limit)
+    the leaf (n = 0 and n = 1 among them), the limit on the n-th operating
+    point and between it and the next; leaves of 128 and of the default."""
+    for leaf in (128, metrics._SEGMENT_BLOCK):
+        n = blocks * leaf + offset
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([[0.0], np.sort(rng.random(2 * leaf + 3))])
+        ys = rng.random(xs.size)
+        for limit in (xs[n], 0.5 * (xs[n] + xs[n + 1])):
+            if limit <= 0.0:
+                continue
+            assert int(np.count_nonzero(xs[1:] <= limit)) == n
+            with _leaves(leaf):
+                got = _integrate(xs, ys, limit)
+            assert got == integrate_to_limit_reference(xs, ys, limit)
+
+
+# --- numpy's summation tree ------------------------------------------------------
+
+
+@st.composite
+def _sum_inputs(draw):
+    """A leaf size and a float64 array: lengths around numpy's 8-wide
+    unroll, its 128-element loop, the leaf, and past 2**18; values sparse
+    (mostly exact zeros), dense over 16 decades of both signs, or signed
+    zeros alone."""
+    leaf = draw(st.sampled_from([128, 129, 1 << 16]))
+    near = [0, 1, 7, 8, 127, 128, 129, leaf - 1, leaf, leaf + 1, 2 * leaf + 1]
+    n = draw(
+        st.sampled_from(near)
+        | st.tuples(st.integers(1, leaf // 2), st.sampled_from([-1, 0, 1])).map(
+            lambda t: 8 * t[0] + t[1]
+        )
+        | st.integers(1 << 18, (1 << 18) + 3 * leaf)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["sparse", "dense", "zeros"]))
+    if kind == "zeros":
+        return leaf, np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), -0.0, 0.0)
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    if kind == "sparse":
+        values[rng.random(n) >= draw(st.floats(0.0, 0.1))] = 0.0
+    return leaf, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_inputs())
+@example((128, np.full(1 << 18, -0.0)))
+def test_pairwise_sum_is_numpy_sum(inputs):
+    """``_pairwise_sum`` equals ``np.sum`` bit for bit: this pins numpy's
+    summation tree (halves split at a multiple of 8 below half the
+    length, stretches of at most 128 added in one loop, the total added
+    to 0.0), which average precision and the region curves rely on. The
+    leaves tile the array in order, none longer than the larger of the
+    leaf and 128, and an array of one leaf or less is built in one call."""
+    leaf, values = inputs
+    built = []
+
+    def block(a, b):
+        built.append((a, b))
+        return values[a:b]
+
+    with _leaves(leaf):
+        got = metrics._pairwise_sum(values.size, block)
+    want = np.sum(values)
+    assert np.float64(got).tobytes() == want.tobytes()
+    assert [a for a, _ in built] == [0] + [b for _, b in built[:-1]]
+    assert built[-1][1] == values.size
+    assert all(b - a <= max(leaf, 128) for a, b in built)
+    if values.size <= max(leaf, 128):
+        assert len(built) == 1
 
 
 # --- connected regions -----------------------------------------------------------
@@ -405,6 +497,15 @@ def test_curve_monotonicity():
         )
         assert fpr >= prev_fpr and pro >= prev_pro
         prev_fpr, prev_pro = fpr, pro
+
+
+def test_mask_regions_refuses_unequal_counts():
+    mask = PixelMask(_one_region_mask())
+    for masks, shapes in (([mask, None], [(8, 8)]), ([mask], [(8, 8), (8, 8)])):
+        with pytest.raises(MetricError) as exc:
+            mask_regions(masks, shapes)
+        assert exc.value.code == "dim-mismatch"
+        assert exc.value.message == "score maps and ground truth counts differ"
 
 
 def test_pixel_pooling_permutation_invariance():

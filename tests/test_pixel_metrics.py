@@ -9,6 +9,7 @@ every input.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iadbench import metrics
 from iadbench.data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
 from iadbench.detector import MemoryBank
 from iadbench.errors import MetricError
@@ -120,6 +122,23 @@ def cells(draw):
     return maps, masks, defects, draw(LIMITS), draw(LIMITS)
 
 
+@st.composite
+def wide_cells(draw):
+    """Maps of 16-40 px on 50-5,000 levels, so that the sweeps and the AP
+    sum run over hundreds of distinct scores; masks of scattered pixels
+    (many small regions), or one in four none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(50, 5000))
+    maps, masks, defects = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = (draw(st.integers(16, 40)), draw(st.integers(16, 40)))
+        maps.append(rng.integers(0, levels, shape) / levels)
+        density = draw(st.floats(0.0, 0.3))
+        masks.append(rng.random(shape) < density if draw(st.integers(0, 3)) else None)
+        defects.append(draw(st.sampled_from([*SATURATIONS, "unlisted"])))
+    return maps, masks, defects, draw(LIMITS), draw(LIMITS)
+
+
 def _cell_pool(test, maps):
     """The samples' pixel pool fed these maps one at a time, as ``evaluate`` feeds it."""
     pool = PixelPool(mask_regions([s.mask for s in test], [s.image.values.shape for s in test]))
@@ -187,6 +206,23 @@ def test_cell_pixel_metrics_match_reference(cell):
     assert _cell(maps, masks, defects, pro_limit, spro_limit) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(wide_cells(), st.sampled_from([128, 129]))
+def test_small_leaf_pixel_metrics_match_reference(cell, leaf):
+    """``==`` the original code with blocks and summation leaves of
+    ``leaf`` elements, so the sums of AP and of the curves span leaves."""
+    maps, masks, defects, pro_limit, spro_limit = cell
+    saturations = [SATURATIONS.get(d) for d in defects]
+    expected = pixel_metrics_reference(maps, masks, pro_limit, spro_limit, saturations)
+    saved = metrics._SEGMENT_BLOCK
+    metrics._SEGMENT_BLOCK = leaf
+    try:
+        got = _cell(maps, masks, defects, pro_limit, spro_limit)
+    finally:
+        metrics._SEGMENT_BLOCK = saved
+    assert got == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(cells())
 @example(_ON_POINT)
@@ -219,9 +255,11 @@ def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
 
     The maps are made inside the trace and fed to the pool one at a time,
     as a cell renders them, so they count. The pool is 8 bytes a pixel;
-    the rest is the metrics' own transients over it (average precision's
-    at the defaults, the region sweep's at limit 1). Holding the maps
-    and pooling them at once peaked at 32.4 and 56.2 bytes a pixel here.
+    the rest is the metrics' own transients over it, mostly the region
+    sweep's kept thresholds. The pass peaks at 11.3 and 17.2 bytes a
+    pixel; with a zero-padded AP array and whole-curve xs and ys it
+    peaked at 16.7 and 32.9, and holding the maps and pooling them at
+    once at 32.4 and 56.2.
     """
     rng = np.random.default_rng(0)
     masks = []
@@ -244,6 +282,52 @@ def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
         tracemalloc.stop()
     assert not reasons and all(values[name] is not None for name in PIXEL_METRICS)
     assert peak <= bytes_per_pixel * sum(m.size for m in masks)
+
+
+def _large_pool():
+    """16 maps of 256 x 256 with three 12 x 15 defects in most: 1,048,576
+    distinct scores, of them 1,042,096 normal."""
+    rng = np.random.default_rng(0)
+    masks = []
+    for i in range(16):
+        mask = np.zeros((256, 256), bool)
+        for y, x in rng.integers(0, 236, (3 * (i % 4 > 0), 2)):
+            mask[y : y + 12, x : x + 15] = True
+        masks.append(mask)
+    pool = PixelPool(mask_regions([PixelMask(m) for m in masks], [m.shape for m in masks]))
+    for mask in masks:
+        pool.add(rng.random(mask.shape) + 0.3 * mask)
+    return pool
+
+
+@pytest.mark.parametrize(
+    "metric, share",
+    [("pixel_ap", 0.15), ("aupro", 0.45)],
+)
+def test_pixel_metric_peak_memory(metric, share):
+    """Traced peak of one metric over a pool it is given, as a share of
+    the pool's normal side. Average precision holds its per-positive
+    arrays and one leaf; AUPRO at limit 0.3 holds its thresholds (about
+    0.3 of the normal pixels) and one leaf. A zero-padded array of every
+    distinct score's term, or whole-curve xs and ys, would cost more than
+    the normal side itself. What the metric leaves held once it returns,
+    with the cycle collector off, is near nothing: no temporary waits
+    for it (a self-referencing closure would keep the thresholds)."""
+    pool = _large_pool()
+    run = {
+        "pixel_ap": lambda: average_precision(pool.ranked()),
+        "aupro": lambda: aupro(pool, 0.3),
+    }[metric]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= share * pool.negatives.nbytes
+    assert held <= 0.01 * pool.negatives.nbytes
 
 
 def test_cell_render_peak_memory():
