@@ -406,8 +406,7 @@ class _BankPoints:
     float64 projection when ``projector`` is set; ``shape`` is that of
     every point at once. ``_farthest_first`` reads it a block at a time,
     as it reads an array, so no copy of all the points is made but its
-    own sorted one. ``Projector.apply`` gives a row the same bits in any
-    block, so the points read in sorted order equal those read in order.
+    own sorted one, which keeps a projection's rows from its first read.
     """
 
     bank: MemoryBank
@@ -453,8 +452,10 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     rows as they are read. A first pass reads them in order, a block at
     a time, for their squared norms sq; a second reads them again, a
     block at a time, in order of sq (a stable sort) into a float64 copy.
-    That sorted copy is the only one the loop holds. Picks and min_d2
-    stay in the caller's row order.
+    A projection is not made twice: the first pass keeps its rows in
+    the copy, which is then put in that order a column at a time. That
+    sorted copy is the only one the loop holds. Picks and min_d2 stay in
+    the caller's row order.
 
     Shell. Let M be min_d2 at the pick q, the largest of all. A row
     whose norm differs from ||q|| by more than sqrt(M) is at least M
@@ -478,15 +479,26 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     """
     n, dim = points.shape
     step = _block_rows(dim)
+    # a projection is made once: the first pass keeps its rows
+    projected = getattr(points, "projector", None) is not None
+    ranked = np.empty((n, dim))
     sq = np.empty(n)
     for start in range(0, n, step):
         block = points[start : start + step].astype(np.float64, copy=False)
         sq[start : start + step] = np.einsum("nd,nd->n", block, block)
+        if projected:
+            ranked[start : start + step] = block
     order = np.argsort(sq, kind="stable")
     sq = sq[order]
-    ranked = np.empty((n, dim))
-    for start in range(0, n, step):
-        ranked[start : start + step] = points[order[start : start + step]]
+    if projected:
+        column = np.empty(n)
+        for c in range(dim):
+            np.take(ranked[:, c], order, out=column)
+            ranked[:, c] = column
+        del column
+    else:
+        for start in range(0, n, step):
+            ranked[start : start + step] = points[order[start : start + step]]
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     rho = np.sqrt(sq)

@@ -23,8 +23,9 @@ is taken by ``_pairwise_sum``, which walks numpy's summation tree and
 builds only its leaves of ``_SEGMENT_BLOCK`` terms, so it equals one
 ``np.sum`` over all of them bit for bit. Beyond the pool, AP holds a
 few arrays per distinct positive score and one leaf; AUPRO and sPRO
-hold the kept thresholds (``_thresholds_to_limit``), a few arrays per
-anomalous pixel, and one leaf of points and terms.
+hold a few arrays per anomalous pixel, one block of their thresholds
+(``_ThresholdWalk``; no array holds them all) and one leaf of points
+and terms.
 """
 
 from __future__ import annotations
@@ -398,39 +399,92 @@ class PixelPool(LabeledScores):
             raise MetricError("dim-mismatch", "score maps must be finite")
 
 
-def _thresholds_to_limit(
-    normal: np.ndarray, anomalous: np.ndarray, fpr_limit: float
-) -> np.ndarray:
-    """Distinct pooled scores, ascending, down to the first one past the limit.
+class _ThresholdWalk:
+    """The thresholds a region sweep reads, a block at a time.
 
-    The FPR at threshold t is (normal pixels >= t) / n. The first
-    operating point past the limit needs ``past`` normal pixels at or
-    above it, the fewest with past / n > fpr_limit; the largest pooled
-    score that has them is the ``past``-th largest normal score. Every
-    distinct score at or above it is kept: the integral reads no
-    operating point after that one. Nothing is past a limit of 1.
+    They are the distinct pooled scores from the cut up, ascending. The
+    FPR at threshold t is (normal pixels >= t) / n. The first operating
+    point past the limit needs ``past`` normal pixels at or above it,
+    the fewest with past / n > fpr_limit; the largest pooled score that
+    has them is the ``past``-th largest normal score, the ``cut``. The
+    integral reads no operating point after that one. Nothing is past a
+    limit of 1.
+
+    No array holds them all. The kept range is split by value at pivots,
+    every ``_SEGMENT_BLOCK // 2``-th score of each side's kept tail, so
+    equal scores never straddle two blocks and no block holds more than
+    a leaf of thresholds. Block i holds the scores of
+    ``normal[normal_at[i]:normal_at[i + 1]]`` and of the same slice of
+    ``anomalous`` by ``anomalous_at``; its thresholds are their distinct
+    values, merged (``block``). One pass from the top block down counts
+    them: block i's first threshold is ``firsts[i]`` of ``k``. The same
+    pass gives ``entries``: for each kept anomalous score
+    (``anomalous[tail:]``), the thresholds above it. The block last
+    built is kept, so a sweep of one block merges once.
     """
-    n = normal.size
-    past = bisect.bisect_right(range(n + 1), fpr_limit, key=lambda c: c / n)
-    cut = normal[n - past] if past <= n else -np.inf
-    kept = np.concatenate(
-        [
-            normal[np.searchsorted(normal, cut, side="left") :],
-            anomalous[np.searchsorted(anomalous, cut, side="left") :],
-        ]
-    )
-    kept.sort(kind="stable")  # two sorted runs: one merge
-    # drop repeats in place. Writes land at or before the block just read,
-    # and reach the element before the next block only while nothing has
-    # been dropped, writing its own value back, so each block is still
-    # compared with its true predecessor
-    size = 0
-    for lo in range(0, kept.size, _SEGMENT_BLOCK):
-        hi = min(lo + _SEGMENT_BLOCK, kept.size)
-        distinct = kept[lo:hi][_run_starts(kept, lo, hi)]
-        kept[size : size + distinct.size] = distinct
-        size += distinct.size
-    return kept[:size]
+
+    def __init__(self, normal: np.ndarray, anomalous: np.ndarray, fpr_limit: float):
+        n = normal.size
+        past = bisect.bisect_right(range(n + 1), fpr_limit, key=lambda c: c / n)
+        self.cut = normal[n - past] if past <= n else -np.inf
+        self.normal, self.anomalous = normal, anomalous
+        low = int(np.searchsorted(normal, self.cut))
+        self.tail = int(np.searchsorted(anomalous, self.cut))
+        step = _SEGMENT_BLOCK // 2
+        lowest = normal[low]
+        if self.tail < anomalous.size:
+            lowest = min(lowest, anomalous[self.tail])
+        # block i holds the kept scores in [pivots[i], pivots[i + 1]): the
+        # first pivot is the lowest kept score, the last +inf, above every
+        # score of a finite pool
+        pivots = np.concatenate(
+            [[lowest], normal[low + step :: step], anomalous[self.tail + step :: step], [np.inf]]
+        )
+        pivots.sort()
+        pivots = pivots[_run_starts(pivots)]
+        self.normal_at = np.searchsorted(normal, pivots)
+        self.anomalous_at = np.searchsorted(anomalous, pivots)
+        self._built: tuple[int, np.ndarray | None] = (-1, None)
+        self.entries = np.empty(anomalous.size - self.tail, dtype=np.intp)
+        self.firsts = np.zeros(pivots.size, dtype=np.intp)
+        above = 0
+        for i in range(pivots.size - 2, -1, -1):
+            thresholds = self.block(i)
+            a, b = self.anomalous_at[i : i + 2]
+            found = np.searchsorted(thresholds, anomalous[a:b], side="right")
+            a, b = a - self.tail, b - self.tail
+            np.subtract(above + thresholds.size, found, out=self.entries[a:b])
+            above += thresholds.size
+            self.firsts[i + 1] = thresholds.size
+        self.k = above
+        np.cumsum(self.firsts, out=self.firsts)
+
+    def block(self, i: int) -> np.ndarray:
+        """Block i's thresholds, ascending."""
+        if self._built[0] != i:
+            self._built = (-1, None)  # freed before the next is made
+            (n0, n1), (a0, a1) = self.normal_at[i : i + 2], self.anomalous_at[i : i + 2]
+            merged = np.concatenate([self.normal[n0:n1], self.anomalous[a0:a1]])
+            merged.sort(kind="stable")  # two sorted runs: one merge
+            self._built = (i, merged[_run_starts(merged)])
+        return self._built[1]
+
+    def false_positives(self, lo: int, hi: int) -> np.ndarray:
+        """Normal scores at or above each of thresholds lo to hi - 1.
+
+        Each block, from the top down, is searched in its own normal
+        slice: every normal score before the slice is below the block.
+        """
+        out = np.empty(hi - lo, dtype=np.intp)
+        i = int(np.searchsorted(self.firsts, hi - 1, side="right")) - 1
+        while hi > lo:
+            first = self.firsts[i]
+            a = max(lo, first)
+            start, stop = self.normal_at[i : i + 2]
+            found = np.searchsorted(self.normal[start:stop], self.block(i)[a - first : hi - first])
+            np.subtract(self.normal.size - start, found, out=out[a - lo : hi - lo])
+            hi, i = a, i - 1
+        return out
 
 
 def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit: float) -> float:
@@ -440,8 +494,9 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
     descending order; the predicted set at threshold t is {score >= t}.
     The curve starts at the synthetic empty-prediction point (0, 0) and
     is integrated over [0, fpr_limit], normalized by the limit. Only the
-    thresholds the integral reads are swept (``_thresholds_to_limit``).
-    Regions are the pool's, with the saturations of ``region_sets``.
+    thresholds the integral reads are swept, a block at a time
+    (``_ThresholdWalk``). Regions are the pool's, with the saturations
+    of ``region_sets``.
     """
     if not 0.0 < fpr_limit <= 1.0:
         raise MetricError("no-regions", f"fpr_limit {fpr_limit} not in (0, 1]")
@@ -452,27 +507,24 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
     if normal.size == 0:
         raise MetricError("no-normal-pixels", "no normal pixels in the evaluation set")
 
-    ascending = _thresholds_to_limit(normal, anomalous, fpr_limit)
-    k = ascending.size
-    # A pixel is covered from the threshold equal to its score on: index
-    # k - above in descending order, or k if it is below every kept one.
-    # Each region's entries come ascending from its sorted scores
-    # (searched in order, then reversed). Coverage changes only at those
-    # indices, so the overlap is summed, region by region as before, once
-    # per stretch between two of them and then repeated over the stretch.
-    # Every entry below k starts a stretch, so a region's coverage over
-    # the stretches is a running count of its entries at each start.
-    entries = [
-        (k - np.searchsorted(ascending, scores, side="right"))[::-1]
-        for scores in pool.region_scores
-    ]
-    starts = np.sort(np.concatenate([[0], *entries]))
-    starts = starts[_run_starts(starts)]
-    starts = starts[starts < k]
+    walk = _ThresholdWalk(normal, anomalous, fpr_limit)
+    k = walk.k
+    # A pixel is covered from the threshold equal to its score on: in
+    # descending order, the index that counts the thresholds above it
+    # (``entries``), or k if it is below every kept one.
+    # Coverage changes only at those indices, so the overlap is summed,
+    # region by region as before, once per stretch between two of them
+    # and then repeated over the stretch. The regions' pixels are the
+    # anomalous side, so the stretches start at 0 and at each distinct
+    # entry; a region's coverage over them is a running count of its
+    # entries at each start.
+    ascending = walk.entries[::-1]
+    starts = np.concatenate([[0], ascending[_run_starts(ascending) & (ascending > 0)]])
     overlap = np.zeros(starts.size + 1, dtype=np.float64)  # the (0, 0) point first
-    for entered, sat in zip(entries, saturations):
-        below = entered[: np.searchsorted(entered, k, side="left")]
-        covered = np.bincount(np.searchsorted(starts, below), minlength=starts.size)
+    for scores, sat in zip(pool.region_scores, saturations):
+        kept = scores[np.searchsorted(scores, walk.cut) :]
+        entered = walk.entries[np.searchsorted(anomalous, kept) - walk.tail]
+        covered = np.bincount(np.searchsorted(starts, entered), minlength=starts.size)
         share = np.cumsum(covered, out=covered) / sat
         overlap[1:] += np.minimum(share, 1.0, out=share)
     overlap /= len(saturations)
@@ -483,8 +535,7 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
 
     def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         first = max(a, 1)  # point j > 0 is threshold k - j
-        false_pos = np.searchsorted(normal, ascending[k - b + 1 : k - first + 1], side="left")
-        np.subtract(normal.size, false_pos, out=false_pos)
+        false_pos = walk.false_positives(k - b + 1, k - first + 1)
         xs = np.empty(b - a, dtype=np.float64)
         xs[: first - a] = 0.0
         np.divide(false_pos[::-1], normal.size, out=xs[first - a :])
@@ -504,7 +555,7 @@ def _integrate_to_limit(size: int, points, limit: float) -> float:
     never decreases, so the segments that end inside the limit are a
     prefix, and only the segment after it can straddle the limit. The
     points past the limit are counted a block at a time from the end:
-    a region sweep has at most one (``_thresholds_to_limit``), so one
+    a region sweep has at most one (``_ThresholdWalk``), so one
     block does. The prefix's terms (x1 - x0) * (y0 + y1) * 0.5 are
     formed a leaf at a time and added as one ``np.sum`` over them all
     would add them (``_pairwise_sum``). A curve of one block is formed

@@ -526,6 +526,24 @@ def integrate_to_limit_reference(xs, ys, limit) -> float:
     return area / limit
 
 
+def thresholds_to_limit_reference(normal, anomalous, fpr_limit) -> "np.ndarray":
+    """The package's former merged threshold array: the distinct pooled
+    scores, ascending, from the ``past``-th largest normal score up, where
+    ``past`` is the fewest normal pixels with past / n > fpr_limit
+    (every score when none is past the limit). Both sides' tails are
+    concatenated, stable-sorted, and their repeats dropped."""
+    import bisect
+
+    import numpy as np
+
+    n = normal.size
+    past = bisect.bisect_right(range(n + 1), fpr_limit, key=lambda c: c / n)
+    cut = normal[n - past] if past <= n else -np.inf
+    kept = np.concatenate([normal[normal >= cut], anomalous[anomalous >= cut]])
+    kept.sort(kind="stable")
+    return kept[np.concatenate([[True], kept[1:] != kept[:-1]])] if kept.size else kept
+
+
 def read_bank_file(path) -> tuple[int, "np.ndarray", "np.ndarray"]:
     """An IADB bank snapshot's (dim, task tags, float32 rows), read from
     the documented layout: magic ``IADB``, u16 version 1, u32 dim, u64

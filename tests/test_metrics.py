@@ -33,6 +33,7 @@ from oracles import (
     integrate_to_limit_reference,
     label_scipy,
     region_curve_area,
+    thresholds_to_limit_reference,
 )
 
 
@@ -234,6 +235,65 @@ def test_integrate_to_limit_at_block_boundaries(blocks, offset):
             with _leaves(leaf):
                 got = _integrate(xs, ys, limit)
             assert got == integrate_to_limit_reference(xs, ys, limit)
+
+
+# --- the region sweep's threshold walk ----------------------------------------------
+
+
+@st.composite
+def _walk_inputs(draw):
+    """Two sorted sides on few levels, so ties within and across them are
+    common (one level: every score equal), an anomalous side that may be
+    empty, a limit (1 among them: nothing is cut) and a leaf of 2 to 9,
+    so the walk's blocks of half a leaf per side split small inputs
+    many times."""
+    levels = draw(st.sampled_from([1, 2, 3, 5, 40, 1000]))
+    sides = [
+        np.sort(np.array(draw(st.lists(st.integers(0, levels - 1), min_size=low, max_size=120))))
+        / 7.0
+        for low in (1, 0)
+    ]
+    limit = draw(st.sampled_from([1.0, 0.3, 0.05]) | st.floats(0.001, 1.0))
+    return sides[0], sides[1], limit, draw(st.integers(2, 9))
+
+
+# one value repeated across a pivot, on both sides, and the cut on a run of
+# repeats: the 0.3 cut is the 4th largest of 10 normal scores, one of five 2s
+_REPEATS = (np.array([0, 1, 2, 2, 2, 2, 2, 3, 3, 4.0]), np.array([2, 2, 2, 3, 5.0]), 0.3, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_inputs(), st.data())
+@example(_REPEATS, None)
+@example((np.full(9, 0.5), np.full(4, 0.5), 0.3, 2), None)  # all scores equal
+@example((np.arange(9.0), np.zeros(0), 1.0, 2), None)  # no anomalous side, nothing cut
+def test_threshold_walk_equals_merged_thresholds(inputs, data):
+    """The walk's blocks are the former merged array cut in pieces: the
+    same ``k`` and thresholds, each block nonempty and at most a leaf
+    long, and for any run of thresholds, read in any order, the same
+    false-positive counts. Each kept anomalous score (a region score) has
+    as many thresholds above it as in the merged array."""
+    normal, anomalous, limit, leaf = inputs
+    thresholds = thresholds_to_limit_reference(normal, anomalous, limit)
+    with _leaves(leaf):
+        walk = metrics._ThresholdWalk(normal, anomalous, limit)
+        blocks = [walk.block(i) for i in range(walk.firsts.size - 1)]
+        k = thresholds.size
+        assert walk.k == k
+        assert np.concatenate(blocks).tobytes() == thresholds.tobytes()
+        assert walk.firsts.tolist() == np.cumsum([0] + [b.size for b in blocks]).tolist()
+        assert all(0 < b.size <= 2 * (leaf // 2) for b in blocks)
+        false_pos = normal.size - np.searchsorted(normal, thresholds, side="left")
+        assert walk.false_positives(0, k).tolist() == false_pos.tolist()
+        if data is not None:
+            for _ in range(3):
+                lo = data.draw(st.integers(0, k))
+                hi = data.draw(st.integers(lo, k))
+                assert walk.false_positives(lo, hi).tolist() == false_pos[lo:hi].tolist()
+    kept = anomalous[anomalous >= thresholds[0]]
+    assert walk.anomalous[walk.tail :].tobytes() == kept.tobytes()
+    above = k - np.searchsorted(thresholds, kept, side="right")
+    assert walk.entries.tolist() == above.tolist()
 
 
 # --- numpy's summation tree ------------------------------------------------------

@@ -255,11 +255,11 @@ def test_cell_pixel_metrics_peak_memory(pro_limit, spro_limit, bytes_per_pixel):
 
     The maps are made inside the trace and fed to the pool one at a time,
     as a cell renders them, so they count. The pool is 8 bytes a pixel;
-    the rest is the metrics' own transients over it, mostly the region
-    sweep's kept thresholds. The pass peaks at 11.3 and 17.2 bytes a
-    pixel; with a zero-padded AP array and whole-curve xs and ys it
-    peaked at 16.7 and 32.9, and holding the maps and pooling them at
-    once at 32.4 and 56.2.
+    the rest is the pass's own transients. The pass peaks at 9.7 bytes a
+    pixel at both limit pairs, while the pool is filled; with the region
+    sweeps' kept thresholds in one array it peaked at 11.3 and 17.2, with
+    a zero-padded AP array and whole-curve xs and ys too at 16.7 and
+    32.9, and holding the maps and pooling them at once at 32.4 and 56.2.
     """
     rng = np.random.default_rng(0)
     masks = []
@@ -302,21 +302,26 @@ def _large_pool():
 
 @pytest.mark.parametrize(
     "metric, share",
-    [("pixel_ap", 0.15), ("aupro", 0.45)],
+    [("pixel_ap", 0.15), ("aupro_0.05", 0.15), ("aupro_0.3", 0.2), ("aupro_1", 0.25)],
 )
 def test_pixel_metric_peak_memory(metric, share):
     """Traced peak of one metric over a pool it is given, as a share of
     the pool's normal side. Average precision holds its per-positive
-    arrays and one leaf; AUPRO at limit 0.3 holds its thresholds (about
-    0.3 of the normal pixels) and one leaf. A zero-padded array of every
-    distinct score's term, or whole-curve xs and ys, would cost more than
-    the normal side itself. What the metric leaves held once it returns,
-    with the cycle collector off, is near nothing: no temporary waits
-    for it (a self-referencing closure would keep the thresholds)."""
+    arrays and one leaf; AUPRO, at any limit, a few arrays per anomalous
+    pixel, one block of thresholds and one leaf. It read 0.150, 0.401 and
+    1.139 at limits 0.05, 0.3 and 1 while it held every kept threshold
+    in one array (about 0.05, 0.3 and 1 of the normal pixels). A
+    zero-padded array of every distinct score's term, or whole-curve xs
+    and ys, would cost more than the normal side itself. What the metric
+    leaves held once it returns, with the cycle collector off, is near
+    nothing: no temporary waits for it (a self-referencing closure would
+    keep the thresholds)."""
     pool = _large_pool()
     run = {
         "pixel_ap": lambda: average_precision(pool.ranked()),
-        "aupro": lambda: aupro(pool, 0.3),
+        "aupro_0.05": lambda: aupro(pool, 0.05),
+        "aupro_0.3": lambda: aupro(pool, 0.3),
+        "aupro_1": lambda: aupro(pool, 1.0),
     }[metric]
     gc.disable()
     tracemalloc.start()
