@@ -8,8 +8,11 @@ patch distance, softened by softmax importance re-weighting over the b
 bank vectors nearest to the winning patch. Distances are always
 accumulated in double precision.
 
-A bank row is an 8-bit code row from training to snapshot. Only
-``features.intensities`` turns codes into floats. ``MemoryBank`` is
+A bank row is an 8-bit code row from training to snapshot, and so is a
+test image's patch row (``features.PatchFeatureGrid``). Only
+``features.intensities`` turns codes into floats, where the detector
+reads rows: ``MemoryBank.rows`` and ``PatchFeatureGrid.rows``. So both
+sides of every search are finite rows in [0, 1]. ``MemoryBank`` is
 the one bank type: a code row and a task tag per row, with float32 rows
 through ``rows``. ``build_bank`` is the one way from training images to
 a bank. ``MemoryBank.take`` keeps the rows a coreset picks, and
@@ -86,9 +89,6 @@ _RERANK_ELEMENTS = 1 << 18
 # Rows converted to float64 at once hold at most this many elements, so
 # a bank is projected or copied without an n x dim float64 temporary.
 _BLOCK_ELEMENTS = 1 << 14
-# A screen whose ||x||^2 + max ||y||^2 reaches this keeps every row:
-# near the float64 overflow threshold its bound does not hold.
-_SCREEN_LIMIT = 2.0**1000
 # Builds of OpenBLAS name their thread-count calls differently; each
 # library is driven by the first (get, set) pair it exports.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -304,6 +304,11 @@ def _screen_tolerance(dim: int, n_max):
     ``_farthest_first`` recomputes every row of its norm shell whose
     screen minus tau does not exceed its current distance.
 
+    Domain. Both searches, and this bound and ``_shell_slack``'s, take
+    finite rows whose squared norms lie far below 2**1000, so every
+    product, partial sum and distance below is finite. Code intensities
+    in [0, 1] and their Gaussian projections are such rows.
+
     For float64 vectors x, y of length d with N = ||x||^2 + ||y||^2 at
     most ``n_max``, let D = ||x - y||^2 in exact arithmetic, s the screen
     computed from the three dot products in any summation order (BLAS,
@@ -333,20 +338,11 @@ def _screen_tolerance(dim: int, n_max):
     tau and of two more additions of values of size at most about
     2 n_max (a screen plus or minus tau, possibly with ||y||^2 folded
     into tau first), which come to a few u n_max + 2**-1074. The
-    absolute term makes the bound hold for any float64 inputs, however
-    small, without a floor on their magnitude; projected coreset points
-    need none.
-
-    Overflow. Below n_max = 2**1000 every |x_i| and |y_i| is under
-    2**500 and every partial sum of s and r stays below about 2 N, so
-    both are finite. At or above it, or for a NaN or inf n_max, tau is
-    inf: callers then keep every row, which equals the reference
-    exactly. ``n_max`` may be a scalar or an array; tau has its shape.
+    absolute term makes the bound hold for inputs however small, without
+    a floor on their magnitude; projected coreset points need none.
+    ``n_max`` may be a scalar or an array; tau has its shape.
     """
-    n_max = np.asarray(n_max, dtype=np.float64)
-    return np.where(
-        n_max < _SCREEN_LIMIT, 16.0 * (dim + 2) * (2.0**-53 * n_max + 2.0**-1074), np.inf
-    )
+    return 16.0 * (dim + 2) * (2.0**-53 * n_max + 2.0**-1074)
 
 
 def _shell_slack(dim: int, sq_max: float) -> float:
@@ -388,13 +384,7 @@ def _shell_slack(dim: int, sq_max: float) -> float:
     sqrt(d) 2**-537.5, so the excess of 8d + 16 over 4d + 15, and of
     8 (d + 2) over 3.9 sqrt(d), covers gamma_k against k*u, A against
     sqrt(sq_max), the second-order terms and the rounding of sigma.
-
-    Overflow. Below sq_max = 2**1000 every distance and partial sum is
-    finite. At or above it, or for a NaN or inf sq_max, sigma is inf
-    and callers screen every row.
     """
-    if not sq_max < _SCREEN_LIMIT:
-        return np.inf
     return 8.0 * (dim + 2) * (2.0**-53 * math.sqrt(sq_max) + 2.0**-537)
 
 
@@ -463,7 +453,7 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     and the slack sigma of ``_shell_slack``, the rows with
     |rho_j - rho_q| <= sqrt(M) + sigma are one contiguous slice of the
     sorted rows, found with two searchsorted calls; the rest are
-    skipped. When sigma is inf the slice is every row.
+    skipped. At the seed's pass M is inf and the slice is every row.
 
     Screen. In the slice one mat-vec gives
     s_j = ||p_j||^2 + ||q||^2 - 2 p_j.q. ``_screen_tolerance`` gives
@@ -471,11 +461,10 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     |s_j - r_j| <= E for the reference r_j and tau - E larger than the
     rounding of s_j - tau. So a computed s_j - tau above min_d2[j] means
     r_j > min_d2[j], and np.minimum would leave row j unchanged. Only
-    the other rows (NaN screens included, and all rows when tau is inf)
-    are recomputed with the reference and take np.minimum. Screen values
-    never reach min_d2. Per pick this allocates a few vectors of the
-    slice's length and, a row block at a time, the recomputed rows;
-    never an n x d array.
+    the other rows are recomputed with the reference and take
+    np.minimum. Screen values never reach min_d2. Per pick this
+    allocates a few vectors of the slice's length and, a row block at a
+    time, the recomputed rows; never an n x d array.
     """
     n, dim = points.shape
     step = _block_rows(dim)
@@ -502,28 +491,26 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     rho = np.sqrt(sq)
-    sq_max = float(sq[-1])  # the largest; argsort puts NaN last
-    tau = float(_screen_tolerance(dim, 2.0 * sq_max))
+    sq_max = float(sq[-1])  # the largest
+    tau = _screen_tolerance(dim, 2.0 * sq_max)
     sigma = _shell_slack(dim, sq_max)
     # +inf until the seed's pass writes every row's reference distance
     min_d2 = np.full(n, np.inf)
     ranked_d2 = np.full(n, np.inf)  # min_d2 in ranked order
     selected = []
-    lo, hi = 0, n
     for _ in range(l):
         idx = int(np.argmax(min_d2))
         selected.append(idx)
         pos = rank[idx]
         q = ranked[pos]
-        if sigma < np.inf:
-            w = math.sqrt(min_d2[idx]) + sigma
-            lo = rho.searchsorted(rho[pos] - w, "left")
-            hi = rho.searchsorted(rho[pos] + w, "right")
+        w = math.sqrt(min_d2[idx]) + sigma
+        lo = rho.searchsorted(rho[pos] - w, "left")
+        hi = rho.searchsorted(rho[pos] + w, "right")
         # one BLAS gemv; a run keeps it on this thread (single_thread_blas)
         screen = ranked[lo:hi] @ (-2.0 * q)
         screen += sq[lo:hi]
         screen += sq[pos] - tau
-        kept = ~(screen > ranked_d2[lo:hi])
+        kept = screen <= ranked_d2[lo:hi]
         del screen  # each temporary is freed before the next one is made
         rows = np.flatnonzero(kept)
         del kept
@@ -624,12 +611,9 @@ def _nearest_distances(
     expression in blocks of pairs, and each row takes the first minimum
     over its own candidates, in bank order, as argmin over the row
     would: any candidate before j* has d_j > d_j*, so the result is j*.
-    A row's first NaN wins, as argmin's does. Every row keeps at least
-    its screen minimum (tau >= 0, and a NaN bound keeps every index).
-    Screen values never reach an output, so BLAS threads or summation
-    order cannot change a result. Rows whose tau is inf keep every
-    index and equal the reference exactly; this includes every row
-    whose screen is not finite.
+    Every row keeps at least its screen minimum (tau >= 0). Screen
+    values never reach an output, so BLAS threads or summation order
+    cannot change a result.
     """
     bank_v = index.vectors[start:]
     bank_sq = index.sq[start:]
@@ -647,8 +631,7 @@ def _nearest_distances(
         screen += bank_sq
         screen += test_sq[:, None]
         bound = screen.min(axis=1) + _screen_tolerance(dim, test_sq + bank_sq_max)
-        # ~(s > bound) also keeps NaN screens and every index of a NaN row
-        candidates = np.flatnonzero(~(screen > bound[:, None]))
+        candidates = np.flatnonzero(screen <= bound[:, None])
         del screen
         # row-major: each row's candidates are one run, in bank order
         t_rows, b_rows = np.divmod(candidates, bank_v.shape[0])
@@ -658,11 +641,9 @@ def _nearest_distances(
             pick = slice(lo, lo + pairs_per_block)
             d2[pick] = ((chunk[t_rows[pick]] - bank_v[b_rows[pick]]) ** 2).sum(axis=1)
         row_starts = np.searchsorted(t_rows, np.arange(chunk.shape[0]))
-        row_min = np.minimum.reduceat(d2, row_starts)  # NaN if the row has one
-        # each row's first candidate at its minimum, or its first NaN
-        at_min = d2 == row_min[t_rows]
-        at_min |= np.isnan(d2)
-        hits = np.flatnonzero(at_min)
+        row_min = np.minimum.reduceat(d2, row_starts)
+        # each row's first candidate at its minimum
+        hits = np.flatnonzero(d2 == row_min[t_rows])
         first_hits = hits[np.searchsorted(hits, row_starts)]
         nn_idx[first : first + chunk.shape[0]] = b_rows[first_hits]
         nn_d2[first : first + chunk.shape[0]] = d2[first_hits]
@@ -680,13 +661,12 @@ def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None
     its reference d^2 is strictly smaller, and a tie keeps the older,
     lower index, as the full search's argmin does. The comparison is on
     d^2, never on its square root, which can round two distances to a
-    tie. A test vector's d^2 is NaN for every row of a finite bank or
-    for none, so NaN keeps the known index, as argmin would.
+    tie.
     """
     start = 0 if known is None else known.rows
     d2, idx = _nearest_distances(index, vectors, start)
     if known is not None:
-        older = ~(d2 < known.d2)
+        older = d2 >= known.d2
         d2[older] = known.d2[older]
         idx[older] = known.index[older]
     return Nearest(index.count, d2, idx)
@@ -711,7 +691,7 @@ def score_patches(
         raise DetectorError("empty-bank", "bank has no vectors")
     if grid.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
-    nearest = search(index, grid.vectors, known)
+    nearest = search(index, grid.rows(slice(None)), known)
     distances = np.sqrt(nearest.d2)
     patch_index = int(np.argmax(distances))
     return nearest, float(distances[patch_index]), patch_index, int(nearest.index[patch_index])
@@ -761,7 +741,7 @@ def score_image(
     ``score_patches``; re-weighting always reads the whole bank.
     """
     nearest, s_star, patch_index, neighbor_index = score_patches(bank, grid, index, known)
-    s = reweight(index, grid.vectors[patch_index], s_star, neighbor_index, b)
+    s = reweight(index, grid.rows(patch_index), s_star, neighbor_index, b)
     patch_map = np.sqrt(nearest.d2).reshape(grid.grid_h, grid.grid_w)
     return ScoreResult(s_star, neighbor_index, s, nearest), patch_map
 

@@ -3,14 +3,16 @@
 The reference descriptor is the raw patch: a sliding window of
 patch_size x patch_size pixels flattened row-major, giving a grid of
 (grid_h x grid_w) vectors of dimension patch_size^2. Images arrive as
-8-bit codes; each code k becomes the float32 quotient k/255
-(``intensities``), the value a float64 image cast to float32 would
-give. ``intensities`` is the one rule that turns codes into floats.
+8-bit codes, and a patch stays one: a grid row is the window's codes.
+Each code k reads as the float32 quotient k/255 (``intensities``), the
+value a float64 image cast to float32 would give. ``intensities`` is
+the one rule that turns codes into floats, and the detector applies it
+only where it reads rows (``PatchFeatureGrid.rows``,
+``MemoryBank.rows``).
 
-``windows`` is the one window rule. ``extract_features`` applies it to
-an image's intensities. ``detector.build_bank`` applies it to the codes
-of training images, so a bank row's intensities equal the feature
-vector of the same window byte for byte.
+``windows`` is the one window rule. ``extract_features`` and
+``detector.build_bank`` both apply it to an image's codes, so a bank
+row and a grid row of the same window are the same bytes.
 """
 
 from __future__ import annotations
@@ -56,18 +58,22 @@ class PatchFeatureGrid:
     grid_h: int
     grid_w: int
     dim: int
-    vectors: np.ndarray  # (grid_h * grid_w, dim) float32, row-major patches
+    vectors: np.ndarray  # (grid_h * grid_w, dim) uint8 codes, row-major patches
 
     def __post_init__(self):
+        if not isinstance(self.vectors, np.ndarray) or self.vectors.dtype != np.uint8:
+            raise DetectorError("dim-mismatch", "grid rows must be uint8 codes")
         if self.grid_h < 1 or self.grid_w < 1 or self.dim < 1:
             raise DetectorError("bad-dims", "grid dims and dim must be >= 1")
-        arr = np.ascontiguousarray(self.vectors, dtype=np.float32)
-        if arr.shape != (self.grid_h * self.grid_w, self.dim):
+        if self.vectors.shape != (self.grid_h * self.grid_w, self.dim):
             raise DetectorError(
                 "bad-dims",
-                f"vectors shape {arr.shape} != ({self.grid_h * self.grid_w}, {self.dim})",
+                f"vectors shape {self.vectors.shape} != ({self.grid_h * self.grid_w}, {self.dim})",
             )
-        self.vectors = arr
+
+    def rows(self, index) -> np.ndarray:
+        """The float32 descriptors of the patches at ``index`` (a slice or an index)."""
+        return intensities(self.vectors[index])
 
 
 def intensities(codes: np.ndarray) -> np.ndarray:
@@ -88,7 +94,7 @@ def windows(pixels: np.ndarray, cfg: FeatureProviderConfig) -> np.ndarray:
 
 
 def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatureGrid:
-    """Slide the patch window over the image and flatten each window."""
+    """Slide the patch window over the image's codes and flatten each window."""
     grid_h, grid_w = cfg.grid_shape(image)
-    vectors = windows(intensities(image.codes), cfg)
+    vectors = windows(image.codes, cfg)
     return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)

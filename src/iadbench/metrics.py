@@ -544,36 +544,23 @@ def _overlap_curve_area(pool: PixelPool, region_sets: list[RegionSet], fpr_limit
         held = np.diff(np.clip(ends[lo : hi + 1], a, b), prepend=a)
         return xs, np.repeat(overlap[lo : hi + 1], held)
 
-    return _integrate_to_limit(k + 1, points, fpr_limit)
+    # every point but the cut's is inside the limit; the cut's is the last
+    inside = k if walk.cut > -np.inf else k + 1
+    return _integrate_to_limit(inside, k + 1, points, fpr_limit)
 
 
-def _integrate_to_limit(size: int, points, limit: float) -> float:
+def _integrate_to_limit(inside: int, size: int, points, limit: float) -> float:
     """Trapezoidal area under a piecewise-linear curve, clipped to [0, limit].
 
-    The curve has ``size`` points, and ``points(a, b)`` gives the xs and
-    ys of points a to b - 1, so no caller holds the whole curve. ``xs``
-    never decreases, so the segments that end inside the limit are a
-    prefix, and only the segment after it can straddle the limit. The
-    points past the limit are counted a block at a time from the end:
-    a region sweep has at most one (``_ThresholdWalk``), so one
-    block does. The prefix's terms (x1 - x0) * (y0 + y1) * 0.5 are
-    formed a leaf at a time and added as one ``np.sum`` over them all
-    would add them (``_pairwise_sum``). A curve of one block is formed
-    once and sliced.
+    The curve has ``size`` points from (0, y0), and ``points(a, b)``
+    gives the xs and ys of points a to b - 1, so no caller holds the
+    whole curve. ``xs`` never decreases, so the points inside the limit
+    (x <= limit) are a prefix, of ``inside`` points, and only the segment
+    after it can straddle the limit. The prefix's terms
+    (x1 - x0) * (y0 + y1) * 0.5 are formed a leaf at a time and added as
+    one ``np.sum`` over them all would add them (``_pairwise_sum``).
     """
-    if size <= _SEGMENT_BLOCK:
-        curve_xs, curve_ys = points(0, size)
-
-        def points(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-            return curve_xs[a:b], curve_ys[a:b]
-
-    n = 0
-    for b in range(size, 1, -_SEGMENT_BLOCK):
-        a = max(b - _SEGMENT_BLOCK, 1)
-        inside = int(np.count_nonzero(points(a, b)[0] <= limit))
-        if inside:
-            n = a - 1 + inside  # every point before a is inside too
-            break
+    n = inside - 1  # the segments inside the limit
 
     def terms(a: int, b: int) -> np.ndarray:
         xs, ys = points(a, b + 1)

@@ -579,7 +579,9 @@ def _category_region_sets(
     dataset: Dataset, category: str, test: list[Sample], pool: PixelPool
 ) -> list[RegionSet]:
     """sPRO's regions: the pool's, saturating at their defect type's table entry."""
-    table = dataset.saturation_table.get(category, {})
+    table = dataset.saturation_table.get(category)
+    if not table:
+        raise MetricError("no-saturation-table", f"category {category!r} has no saturation table")
     return [rset.saturated(table.get(s.defect_type)) for s, rset in zip(test, pool.regions)]
 
 
@@ -621,20 +623,12 @@ def _cell_metrics(
     attempt("pixel_auroc", lambda: auroc(pool.ranked()))
     attempt("pixel_ap", lambda: average_precision(pool.ranked()))
     attempt("aupro", lambda: aupro(pool, config.pro_limit))
-    if "mean_spro" in config.metric_names:
-        if dataset.saturation_table.get(category):
-            attempt(
-                "mean_spro",
-                lambda: mean_spro(
-                    None,
-                    _category_region_sets(dataset, category, test, pool),
-                    config.spro_limit,
-                    pool=pool,
-                ),
-            )
-        else:
-            values["mean_spro"] = None
-            reasons["mean_spro"] = "no-saturation-table"
+    attempt(
+        "mean_spro",
+        lambda: mean_spro(
+            None, _category_region_sets(dataset, category, test, pool), config.spro_limit, pool=pool
+        ),
+    )
     attempt("fm", forgetting)
     return values, reasons
 
@@ -733,11 +727,11 @@ def _run_continual_job(
     k slices once: k^2 slice searches, where rescoring every seen task
     against the whole bank takes sum(l^2). Image scores, the task matrix
     and the final cells are bit-identical to that rescoring. Test
-    features are re-extracted each step, since caching them would grow
-    with k x test set x patches x dim; re-weighting ranks the whole
-    bank; maps are rendered at step k only, each pooled into its task's
-    cell as it is rendered, and the cells' latencies time that final
-    pass per image.
+    features are re-extracted each step, not cached: a cache grows with
+    k x test set x patches x dim, though at only 1 byte per element, as
+    a grid holds codes. Re-weighting ranks the whole bank; maps are
+    rendered at step k only, each pooled into its task's cell as it is
+    rendered, and the cells' latencies time that final pass per image.
     """
     k = len(tasks)
     empty = MemoryBank.empty(config.feature.dim)

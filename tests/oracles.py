@@ -579,8 +579,9 @@ def read_bank_file(path) -> tuple[int, "np.ndarray", "np.ndarray"]:
 
 
 def bank_from_grids(grids) -> "np.ndarray":
-    """The float32 bank of feature grids: every grid's vectors, in (grid,
-    row-major) order, concatenated."""
+    """The float32 bank of feature grids: every grid's code rows, in (grid,
+    row-major) order, concatenated, each code k read as float32(k / 255),
+    the float64 intensity of an image pixel rounded to float32."""
     import numpy as np
 
-    return np.concatenate([g.vectors for g in grids], axis=0)
+    return (np.concatenate([g.vectors for g in grids], axis=0) / 255.0).astype(np.float32)

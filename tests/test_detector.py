@@ -71,8 +71,9 @@ def _index(bank: MemoryBank) -> SearchIndex:
     return SearchIndex.of(bank.rows(slice(None)))
 
 
-def _grid(rows) -> PatchFeatureGrid:
-    arr = np.asarray(rows, dtype=np.float32)
+def _grid(codes) -> PatchFeatureGrid:
+    """A one-column patch grid of these code rows."""
+    arr = np.asarray(codes, dtype=np.uint8)
     return PatchFeatureGrid(arr.shape[0], 1, arr.shape[1], arr)
 
 
@@ -577,22 +578,24 @@ def test_runtime_imports_neither_scipy_nor_lose_the_blas_pin():
 
 def test_score_patches_hand_example():
     bank = _bank([[0, 0]])
-    grid = _grid([[0.0, 0.0], [5.0, 0.0]])
+    grid = _grid([[0, 0], [255, 0]])  # code 255 is 1.0
     nearest, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
-    assert (nearest.rows, nearest.d2.tolist(), nearest.index.tolist()) == (1, [0.0, 25.0], [0, 0])
-    assert (s_star, patch_index, neighbor) == (5.0, 1, 0)
+    assert (nearest.rows, nearest.d2.tolist(), nearest.index.tolist()) == (1, [0.0, 1.0], [0, 0])
+    assert (s_star, patch_index, neighbor) == (1.0, 1, 0)
 
 
 def test_score_patches_nearest_choice():
     bank = _bank([[0, 0], [255, 0]])  # code 255 is 1.0
-    grid = _grid([[0.0, 1.0]])
+    grid = _grid([[0, 255]])
     _, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
     assert s_star == pytest.approx(1.0)
     assert neighbor == 0  # 1 < sqrt(2)
 
 
 def _search_case(kind, dim, bank_size, test_count, seed):
-    """Bank (float32) and test vectors (float64) built to stress the screen."""
+    """Bank (float32) and test vectors (float64) built to stress the screen:
+    finite rows whose squared norms lie far below 2**1000, the searches'
+    domain."""
     rng = np.random.default_rng(seed)
     if kind == "random":
         bank = rng.random((bank_size, dim))
@@ -613,20 +616,12 @@ def _search_case(kind, dim, bank_size, test_count, seed):
         # several u * ||t||^2, larger than many of the distance gaps
         bank = 1e3 + rng.random((bank_size, dim)) * 1e-3
         tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-3, (test_count, dim))
-    elif kind == "nan":
-        # a NaN test row is NaN against every bank row: argmin's first NaN, index 0
-        bank = rng.random((bank_size, dim))
-        tests = rng.random((test_count, dim))
-        tests[rng.random(test_count) < 0.3, rng.integers(0, dim)] = np.nan
-    else:  # "overflow": every reference distance is inf
-        bank = rng.random((bank_size, dim))
-        tests = 1e160 + rng.random((test_count, dim))
     return bank.astype(np.float32), tests
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "overflow", "nan"]),
+    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset"]),
     dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
     bank_size=st.integers(1, 24),
     test_count=st.sampled_from([1, 255, 256, 257, 513]),
@@ -637,21 +632,17 @@ def _search_case(kind, dim, bank_size, test_count, seed):
 @example(kind="equidistant", dim=3, bank_size=20, test_count=256, seed=2)
 @example(kind="offset", dim=9, bank_size=5, test_count=257, seed=3)
 @example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
-@example(kind="nan", dim=9, bank_size=12, test_count=257, seed=5)
 def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
     bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2, indices = _nearest_distances(SearchIndex.of(bank_v), tests)
-        want_d, want_i = nearest_bruteforce(bank_v, tests)
+    d2, indices = _nearest_distances(SearchIndex.of(bank_v), tests)
+    want_d, want_i = nearest_bruteforce(bank_v, tests)
     assert indices.tolist() == want_i
     assert np.sqrt(d2).tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(
-        ["random", "duplicates", "equidistant", "offset", "overflow", "nan", "cross-slice-tie"]
-    ),
+    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "cross-slice-tie"]),
     dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
     slice_sizes=st.lists(st.integers(1, 10), min_size=2, max_size=5),
     test_count=st.sampled_from([1, 255, 257]),
@@ -660,7 +651,6 @@ def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_c
 @example(kind="cross-slice-tie", dim=3, slice_sizes=[4, 4, 4], test_count=257, seed=0)
 @example(kind="cross-slice-tie", dim=1, slice_sizes=[1, 1, 1, 1, 1], test_count=255, seed=1)
 @example(kind="offset", dim=64, slice_sizes=[6, 10, 8], test_count=257, seed=2)
-@example(kind="overflow", dim=9, slice_sizes=[3, 5], test_count=255, seed=3)
 def test_search_of_appended_slices_matches_whole_bank_bitwise(
     kind, dim, slice_sizes, test_count, seed
 ):
@@ -673,13 +663,12 @@ def test_search_of_appended_slices_matches_whole_bank_bitwise(
         bank_v = np.concatenate([first, first[repeats]])
     else:
         bank_v, tests = _search_case(kind, dim, int(bounds[-1]), test_count, seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        index = SearchIndex.of(bank_v[: bounds[0]])
-        nearest = search(index, tests)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            index = index.extended(bank_v[lo:hi])
-            nearest = search(index, tests, nearest)
-        want_d2, want_i = _nearest_distances(SearchIndex.of(bank_v), tests)
+    index = SearchIndex.of(bank_v[: bounds[0]])
+    nearest = search(index, tests)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        index = index.extended(bank_v[lo:hi])
+        nearest = search(index, tests, nearest)
+    want_d2, want_i = _nearest_distances(SearchIndex.of(bank_v), tests)
     assert index.vectors.tobytes() == bank_v.astype(np.float64).tobytes()
     assert nearest.rows == bank_v.shape[0]
     assert nearest.index.tolist() == want_i.tolist()
@@ -706,10 +695,10 @@ def test_score_patches_errors():
     bank = _bank([[0, 0]])
     empty = MemoryBank.empty(2)
     with pytest.raises(DetectorError) as exc:
-        score_patches(empty, _grid([[0.0, 0.0]]), _index(empty))
+        score_patches(empty, _grid([[0, 0]]), _index(empty))
     assert exc.value.code == "empty-bank"
     with pytest.raises(DetectorError) as exc:
-        score_patches(bank, _grid([[0.0, 0.0, 0.0]]), _index(bank))
+        score_patches(bank, _grid([[0, 0, 0]]), _index(bank))
     assert exc.value.code == "dim-mismatch"
 
 
@@ -791,7 +780,7 @@ def test_reweight_b_out_of_range():
 
 def test_score_image_replay_zero():
     codes = np.arange(8, dtype=np.uint8).reshape(4, 2)
-    grid = PatchFeatureGrid(2, 2, 2, intensities(codes))
+    grid = PatchFeatureGrid(2, 2, 2, codes)
     bank = _bank(codes)
     result, patch_map = score_image(bank, grid, 2, _index(bank))
     assert result.s_star == 0.0
@@ -801,25 +790,25 @@ def test_score_image_replay_zero():
 
 def test_score_image_max_aggregation():
     bank = _bank([[0, 0]])
-    grid = PatchFeatureGrid(2, 1, 2, np.array([[0.1, 0.0], [0.7, 0.0]], np.float32))
+    grid = PatchFeatureGrid(2, 1, 2, np.array([[51, 0], [204, 0]], np.uint8))  # 0.2 and 0.8
     result, patch_map = score_image(bank, grid, 1, _index(bank))
-    assert result.s == pytest.approx(0.7, abs=1e-6)
+    assert result.s == pytest.approx(0.8, abs=1e-6)
     assert patch_map.shape == (2, 1)
 
 
 def test_score_image_single_patch():
     bank = _bank([[0], [2]])
-    grid = PatchFeatureGrid(1, 1, 1, intensities(np.array([[1]], np.uint8)))
+    grid = PatchFeatureGrid(1, 1, 1, np.array([[1]], np.uint8))
     result, _ = score_image(bank, grid, 2, _index(bank))
     assert result.s == pytest.approx(
-        reweight(_index(bank), grid.vectors[0], result.s_star, result.neighbor_index, 2)
+        reweight(_index(bank), grid.rows(0), result.s_star, result.neighbor_index, 2)
     )
 
 
 def test_permutation_invariance_of_scores():
     rng = np.random.default_rng(14)
     codes = rng.integers(0, 256, (10, 3), dtype=np.uint8)
-    grid = PatchFeatureGrid(2, 2, 3, rng.random((4, 3)).astype(np.float32))
+    grid = PatchFeatureGrid(2, 2, 3, rng.integers(0, 256, (4, 3), dtype=np.uint8))
     bank = _bank(codes)
     result, _ = score_image(bank, grid, 3, _index(bank))
     order = rng.permutation(10)
@@ -833,7 +822,7 @@ def test_monotone_coreset_degradation():
     rng = np.random.default_rng(15)
     codes = rng.integers(0, 256, (30, 4), dtype=np.uint8)
     bank = _bank(codes)
-    grid = PatchFeatureGrid(1, 3, 4, rng.random((3, 4)).astype(np.float32))
+    grid = PatchFeatureGrid(1, 3, 4, rng.integers(0, 256, (3, 4), dtype=np.uint8))
     _, full_s_star, _, _ = score_patches(bank, grid, _index(bank))
     for l in (1, 5, 10, 20, 30):
         picked = coreset_select(_bank(codes), CoresetParams(l=l))
@@ -987,7 +976,7 @@ def test_extend_budgets_and_tags():
 def test_extend_union_search():
     bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)), 1)
     bank = extend_bank_for_task(bank, _selected([[250]], CoresetParams(l=1)), 2)
-    _, _, _, neighbor = score_patches(bank, _grid([[0.4]]), _index(bank))
+    _, _, _, neighbor = score_patches(bank, _grid([[102]]), _index(bank))  # 0.4
     assert bank.task_tags[neighbor] == 1  # task-1 memory still reachable
 
 
@@ -1014,7 +1003,7 @@ def test_extend_never_increases_earlier_distances():
     rng = np.random.default_rng(17)
     codes1 = rng.integers(0, 256, (16, 3))
     codes2 = rng.integers(0, 256, (16, 3))
-    probe = PatchFeatureGrid(3, 3, 3, rng.random((9, 3)).astype(np.float32))
+    probe = PatchFeatureGrid(3, 3, 3, rng.integers(0, 256, (9, 3), dtype=np.uint8))
     bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=8)), 1)
     bank2 = extend_bank_for_task(bank1, _selected(codes2, CoresetParams(l=8)), 2)
     before, _, _, _ = score_patches(bank1, probe, _index(bank1))

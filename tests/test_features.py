@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iadbench.data import ImageGrid
 from iadbench.detector import build_bank
 from iadbench.errors import ConfigError, DetectorError
-from iadbench.features import FeatureProviderConfig, extract_features
+from iadbench.features import FeatureProviderConfig, PatchFeatureGrid, extract_features, intensities
 from oracles import patch_vectors_reference
 
 
@@ -49,9 +49,7 @@ def test_shape_law_matches_window_enumeration():
         count_w = sum(1 for x in range(w) if x % s == 0 and x + p <= w)
         assert grid.grid_h == count_h and grid.grid_w == count_w
         # first window content check
-        assert np.allclose(
-            grid.vectors[0], image.values[:p, :p].ravel().astype(np.float32)
-        )
+        assert np.allclose(grid.rows(0), image.values[:p, :p].ravel().astype(np.float32))
 
 
 @st.composite
@@ -67,19 +65,22 @@ def test_every_code_gives_its_float32_intensity():
     """Code k becomes float32(float64(k / 255)), for all 256 codes."""
     image = ImageGrid(np.arange(256, dtype=np.uint8).reshape(16, 16))
     grid = extract_features(image, FeatureProviderConfig(1, 1, "raw-patch"))
-    assert grid.vectors.tobytes() == (np.arange(256) / 255.0).astype(np.float32).tobytes()
+    rows = grid.rows(slice(None))
+    assert rows.tobytes() == (np.arange(256) / 255.0).astype(np.float32).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_images_and_windows())
 def test_features_from_codes_equal_float_path(case):
-    """Byte for byte the float32 cast of the float64 image's windows."""
+    """A grid's float32 rows are, byte for byte, the float32 cast of the
+    float64 image's windows."""
     codes, p, s = case
     image = ImageGrid(codes)
     grid = extract_features(image, FeatureProviderConfig(p, s, "raw-patch"))
     expected = patch_vectors_reference(image.values, p, s)
-    assert grid.vectors.dtype == np.float32 and grid.vectors.shape == expected.shape
-    assert grid.vectors.tobytes() == expected.tobytes()
+    rows = grid.rows(slice(None))
+    assert grid.vectors.dtype == np.uint8 and grid.vectors.shape == expected.shape
+    assert rows.dtype == np.float32 and rows.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -107,13 +108,16 @@ def _training_images(draw):
 @settings(max_examples=300, deadline=None)
 @given(_training_images())
 def test_bank_rows_equal_extracted_features(case):
-    """A built bank's float32 rows are the training set's feature vectors,
-    byte for byte: all at once, picked in any order, or through the bank
-    of the picks."""
+    """A built bank's codes are the training set's grids, each image's grid
+    its own slice of the bank, and its float32 rows are their feature
+    vectors, byte for byte: all at once, picked in any order, or through
+    the bank of the picks."""
     images, p, s, rng = case
     cfg = FeatureProviderConfig(p, s, "raw-patch")
     bank = build_bank(images, cfg)
-    expected = np.concatenate([extract_features(image, cfg).vectors for image in images])
+    grids = [extract_features(image, cfg) for image in images]
+    assert bank.codes.tobytes() == np.concatenate([g.vectors for g in grids]).tobytes()
+    expected = np.concatenate([g.rows(slice(None)) for g in grids])
     assert bank.codes.dtype == np.uint8 and bank.codes.shape == expected.shape
     assert (bank.count, bank.dim) == expected.shape
     assert bank.rows(slice(None)).tobytes() == expected.tobytes()
@@ -123,6 +127,20 @@ def test_bank_rows_equal_extracted_features(case):
     assert picked.rows(slice(None)).tobytes() == expected[picks].tobytes()
     assert bank.task_tags.tolist() == [0] * bank.count
     assert picked.task_tags.tolist() == [0] * len(picks)
+
+
+def test_patch_grid_rejects_float_rows():
+    """A grid holds 8-bit codes, as a bank does: a float or wider integer
+    array, finite or not, is refused rather than cast."""
+    codes = np.random.default_rng(22).integers(0, 256, (6, 4), dtype=np.uint8)
+    assert PatchFeatureGrid(2, 3, 4, codes).vectors is codes
+    for rows in (intensities(codes), codes.astype(np.float64), np.full((6, 4), np.nan),
+                 codes.astype(np.int64)):
+        with pytest.raises(DetectorError) as exc:
+            PatchFeatureGrid(2, 3, 4, rows)
+        assert (exc.value.code, exc.value.message) == (
+            "dim-mismatch", "grid rows must be uint8 codes"
+        )
 
 
 def test_build_bank_errors_match_the_float_path():

@@ -183,7 +183,8 @@ def test_ap_equals_original_code(inputs, leaf):
 
 
 def _integrate(xs, ys, limit):
-    return metrics._integrate_to_limit(xs.size, lambda a, b: (xs[a:b], ys[a:b]), limit)
+    inside = int(np.count_nonzero(xs <= limit))
+    return metrics._integrate_to_limit(inside, xs.size, lambda a, b: (xs[a:b], ys[a:b]), limit)
 
 
 @st.composite
