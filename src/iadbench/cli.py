@@ -78,6 +78,8 @@ def cmd_synth(args) -> int:
             with open(raw, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         spec_doc = json.loads(raw)
+    except OSError as exc:
+        raise ConfigError("invalid-spec", f"cannot read spec {raw}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise ConfigError("invalid-spec", f"spec is not valid JSON: {exc}") from exc
     dataset = synth_dataset(SynthSpec.from_dict(spec_doc), args.seed)
@@ -95,8 +97,6 @@ def cmd_run(args) -> int:
     config = load_config(args.config, os.environ.get("IADBENCH_DATA_ROOT"))
     if config.output_dir is None:
         raise ConfigError("invalid-config", "output_dir: required to run experiments")
-    if args.threads < 1:
-        raise ConfigError("invalid-config", "--threads must be >= 1")
     result = run_experiment(config, threads=args.threads, save_banks=args.save_banks)
     if result.failures:
         for cell_id in result.failures:

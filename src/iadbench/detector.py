@@ -87,7 +87,9 @@ _SCORE_CHUNK = 256
 # this many float64 elements of (pairs x dim) difference array.
 _RERANK_ELEMENTS = 1 << 18
 # Rows converted to float64 at once hold at most this many elements, so
-# a bank is projected or copied without an n x dim float64 temporary.
+# a bank is copied without an n x dim float64 temporary. A projected
+# read converts its _block_rows(out_dim) rows at in_dim width: on a
+# 16-dim projection of 64-dim rows, 1,024 x 64 float64 (512 KiB).
 _BLOCK_ELEMENTS = 1 << 14
 # Builds of OpenBLAS name their thread-count calls differently; each
 # library is driven by the first (get, set) pair it exports.
@@ -235,31 +237,13 @@ def build_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> MemoryBan
     return MemoryBank(cfg.dim, codes, np.broadcast_to(np.uint32(0), (end,)))
 
 
-@dataclass
-class Projector:
-    in_dim: int
-    out_dim: int
-    matrix: np.ndarray  # (out_dim, in_dim) float64
-
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """Float64 ``vectors @ matrix.T``, converted and projected a row
-        block at a time, so no float64 copy of ``vectors`` is made."""
-        vectors = np.asarray(vectors)
-        out = np.empty((vectors.shape[0], self.out_dim))
-        step = _block_rows(self.in_dim)
-        for start in range(0, vectors.shape[0], step):
-            block = vectors[start : start + step].astype(np.float64, copy=False)
-            out[start : start + step] = np.einsum("nd,od->no", block, self.matrix)
-        return out
-
-
-def make_projector(in_dim: int, out_dim: int, seed: int) -> Projector:
-    """Seeded Gaussian random projection to fewer dims."""
+def make_projection(in_dim: int, out_dim: int, seed: int) -> np.ndarray:
+    """Seeded Gaussian random projection to fewer dims: the
+    (out_dim, in_dim) float64 matrix whose rows a point is dotted with."""
     if not 1 <= out_dim < in_dim:
         raise DetectorError("bad-dims", f"need 1 <= out_dim < in_dim, got {out_dim}/{in_dim}")
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((out_dim, in_dim)) / np.sqrt(out_dim)
-    return Projector(in_dim, out_dim, matrix)
+    return rng.standard_normal((out_dim, in_dim)) / np.sqrt(out_dim)
 
 
 @dataclass(frozen=True)
@@ -393,23 +377,28 @@ class _BankPoints:
     """A bank's rows as the coreset reads them, made on each read.
 
     ``points[index]`` is the float32 rows ``bank.rows(index)``, or their
-    float64 projection when ``projector`` is set; ``shape`` is that of
-    every point at once. ``_farthest_first`` reads it a block at a time,
+    float64 projection by the ``make_projection`` matrix ``projection``
+    when it is set, one einsum per read; ``shape`` is that of every point
+    at once. A row's projection is the same arithmetic in any block, so
+    reads give the bits of projecting the whole bank at once, in any
+    order and any number. ``_farthest_first`` reads it a block at a time,
     as it reads an array, so no copy of all the points is made but its
     own sorted one, which keeps a projection's rows from its first read.
     """
 
     bank: MemoryBank
-    projector: Projector | None
+    projection: np.ndarray | None
 
     @property
     def shape(self) -> tuple[int, int]:
-        width = self.bank.dim if self.projector is None else self.projector.out_dim
+        width = self.bank.dim if self.projection is None else self.projection.shape[0]
         return self.bank.count, width
 
     def __getitem__(self, index) -> np.ndarray:
         rows = self.bank.rows(index)
-        return rows if self.projector is None else self.projector.apply(rows)
+        if self.projection is None:
+            return rows
+        return np.einsum("nd,od->no", rows.astype(np.float64), self.projection)
 
 
 def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
@@ -418,16 +407,17 @@ def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     The bank's first vector seeds the selection; each following pick is
     the vector farthest from the current selection, ties broken by the
     lowest index. Returns exactly l distinct indices in selection order.
-    The bank's float32 rows are read through ``rows``, a block at a time.
+    The bank's float32 rows are read through ``rows``, a block at a
+    time, each block projected as it is read when ``projection_dim`` asks.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
     l = params.resolve_l(bank.count)
     params = params.effective(bank.dim)
-    projector = None
+    projection = None
     if params.projection_dim is not None:
-        projector = make_projector(bank.dim, params.projection_dim, params.seed)
-    return _farthest_first(_BankPoints(bank, projector), l)[0]
+        projection = make_projection(bank.dim, params.projection_dim, params.seed)
+    return _farthest_first(_BankPoints(bank, projection), l)[0]
 
 
 def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
@@ -469,7 +459,7 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     n, dim = points.shape
     step = _block_rows(dim)
     # a projection is made once: the first pass keeps its rows
-    projected = getattr(points, "projector", None) is not None
+    projected = getattr(points, "projection", None) is not None
     ranked = np.empty((n, dim))
     sq = np.empty(n)
     for start in range(0, n, step):

@@ -808,6 +808,7 @@ def run_experiment(
     """
     from .report import write_reports  # local import to avoid a cycle
 
+    _expect_number(threads, "threads", int, minimum=1)
     dataset = _resolve_dataset(config)
     categories = config.categories or dataset.categories
     config_hash = config.config_hash

@@ -218,6 +218,16 @@ def projection_reference(vectors, matrix) -> "np.ndarray":
     return np.einsum("nd,od->no", np.asarray(vectors, dtype=np.float64), matrix)
 
 
+def projection_matrix_reference(in_dim, out_dim, seed) -> "np.ndarray":
+    """The package's original Gaussian projection matrix, verbatim: a
+    seeded (out_dim, in_dim) standard-normal draw over sqrt(out_dim)."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((out_dim, in_dim)) / np.sqrt(out_dim)
+    return matrix
+
+
 def coreset_reference(points, l) -> tuple[list[int], "np.ndarray"]:
     """Farthest-first picks and final min_d2, recomputing every row per pick.
 

@@ -330,6 +330,15 @@ def test_report_renders_valid_task_matrix(tmp_path):
             3, "missing-mask", id="run-mask-missing",
         ),
         pytest.param(
+            lambda t: ["run", "--config", _missing_mask_config(t), "--threads", "0"],
+            2, "invalid-config", id="run-threads-0",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", str(t / "absent.json"),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-missing",
+        ),
+        pytest.param(
             lambda t: ["synth", "--spec", _write(t, "s.json", NOT_UTF8),
                        "--seed", "1", "--out", str(t / "d")],
             2, "invalid-spec", id="synth-spec-not-utf8",

@@ -19,7 +19,6 @@ from iadbench.detector import (
     _SCORE_CHUNK,
     CoresetParams,
     MemoryBank,
-    Projector,
     SearchIndex,
     SingleThreadBlas,
     _farthest_first,
@@ -28,7 +27,7 @@ from iadbench.detector import (
     build_bank,
     coreset_select,
     extend_bank_for_task,
-    make_projector,
+    make_projection,
     render_anomaly_map,
     reweight,
     score_image,
@@ -53,6 +52,7 @@ from oracles import (
     greedy_kcenter,
     nearest_bruteforce,
     optimal_kcenter_radius,
+    projection_matrix_reference,
     projection_reference,
     read_bank_file,
     render_reference,
@@ -148,65 +148,78 @@ def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
     assert len(data) - header - 300 * 4 == 300 * 9 * 4  # the bank_bytes formula
 
 
-# --- projector ---------------------------------------------------------------------
+# --- projection --------------------------------------------------------------------
 
 
 def test_projector_forced_matrix():
-    proj = Projector(2, 1, np.array([[1.0, 0.0]]))
-    assert proj.apply(np.array([[3.0, 4.0]])).tolist() == [[3.0]]
+    points = detector._BankPoints(_bank([[51, 102]]), np.array([[1.0, 0.0]]))
+    assert points.shape == (1, 1)
+    assert points[:].tolist() == [[float(intensities(np.uint8(51)))]]
 
 
 def test_projector_deterministic():
-    a = make_projector(16, 4, seed=7)
-    b = make_projector(16, 4, seed=7)
-    assert np.array_equal(a.matrix, b.matrix)
-    c = make_projector(16, 4, seed=8)
-    assert not np.array_equal(a.matrix, c.matrix)
+    """The matrix is the original Gaussian draw and scaling, bit for bit,
+    as a plain float64 array of (out_dim, in_dim)."""
+    for seed in (0, 1, 7, 2**32 - 1):
+        for in_dim, out_dim in ((64, 16), (36, 9), (9, 2)):
+            matrix = make_projection(in_dim, out_dim, seed)
+            assert type(matrix) is np.ndarray and matrix.dtype == np.float64
+            assert matrix.shape == (out_dim, in_dim)
+            want = projection_matrix_reference(in_dim, out_dim, seed)
+            assert matrix.tobytes() == want.tobytes()
+    assert not np.array_equal(make_projection(16, 4, seed=7), make_projection(16, 4, seed=8))
 
 
 @pytest.mark.parametrize("in_dim, out_dim", [(64, 16), (9, 2)])
 def test_projector_blocks_match_whole_bank_projection(in_dim, out_dim):
-    step = detector._block_rows(in_dim)
+    """Reads of a code bank about the coreset's block size give the
+    whole bank's projection."""
+    step = detector._block_rows(out_dim)
     rng = np.random.default_rng(in_dim)
-    proj = make_projector(in_dim, out_dim, seed=5)
+    matrix = make_projection(in_dim, out_dim, seed=5)
+    bank = _bank(rng.integers(0, 256, (2 * step + 3, in_dim), dtype=np.uint8))
+    points = detector._BankPoints(bank, matrix)
+    assert points.shape == (bank.count, out_dim)
+    whole = projection_reference(bank.rows(slice(None)), matrix)
     for n in (1, step - 1, step, step + 1, 2 * step + 3):
-        vectors = (rng.random((n, in_dim)) * 1e3 - 5e2).astype(np.float32)
-        got = proj.apply(vectors)
+        got = points[:n]
         assert got.dtype == np.float64
-        assert got.tobytes() == projection_reference(vectors, proj.matrix).tobytes()
+        assert got.tobytes() == whole[:n].tobytes()
+        assert points[bank.count - n :].tobytes() == whole[bank.count - n :].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     in_dim=st.sampled_from([2, 4, 9, 16, 36, 64]),
     count=st.integers(1, 700),
-    codes=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_projector_gives_a_row_the_same_bits_in_any_block(in_dim, count, codes, seed, data):
-    """A row's projection does not depend on the rows it is projected
-    with, their order or their number: the coreset projects the rows it
-    reads in sorted order, a block at a time, and relies on this."""
+def test_projector_gives_a_row_the_same_bits_in_any_block(in_dim, count, seed, data):
+    """A row's projection does not depend on the rows it is read with,
+    their order or their number: ``coreset_select`` must equal
+    ``coreset_reference`` over a projection made all at once, and it
+    projects a bank a block at a time as it reads it."""
     rng = np.random.default_rng(seed)
-    proj = make_projector(in_dim, data.draw(st.integers(1, in_dim - 1)), seed)
-    if codes:  # the rows a code bank gives
-        vectors = intensities(rng.integers(0, 256, (count, in_dim), dtype=np.uint8))
-    else:
-        vectors = (rng.standard_normal((count, in_dim)) * 10.0**rng.integers(-3, 4)).astype(np.float32)
-    whole = proj.apply(vectors)
+    matrix = make_projection(in_dim, data.draw(st.integers(1, in_dim - 1)), seed)
+    bank = _bank(rng.integers(0, 256, (count, in_dim), dtype=np.uint8))
+    points = detector._BankPoints(bank, matrix)
+    whole = projection_reference(bank.rows(slice(None)), matrix)
+    assert points[:].tobytes() == whole.tobytes()
     order = rng.permutation(count)
-    assert proj.apply(vectors[order]).tobytes() == whole[order].tobytes()
+    assert points[order].tobytes() == whole[order].tobytes()
     cuts = np.unique(rng.integers(0, count + 1, data.draw(st.integers(0, 6))))
     for block in np.split(order, cuts):
-        assert proj.apply(vectors[block]).tobytes() == whole[block].tobytes()
+        assert points[block].tobytes() == whole[block].tobytes()
+    for start, stop in zip([0, *cuts], [*cuts, count]):
+        assert points[start:stop].tobytes() == whole[start:stop].tobytes()
     row = int(rng.integers(0, count))
-    assert proj.apply(vectors[row : row + 1]).tobytes() == whole[row : row + 1].tobytes()
+    assert points[row : row + 1].tobytes() == whole[row : row + 1].tobytes()
 
 
 def test_projector_bad_dims():
     with pytest.raises(DetectorError) as exc:
-        make_projector(4, 5, seed=0)
+        make_projection(4, 5, seed=0)
     assert exc.value.code == "bad-dims"
 
 
@@ -382,7 +395,7 @@ def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
     assert bank.take(picks).rows(slice(None)).tobytes() == vectors[picks].tobytes()
     points = vectors.astype(np.float64)
     if params.effective(cfg.dim).projection_dim is not None:
-        points = projection_reference(vectors, make_projector(cfg.dim, projection_dim, seed).matrix)
+        points = projection_reference(vectors, make_projection(cfg.dim, projection_dim, seed))
     assert picks == coreset_reference(points, l)[0]
 
 
@@ -474,7 +487,7 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
         points = intensities(codes)
     if points.dtype == np.float32:  # a bank's rows, as the coreset reads them
         if params.effective(dim).projection_dim is not None:
-            points = make_projector(dim, projection_dim, seed).apply(points)
+            points = projection_reference(points, make_projection(dim, projection_dim, seed))
         else:
             points = points.astype(np.float64)
     want_selected, want_d2 = coreset_reference(points, l)

@@ -841,6 +841,18 @@ def test_plan_errors_fail_only_their_job():
 # --- scheduling and BLAS threads -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("threads", [0, -1, True, 1.0])
+def test_run_refuses_bad_threads_before_any_work(threads, monkeypatch):
+    def resolved(config):
+        raise AssertionError("the dataset was built")
+
+    monkeypatch.setattr(runner, "_resolve_dataset", resolved)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(parse_config(_base_config()), threads=threads)
+    assert exc.value.code == "invalid-config"
+    assert "threads" in str(exc.value)
+
+
 def test_continual_job_starts_first(monkeypatch):
     started = []
 
