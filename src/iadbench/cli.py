@@ -10,12 +10,11 @@ only the machine-readable payload of the metrics subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .data import ImageGrid, PixelMask, grid_from_pgm, mask_from_pgm
-from .errors import BenchError, ConfigError, DataError
+from .errors import BenchError, ConfigError, DataError, read_json
 from .metrics import (
     DEFAULT_PRO_LIMIT, DEFAULT_SPRO_LIMIT, LabeledScores, PixelPool, aupro, auroc,
     average_precision, mask_regions,
@@ -72,16 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    raw = args.spec
-    try:
-        if not raw.lstrip().startswith("{"):
-            with open(raw, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        spec_doc = json.loads(raw)
-    except OSError as exc:
-        raise ConfigError("invalid-spec", f"cannot read spec {raw}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-        raise ConfigError("invalid-spec", f"spec is not valid JSON: {exc}") from exc
+    if args.spec.lstrip().startswith("{"):  # inline JSON text
+        spec_doc = read_json("spec", ConfigError, "invalid-spec", text=args.spec)
+    else:
+        spec_doc = read_json(args.spec, ConfigError, "invalid-spec")
     dataset = synth_dataset(SynthSpec.from_dict(spec_doc), args.seed)
     write_dataset_tree(dataset, args.out)
     n_train = sum(len(v) for v in dataset.train.values())

@@ -19,13 +19,12 @@ computed only where a float is needed.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_json
 from .pgm import read_pgm
 
 NORMAL = "normal"
@@ -172,11 +171,7 @@ def _list_pgms(directory: str) -> list[str]:
 
 
 def _load_saturations(path: str) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
-            raise DataError("malformed-pgm", f"{path}: not valid JSON: {exc}") from exc
+    raw = read_json(path, DataError, "malformed-pgm")
     if not isinstance(raw, dict):
         raise DataError("malformed-pgm", f"{path}: must be a JSON object")
     table = {}

@@ -1,5 +1,7 @@
 """Ranking and segmentation metrics plus the forgetting measure.
 
+``METRIC_NAMES`` lists every metric a cell can report, in report order.
+
 Ranking metrics use grouped thresholds at distinct scores: AUROC is the
 Mann-Whitney statistic (tied pairs count half), and average precision is
 the step sum AP = sum_n (R_n - R_{n-1}) * P_n with ties merged into one
@@ -37,6 +39,8 @@ import numpy as np
 
 from .data import PixelMask
 from .errors import MetricError
+
+METRIC_NAMES = ("image_auroc", "image_ap", "pixel_auroc", "pixel_ap", "aupro", "mean_spro", "fm")
 
 # default FPR integration limits of AUPRO (MVTec AD) and sPRO (MVTec LOCO)
 DEFAULT_PRO_LIMIT = 0.3

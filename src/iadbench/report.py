@@ -3,16 +3,20 @@
 All numeric report output is fixed to 4 decimal places (round half to
 even). The JSON document is the canonical record; CSV and markdown are
 pure functions of it, so regenerating them from results.json reproduces
-the run's own report files byte for byte.
+the run's own report files byte for byte. ``config_digest`` is the
+config hash: sha256 of the config's compact, key-sorted JSON.
+
+The module imports no runner code; the runner calls ``write_reports``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
-from .errors import ReportError
-from .runner import METRIC_NAMES, config_digest
+from .errors import ReportError, read_json
+from .metrics import METRIC_NAMES
 
 # lower is better only for forgetting
 _LOWER_IS_BETTER = {"fm"}
@@ -22,6 +26,12 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     return format(float(value), ".4f")
+
+
+def config_digest(config: dict) -> str:
+    """sha256 of a config's compact, key-sorted UTF-8 JSON."""
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def render_json(document: dict) -> str:
@@ -166,7 +176,7 @@ def emit_report(document: dict, fmt: str, out_dir: str) -> str:
         "markdown": ("report.md", render_markdown),
     }
     if fmt not in renderers:
-        raise ReportError("empty-results", f"unknown report format {fmt!r}")
+        raise ReportError("unknown-format", f"unknown report format {fmt!r}")
     name, renderer = renderers[fmt]
     path = os.path.join(out_dir, name)
     try:
@@ -179,13 +189,7 @@ def emit_report(document: dict, fmt: str, out_dir: str) -> str:
 
 def load_results(path: str) -> dict:
     """Read a results.json and verify its embedded config hash."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
-    except OSError as exc:
-        raise ReportError("io-failure", f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-        raise ReportError("io-failure", f"{path} is not valid JSON: {exc}") from exc
+    document = read_json(path, ReportError, "io-failure")
     if not isinstance(document, dict):
         raise ReportError("io-failure", f"{path}: not a JSON object")
     for key in ("config", "config_hash", "cells"):

@@ -15,15 +15,16 @@ on the picked rows. Every bank is a ``detector.MemoryBank``. A selection
 builds its training set's bank and returns the bank of its picks. No
 training set whose ``l`` is its whole bank is selected: its job builds
 that bank, in natural order. No job waits on another.
+
+A config enters through ``errors.read_json`` and ``parse_config``. Reports
+go out through ``report.write_reports``, looked up on the module at each
+call, so a wrapper installed there (perfbench's tracer) sees it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
-import sys
 import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
@@ -32,6 +33,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from . import report
 from .data import ABNORMAL, NORMAL, Dataset, Sample, dataset_digest, load_dataset
 from .detector import (
     CoresetParams,
@@ -47,11 +49,14 @@ from .detector import (
     single_thread_blas,
     write_bank_file,
 )
-from .errors import BenchError, ConfigError, DetectorError, MetricError
+from .errors import (
+    BenchError, ConfigError, DetectorError, MetricError, _expect_keys, _expect_type, read_json,
+)
 from .features import FeatureProviderConfig, extract_features
 from .metrics import (
     DEFAULT_PRO_LIMIT,
     DEFAULT_SPRO_LIMIT,
+    METRIC_NAMES,
     LabeledScores,
     PixelPool,
     RegionSet,
@@ -75,30 +80,15 @@ from .protocols import (
     make_supervised,
     make_unsupervised,
 )
+from .report import config_digest
 from .rng import derive_seed
 from .synth import SynthSpec, synth_dataset
 
 SCHEMA_VERSION = 1
 
-METRIC_NAMES = (
-    "image_auroc",
-    "image_ap",
-    "pixel_auroc",
-    "pixel_ap",
-    "aupro",
-    "mean_spro",
-    "fm",
-)
-
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def config_digest(config: dict) -> str:
-    """sha256 of a config's compact, key-sorted UTF-8 JSON."""
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -141,28 +131,6 @@ class ExperimentConfig:
 
     def coreset_params(self, seed: int) -> CoresetParams:
         return replace(self.coreset, seed=seed)
-
-
-def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str]) -> None:
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ConfigError("invalid-config", f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError("invalid-config", f"{path}: missing keys {sorted(missing)}")
-
-
-def _expect_type(value, path: str, kind, label: str):
-    if kind is float:  # finite, and an integer must fit a float64
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = ok and abs(value) <= sys.float_info.max
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError("invalid-config", f"{path}: must be {label}")
-    return value
 
 
 def _expect_number(value, path: str, kind, minimum=None, unit_interval: bool = False):
@@ -396,13 +364,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("invalid-config", f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-        raise ConfigError("invalid-config", f"config {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, ConfigError, "invalid-config")
     if (
         isinstance(raw, dict)
         and isinstance(raw.get("dataset"), dict)
@@ -806,8 +768,6 @@ def run_experiment(
     run. Output files land in ``output_dir`` (falling back to the
     config's) unless both are None.
     """
-    from .report import write_reports  # local import to avoid a cycle
-
     _expect_number(threads, "threads", int, minimum=1)
     dataset = _resolve_dataset(config)
     categories = config.categories or dataset.categories
@@ -906,7 +866,7 @@ def run_experiment(
     out_dir = output_dir or config.output_dir
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_reports(document, out_dir)
+        report.write_reports(document, out_dir)
         if save_banks:
             _save_banks(cells, config.settings, out_dir)
     return RunResult(document=document, output_dir=out_dir, failures=failures)

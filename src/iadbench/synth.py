@@ -18,7 +18,7 @@ import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
 from .data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
-from .errors import ConfigError
+from .errors import ConfigError, _expect_keys, _expect_type
 from .pgm import write_pgm
 from .rng import derive_seed
 
@@ -26,6 +26,9 @@ DEFECT_KINDS = ("scratch", "blob", "missing-patch")
 
 # relative saturation areas (fraction of image area) per defect kind
 _SATURATIONS = {"scratch": 0.005, "blob": 0.02, "missing-patch": 0.03}
+
+# the spec's required integer fields
+_COUNTS = ("categories", "normals_train", "normals_test", "abnormals_test", "image_size")
 
 
 @dataclass(frozen=True)
@@ -52,35 +55,15 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict, key_path: str = "spec") -> "SynthSpec":
-        if not isinstance(raw, dict):
-            raise ConfigError("invalid-spec", f"{key_path}: must be an object")
-        known = {
-            "categories",
-            "normals_train",
-            "normals_test",
-            "abnormals_test",
-            "image_size",
-            "defect_kinds",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError("invalid-spec", f"{key_path}: unknown keys {sorted(unknown)}")
-        for key in known - {"defect_kinds"}:
-            if key not in raw:
-                raise ConfigError("invalid-spec", f"{key_path}.{key}: required")
-            if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-                raise ConfigError("invalid-spec", f"{key_path}.{key}: must be an integer")
+        _expect_type(raw, key_path, dict, "an object", "invalid-spec")
+        _expect_keys(raw, key_path, set(_COUNTS), {"defect_kinds"}, "invalid-spec")
+        for key in _COUNTS:
+            _expect_type(raw[key], f"{key_path}.{key}", int, "an integer", "invalid-spec")
         kinds = raw.get("defect_kinds", list(DEFECT_KINDS))
-        if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
-            raise ConfigError("invalid-spec", f"{key_path}.defect_kinds: must be a string list")
-        return cls(
-            categories=raw["categories"],
-            normals_train=raw["normals_train"],
-            normals_test=raw["normals_test"],
-            abnormals_test=raw["abnormals_test"],
-            image_size=raw["image_size"],
-            defect_kinds=tuple(kinds),
-        )
+        _expect_type(kinds, f"{key_path}.defect_kinds", list, "a list", "invalid-spec")
+        for kind in kinds:
+            _expect_type(kind, f"{key_path}.defect_kinds[]", str, "a string", "invalid-spec")
+        return cls(**{key: raw[key] for key in _COUNTS}, defect_kinds=tuple(kinds))
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:
@@ -103,8 +86,9 @@ def _background(category_index: int, size: int) -> np.ndarray:
     return base + tex
 
 
-def _sample_noise(rng: np.random.Generator, size: int) -> np.ndarray:
-    return 0.02 * rng.standard_normal((size, size))
+def _normal_codes(background: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A defect-free image: ``background`` plus fresh sensor noise, as codes."""
+    return _quantize(background + 0.02 * rng.standard_normal(background.shape))
 
 
 def _defect_delta(rng: np.random.Generator) -> float:
@@ -176,28 +160,23 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
 
     for ci, category in enumerate(categories):
         background = _background(ci, size)
-        train[category] = []
-        test[category] = []
-
-        for i in range(spec.normals_train):
-            rng = np.random.default_rng(derive_seed(seed, category, "train", i))
-            codes = _quantize(background + _sample_noise(rng, size))
-            train[category].append(
-                Sample(f"good/{i:03d}", ImageGrid(codes), NORMAL, None, "good", category)
-            )
-
-        for i in range(spec.normals_test):
-            rng = np.random.default_rng(derive_seed(seed, category, "test-good", i))
-            codes = _quantize(background + _sample_noise(rng, size))
-            test[category].append(
-                Sample(f"good/{i:03d}", ImageGrid(codes), NORMAL, None, "good", category)
-            )
+        for split, tag, count in (
+            (train, "train", spec.normals_train),
+            (test, "test-good", spec.normals_test),
+        ):
+            split[category] = []
+            for i in range(count):
+                rng = np.random.default_rng(derive_seed(seed, category, tag, i))
+                codes = _normal_codes(background, rng)
+                split[category].append(
+                    Sample(f"good/{i:03d}", ImageGrid(codes), NORMAL, None, "good", category)
+                )
 
         kind_counters = {kind: 0 for kind in spec.defect_kinds}
         for i in range(spec.abnormals_test):
             kind = spec.defect_kinds[i % len(spec.defect_kinds)]
             rng = np.random.default_rng(derive_seed(seed, category, "test-defect", i))
-            clean = _quantize(background + _sample_noise(rng, size))
+            clean = _normal_codes(background, rng)
             mask = _DEFECT_DRAWERS[kind](rng, size)
             image = _apply_defect(clean, mask, _defect_delta(rng))
             idx = kind_counters[kind]

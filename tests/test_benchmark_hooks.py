@@ -118,7 +118,7 @@ def test_count_functions_read_real_arguments(monkeypatch):
     assert tracer.counters["detector.score_patches.dist_evals"] > 0
 
 
-def _traced_run(monkeypatch, detector_config: dict):
+def _traced_run(monkeypatch, detector_config: dict, output_dir: str | None = None):
     """Run a tiny config with every name in WRAPS traced, as a traced
     benchmark run installs them; returns the run's cells and its spans'
     layer table."""
@@ -135,7 +135,8 @@ def _traced_run(monkeypatch, detector_config: dict):
         {"type": "fewshot", "m": 2},
         {"type": "continual"},
     ]
-    result = run_experiment(parse_config(_tiny_config(settings, detector_config)), threads=2)
+    config = parse_config(_tiny_config(settings, detector_config))
+    result = run_experiment(config, threads=2, output_dir=output_dir)
     assert result.failures == []
     return result.document["cells"], spans.layer_table(tracer.spans)
 
@@ -154,3 +155,11 @@ def test_whole_bank_building_is_traced(monkeypatch):
     # no selection: one bank per plain cell and one per continual task
     assert "detector.coreset_select" not in table
     assert table["detector.build_bank"].calls == len(cells) == 8
+
+
+def test_report_writing_is_traced(monkeypatch, tmp_path):
+    """The runner looks ``write_reports`` up on the report module at each
+    call, so the wrapper installed there times it."""
+    _, table = _traced_run(monkeypatch, {"feature": _FEATURE, "b": 2}, str(tmp_path))
+    assert table["report.write_reports"].calls == 1
+    assert (tmp_path / "results.json").is_file()

@@ -116,6 +116,15 @@ def _missing_mask_config(tmp_path):
     return _run_config(tmp_path, str(tmp_path / "data"))
 
 
+def _bad_saturations_config(tmp_path):
+    """A run config over a one-image dataset whose saturations.json is not JSON."""
+    cat = tmp_path / "data" / "widget"
+    (cat / "train" / "good").mkdir(parents=True)
+    write_pgm(str(cat / "train" / "good" / "000.pgm"), np.full((24, 24), 128, np.uint8))
+    (cat / "saturations.json").write_text("{not json")
+    return _run_config(tmp_path, str(tmp_path / "data"))
+
+
 def test_run_missing_mask_exit_3(tmp_path):
     assert main(["run", "--config", _missing_mask_config(tmp_path)]) == 3
 
@@ -332,6 +341,24 @@ def test_report_renders_valid_task_matrix(tmp_path):
         pytest.param(
             lambda t: ["run", "--config", _missing_mask_config(t), "--threads", "0"],
             2, "invalid-config", id="run-threads-0",
+        ),
+        pytest.param(
+            lambda t: ["run", "--config", _bad_saturations_config(t)],
+            3, "malformed-pgm", id="run-saturations-not-json",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _write(t, "s.json", b'{"categories": 1}'),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-count-missing",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", _synth_spec(t, image_size="24"),
+                       "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-count-not-integer",
+        ),
+        pytest.param(
+            lambda t: ["synth", "--spec", "{bad", "--seed", "1", "--out", str(t / "d")],
+            2, "invalid-spec", id="synth-spec-inline-not-json",
         ),
         pytest.param(
             lambda t: ["synth", "--spec", str(t / "absent.json"),

@@ -111,8 +111,9 @@ def test_emit_report_errors(tmp_path):
     with pytest.raises(ReportError) as exc:
         emit_report({"cells": []}, "csv", str(tmp_path))
     assert exc.value.code == "empty-results"
-    with pytest.raises(ReportError):
+    with pytest.raises(ReportError) as exc:
         emit_report(_document(), "pdf", str(tmp_path))
+    assert exc.value.code == "unknown-format"
 
 
 def test_emit_report_io_failure(tmp_path):
