@@ -27,10 +27,9 @@ reference ``((t - b)**2).sum()``, so only reference values reach an
 output. Peak memory per chunk of test patches is a few ``chunk x bank``
 arrays, never a ``chunk x bank x dim`` one. Search and re-weighting read
 a ``SearchIndex``: the bank's vectors in float64 and their squared
-norms, prepared once per bank and extended, not rebuilt, when a task
-appends vectors. Because banks only grow at the end and ties go to the
-lowest index, a search can also start from a known answer over the
-bank's first rows and look only at the rows appended since (``search``).
+norms. Because banks only grow at the end and ties go to the lowest
+index, a search can also start from a known answer over the bank's
+first rows and look only at the rows appended since (``search``).
 
 The coreset's farthest-first update is exact in the same way. The
 points are sorted once by norm. At each pick q with current covering
@@ -533,8 +532,7 @@ def _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order) -> None:
 class SearchIndex:
     """A bank's vectors as the searches read them: float64 rows and their squared norms.
 
-    Built once per bank from its float rows, and extended rather than
-    rebuilt when a task appends vectors, so no search converts the bank
+    Built from the bank's float rows, so no search converts the bank
     again. The float64 rows equal the float32 ones exactly.
     """
 
@@ -553,13 +551,6 @@ class SearchIndex:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def extended(self, vectors: np.ndarray) -> "SearchIndex":
-        """The index of this bank with ``vectors`` appended."""
-        new = SearchIndex.of(vectors)
-        return SearchIndex(
-            np.concatenate([self.vectors, new.vectors]), np.concatenate([self.sq, new.sq])
-        )
 
 
 @dataclass(frozen=True)

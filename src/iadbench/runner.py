@@ -133,11 +133,15 @@ class ExperimentConfig:
         return replace(self.coreset, seed=seed)
 
 
-def _expect_number(value, path: str, kind, minimum=None, unit_interval: bool = False):
-    """A typed number, at least ``minimum`` or in (0, 1] when asked."""
+def _expect_number(
+    value, path: str, kind, minimum=None, maximum=None, unit_interval: bool = False
+):
+    """A typed number, within ``minimum`` and ``maximum`` or in (0, 1] when asked."""
     _expect_type(value, path, kind, "an integer" if kind is int else "a number")
     if minimum is not None and value < minimum:
         raise ConfigError("invalid-config", f"{path}: must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ConfigError("invalid-config", f"{path}: must be <= {maximum}")
     if unit_interval and not 0.0 < float(value) <= 1.0:
         raise ConfigError("invalid-config", f"{path}: must be in (0, 1]")
     return value
@@ -316,8 +320,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("invalid-config", f"detector.coreset: {exc.message}") from exc
 
     b = _expect_number(detector.get("b", 1), "detector.b", int, minimum=1)
+    # the blur's kernel radius is 4 sigma: at most 4,096 px
     sigma = _expect_number(
-        detector.get("smoothing_sigma", 4.0), "detector.smoothing_sigma", float, minimum=0
+        detector.get("smoothing_sigma", 4.0), "detector.smoothing_sigma", float,
+        minimum=0, maximum=1024,
     )
 
     metrics_raw = raw.get("metrics", list(METRIC_NAMES))
@@ -381,22 +387,20 @@ def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig
 
 @dataclass
 class DetectorState:
-    """A frozen bank, its search index and the knobs needed to run inference."""
+    """A frozen bank, its search index and the knobs needed to run inference.
+
+    The index is always the bank's own, built from it here: no caller
+    passes one, so no index can disagree with its bank.
+    """
 
     bank: MemoryBank
     feature: FeatureProviderConfig
     b: int
     smoothing_sigma: float
-    index: SearchIndex | None = None  # the bank's; built from it when not given
+    index: SearchIndex = field(init=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = SearchIndex.of(self.bank.rows(slice(None)))
-
-    def extended(self, bank: MemoryBank) -> "DetectorState":
-        """This state over ``bank``, which appends rows to this state's bank."""
-        appended = bank.rows(slice(self.bank.count, None))
-        return replace(self, bank=bank, index=self.index.extended(appended))
+        self.index = SearchIndex.of(self.bank.rows(slice(None)))
 
     def score_sample(
         self, sample: Sample, known: Nearest | None = None, render: bool = True
@@ -694,22 +698,25 @@ def _run_continual_job(
     a grid holds codes. Re-weighting ranks the whole bank; maps are
     rendered at step k only, each pooled into its task's cell as it is
     rendered, and the cells' latencies time that final pass per image.
+
+    Each step's scoring state builds its search index from the whole
+    grown bank, once: O(bank) per step, where re-weighting already
+    reads the whole bank once per re-scored image.
     """
     k = len(tasks)
-    empty = MemoryBank.empty(config.feature.dim)
-    state = DetectorState(empty, config.feature, config.b, config.smoothing_sigma)
+    bank = MemoryBank.empty(config.feature.dim)
     known = {task.index: [None] * len(task.test) for task in tasks}  # each image's last search
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], PixelPool, list[float]]] = {}
     for step, task_bank in enumerate(task_banks, start=1):
-        state = state.extended(extend_bank_for_task(state.bank, task_bank, step))
+        bank = extend_bank_for_task(bank, task_bank, step)
+        state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)
             labels = [s.label == ABNORMAL for s in prev.test]
             entries[(step, prev.index)] = auroc(LabeledScores(scored[0], labels))
             if step == k:
                 final_scores[prev.index] = scored
-    bank = state.bank
     del state, known  # the search index and the cached searches, before the metrics run
 
     fm = forgetting_measure(TaskMatrix(k=k, values=entries))

@@ -125,6 +125,19 @@ def _bad_saturations_config(tmp_path):
     return _run_config(tmp_path, str(tmp_path / "data"))
 
 
+def _sigma_config(tmp_path, sigma):
+    """A one-category 16 px synthetic run config with the given smoothing sigma."""
+    cfg = {
+        "dataset": {"synthetic": {"categories": 1, "normals_train": 2, "normals_test": 1,
+                                   "abnormals_test": 1, "image_size": 16}},
+        "setting": {"type": "unsupervised"},
+        "detector": {"feature": {"patch_size": 4, "stride": 4}, "smoothing_sigma": sigma},
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    return _write(tmp_path, "sigma.json", json.dumps(cfg).encode())
+
+
 def test_run_missing_mask_exit_3(tmp_path):
     assert main(["run", "--config", _missing_mask_config(tmp_path)]) == 3
 
@@ -345,6 +358,10 @@ def test_report_renders_valid_task_matrix(tmp_path):
         pytest.param(
             lambda t: ["run", "--config", _bad_saturations_config(t)],
             3, "malformed-pgm", id="run-saturations-not-json",
+        ),
+        pytest.param(
+            lambda t: ["run", "--config", _sigma_config(t, 1e12)],
+            2, "invalid-config", id="run-sigma-too-large",
         ),
         pytest.param(
             lambda t: ["synth", "--spec", _write(t, "s.json", b'{"categories": 1}'),

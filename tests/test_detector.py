@@ -130,9 +130,6 @@ def test_every_code_reads_as_the_float32_quotient():
     assert rows.dtype == np.float32 and rows.ravel().tobytes() == old.tobytes()
     index = _index(bank)
     assert index.vectors.ravel().tobytes() == old.astype(np.float64).tobytes()
-    extended = _index(_bank(codes[:100])).extended(bank.rows(slice(100, None)))
-    assert extended.vectors.tobytes() == index.vectors.tobytes()
-    assert extended.sq.tobytes() == index.sq.tobytes()
 
 
 def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
@@ -678,8 +675,8 @@ def test_search_of_appended_slices_matches_whole_bank_bitwise(
         bank_v, tests = _search_case(kind, dim, int(bounds[-1]), test_count, seed)
     index = SearchIndex.of(bank_v[: bounds[0]])
     nearest = search(index, tests)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        index = index.extended(bank_v[lo:hi])
+    for hi in bounds[1:]:
+        index = SearchIndex.of(bank_v[:hi])
         nearest = search(index, tests, nearest)
     want_d2, want_i = _nearest_distances(SearchIndex.of(bank_v), tests)
     assert index.vectors.tobytes() == bank_v.astype(np.float64).tobytes()

@@ -239,6 +239,7 @@ _CONTINUAL_ON_SYNTH_ONE = {
         ({"dataset": {"path": None}}, "dataset.path: must be a string"),
         (_CONTINUAL_ON_ONE, "setting[0]: continual needs at least 2 categories, the run has 1"),
         (_CONTINUAL_ON_SYNTH_ONE, "setting[1]: continual needs at least 2 categories, the run has 1"),
+        ({"detector": {"smoothing_sigma": 1024.0000001}}, "smoothing_sigma: must be <= 1024"),
     ],
 )
 def test_value_rules_checked_at_parse_time(overrides, message):
@@ -251,6 +252,7 @@ def test_value_rules_checked_at_parse_time(overrides, message):
 def test_value_rules_accept_their_bounds():
     parse_config(_base_config(setting=dict(_CUSTOM_M, m=[1, 3])))
     parse_config(_base_config(setting=dict(_CUSTOM_RATIO, noise_ratio=0.99)))
+    parse_config(_base_config(detector={"smoothing_sigma": 1024}))
     detector = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 36}}
     assert parse_config(_base_config(detector=detector)).coreset_params(5).projection_dim == 36
     # the continual category count is a run-time rule when the disk decides it
@@ -718,6 +720,31 @@ def test_bundled_config_selects_each_coreset_once(monkeypatch, tmp_path):
     # only a selection builds its training set's bank: no cell that reads
     # its picks builds a bank again
     assert len(built) == 9
+
+
+def test_detector_state_takes_no_index():
+    state = _tiny_state()
+    with pytest.raises(TypeError):
+        DetectorState(state.bank, state.feature, state.b, state.smoothing_sigma, index=state.index)
+
+
+def test_bundled_run_builds_one_index_per_scoring_state(monkeypatch, tmp_path):
+    """Each plain cell and each continual step indexes its own bank once; none is empty."""
+    rows = []
+    of = detector.SearchIndex.of
+
+    def counting(vectors):
+        rows.append(len(vectors))
+        return of(vectors)
+
+    monkeypatch.setattr(detector.SearchIndex, "of", counting)
+    result = run_experiment(runner.load_config(str(BUNDLED_CONFIG)), output_dir=str(tmp_path))
+    document = result.document
+    plain = [c for c in document["cells"] if "task_index" not in c["info"]]
+    steps = sum(matrix["k"] for matrix in document["task_matrices"].values())
+    assert result.failures == [] and (len(plain), steps) == (12, 3)
+    assert len(rows) == len(plain) + steps
+    assert min(rows) > 0
 
 
 def test_projected_cells_select_their_own_coresets(monkeypatch):
