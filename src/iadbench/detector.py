@@ -13,9 +13,9 @@ test image's patch row (``features.PatchFeatureGrid``). Only
 ``features.intensities`` turns codes into floats, where the detector
 reads rows: ``MemoryBank.rows`` and ``PatchFeatureGrid.rows``. So both
 sides of every search are finite rows in [0, 1]. ``MemoryBank`` is
-the one bank type: a code row and a task tag per row, with float32 rows
-through ``rows``. ``build_bank`` is the one way from training images to
-a bank. ``MemoryBank.take`` keeps the rows a coreset picks, and
+the one bank type, and a bank is its codes: one (count, dim) uint8
+array, read as float32 rows through ``rows``. ``build_bank`` is the one
+way from training images to a bank. ``take`` keeps a coreset's rows, and
 ``extend_bank_for_task`` appends a task's bank. ``coreset_select``
 reads a bank's rows as intensities a block at a time, so no selection
 holds a float bank or a float64 copy other than its sorted one.
@@ -54,7 +54,9 @@ only time.
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
 count * dim IEEE-754 binary32 little-endian vectors: each element is
-the intensity of its code.
+the intensity of its code. A bank holds no tags, so the tag block is
+written as ``4 * count`` zero bytes, the v1 layout; a v2 format may
+drop it.
 """
 
 from __future__ import annotations
@@ -181,29 +183,27 @@ single_thread_blas = SingleThreadBlas()
 
 @dataclass
 class MemoryBank:
-    """A detector's bank: its rows as 8-bit codes, and a task tag per row.
+    """A detector's bank: its rows as 8-bit codes, one (count, dim) array.
 
     Row values are ``intensities`` of the codes, so every one is finite
     and in [0, 1]: a bank cannot hold NaN or inf.
     """
 
-    dim: int
     codes: np.ndarray  # (count, dim) uint8
-    task_tags: np.ndarray  # (count,) uint32; 0 for single-task banks
 
     def __post_init__(self):
         if not isinstance(self.codes, np.ndarray) or self.codes.dtype != np.uint8:
             raise DetectorError("dim-mismatch", "bank rows must be uint8 codes")
-        tags = np.asarray(self.task_tags, dtype=np.uint32)
-        if self.codes.ndim != 2 or self.codes.shape[1] != self.dim:
-            raise DetectorError("dim-mismatch", f"bank codes must be (n, {self.dim})")
-        if tags.shape != (self.codes.shape[0],):
-            raise DetectorError("dim-mismatch", "one task tag per vector required")
-        self.task_tags = tags
+        if self.codes.ndim != 2:
+            raise DetectorError("dim-mismatch", f"bank codes must be 2-D, got {self.codes.ndim}-D")
 
     @property
     def count(self) -> int:
         return self.codes.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.codes.shape[1]
 
     def rows(self, index) -> np.ndarray:
         """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
@@ -211,19 +211,18 @@ class MemoryBank:
 
     def take(self, index) -> "MemoryBank":
         """The bank of the rows at ``index`` (indices), in that order."""
-        return MemoryBank(self.dim, self.codes[index], self.task_tags[index])
+        return MemoryBank(self.codes[index])
 
     @classmethod
     def empty(cls, dim: int) -> "MemoryBank":
-        return cls(dim, np.zeros((0, dim), np.uint8), np.zeros(0, np.uint32))
+        return cls(np.zeros((0, dim), np.uint8))
 
 
 def build_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> MemoryBank:
     """Every patch window of ``images`` as a code row, in (image, row-major) order.
 
     Rows of different image sizes share one array, preallocated from the
-    grid shapes and filled one image at a time. Every tag is 0, read
-    from one shared zero (a stride-0 view), not a ``count``-long array.
+    grid shapes and filled one image at a time.
     """
     if not images:
         raise DetectorError("empty-input", "need at least one feature grid")
@@ -233,7 +232,7 @@ def build_bank(images: list[ImageGrid], cfg: FeatureProviderConfig) -> MemoryBan
     for image, count in zip(images, counts):
         codes[end : end + count] = windows(image.codes, cfg)
         end += count
-    return MemoryBank(cfg.dim, codes, np.broadcast_to(np.uint32(0), (end,)))
+    return MemoryBank(codes)
 
 
 def make_projection(in_dim: int, out_dim: int, seed: int) -> np.ndarray:
@@ -740,7 +739,8 @@ def render_anomaly_map(
     Patch (r, c) is anchored at its window center
     (r*stride + (patch_size-1)/2, likewise for columns); pixels outside
     the span of centers clamp to the border value. A Gaussian blur with
-    ``smoothing_sigma`` pixels follows (sigma = 0 disables it).
+    ``smoothing_sigma`` pixels follows; below 0.125 its kernel radius is
+    0, so the map is left as it is.
 
     Each pixel is ``((g00 (1-wy)) (1-wx)) + ((g01 (1-wy)) wx)
     + ((g10 wy) (1-wx)) + ((g11 wy) wx)``, added left to right. The grid
@@ -806,6 +806,8 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     add whole rows.
     """
     radius = int(4.0 * sigma + 0.5)
+    if radius == 0:  # one tap of weight 1 (sigma < 0.125): no blur
+        return image
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     taps = taps / taps.sum()
     out = image
@@ -824,29 +826,21 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def extend_bank_for_task(bank: MemoryBank, task: MemoryBank, task_index: int) -> MemoryBank:
-    """Append a new task's bank, its rows tagged with its index; existing rows are kept.
+def extend_bank_for_task(bank: MemoryBank, task: MemoryBank) -> MemoryBank:
+    """Append a new task's bank after the existing rows, which are kept.
 
     ``task`` is the task's coreset in pick order, or its whole bank in
-    natural order when its ``l`` keeps every row; its own tags are not
-    kept. Queries on the result search the union of all tasks, so adding
-    a task can only tighten nearest-neighbor distances for earlier tasks.
+    natural order when its ``l`` keeps every row. Queries on the result
+    search the union of all tasks, so adding a task can only tighten
+    nearest-neighbor distances for earlier tasks.
     """
-    if bank.count > 0 and task_index <= int(bank.task_tags.max()):
-        raise DetectorError(
-            "task-order-violation",
-            f"task {task_index} not greater than existing tags",
-        )
     if task.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"task dim {task.dim} != {bank.dim}")
-    new_tags = np.full(task.count, task_index, dtype=np.uint32)
-    codes = np.concatenate([bank.codes, task.codes], axis=0)
-    tags = np.concatenate([bank.task_tags, new_tags])
-    return MemoryBank(bank.dim, codes, tags)
+    return MemoryBank(np.concatenate([bank.codes, task.codes], axis=0))
 
 
 def write_bank_file(bank: MemoryBank, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, bank.dim, bank.count))
-        fh.write(np.ascontiguousarray(bank.task_tags, dtype="<u4").tobytes())
+        fh.write(bytes(4 * bank.count))  # the v1 task-tag block: every tag 0
         fh.write(np.ascontiguousarray(bank.rows(slice(None)), dtype="<f4").tobytes())

@@ -30,15 +30,12 @@ from .errors import ConfigError, DetectorError
 class FeatureProviderConfig:
     patch_size: int
     stride: int
-    descriptor: str
 
     def __post_init__(self):
         if self.patch_size < 1:
             raise ConfigError("invalid-spec", "patch_size must be >= 1")
         if not 1 <= self.stride <= self.patch_size:
             raise ConfigError("invalid-spec", "stride must be in [1, patch_size]")
-        if self.descriptor != "raw-patch":
-            raise ConfigError("invalid-spec", f"unknown descriptor {self.descriptor!r}")
 
     @property
     def dim(self) -> int:
@@ -57,19 +54,20 @@ class FeatureProviderConfig:
 class PatchFeatureGrid:
     grid_h: int
     grid_w: int
-    dim: int
     vectors: np.ndarray  # (grid_h * grid_w, dim) uint8 codes, row-major patches
 
     def __post_init__(self):
         if not isinstance(self.vectors, np.ndarray) or self.vectors.dtype != np.uint8:
             raise DetectorError("dim-mismatch", "grid rows must be uint8 codes")
-        if self.grid_h < 1 or self.grid_w < 1 or self.dim < 1:
-            raise DetectorError("bad-dims", "grid dims and dim must be >= 1")
-        if self.vectors.shape != (self.grid_h * self.grid_w, self.dim):
-            raise DetectorError(
-                "bad-dims",
-                f"vectors shape {self.vectors.shape} != ({self.grid_h * self.grid_w}, {self.dim})",
-            )
+        if self.grid_h < 1 or self.grid_w < 1:
+            raise DetectorError("bad-dims", "grid dims must be >= 1")
+        n = self.grid_h * self.grid_w
+        if self.vectors.ndim != 2 or len(self.vectors) != n:
+            raise DetectorError("bad-dims", f"vectors shape {self.vectors.shape} != ({n}, dim)")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def rows(self, index) -> np.ndarray:
         """The float32 descriptors of the patches at ``index`` (a slice or an index)."""
@@ -97,4 +95,4 @@ def extract_features(image: ImageGrid, cfg: FeatureProviderConfig) -> PatchFeatu
     """Slide the patch window over the image's codes and flatten each window."""
     grid_h, grid_w = cfg.grid_shape(image)
     vectors = windows(image.codes, cfg)
-    return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, dim=cfg.dim, vectors=vectors)
+    return PatchFeatureGrid(grid_h=grid_h, grid_w=grid_w, vectors=vectors)

@@ -1,4 +1,4 @@
-"""Result persistence: canonical JSON, delimited CSV, and markdown tables.
+"""Result persistence: canonical JSON, RFC 4180 CSV, and markdown tables.
 
 All numeric report output is fixed to 4 decimal places (round half to
 even). The JSON document is the canonical record; CSV and markdown are
@@ -11,7 +11,9 @@ The module imports no runner code; the runner calls ``write_reports``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 
@@ -39,8 +41,9 @@ def render_json(document: dict) -> str:
 
 
 def render_csv(document: dict) -> str:
-    header = ["category", "setting", *METRIC_NAMES, "latency_p50_ms", "bank_bytes"]
-    lines = [",".join(header)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["category", "setting", *METRIC_NAMES, "latency_p50_ms", "bank_bytes"])
     timings = document.get("timings", {})
     for cell in document["cells"]:
         metrics = cell.get("metrics", {})
@@ -49,8 +52,8 @@ def render_csv(document: dict) -> str:
         timing = timings.get(cell["cell_id"], {})
         row.append(_fmt(timing.get("latency_ms_p50")))
         row.append(str(cell.get("bank_bytes", "")))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        writer.writerow(row)
+    return out.getvalue()
 
 
 def _best_per_column(rows: list[dict], names: list[str]) -> dict[str, float]:

@@ -286,11 +286,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         feature_raw.get("patch_size", 8), "detector.feature.patch_size", int
     )
     stride = _expect_number(feature_raw.get("stride", 4), "detector.feature.stride", int)
-    descriptor = feature_raw.get("descriptor", "raw-patch")
     try:
-        feature = FeatureProviderConfig(patch_size=patch_size, stride=stride, descriptor=descriptor)
+        feature = FeatureProviderConfig(patch_size=patch_size, stride=stride)
     except ConfigError as exc:
         raise ConfigError("invalid-config", f"detector.feature: {exc.message}") from exc
+    descriptor = feature_raw.get("descriptor", "raw-patch")
+    if descriptor != "raw-patch":
+        raise ConfigError("invalid-config", f"detector.feature: unknown descriptor {descriptor!r}")
 
     coreset_raw = _expect_type(
         detector.get("coreset", {}), "detector.coreset", dict, "an object"
@@ -709,7 +711,7 @@ def _run_continual_job(
     entries: dict[tuple[int, int], float] = {}
     final_scores: dict[int, tuple[list[float], PixelPool, list[float]]] = {}
     for step, task_bank in enumerate(task_banks, start=1):
-        bank = extend_bank_for_task(bank, task_bank, step)
+        bank = extend_bank_for_task(bank, task_bank)
         state = DetectorState(bank, config.feature, config.b, config.smoothing_sigma)
         for prev in tasks[:step]:
             scored = evaluate(state, prev.test, known[prev.index], render=step == k)

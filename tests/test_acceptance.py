@@ -60,7 +60,7 @@ def _report(num: int, text: str) -> None:
 
 def _bank(codes: np.ndarray) -> MemoryBank:
     """A single-task bank of these code rows."""
-    return MemoryBank(codes.shape[1], codes, np.zeros(codes.shape[0], np.uint32))
+    return MemoryBank(codes)
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +336,7 @@ def test_criterion_10_continual_memory_bank(bench_runs):
     for step, task in enumerate(sequence, start=1):
         task_bank = build_bank([i.sample.image for i in task.train], config.feature)
         picked = coreset_select(task_bank, params(step))
-        bank = extend_bank_for_task(bank, task_bank.take(picked), step)
+        bank = extend_bank_for_task(bank, task_bank.take(picked))
         index = SearchIndex.of(bank.rows(slice(None)))
         for prev in sequence[:step]:
             d2 = np.concatenate(

@@ -138,6 +138,21 @@ def _sigma_config(tmp_path, sigma):
     return _write(tmp_path, "sigma.json", json.dumps(cfg).encode())
 
 
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+def test_run_tiny_sigma_keeps_pixel_metrics(tmp_path, sigma):
+    """A sigma whose kernel radius is 0 leaves the maps unblurred, so the
+    pixel metrics are those of sigma = 0, not null from NaN maps."""
+    got = {}
+    for value in (sigma, 0.0):
+        out = tmp_path / str(value)
+        out.mkdir()
+        assert main(["run", "--config", _sigma_config(out, value)]) == 0
+        document = json.loads((out / "out" / "results.json").read_text())
+        got[value] = [(c["metrics"], c["na_reasons"]) for c in document["cells"]]
+    assert all(m["pixel_auroc"] is not None for m, _ in got[sigma])
+    assert got[sigma] == got[0.0]
+
+
 def test_run_missing_mask_exit_3(tmp_path):
     assert main(["run", "--config", _missing_mask_config(tmp_path)]) == 3
 
@@ -363,6 +378,11 @@ def test_report_renders_valid_task_matrix(tmp_path):
             lambda t: ["run", "--config", _sigma_config(t, 1e12)],
             2, "invalid-config", id="run-sigma-too-large",
         ),
+        # sigma < 0.125: a kernel radius of 0, so no blur
+        pytest.param(
+            lambda t: ["run", "--config", _sigma_config(t, 1e-200)],
+            0, None, id="run-sigma-tiny",
+        ),
         pytest.param(
             lambda t: ["synth", "--spec", _write(t, "s.json", b'{"categories": 1}'),
                        "--seed", "1", "--out", str(t / "d")],
@@ -483,7 +503,9 @@ def test_exit_code_table(tmp_path, capsys, make_argv, exit_code, code):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"iadbench: {code}: ")
+    # an error is one line with its code; a clean run, one summary line
+    prefix = f"iadbench: {code}: " if code else "iadbench: 1 cells ok, "
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
 def test_data_root_env_fallback(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -63,7 +64,7 @@ from oracles import (
 def _bank(codes) -> MemoryBank:
     """A single-task bank of these code rows."""
     arr = np.asarray(codes, dtype=np.uint8)
-    return MemoryBank(arr.shape[1], arr, np.zeros(arr.shape[0], np.uint32))
+    return MemoryBank(arr)
 
 
 def _index(bank: MemoryBank) -> SearchIndex:
@@ -74,33 +75,33 @@ def _index(bank: MemoryBank) -> SearchIndex:
 def _grid(codes) -> PatchFeatureGrid:
     """A one-column patch grid of these code rows."""
     arr = np.asarray(codes, dtype=np.uint8)
-    return PatchFeatureGrid(arr.shape[0], 1, arr.shape[1], arr)
+    return PatchFeatureGrid(arr.shape[0], 1, arr)
 
 
 # --- bank construction ------------------------------------------------------------
 
 
 def test_build_bank_union_order():
-    cfg = FeatureProviderConfig(2, 2, "raw-patch")
+    cfg = FeatureProviderConfig(2, 2)
     images = [ImageGrid(np.arange(16, dtype=np.uint8).reshape(4, 4) + 16 * i) for i in range(2)]
     bank = build_bank(images, cfg)
     assert bank.count == 8
     want = bank_from_grids([extract_features(image, cfg) for image in images])
     assert bank.rows(slice(None)).tobytes() == want.tobytes()
-    assert np.all(bank.task_tags == 0)
+    assert (bank.count, bank.dim) == bank.codes.shape == (8, 4)
 
 
 def test_build_bank_errors():
     with pytest.raises(DetectorError) as exc:
-        build_bank([], FeatureProviderConfig(4, 4, "raw-patch"))
+        build_bank([], FeatureProviderConfig(4, 4))
     assert exc.value.code == "empty-input"
     with pytest.raises(DetectorError) as exc:
-        MemoryBank(16, np.zeros((1, 32), np.uint8), np.zeros(1, np.uint32))
+        MemoryBank(np.zeros(32, np.uint8))
     assert exc.value.code == "dim-mismatch"
 
 
 def test_build_bank_single_patch():
-    cfg = FeatureProviderConfig(2, 1, "raw-patch")
+    cfg = FeatureProviderConfig(2, 1)
     assert build_bank([ImageGrid(np.full((2, 2), 255, np.uint8))], cfg).count == 1
 
 
@@ -109,14 +110,27 @@ def test_memory_bank_rejects_float_rows():
     array, finite or not, is refused rather than cast."""
     dim, count = 16, 5
     codes = np.random.default_rng(20).integers(0, 256, (count, dim), dtype=np.uint8)
-    assert MemoryBank(dim, codes, np.zeros(count, np.uint32)).count == count
+    assert MemoryBank(codes).count == count
     for rows in (intensities(codes), codes.astype(np.float64), np.full((count, dim), np.nan),
-                 codes.astype(np.int64)):
+                 codes.astype(np.int64), codes.tolist()):
         with pytest.raises(DetectorError) as exc:
-            MemoryBank(dim, rows, np.zeros(count, np.uint32))
+            MemoryBank(rows)
         assert (exc.value.code, exc.value.message) == (
             "dim-mismatch", "bank rows must be uint8 codes"
         )
+
+
+def test_memory_bank_is_a_2d_code_array():
+    """A bank is its codes: count and dim are the array's shape, and a
+    1-D or 3-D array is refused."""
+    codes = np.zeros((5, 3), np.uint8)
+    bank = MemoryBank(codes)
+    assert bank.codes is codes and (bank.count, bank.dim) == (5, 3)
+    assert (MemoryBank.empty(7).count, MemoryBank.empty(7).dim) == (0, 7)
+    for rows in (codes.ravel(), codes.reshape(5, 3, 1), np.uint8(4)[()]):
+        with pytest.raises(DetectorError) as exc:
+            MemoryBank(np.asarray(rows))
+        assert exc.value.code == "dim-mismatch"
 
 
 def test_every_code_reads_as_the_float32_quotient():
@@ -136,9 +150,8 @@ def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
     rng = np.random.default_rng(21)
     codes = rng.integers(0, 256, (300, 9), dtype=np.uint8)
     codes[:256, 0] = np.arange(256)
-    tags = rng.integers(0, 4, 300).astype(np.uint32)
     path = tmp_path / "bank.iadb"
-    write_bank_file(MemoryBank(9, codes, tags), str(path))
+    write_bank_file(MemoryBank(codes), str(path))
     data = path.read_bytes()
     header = 4 + 2 + 4 + 8
     assert data[header + 300 * 4 :] == intensities(codes).astype("<f4").tobytes()
@@ -253,7 +266,7 @@ def test_coreset_l_out_of_range():
 
 
 def test_coreset_l_out_of_range_from_codes():
-    cfg = FeatureProviderConfig(2, 1, "raw-patch")
+    cfg = FeatureProviderConfig(2, 1)
     bank = build_bank([ImageGrid(np.zeros((3, 4), np.uint8))], cfg)  # 2 x 3 patches
     for params in (CoresetParams(l=7), CoresetParams(l=7, projection_dim=2)):
         with pytest.raises(DetectorError) as got:
@@ -329,7 +342,7 @@ def test_coreset_select_peak_memory(projection_dim):
 @pytest.mark.parametrize("projection_dim", [16, None])
 def test_selection_from_images_peak_memory(projection_dim):
     """Bank, selection and the picked bank of 36,000 patches of 64."""
-    cfg = FeatureProviderConfig(8, 4, "raw-patch")
+    cfg = FeatureProviderConfig(8, 4)
     rng = np.random.default_rng(14)
     # 160 images of 64 px give 160 x 15 x 15 = 36,000 patches
     images = [ImageGrid(rng.integers(0, 256, (64, 64), dtype=np.uint8)) for _ in range(160)]
@@ -364,7 +377,7 @@ def _coreset_images(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = {"random": np.arange(256), "levels": np.array([0, 128, 255]), "constant": [77]}[kind]
     images = [ImageGrid(rng.choice(levels, (h, w)).astype(np.uint8)) for h, w in sizes]
-    return FeatureProviderConfig(p, s, "raw-patch"), images
+    return FeatureProviderConfig(p, s), images
 
 
 @settings(max_examples=120, deadline=None)
@@ -375,7 +388,7 @@ def _coreset_images(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(
-    case=(FeatureProviderConfig(3, 1, "raw-patch"), [ImageGrid(np.full((7, 9), 77, np.uint8))]),
+    case=(FeatureProviderConfig(3, 1), [ImageGrid(np.full((7, 9), 77, np.uint8))]),
     l_kind="all", projection=True, seed=0,
 )
 def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
@@ -790,7 +803,7 @@ def test_reweight_b_out_of_range():
 
 def test_score_image_replay_zero():
     codes = np.arange(8, dtype=np.uint8).reshape(4, 2)
-    grid = PatchFeatureGrid(2, 2, 2, codes)
+    grid = PatchFeatureGrid(2, 2, codes)
     bank = _bank(codes)
     result, patch_map = score_image(bank, grid, 2, _index(bank))
     assert result.s_star == 0.0
@@ -800,7 +813,7 @@ def test_score_image_replay_zero():
 
 def test_score_image_max_aggregation():
     bank = _bank([[0, 0]])
-    grid = PatchFeatureGrid(2, 1, 2, np.array([[51, 0], [204, 0]], np.uint8))  # 0.2 and 0.8
+    grid = PatchFeatureGrid(2, 1, np.array([[51, 0], [204, 0]], np.uint8))  # 0.2 and 0.8
     result, patch_map = score_image(bank, grid, 1, _index(bank))
     assert result.s == pytest.approx(0.8, abs=1e-6)
     assert patch_map.shape == (2, 1)
@@ -808,7 +821,7 @@ def test_score_image_max_aggregation():
 
 def test_score_image_single_patch():
     bank = _bank([[0], [2]])
-    grid = PatchFeatureGrid(1, 1, 1, np.array([[1]], np.uint8))
+    grid = PatchFeatureGrid(1, 1, np.array([[1]], np.uint8))
     result, _ = score_image(bank, grid, 2, _index(bank))
     assert result.s == pytest.approx(
         reweight(_index(bank), grid.rows(0), result.s_star, result.neighbor_index, 2)
@@ -818,7 +831,7 @@ def test_score_image_single_patch():
 def test_permutation_invariance_of_scores():
     rng = np.random.default_rng(14)
     codes = rng.integers(0, 256, (10, 3), dtype=np.uint8)
-    grid = PatchFeatureGrid(2, 2, 3, rng.integers(0, 256, (4, 3), dtype=np.uint8))
+    grid = PatchFeatureGrid(2, 2, rng.integers(0, 256, (4, 3), dtype=np.uint8))
     bank = _bank(codes)
     result, _ = score_image(bank, grid, 3, _index(bank))
     order = rng.permutation(10)
@@ -832,7 +845,7 @@ def test_monotone_coreset_degradation():
     rng = np.random.default_rng(15)
     codes = rng.integers(0, 256, (30, 4), dtype=np.uint8)
     bank = _bank(codes)
-    grid = PatchFeatureGrid(1, 3, 4, rng.integers(0, 256, (3, 4), dtype=np.uint8))
+    grid = PatchFeatureGrid(1, 3, rng.integers(0, 256, (3, 4), dtype=np.uint8))
     _, full_s_star, _, _ = score_patches(bank, grid, _index(bank))
     for l in (1, 5, 10, 20, 30):
         picked = coreset_select(_bank(codes), CoresetParams(l=l))
@@ -882,6 +895,17 @@ def test_render_bad_dims():
     with pytest.raises(DetectorError) as exc:
         render_anomaly_map(np.zeros((3, 3)), 8, 8, 4, 4, 4.0)  # 8px/patch4/stride4 -> 2x2
     assert exc.value.code == "bad-dims"
+
+
+@pytest.mark.parametrize("sigma", [0.1, 1e-160, 1e-200, 5e-324])
+def test_blur_of_radius_zero_leaves_the_map(sigma):
+    """Below sigma = 0.125 the kernel radius is 0: one tap of weight 1,
+    so the map comes back byte for byte, for any sigma however small."""
+    image = np.random.default_rng(23).random((5, 7))
+    assert _gaussian_blur(image, sigma).tobytes() == image.tobytes()
+    patch_map = image[:2, :2]
+    got = render_anomaly_map(patch_map, 8, 8, 4, 4, smoothing_sigma=sigma)
+    assert got.tobytes() == render_anomaly_map(patch_map, 8, 8, 4, 4, 0.0).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -967,34 +991,30 @@ def _selected(codes, params) -> MemoryBank:
 
 def test_extend_from_empty():
     codes = np.arange(8, dtype=np.uint8).reshape(4, 2)
-    bank = extend_bank_for_task(MemoryBank.empty(2), _selected(codes, CoresetParams(l=4)), 1)
+    task = _selected(codes, CoresetParams(l=4))
+    bank = extend_bank_for_task(MemoryBank.empty(2), task)
     assert bank.count == 4
-    assert np.all(bank.task_tags == 1)
+    assert np.array_equal(bank.codes, task.codes)  # the task's rows, in pick order
 
 
-def test_extend_budgets_and_tags():
+def test_extend_budgets_and_row_order():
     rng = np.random.default_rng(16)
     codes1 = rng.integers(0, 128, (20, 3))
     codes2 = rng.integers(128, 256, (20, 3))
-    bank = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=10)), 1)
-    bank = extend_bank_for_task(bank, _selected(codes2, CoresetParams(l=10)), 2)
+    task1 = _selected(codes1, CoresetParams(l=10))
+    task2 = _selected(codes2, CoresetParams(l=10))
+    bank = extend_bank_for_task(extend_bank_for_task(MemoryBank.empty(3), task1), task2)
     assert bank.count == 20
-    assert (bank.task_tags == 1).sum() == 10
-    assert (bank.task_tags == 2).sum() == 10
+    # each task's rows are one run, in task order
+    assert np.array_equal(bank.codes[:10], task1.codes)
+    assert np.array_equal(bank.codes[10:], task2.codes)
 
 
 def test_extend_union_search():
-    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)), 1)
-    bank = extend_bank_for_task(bank, _selected([[250]], CoresetParams(l=1)), 2)
+    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)))
+    bank = extend_bank_for_task(bank, _selected([[250]], CoresetParams(l=1)))
     _, _, _, neighbor = score_patches(bank, _grid([[102]]), _index(bank))  # 0.4
-    assert bank.task_tags[neighbor] == 1  # task-1 memory still reachable
-
-
-def test_extend_task_order_violation():
-    bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)), 2)
-    with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, _selected([[0]], CoresetParams(l=1)), 2)
-    assert exc.value.code == "task-order-violation"
+    assert neighbor == 0  # task-1 memory (row 0) still reachable
 
 
 def test_extend_checks_dim_before_coreset(monkeypatch):
@@ -1003,9 +1023,9 @@ def test_extend_checks_dim_before_coreset(monkeypatch):
 
     # the caller selects the task's coreset; extending checks dims and selects nothing
     monkeypatch.setattr(detector, "coreset_select", no_coreset)
-    bank = MemoryBank(2, np.zeros((1, 2), np.uint8), np.ones(1, np.uint32))
+    bank = MemoryBank(np.zeros((1, 2), np.uint8))
     with pytest.raises(DetectorError) as exc:
-        extend_bank_for_task(bank, _bank(np.zeros((1, 3))), 2)
+        extend_bank_for_task(bank, _bank(np.zeros((1, 3))))
     assert (exc.value.code, exc.value.message) == ("dim-mismatch", "task dim 3 != 2")
 
 
@@ -1013,9 +1033,9 @@ def test_extend_never_increases_earlier_distances():
     rng = np.random.default_rng(17)
     codes1 = rng.integers(0, 256, (16, 3))
     codes2 = rng.integers(0, 256, (16, 3))
-    probe = PatchFeatureGrid(3, 3, 3, rng.integers(0, 256, (9, 3), dtype=np.uint8))
-    bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=8)), 1)
-    bank2 = extend_bank_for_task(bank1, _selected(codes2, CoresetParams(l=8)), 2)
+    probe = PatchFeatureGrid(3, 3, rng.integers(0, 256, (9, 3), dtype=np.uint8))
+    bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=8)))
+    bank2 = extend_bank_for_task(bank1, _selected(codes2, CoresetParams(l=8)))
     before, _, _, _ = score_patches(bank1, probe, _index(bank1))
     after, _, _, _ = score_patches(bank2, probe, _index(bank2))
     assert np.all(after.d2 <= before.d2)  # the search is exact: no slack
@@ -1027,14 +1047,28 @@ def test_extend_never_increases_earlier_distances():
 def test_bank_file_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     codes = rng.integers(0, 256, (7, 5), dtype=np.uint8)
-    tags = np.array([0, 0, 1, 1, 2, 2, 2], np.uint32)
-    bank = MemoryBank(5, codes, tags)
+    bank = MemoryBank(codes)
     path = str(tmp_path / "bank.iadb")
     write_bank_file(bank, path)
     dim, back_tags, vectors = read_bank_file(path)
     assert dim == 5
     assert np.array_equal(vectors, bank.rows(slice(None)))
-    assert np.array_equal(back_tags, tags)
+    assert np.array_equal(back_tags, np.zeros(7, np.uint32))  # the v1 tag block
+
+
+def test_bank_file_is_header_zero_tags_then_rows(tmp_path):
+    """A snapshot is the 18-byte IADB v1 header, 4 x count zero bytes
+    where v1 keeps task tags, then the float32 rows: for a built bank and
+    for the bank of some of its rows."""
+    images = [ImageGrid(np.random.default_rng(24).integers(0, 256, (9, 11), dtype=np.uint8))]
+    bank = build_bank(images, FeatureProviderConfig(3, 2))
+    path = tmp_path / "bank.iadb"
+    for snap in (bank, bank.take(np.array([4, 0, 4, 2]))):
+        write_bank_file(snap, str(path))
+        header = struct.pack("<4sHIQ", b"IADB", 1, 9, snap.count)
+        rows = intensities(snap.codes).astype("<f4").tobytes()
+        assert len(header) == 18
+        assert path.read_bytes() == header + bytes(4 * snap.count) + rows
 
 
 def test_bank_file_errors(tmp_path):
@@ -1043,8 +1077,6 @@ def test_bank_file_errors(tmp_path):
     with pytest.raises(FormatError) as exc:
         read_bank_file(str(bad))
     assert exc.value.code == "bad-magic"
-
-    import struct
 
     headless = tmp_path / "headless.iadb"
     headless.write_bytes(struct.pack("<4sHIQ", b"IADB", 1, 4, 2)[:17])

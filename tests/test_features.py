@@ -14,21 +14,21 @@ from oracles import patch_vectors_reference
 
 def test_grid_arithmetic():
     image = ImageGrid(np.arange(0, 256, 4, dtype=np.uint8).reshape(8, 8))
-    config = FeatureProviderConfig(patch_size=4, stride=4, descriptor="raw-patch")
+    config = FeatureProviderConfig(patch_size=4, stride=4)
     grid = extract_features(image, config)
     assert (grid.grid_h, grid.grid_w, grid.dim) == (2, 2, 16)
 
 
 def test_constant_image_gives_identical_vectors():
     image = ImageGrid(np.full((12, 12), 128, dtype=np.uint8))
-    config = FeatureProviderConfig(patch_size=3, stride=2, descriptor="raw-patch")
+    config = FeatureProviderConfig(patch_size=3, stride=2)
     grid = extract_features(image, config)
     assert np.all(grid.vectors == grid.vectors[0])
 
 
 def test_patch_too_large():
     image = ImageGrid(np.zeros((3, 3), np.uint8))
-    config = FeatureProviderConfig(patch_size=4, stride=1, descriptor="raw-patch")
+    config = FeatureProviderConfig(patch_size=4, stride=1)
     with pytest.raises(ConfigError) as exc:
         extract_features(image, config)
     assert exc.value.code == "patch-too-large"
@@ -43,7 +43,7 @@ def test_shape_law_matches_window_enumeration():
         p = int(rng.integers(1, min(h, w) + 1))
         s = int(rng.integers(1, p + 1))
         image = ImageGrid(rng.integers(0, 256, (h, w), dtype=np.uint8))
-        config = FeatureProviderConfig(patch_size=p, stride=s, descriptor="raw-patch")
+        config = FeatureProviderConfig(patch_size=p, stride=s)
         grid = extract_features(image, config)
         count_h = sum(1 for y in range(h) if y % s == 0 and y + p <= h)
         count_w = sum(1 for x in range(w) if x % s == 0 and x + p <= w)
@@ -64,7 +64,7 @@ def _images_and_windows(draw):
 def test_every_code_gives_its_float32_intensity():
     """Code k becomes float32(float64(k / 255)), for all 256 codes."""
     image = ImageGrid(np.arange(256, dtype=np.uint8).reshape(16, 16))
-    grid = extract_features(image, FeatureProviderConfig(1, 1, "raw-patch"))
+    grid = extract_features(image, FeatureProviderConfig(1, 1))
     rows = grid.rows(slice(None))
     assert rows.tobytes() == (np.arange(256) / 255.0).astype(np.float32).tobytes()
 
@@ -76,7 +76,7 @@ def test_features_from_codes_equal_float_path(case):
     float64 image's windows."""
     codes, p, s = case
     image = ImageGrid(codes)
-    grid = extract_features(image, FeatureProviderConfig(p, s, "raw-patch"))
+    grid = extract_features(image, FeatureProviderConfig(p, s))
     expected = patch_vectors_reference(image.values, p, s)
     rows = grid.rows(slice(None))
     assert grid.vectors.dtype == np.uint8 and grid.vectors.shape == expected.shape
@@ -113,7 +113,7 @@ def test_bank_rows_equal_extracted_features(case):
     vectors, byte for byte: all at once, picked in any order, or through
     the bank of the picks."""
     images, p, s, rng = case
-    cfg = FeatureProviderConfig(p, s, "raw-patch")
+    cfg = FeatureProviderConfig(p, s)
     bank = build_bank(images, cfg)
     grids = [extract_features(image, cfg) for image in images]
     assert bank.codes.tobytes() == np.concatenate([g.vectors for g in grids]).tobytes()
@@ -125,26 +125,37 @@ def test_bank_rows_equal_extracted_features(case):
     assert bank.rows(picks).tobytes() == expected[picks].tobytes()
     picked = bank.take(picks)
     assert picked.rows(slice(None)).tobytes() == expected[picks].tobytes()
-    assert bank.task_tags.tolist() == [0] * bank.count
-    assert picked.task_tags.tolist() == [0] * len(picks)
+    assert picked.codes.tobytes() == bank.codes[picks].tobytes()
 
 
 def test_patch_grid_rejects_float_rows():
     """A grid holds 8-bit codes, as a bank does: a float or wider integer
     array, finite or not, is refused rather than cast."""
     codes = np.random.default_rng(22).integers(0, 256, (6, 4), dtype=np.uint8)
-    assert PatchFeatureGrid(2, 3, 4, codes).vectors is codes
+    assert PatchFeatureGrid(2, 3, codes).vectors is codes
     for rows in (intensities(codes), codes.astype(np.float64), np.full((6, 4), np.nan),
                  codes.astype(np.int64)):
         with pytest.raises(DetectorError) as exc:
-            PatchFeatureGrid(2, 3, 4, rows)
+            PatchFeatureGrid(2, 3, rows)
         assert (exc.value.code, exc.value.message) == (
             "dim-mismatch", "grid rows must be uint8 codes"
         )
 
 
+def test_patch_grid_needs_one_row_per_cell():
+    """A grid's dim is its rows' width, and it holds one row per cell of
+    its grid_h x grid_w grid."""
+    codes = np.zeros((6, 4), np.uint8)
+    assert PatchFeatureGrid(2, 3, codes).dim == 4
+    for grid_h, grid_w, rows in ((2, 2, codes), (3, 3, codes), (1, 6, codes[:5]),
+                                 (2, 3, codes.ravel()[:6])):
+        with pytest.raises(DetectorError) as exc:
+            PatchFeatureGrid(grid_h, grid_w, rows)
+        assert exc.value.code == "bad-dims"
+
+
 def test_build_bank_errors_match_the_float_path():
-    cfg = FeatureProviderConfig(4, 1, "raw-patch")
+    cfg = FeatureProviderConfig(4, 1)
     with pytest.raises(DetectorError) as got:
         build_bank([], cfg)
     assert (got.value.code, got.value.message) == ("empty-input", "need at least one feature grid")

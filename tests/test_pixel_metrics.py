@@ -346,8 +346,8 @@ def test_cell_render_peak_memory():
     the pool would add sixteen.
     """
     rng = np.random.default_rng(0)
-    bank = MemoryBank(64, rng.integers(0, 256, (32, 64), dtype=np.uint8), np.zeros(32, np.uint32))
-    state = DetectorState(bank, FeatureProviderConfig(8, 8, "raw-patch"), 2, 2.0)
+    bank = MemoryBank(rng.integers(0, 256, (32, 64), dtype=np.uint8))
+    state = DetectorState(bank, FeatureProviderConfig(8, 8), 2, 2.0)
     masks = [None] * 16
     for i in range(1, 16, 2):
         masks[i] = np.zeros((256, 256), bool)

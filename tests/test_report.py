@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 
 from iadbench.errors import ReportError
@@ -93,6 +96,19 @@ def test_csv_round_half_even():
     ).split(",")
     assert row[2] == "0.1562"  # down to even
     assert row[3] == "0.2188"  # up to even
+
+
+def test_csv_quotes_fields_that_need_it():
+    """A category is a directory name, so it may hold a comma or a quote;
+    each row still reads back as 11 fields with the names intact."""
+    document = _document()
+    names = ["a,b", 'q"x', "line\nbreak"]
+    for cell, name in zip(document["cells"], names):
+        cell["category"] = name
+    rows = list(csv.reader(io.StringIO(render_csv(document))))
+    assert [len(row) for row in rows] == [11] * 5
+    assert [row[0] for row in rows[1:4]] == names
+    assert rows[1][2] == "0.9800" and rows[1][10] == "640"
 
 
 def test_markdown_marks_best_and_pairs_continual():

@@ -221,6 +221,11 @@ _CONTINUAL_ON_SYNTH_ONE = {
 }
 
 
+def _with_descriptor(name):
+    """Config overrides that name a descriptor, on the base config's 6 px patches."""
+    return {"detector": {"feature": {"patch_size": 6, "stride": 3, "descriptor": name}}}
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -240,6 +245,8 @@ _CONTINUAL_ON_SYNTH_ONE = {
         (_CONTINUAL_ON_ONE, "setting[0]: continual needs at least 2 categories, the run has 1"),
         (_CONTINUAL_ON_SYNTH_ONE, "setting[1]: continual needs at least 2 categories, the run has 1"),
         ({"detector": {"smoothing_sigma": 1024.0000001}}, "smoothing_sigma: must be <= 1024"),
+        (_with_descriptor("resnet"), "detector.feature: unknown descriptor 'resnet'"),
+        (_with_descriptor(5), "detector.feature: unknown descriptor 5"),
     ],
 )
 def test_value_rules_checked_at_parse_time(overrides, message):
@@ -253,6 +260,7 @@ def test_value_rules_accept_their_bounds():
     parse_config(_base_config(setting=dict(_CUSTOM_M, m=[1, 3])))
     parse_config(_base_config(setting=dict(_CUSTOM_RATIO, noise_ratio=0.99)))
     parse_config(_base_config(detector={"smoothing_sigma": 1024}))
+    assert parse_config(_base_config(**_with_descriptor("raw-patch"))).feature.dim == 36
     detector = {"feature": {"patch_size": 6, "stride": 3}, "coreset": {"projection_dim": 36}}
     assert parse_config(_base_config(detector=detector)).coreset_params(5).projection_dim == 36
     # the continual category count is a run-time rule when the disk decides it
@@ -529,7 +537,7 @@ def test_bank_snapshots(sweep_run):
         path = os.path.join(banks_dir, f"{cell['category']}.iadb")
         assert os.path.isfile(path)
         _, task_tags, _ = read_bank_file(path)
-        assert task_tags.size == cell["bank_vectors"]
+        assert task_tags.size == cell["bank_vectors"] and not task_tags.any()
         # vector payload size equals the recorded bank_bytes
         header, tags = 18, 4 * task_tags.size
         assert os.path.getsize(path) - header - tags == cell["bank_bytes"]
@@ -581,12 +589,8 @@ def _tiny_state(bank_vectors=1000, dim=16):
     from iadbench.detector import MemoryBank
     from iadbench.features import FeatureProviderConfig
 
-    bank = MemoryBank(
-        dim,
-        np.zeros((bank_vectors, dim), np.uint8),
-        np.zeros(bank_vectors, np.uint32),
-    )
-    return DetectorState(bank, FeatureProviderConfig(4, 4, "raw-patch"), 1, 0.0)
+    bank = MemoryBank(np.zeros((bank_vectors, dim), np.uint8))
+    return DetectorState(bank, FeatureProviderConfig(4, 4), 1, 0.0)
 
 
 def _samples(count):
@@ -780,14 +784,16 @@ def test_whole_bank_continual_tasks_extend_in_natural_order(monkeypatch):
     extended = []
     extend = runner.extend_bank_for_task
 
-    def recording(bank, task, task_index):
-        extended.append((task_index, task.codes.copy()))
-        return extend(bank, task, task_index)
+    def recording(bank, task):
+        extended.append((bank.count, task.codes.copy()))
+        return extend(bank, task)
 
     monkeypatch.setattr(runner, "extend_bank_for_task", recording)
     assert run_experiment(config, threads=1).failures == []
     tasks = runner.make_continual(dataset, dataset.categories)
-    assert [index for index, _ in extended] == [t.index for t in tasks] == [1, 2]
+    assert [t.index for t in tasks] == [1, 2]
+    # task 1 starts the bank and task 2 is appended after all of its rows
+    assert [start for start, _ in extended] == [0, len(extended[0][1])]
     for (_, codes), task in zip(extended, tasks):
         normals = runner._normals(task.train)
         whole = bank_from_grids([extract_features(s.image, config.feature) for s in normals])
