@@ -24,9 +24,12 @@ The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
 bound of its row's minimum; those candidates are re-ranked with the
 reference ``((t - b)**2).sum()``, so only reference values reach an
-output. Peak memory per chunk of test patches is a few ``chunk x bank``
-arrays, never a ``chunk x bank x dim`` one. Search and re-weighting read
-a ``SearchIndex``: the bank's vectors in float64 and their squared
+output. ``_reference_d2`` is the one place the reference is computed, a
+row block at a time, for the rerank, the coreset's recompute and
+re-weighting, so re-weighting reads the bank one block at a time too.
+Peak memory per chunk of test patches is a few ``chunk x bank`` arrays,
+never a ``chunk x bank x dim`` one. Search and re-weighting read a
+``SearchIndex``: the bank's vectors in float64 and their squared
 norms. Because banks only grow at the end and ties go to the lowest
 index, a search can also start from a known answer over the bank's
 first rows and look only at the rows appended since (``search``).
@@ -80,17 +83,14 @@ _MAGIC = b"IADB"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")
 
-# Test patches per screen block. The screen (reused for the re-ranked
-# distances), its candidate mask and the candidate list are each at most
-# chunk x bank elements, so this bounds peak memory.
+# Test patches per screen block. The screen, its candidate mask and the
+# candidate list are each at most chunk x bank elements, so this bounds
+# peak memory.
 _SCORE_CHUNK = 256
-# Candidate (patch, bank vector) pairs re-ranked at once are capped at
-# this many float64 elements of (pairs x dim) difference array.
-_RERANK_ELEMENTS = 1 << 18
-# Rows converted to float64 at once hold at most this many elements, so
-# a bank is copied without an n x dim float64 temporary. A projected
-# read converts its _block_rows(out_dim) rows at in_dim width: on a
-# 16-dim projection of 64-dim rows, 1,024 x 64 float64 (512 KiB).
+# Rows converted to float64, or differenced by ``_reference_d2``, at once
+# hold at most this many elements: no n x dim float64 temporary. A
+# projected read converts its _block_rows(out_dim) rows at in_dim width:
+# on a 16-dim projection of 64-dim rows, 1,024 x 64 float64 (512 KiB).
 _BLOCK_ELEMENTS = 1 << 14
 # Builds of OpenBLAS name their thread-count calls differently; each
 # library is driven by the first (get, set) pair it exports.
@@ -104,6 +104,23 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_ELEMENTS // dim)
+
+
+def _reference_d2(rows, at, other, other_at=None) -> np.ndarray:
+    """The reference ``((rows[at] - other[other_at])**2).sum(axis=1)``, or
+    to the one vector ``other`` when ``other_at`` is None: the one place
+    the detector computes it. ``at`` and ``other_at`` are index arrays.
+    A block of ``_block_rows(dim)`` differences at a time is squared in
+    place, then summed by row; none outlives the call."""
+    step = _block_rows(rows.shape[1])
+    sums = []
+    for lo in range(0, len(at), step):
+        diff = rows[at[lo : lo + step]]
+        diff -= other if other_at is None else other[other_at[lo : lo + step]]
+        np.square(diff, out=diff)  # the reference's ** 2
+        sums.append(diff.sum(axis=1))
+        del diff
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 def _openblas_thread_controls() -> list[tuple[object, object]]:
@@ -381,7 +398,7 @@ class _BankPoints:
     reads give the bits of projecting the whole bank at once, in any
     order and any number. ``_farthest_first`` reads it a block at a time,
     as it reads an array, so no copy of all the points is made but its
-    own sorted one, which keeps a projection's rows from its first read.
+    own sorted one, which keeps the rows of its first and only read.
     """
 
     bank: MemoryBank
@@ -427,13 +444,11 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     recomputes every row at every pick. ``points`` is not modified.
 
     ``points`` is an (n, d) array, or a ``_BankPoints`` that makes its
-    rows as they are read. A first pass reads them in order, a block at
-    a time, for their squared norms sq; a second reads them again, a
-    block at a time, in order of sq (a stable sort) into a float64 copy.
-    A projection is not made twice: the first pass keeps its rows in
-    the copy, which is then put in that order a column at a time. That
-    sorted copy is the only one the loop holds. Picks and min_d2 stay in
-    the caller's row order.
+    rows as they are read. One pass reads them in order, a block at a
+    time, into a float64 copy and their squared norms sq, so no point is
+    read or projected twice. The copy is then put in order of sq (a
+    stable sort) a column at a time. That sorted copy is the only one
+    the loop holds. Picks and min_d2 stay in the caller's row order.
 
     Shell. Let M be min_d2 at the pick q, the largest of all. A row
     whose norm differs from ||q|| by more than sqrt(M) is at least M
@@ -449,33 +464,27 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     |s_j - r_j| <= E for the reference r_j and tau - E larger than the
     rounding of s_j - tau. So a computed s_j - tau above min_d2[j] means
     r_j > min_d2[j], and np.minimum would leave row j unchanged. Only
-    the other rows are recomputed with the reference and take
-    np.minimum. Screen values never reach min_d2. Per pick this
-    allocates a few vectors of the slice's length and, a row block at a
-    time, the recomputed rows; never an n x d array.
+    the other rows are recomputed with the reference (``_reference_d2``)
+    and take np.minimum, a row block at a time. Screen values never
+    reach min_d2. Per pick this allocates a few vectors of the slice's
+    length and one row block at a time; never an n x d array.
     """
     n, dim = points.shape
     step = _block_rows(dim)
-    # a projection is made once: the first pass keeps its rows
-    projected = getattr(points, "projection", None) is not None
     ranked = np.empty((n, dim))
     sq = np.empty(n)
     for start in range(0, n, step):
         block = points[start : start + step].astype(np.float64, copy=False)
         sq[start : start + step] = np.einsum("nd,nd->n", block, block)
-        if projected:
-            ranked[start : start + step] = block
+        ranked[start : start + step] = block
     order = np.argsort(sq, kind="stable")
     sq = sq[order]
-    if projected:
-        column = np.empty(n)
-        for c in range(dim):
-            np.take(ranked[:, c], order, out=column)
-            ranked[:, c] = column
-        del column
-    else:
-        for start in range(0, n, step):
-            ranked[start : start + step] = points[order[start : start + step]]
+    column = np.empty(n)
+    for c in range(dim):
+        # mode="clip" writes straight into ``column``; order is in range
+        np.take(ranked[:, c], order, out=column, mode="clip")
+        ranked[:, c] = column
+    del column
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     rho = np.sqrt(sq)
@@ -503,28 +512,15 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
         rows = np.flatnonzero(kept)
         del kept
         rows += lo
-        _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order)
+        for start in range(0, rows.size, step):
+            block = rows[start : start + step]
+            d2 = np.minimum(_reference_d2(ranked, block, q), ranked_d2[block])
+            ranked_d2[block] = d2
+            min_d2[order[block]] = d2
+            del block  # a view of rows, which may be n long
         del rows
         ranked_d2[pos] = min_d2[idx] = -1.0
     return selected, min_d2
-
-
-def _lower_to_reference(ranked, q, rows, ranked_d2, min_d2, order) -> None:
-    """Lower each of ``rows`` (sorted positions) to its reference
-    ``((p - q)**2).sum()`` where that is smaller, in ranked_d2 and, at
-    the row's caller index ``order[row]``, in min_d2. A row block at a
-    time, its differences squared in place: one block-sized temporary at
-    a time, none of which outlives the call."""
-    step = _block_rows(ranked.shape[1])
-    for start in range(0, rows.size, step):
-        block = rows[start : start + step]
-        diff = ranked[block]
-        diff -= q
-        np.square(diff, out=diff)  # the reference's ** 2
-        d2 = np.minimum(ranked_d2[block], diff.sum(axis=1))
-        del diff
-        ranked_d2[block] = d2
-        min_d2[order[block]] = d2
 
 
 @dataclass(frozen=True)
@@ -588,7 +584,7 @@ def _nearest_distances(
     s_j <= s_m + tau is kept as a candidate, j* among them.
 
     Rerank. Each candidate's d_j is computed with the reference
-    expression in blocks of pairs, and each row takes the first minimum
+    (``_reference_d2``), and each row takes the first minimum
     over its own candidates, in bank order, as argmin over the row
     would: any candidate before j* has d_j > d_j*, so the result is j*.
     Every row keeps at least its screen minimum (tau >= 0). Screen
@@ -600,7 +596,6 @@ def _nearest_distances(
     test_v = np.asarray(vectors, dtype=np.float64)
     dim = bank_v.shape[1]
     bank_sq_max = bank_sq.max()
-    pairs_per_block = max(1, _RERANK_ELEMENTS // dim)
     nn_idx = np.empty(test_v.shape[0], dtype=np.int64)
     nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
     for first in range(0, test_v.shape[0], _SCORE_CHUNK):
@@ -616,10 +611,7 @@ def _nearest_distances(
         # row-major: each row's candidates are one run, in bank order
         t_rows, b_rows = np.divmod(candidates, bank_v.shape[0])
         del candidates
-        d2 = np.empty(t_rows.size)
-        for lo in range(0, d2.size, pairs_per_block):
-            pick = slice(lo, lo + pairs_per_block)
-            d2[pick] = ((chunk[t_rows[pick]] - bank_v[b_rows[pick]]) ** 2).sum(axis=1)
+        d2 = _reference_d2(chunk, t_rows, bank_v, b_rows)
         row_starts = np.searchsorted(t_rows, np.arange(chunk.shape[0]))
         row_min = np.minimum.reduceat(d2, row_starts)
         # each row's first candidate at its minimum
@@ -699,7 +691,7 @@ def reweight(
     test = np.asarray(test_vector, dtype=np.float64).ravel()
     if test.size != index.dim:
         raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {index.dim}")
-    d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
+    d = np.sqrt(_reference_d2(index.vectors, np.arange(index.count), test))
     hood = np.sort(np.partition(d, b - 1)[:b])  # the b smallest, ascending
     d_star = d[neighbor_index]
     shift = hood.max()

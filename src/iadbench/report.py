@@ -76,10 +76,15 @@ def _unweighted_means(rows: list[dict], names: list[str]) -> dict[str, float]:
 
 
 def _md_table(header: list[str], body: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
+    """Table lines; a ``|`` inside a cell is escaped as ``\\|``, so it
+    cannot split the cell."""
+
+    def line(cells: list[str]) -> str:
+        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
+
+    lines = [line(header)]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in body:
-        lines.append("| " + " | ".join(row) + " |")
+    lines.extend(line(row) for row in body)
     return lines
 
 

@@ -777,11 +777,14 @@ def test_reweight_bounds_and_monotonicity():
 @example(count=2, dim=1, levels=1, b_kind="all", seed=0)
 @example(count=40, dim=2, levels=2, b_kind="all", seed=1)
 @example(count=40, dim=3, levels=3, b_kind="some", seed=2)
+@example(count=600, dim=64, levels=2, b_kind="all", seed=3)  # 3 blocks of 256 rows
+@example(count=600, dim=64, levels=1000, b_kind="some", seed=4)
 def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
     """Bit for bit, on banks quantized to a few levels, so most distances tie.
 
-    Coordinates lie in [0, 1), so distances differ by less than 2 and
-    every neighbour's softmax term reaches the score.
+    Coordinates lie in [0, 1), so distances differ by less than
+    sqrt(dim), at most 8, and every neighbour's softmax term reaches the
+    score.
     """
     rng = np.random.default_rng(seed)
     scale = max(levels, 4)
@@ -792,6 +795,23 @@ def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
     b = {"two": 2, "some": int(rng.integers(2, count + 1)), "all": count}[b_kind]
     expected = reweight_reference(vectors, test, float(d[neighbor]), neighbor, b)
     assert reweight(SearchIndex.of(vectors), test, float(d[neighbor]), neighbor, b) == expected
+
+
+def test_reweight_peak_memory():
+    """One re-weighting reads the index a row block at a time: its peak
+    stays below a quarter of one bank x dim float64 array."""
+    count, dim = 36000, 64
+    rng = np.random.default_rng(15)
+    index = SearchIndex.of(intensities(rng.integers(0, 256, (count, dim), dtype=np.uint8)))
+    test = index.vectors[7] + 0.001
+    tracemalloc.start()
+    try:
+        s = reweight(index, test, 1.0, 7, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s == reweight_reference(index.vectors, test, 1.0, 7, 5)
+    assert peak < count * dim * 8 / 4
 
 
 def test_reweight_b_out_of_range():

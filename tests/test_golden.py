@@ -33,14 +33,32 @@ Each run also saves its banks (``save_banks``), and each ``*_BANKS``
 maps a snapshot's file name under ``banks/`` to the sha256 of its IADB
 bytes, recorded with the same versions while banks were still stored
 as float32.
+
+The results digest cannot see scores that move without changing rank,
+since most reported metrics are rank statistics. So each ``*_SCORES``
+pins the scores themselves: the sha256 of one record per
+``score_image`` call (its ``s`` and ``s_star`` as ``float.hex``) and
+one per rendered pixel map (its shape and bytes), continual steps
+included. The records are sorted before hashing, so the order the
+threads run in cannot matter. They were recorded with the same versions
+while the detector still wrote its reference distance out in three
+places.
+
+``python tests/test_golden.py``, with ``src`` on ``PYTHONPATH``, runs
+every config at 1 and 2 threads and prints every pin as this module
+spells it, to re-record them with one command.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
+from iadbench import runner
 from iadbench.runner import parse_config, run_experiment
 
 GOLDEN_CONFIG = {
@@ -81,6 +99,8 @@ GOLDEN_BANKS = {
     "cat02.iadb": "311b397669fb254cff5ff319818c9698dbd028754afeb464a9f989dc4051cb2b",
 }
 
+GOLDEN_SCORES = "9d5076531e945e742b65d139af3c4e05d070e2283d62aa1b9e199fc9d7dd8ede"
+
 HIRES_CONFIG = {
     "schema": 1,
     "dataset": {
@@ -109,6 +129,8 @@ HIRES_BANKS = {
     "cat00.iadb": "4cd950e9664f65f76108f08cc5a75f295bf74f5cf1e5931dba9336233d8fa730",
     "cat01.iadb": "d108680093e82a637a261fc9475889711e80685302fa63bde7f37e954763dce1",
 }
+
+HIRES_SCORES = "0bdb3d39f722eb465fde7ff0952fda61368ea36790d02084eabd8c7127698c9d"
 
 SHARED_CONFIG = {
     "schema": 1,
@@ -145,6 +167,8 @@ SHARED_BANKS = {
     "cat02.iadb": "4a922d8b1081bbde5a6237f51d987ca655151fd2ab76cbe6056ac4048c6e6a9b",
 }
 
+SHARED_SCORES = "ad44898ac1af2758c22cec8a8079c6d8c97fe3797548d0cb0514a1da6280b01a"
+
 FULL_BANK_CONFIG = copy.deepcopy(SHARED_CONFIG)
 del FULL_BANK_CONFIG["detector"]["coreset"]
 
@@ -155,6 +179,8 @@ FULL_BANK_BANKS = {
     "cat01.iadb": "4534b9de99ccda38db541f07585ca78049c334d4307cb6c7730648bc569d1a4d",
     "cat02.iadb": "1924e0cd26edb36472f9f9bfc12b2a29d7008329ece6ac7597d2cec3a74b17a9",
 }
+
+FULL_BANK_SCORES = "960804b1b1121a92a6a140cd947f07103949c836dc34f58e6aa3b94466b9efa0"
 
 
 def _digest_without_timings(path) -> str:
@@ -169,36 +195,89 @@ def _bank_digests(banks_dir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in banks_dir.iterdir()}
 
 
-def _golden_runs(tmp_path, config: dict, digest: str, banks: dict[str, str]) -> list[dict]:
-    """The config's results documents at 1 and 2 threads, each checked
-    against ``digest``, and its saved banks against ``banks``."""
-    documents = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
+@contextlib.contextmanager
+def _recorded_scores():
+    """Records every image score and rendered map the runner makes while open."""
+    records = []
+    score_image, render_anomaly_map = runner.score_image, runner.render_anomaly_map
+
+    def scoring(*args, **kwargs):
+        result, patch_map = score_image(*args, **kwargs)
+        records.append(f"score {result.s.hex()} {result.s_star.hex()}")
+        return result, patch_map
+
+    def rendering(*args, **kwargs):
+        pixel_map = render_anomaly_map(*args, **kwargs)
+        records.append(f"map {pixel_map.shape} {hashlib.sha256(pixel_map.tobytes()).hexdigest()}")
+        return pixel_map
+
+    runner.score_image, runner.render_anomaly_map = scoring, rendering
+    try:
+        yield records
+    finally:
+        runner.score_image, runner.render_anomaly_map = score_image, render_anomaly_map
+
+
+def _pinned_run(config: dict, threads: int, out) -> tuple[dict, tuple[str, dict, str]]:
+    """The run's results document and its (results, banks, scores) digests."""
+    with _recorded_scores() as records:
         result = run_experiment(
             parse_config(config), threads=threads, save_banks=True, output_dir=str(out)
         )
-        assert _digest_without_timings(out / "results.json") == digest, f"threads={threads}"
-        assert _bank_digests(out / "banks") == banks, f"threads={threads}"
-        documents.append(result.document)
+    scores = hashlib.sha256("\n".join(sorted(records)).encode("ascii")).hexdigest()
+    digests = (_digest_without_timings(out / "results.json"), _bank_digests(out / "banks"), scores)
+    return result.document, digests
+
+
+def _golden_runs(tmp_path, name: str) -> list[dict]:
+    """The ``name`` config's results documents at 1 and 2 threads, each
+    checked against its results, banks and scores pins."""
+    config = globals()[f"{name}_CONFIG"]
+    pins = tuple(globals()[f"{name}_{pin}"] for pin in ("SHA256", "BANKS", "SCORES"))
+    documents = []
+    for threads in (1, 2):
+        document, digests = _pinned_run(config, threads, tmp_path / f"threads{threads}")
+        assert digests == pins, f"threads={threads}"
+        documents.append(document)
     return documents
 
 
 def test_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, GOLDEN_CONFIG, GOLDEN_SHA256, GOLDEN_BANKS):
+    for document in _golden_runs(tmp_path, "GOLDEN"):
         assert {c["status"] for c in document["cells"]} == {"ok", "failed"}
 
 
 def test_hires_shaped_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, HIRES_CONFIG, HIRES_SHA256, HIRES_BANKS):
+    for document in _golden_runs(tmp_path, "HIRES"):
         assert {c["status"] for c in document["cells"]} == {"ok"}
 
 
 def test_shared_coreset_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, SHARED_CONFIG, SHARED_SHA256, SHARED_BANKS):
+    for document in _golden_runs(tmp_path, "SHARED"):
         assert {c["status"] for c in document["cells"]} == {"ok"}
 
 
 def test_full_bank_results_bytes_are_golden(tmp_path):
-    for document in _golden_runs(tmp_path, FULL_BANK_CONFIG, FULL_BANK_SHA256, FULL_BANK_BANKS):
+    for document in _golden_runs(tmp_path, "FULL_BANK"):
         assert {c["status"] for c in document["cells"]} == {"ok"}
+
+
+def _print_pins() -> None:
+    """Prints every config's pins, from fresh runs, as this module spells them."""
+    for name in ("GOLDEN", "HIRES", "SHARED", "FULL_BANK"):
+        config = globals()[f"{name}_CONFIG"]
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [_pinned_run(config, threads, Path(tmp, str(threads)))[1] for threads in (1, 2)]
+        if runs[0] != runs[1]:
+            raise SystemExit(f"{name}: the digests differ between 1 and 2 threads")
+        results, banks, scores = runs[0]
+        print(f'{name}_SHA256 = "{results}"\n')
+        print(f"{name}_BANKS = {{")
+        for file_name in sorted(banks):
+            print(f'    "{file_name}": "{banks[file_name]}",')
+        print("}\n")
+        print(f'{name}_SCORES = "{scores}"\n')
+
+
+if __name__ == "__main__":
+    _print_pins()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import pytest
 
@@ -121,6 +122,29 @@ def test_markdown_marks_best_and_pairs_continual():
     assert "## Task matrix: continual" in md
     # unweighted category mean row: (0.98 + 0.91) / 2
     assert "| mean | 0.9450 |" in md
+
+
+def test_markdown_escapes_pipes_in_cells():
+    """A category may hold a ``|``; escaped, it splits no cell, so every
+    table row has the header's cell count."""
+    document = _document()
+    for cell in document["cells"]:
+        if cell["category"] == "catA":
+            cell["category"] = "a|b"
+    md = render_markdown(document)
+    assert "| a\\|b |" in md
+    tables = 0
+    for block in md.split("\n\n"):
+        rows = [line for line in block.splitlines() if line.startswith("|")]
+        if not rows:
+            continue
+        tables += 1
+        widths = {len(re.split(r"(?<!\\)\|", row)) for row in rows}
+        assert len(widths) == 1, block
+    assert tables == 3  # two settings and the task matrix
+    # cells without a pipe keep their bytes
+    plain = render_markdown(_document()).replace("catA", "a\\|b")
+    assert md == plain
 
 
 def test_emit_report_errors(tmp_path):
