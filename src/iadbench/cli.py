@@ -176,16 +176,14 @@ def _print_metric_json(values: dict[str, float]) -> None:
 def cmd_metrics(args) -> int:
     scores_mode = args.scores is not None
     maps_mode = args.maps is not None or args.masks is not None
+    # every flag check runs before any input is read
     if scores_mode == maps_mode:
-        _err("exactly one of --scores or --maps/--masks is required")
-        return 2
+        raise ConfigError("invalid-flag", "exactly one of --scores or --maps/--masks is required")
     if maps_mode and (args.maps is None or args.masks is None):
-        _err("--maps and --masks must be given together")
-        return 2
+        raise ConfigError("invalid-flag", "--maps and --masks must be given together")
     for flag, limit in (("--pro-limit", args.pro_limit), ("--spro-limit", args.spro_limit)):
         if maps_mode and not 0.0 < limit <= 1.0:
-            _err(f"{flag} must be in (0, 1]")
-            return 2
+            raise ConfigError("invalid-flag", f"{flag} must be in (0, 1]")
     if scores_mode:
         data = _read_scores_csv(args.scores)
         values = {"auroc": auroc(data), "ap": average_precision(data)}

@@ -9,16 +9,19 @@ bank vectors nearest to the winning patch. Distances are always
 accumulated in double precision.
 
 A bank row is an 8-bit code row from training to snapshot, and so is a
-test image's patch row (``features.PatchFeatureGrid``). Only
-``features.intensities`` turns codes into floats, where the detector
-reads rows: ``MemoryBank.rows`` and ``PatchFeatureGrid.rows``. So both
-sides of every search are finite rows in [0, 1]. ``MemoryBank`` is
-the one bank type, and a bank is its codes: one (count, dim) uint8
-array, read as float32 rows through ``rows``. ``build_bank`` is the one
-way from training images to a bank. ``take`` keeps a coreset's rows, and
+test image's patch row (``features.PatchFeatureGrid``). ``code_points``
+is the one reader from code rows to float64 points, a row block at a
+time: code k is ``features.intensities``' float32 k/255, widened
+exactly, or that row's projection by a ``make_projection`` matrix.
+``intensities`` is the float32 rule under it, and the snapshot's
+payload. So both sides of every search are finite rows in [0, 1].
+``MemoryBank`` is the one bank type, and a bank is its codes: one
+(count, dim) uint8 array. ``build_bank`` is the one way from training
+images to a bank. ``take`` keeps a coreset's rows, and
 ``extend_bank_for_task`` appends a task's bank. ``coreset_select``
-reads a bank's rows as intensities a block at a time, so no selection
-holds a float bank or a float64 copy other than its sorted one.
+hands ``code_points`` of the bank's codes to ``_farthest_first``, which
+sorts that array in place, so no selection holds a float bank or any
+float64 copy of its points but that one.
 
 The nearest-neighbour search is exact. A screen from one BLAS matmul,
 ``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
@@ -87,8 +90,8 @@ _HEADER = struct.Struct("<4sHIQ")
 # candidate list are each at most chunk x bank elements, so this bounds
 # peak memory.
 _SCORE_CHUNK = 256
-# Rows converted to float64, or differenced by ``_reference_d2``, at once
-# hold at most this many elements: no n x dim float64 temporary. A
+# Rows read by ``code_points``, or differenced by ``_reference_d2``, at
+# once hold at most this many elements: no n x dim float64 temporary. A
 # projected read converts its _block_rows(out_dim) rows at in_dim width:
 # on a 16-dim projection of 64-dim rows, 1,024 x 64 float64 (512 KiB).
 _BLOCK_ELEMENTS = 1 << 14
@@ -104,6 +107,29 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_ELEMENTS // dim)
+
+
+def code_points(codes: np.ndarray, projection: np.ndarray | None = None) -> np.ndarray:
+    """The float64 points of code rows: the detector's one reader of codes.
+
+    Code k is ``intensities``' float32 k/255, widened exactly; with a
+    ``make_projection`` matrix ``projection``, each row of those values
+    is projected by it, one einsum per block. ``_block_rows(width)``
+    rows are read at a time, so the result is the one array of all the
+    points. A row's projection is the same arithmetic in any block, so
+    its bits do not depend on the rows it is read with.
+    """
+    width = codes.shape[1] if projection is None else projection.shape[0]
+    points = np.empty((codes.shape[0], width))
+    step = _block_rows(width)
+    for start in range(0, codes.shape[0], step):
+        rows = intensities(codes[start : start + step])
+        out = points[start : start + step]
+        if projection is None:
+            out[...] = rows
+        else:
+            np.einsum("nd,od->no", rows.astype(np.float64), projection, out=out)
+    return points
 
 
 def _reference_d2(rows, at, other, other_at=None) -> np.ndarray:
@@ -202,7 +228,7 @@ single_thread_blas = SingleThreadBlas()
 class MemoryBank:
     """A detector's bank: its rows as 8-bit codes, one (count, dim) array.
 
-    Row values are ``intensities`` of the codes, so every one is finite
+    Its points are ``code_points`` of the codes, so every one is finite
     and in [0, 1]: a bank cannot hold NaN or inf.
     """
 
@@ -221,10 +247,6 @@ class MemoryBank:
     @property
     def dim(self) -> int:
         return self.codes.shape[1]
-
-    def rows(self, index) -> np.ndarray:
-        """The float32 descriptors of the rows at ``index`` (a slice or indices)."""
-        return intensities(self.codes[index])
 
     def take(self, index) -> "MemoryBank":
         """The bank of the rows at ``index`` (indices), in that order."""
@@ -387,43 +409,14 @@ def _shell_slack(dim: int, sq_max: float) -> float:
     return 8.0 * (dim + 2) * (2.0**-53 * math.sqrt(sq_max) + 2.0**-537)
 
 
-@dataclass(frozen=True)
-class _BankPoints:
-    """A bank's rows as the coreset reads them, made on each read.
-
-    ``points[index]`` is the float32 rows ``bank.rows(index)``, or their
-    float64 projection by the ``make_projection`` matrix ``projection``
-    when it is set, one einsum per read; ``shape`` is that of every point
-    at once. A row's projection is the same arithmetic in any block, so
-    reads give the bits of projecting the whole bank at once, in any
-    order and any number. ``_farthest_first`` reads it a block at a time,
-    as it reads an array, so no copy of all the points is made but its
-    own sorted one, which keeps the rows of its first and only read.
-    """
-
-    bank: MemoryBank
-    projection: np.ndarray | None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        width = self.bank.dim if self.projection is None else self.projection.shape[0]
-        return self.bank.count, width
-
-    def __getitem__(self, index) -> np.ndarray:
-        rows = self.bank.rows(index)
-        if self.projection is None:
-            return rows
-        return np.einsum("nd,od->no", rows.astype(np.float64), self.projection)
-
-
 def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     """Greedy k-center selection in the projected space.
 
     The bank's first vector seeds the selection; each following pick is
     the vector farthest from the current selection, ties broken by the
     lowest index. Returns exactly l distinct indices in selection order.
-    The bank's float32 rows are read through ``rows``, a block at a
-    time, each block projected as it is read when ``projection_dim`` asks.
+    The points are ``code_points`` of the bank's codes, projected as they
+    are read when ``projection_dim`` asks.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "cannot coreset an empty bank")
@@ -432,23 +425,21 @@ def coreset_select(bank: MemoryBank, params: CoresetParams) -> list[int]:
     projection = None
     if params.projection_dim is not None:
         projection = make_projection(bank.dim, params.projection_dim, params.seed)
-    return _farthest_first(_BankPoints(bank, projection), l)[0]
+    return _farthest_first(code_points(bank.codes, projection), l)[0]
 
 
-def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
-    """Farthest-first picks over ``points``, read as float64, and the final min_d2.
+def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
+    """Farthest-first picks over the (n, d) float64 ``points``, and the final min_d2.
 
     min_d2[j] is the smallest reference ``((p_j - q)**2).sum()`` over the
     picks q so far, -1 once j is picked, and each pick is its argmax
     (lowest index on ties). Both equal, bit for bit, the loop that
-    recomputes every row at every pick. ``points`` is not modified.
+    recomputes every row at every pick.
 
-    ``points`` is an (n, d) array, or a ``_BankPoints`` that makes its
-    rows as they are read. One pass reads them in order, a block at a
-    time, into a float64 copy and their squared norms sq, so no point is
-    read or projected twice. The copy is then put in order of sq (a
-    stable sort) a column at a time. That sorted copy is the only one
-    the loop holds. Picks and min_d2 stay in the caller's row order.
+    ``points`` is sorted in place, by its squared norms sq (a stable
+    sort), a column at a time, so the loop holds no copy of it; a
+    caller that needs its rows again passes a copy. Picks and min_d2
+    stay in the caller's row order.
 
     Shell. Let M be min_d2 at the pick q, the largest of all. A row
     whose norm differs from ||q|| by more than sqrt(M) is at least M
@@ -469,14 +460,10 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
     reach min_d2. Per pick this allocates a few vectors of the slice's
     length and one row block at a time; never an n x d array.
     """
-    n, dim = points.shape
+    ranked = points  # put in norm order, in place, below
+    n, dim = ranked.shape
     step = _block_rows(dim)
-    ranked = np.empty((n, dim))
-    sq = np.empty(n)
-    for start in range(0, n, step):
-        block = points[start : start + step].astype(np.float64, copy=False)
-        sq[start : start + step] = np.einsum("nd,nd->n", block, block)
-        ranked[start : start + step] = block
+    sq = np.einsum("nd,nd->n", ranked, ranked)
     order = np.argsort(sq, kind="stable")
     sq = sq[order]
     column = np.empty(n)
@@ -527,8 +514,8 @@ def _farthest_first(points, l: int) -> tuple[list[int], np.ndarray]:
 class SearchIndex:
     """A bank's vectors as the searches read them: float64 rows and their squared norms.
 
-    Built from the bank's float rows, so no search converts the bank
-    again. The float64 rows equal the float32 ones exactly.
+    Built from the bank's ``code_points``, so no search converts the
+    bank again.
     """
 
     vectors: np.ndarray  # (count, dim) float64
@@ -663,7 +650,7 @@ def score_patches(
         raise DetectorError("empty-bank", "bank has no vectors")
     if grid.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
-    nearest = search(index, grid.rows(slice(None)), known)
+    nearest = search(index, code_points(grid.vectors), known)
     distances = np.sqrt(nearest.d2)
     patch_index = int(np.argmax(distances))
     return nearest, float(distances[patch_index]), patch_index, int(nearest.index[patch_index])
@@ -713,7 +700,8 @@ def score_image(
     ``score_patches``; re-weighting always reads the whole bank.
     """
     nearest, s_star, patch_index, neighbor_index = score_patches(bank, grid, index, known)
-    s = reweight(index, grid.rows(patch_index), s_star, neighbor_index, b)
+    test_vector = code_points(grid.vectors[patch_index : patch_index + 1])
+    s = reweight(index, test_vector, s_star, neighbor_index, b)
     patch_map = np.sqrt(nearest.d2).reshape(grid.grid_h, grid.grid_w)
     return ScoreResult(s_star, neighbor_index, s, nearest), patch_map
 
@@ -835,4 +823,4 @@ def write_bank_file(bank: MemoryBank, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, bank.dim, bank.count))
         fh.write(bytes(4 * bank.count))  # the v1 task-tag block: every tag 0
-        fh.write(np.ascontiguousarray(bank.rows(slice(None)), dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(intensities(bank.codes), dtype="<f4").tobytes())

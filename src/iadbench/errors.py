@@ -7,7 +7,7 @@ message text.
 ``read_json`` is the one way a JSON input (a config, a synth spec, a
 ``saturations.json``, a ``results.json``) enters the program: whatever
 stops it from being read or decoded becomes the caller's error class
-and code. ``_expect_keys`` and ``_expect_type`` are the shape checks
+and code. ``expect_keys`` and ``expect_type`` are the shape checks
 that configs and specs share.
 """
 
@@ -72,7 +72,7 @@ def read_json(path: str, error_class: type[BenchError], code: str, text: str | N
         raise error_class(code, f"{path} is not valid JSON: {exc}") from exc
 
 
-def _expect_keys(
+def expect_keys(
     obj: dict, path: str, required: set[str], optional: set[str], code: str = "invalid-config"
 ) -> None:
     unknown = set(obj) - required - optional
@@ -83,7 +83,7 @@ def _expect_keys(
         raise ConfigError(code, f"{path}: missing keys {sorted(missing)}")
 
 
-def _expect_type(value, path: str, kind, label: str, code: str = "invalid-config"):
+def expect_type(value, path: str, kind, label: str, code: str = "invalid-config"):
     if kind is float:  # finite, and an integer must fit a float64
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         ok = ok and abs(value) <= sys.float_info.max

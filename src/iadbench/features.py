@@ -6,9 +6,9 @@ patch_size x patch_size pixels flattened row-major, giving a grid of
 8-bit codes, and a patch stays one: a grid row is the window's codes.
 Each code k reads as the float32 quotient k/255 (``intensities``), the
 value a float64 image cast to float32 would give. ``intensities`` is
-the one rule that turns codes into floats, and the detector applies it
-only where it reads rows (``PatchFeatureGrid.rows``,
-``MemoryBank.rows``).
+the one rule that turns codes into floats: ``detector.code_points``,
+the detector's one reader from code rows to float64 points, widens its
+values, and a bank snapshot's payload is its values.
 
 ``windows`` is the one window rule. ``extract_features`` and
 ``detector.build_bank`` both apply it to an image's codes, so a bank
@@ -68,10 +68,6 @@ class PatchFeatureGrid:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def rows(self, index) -> np.ndarray:
-        """The float32 descriptors of the patches at ``index`` (a slice or an index)."""
-        return intensities(self.vectors[index])
 
 
 def intensities(codes: np.ndarray) -> np.ndarray:

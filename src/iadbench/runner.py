@@ -42,6 +42,7 @@ from .detector import (
     ScoreResult,
     SearchIndex,
     build_bank,
+    code_points,
     coreset_select,
     extend_bank_for_task,
     render_anomaly_map,
@@ -50,7 +51,7 @@ from .detector import (
     write_bank_file,
 )
 from .errors import (
-    BenchError, ConfigError, DetectorError, MetricError, _expect_keys, _expect_type, read_json,
+    BenchError, ConfigError, DetectorError, MetricError, expect_keys, expect_type, read_json,
 )
 from .features import FeatureProviderConfig, extract_features
 from .metrics import (
@@ -137,7 +138,7 @@ def _expect_number(
     value, path: str, kind, minimum=None, maximum=None, unit_interval: bool = False
 ):
     """A typed number, within ``minimum`` and ``maximum`` or in (0, 1] when asked."""
-    _expect_type(value, path, kind, "an integer" if kind is int else "a number")
+    expect_type(value, path, kind, "an integer" if kind is int else "a number")
     if minimum is not None and value < minimum:
         raise ConfigError("invalid-config", f"{path}: must be >= {minimum}")
     if maximum is not None and value > maximum:
@@ -149,11 +150,11 @@ def _expect_number(
 
 def _expect_names(value, path: str) -> list[str]:
     """A non-empty list of distinct strings (categories, a continual order, metrics)."""
-    _expect_type(value, path, list, "a list")
+    expect_type(value, path, list, "a list")
     if not value:
         raise ConfigError("invalid-config", f"{path}: must not be empty")
     for name in value:
-        _expect_type(name, f"{path}[]", str, "a string")
+        expect_type(name, f"{path}[]", str, "a string")
     if len(set(value)) != len(value):
         raise ConfigError("invalid-config", f"{path}: repeats a name")
     return value
@@ -177,19 +178,19 @@ def _parse_setting(raw: dict, path: str, run_categories: int | None) -> list[dic
 
     ``run_categories`` counts the run's categories; None if only the disk knows.
     """
-    _expect_type(raw, path, dict, "an object")
+    expect_type(raw, path, dict, "an object")
     stype = raw.get("type")
     if stype == "unsupervised":
-        _expect_keys(raw, path, {"type"}, set())
+        expect_keys(raw, path, {"type"}, set())
         return [{"type": stype, "label": "unsupervised"}]
     if stype == "supervised":
-        _expect_keys(raw, path, {"type"}, {"n"})
+        expect_keys(raw, path, {"type"}, {"n"})
         n = _expect_number(raw.get("n", 10), f"{path}.n", int, minimum=0)
         return [{"type": stype, "n": n, "label": f"supervised_n{n}"}]
     if stype == "fewshot":
-        _expect_keys(raw, path, {"type", "m"}, {"rotation_k", "allow_custom_m"})
+        expect_keys(raw, path, {"type", "m"}, {"rotation_k", "allow_custom_m"})
         rotation_k = _expect_number(raw.get("rotation_k", 1), f"{path}.rotation_k", int)
-        allow = _expect_type(
+        allow = expect_type(
             raw.get("allow_custom_m", False), f"{path}.allow_custom_m", bool, "a boolean"
         )
         if rotation_k not in ROTATION_ANGLES:
@@ -203,13 +204,13 @@ def _parse_setting(raw: dict, path: str, run_categories: int | None) -> list[dic
             out.append({"type": stype, "m": m, "rotation_k": rotation_k, "label": label})
         return out
     if stype == "noisy":
-        _expect_keys(raw, path, {"type", "noise_ratio"}, {"allow_custom_ratio"})
-        allow = _expect_type(
+        expect_keys(raw, path, {"type", "noise_ratio"}, {"allow_custom_ratio"})
+        allow = expect_type(
             raw.get("allow_custom_ratio", False), f"{path}.allow_custom_ratio", bool, "a boolean"
         )
         out = []
         for ratio in _sweep(raw["noise_ratio"], f"{path}.noise_ratio"):
-            ratio = float(_expect_type(ratio, f"{path}.noise_ratio", float, "a number"))
+            ratio = float(expect_type(ratio, f"{path}.noise_ratio", float, "a number"))
             if allow and not 0.0 < ratio < 1.0:
                 raise ConfigError("invalid-config", f"{path}: noise_ratio={ratio} not in (0, 1)")
             if not allow and not any(math.isclose(ratio, r) for r in NOISE_RATIO_GRID):
@@ -217,7 +218,7 @@ def _parse_setting(raw: dict, path: str, run_categories: int | None) -> list[dic
             out.append({"type": stype, "noise_ratio": ratio, "label": f"noisy_r{ratio:g}"})
         return out
     if stype == "continual":
-        _expect_keys(raw, path, {"type"}, {"category_order"})
+        expect_keys(raw, path, {"type"}, {"category_order"})
         order = raw.get("category_order")
         if order is not None:
             _expect_names(order, f"{path}.category_order")
@@ -236,8 +237,8 @@ def _parse_setting(raw: dict, path: str, run_categories: int | None) -> list[dic
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys anywhere are errors."""
-    _expect_type(raw, "config", dict, "an object")
-    _expect_keys(
+    expect_type(raw, "config", dict, "an object")
+    expect_keys(
         raw,
         "config",
         {"dataset", "setting", "seed"},
@@ -247,8 +248,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError("invalid-config", f"schema: unsupported version {schema!r}")
 
-    dataset = _expect_type(raw["dataset"], "dataset", dict, "an object")
-    _expect_keys(dataset, "dataset", set(), {"path", "synthetic"})
+    dataset = expect_type(raw["dataset"], "dataset", dict, "an object")
+    expect_keys(dataset, "dataset", set(), {"path", "synthetic"})
     if "path" in dataset and "synthetic" in dataset:
         raise ConfigError("invalid-config", "dataset: path and synthetic are exclusive")
     if "path" not in dataset and "synthetic" not in dataset:
@@ -258,7 +259,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     dataset_path = dataset.get("path")
     if "path" in dataset:
-        _expect_type(dataset_path, "dataset.path", str, "a string")
+        expect_type(dataset_path, "dataset.path", str, "a string")
     synth_spec = None
     if "synthetic" in dataset:
         synth_spec = SynthSpec.from_dict(dataset["synthetic"], "dataset.synthetic")
@@ -276,12 +277,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("invalid-config", "setting: duplicate setting instances")
 
     detector = raw.get("detector", {})
-    _expect_type(detector, "detector", dict, "an object")
-    _expect_keys(detector, "detector", set(), {"feature", "coreset", "b", "smoothing_sigma"})
-    feature_raw = _expect_type(
+    expect_type(detector, "detector", dict, "an object")
+    expect_keys(detector, "detector", set(), {"feature", "coreset", "b", "smoothing_sigma"})
+    feature_raw = expect_type(
         detector.get("feature", {}), "detector.feature", dict, "an object"
     )
-    _expect_keys(feature_raw, "detector.feature", set(), {"patch_size", "stride", "descriptor"})
+    expect_keys(feature_raw, "detector.feature", set(), {"patch_size", "stride", "descriptor"})
     patch_size = _expect_number(
         feature_raw.get("patch_size", 8), "detector.feature.patch_size", int
     )
@@ -294,10 +295,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if descriptor != "raw-patch":
         raise ConfigError("invalid-config", f"detector.feature: unknown descriptor {descriptor!r}")
 
-    coreset_raw = _expect_type(
+    coreset_raw = expect_type(
         detector.get("coreset", {}), "detector.coreset", dict, "an object"
     )
-    _expect_keys(coreset_raw, "detector.coreset", set(), {"target_fraction", "l", "projection_dim"})
+    expect_keys(coreset_raw, "detector.coreset", set(), {"target_fraction", "l", "projection_dim"})
     fraction = coreset_raw.get("target_fraction")
     l = coreset_raw.get("l")
     if fraction is None and l is None:
@@ -331,7 +332,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     metrics_raw = raw.get("metrics", list(METRIC_NAMES))
     limits = {}
     if isinstance(metrics_raw, dict):
-        _expect_keys(metrics_raw, "metrics", set(), {"names", "pro_limit", "spro_limit"})
+        expect_keys(metrics_raw, "metrics", set(), {"names", "pro_limit", "spro_limit"})
         names = metrics_raw.get("names", list(METRIC_NAMES))
         limits = metrics_raw
     else:
@@ -345,10 +346,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         for key, default in (("pro_limit", DEFAULT_PRO_LIMIT), ("spro_limit", DEFAULT_SPRO_LIMIT))
     )
 
-    seed = _expect_type(raw["seed"], "seed", int, "an integer")
+    seed = expect_type(raw["seed"], "seed", int, "an integer")
     output_dir = raw.get("output_dir")
     if output_dir is not None:
-        _expect_type(output_dir, "output_dir", str, "a string")
+        expect_type(output_dir, "output_dir", str, "a string")
 
     canonical = {k: v for k, v in raw.items() if k != "output_dir"}
     canonical["schema"] = SCHEMA_VERSION
@@ -402,7 +403,7 @@ class DetectorState:
     index: SearchIndex = field(init=False)
 
     def __post_init__(self):
-        self.index = SearchIndex.of(self.bank.rows(slice(None)))
+        self.index = SearchIndex.of(code_points(self.bank.codes))
 
     def score_sample(
         self, sample: Sample, known: Nearest | None = None, render: bool = True

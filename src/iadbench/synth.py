@@ -18,7 +18,7 @@ import numpy as np
 import numpy.random  # at start-up: numpy otherwise loads it on first use, mid-run
 
 from .data import ABNORMAL, NORMAL, Dataset, ImageGrid, PixelMask, Sample
-from .errors import ConfigError, _expect_keys, _expect_type
+from .errors import ConfigError, expect_keys, expect_type
 from .pgm import write_pgm
 from .rng import derive_seed
 
@@ -55,14 +55,14 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, raw: dict, key_path: str = "spec") -> "SynthSpec":
-        _expect_type(raw, key_path, dict, "an object", "invalid-spec")
-        _expect_keys(raw, key_path, set(_COUNTS), {"defect_kinds"}, "invalid-spec")
+        expect_type(raw, key_path, dict, "an object", "invalid-spec")
+        expect_keys(raw, key_path, set(_COUNTS), {"defect_kinds"}, "invalid-spec")
         for key in _COUNTS:
-            _expect_type(raw[key], f"{key_path}.{key}", int, "an integer", "invalid-spec")
+            expect_type(raw[key], f"{key_path}.{key}", int, "an integer", "invalid-spec")
         kinds = raw.get("defect_kinds", list(DEFECT_KINDS))
-        _expect_type(kinds, f"{key_path}.defect_kinds", list, "a list", "invalid-spec")
+        expect_type(kinds, f"{key_path}.defect_kinds", list, "a list", "invalid-spec")
         for kind in kinds:
-            _expect_type(kind, f"{key_path}.defect_kinds[]", str, "a string", "invalid-spec")
+            expect_type(kind, f"{key_path}.defect_kinds[]", str, "a string", "invalid-spec")
         return cls(**{key: raw[key] for key in _COUNTS}, defect_kinds=tuple(kinds))
 
 

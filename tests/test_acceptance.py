@@ -25,7 +25,7 @@ from iadbench.detector import (
     reweight,
     score_patches,
 )
-from iadbench.features import extract_features
+from iadbench.features import extract_features, intensities
 from iadbench.metrics import (
     LabeledScores,
     PixelPool,
@@ -162,12 +162,12 @@ def test_criterion_4_coreset_oracle():
         # ten code levels: ties as dense as on a grid of ten values
         bank = _bank(rng.integers(0, 10, size=(n, dim), dtype=np.uint8))
         l = int(rng.integers(1, n + 1))
-        points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
+        points = [tuple(map(float, row)) for row in intensities(bank.codes).astype(np.float64)]
         assert coreset_select(bank, CoresetParams(l=l)) == greedy_kcenter(points, l)
     for _ in range(60):
         n = int(rng.integers(3, 11))
         bank = _bank(rng.integers(0, 256, (n, 2), dtype=np.uint8))
-        points = [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)]
+        points = [tuple(map(float, row)) for row in intensities(bank.codes).astype(np.float64)]
         for l in (1, 2, 3):
             if l > n:
                 continue
@@ -337,7 +337,7 @@ def test_criterion_10_continual_memory_bank(bench_runs):
         task_bank = build_bank([i.sample.image for i in task.train], config.feature)
         picked = coreset_select(task_bank, params(step))
         bank = extend_bank_for_task(bank, task_bank.take(picked))
-        index = SearchIndex.of(bank.rows(slice(None)))
+        index = SearchIndex.of(intensities(bank.codes))
         for prev in sequence[:step]:
             d2 = np.concatenate(
                 [

@@ -201,7 +201,7 @@ def test_metrics_flag_conflict_exit_2(tmp_path, capsys):
     ]:
         capsys.readouterr()
         assert main([*maps, flag, value]) == 2
-        assert capsys.readouterr().err == f"iadbench: {flag} must be in (0, 1]\n"
+        assert capsys.readouterr().err == f"iadbench: invalid-flag: {flag} must be in (0, 1]\n"
 
 
 def test_metrics_maps_mode(tmp_path, capsys):
@@ -425,6 +425,19 @@ def test_report_renders_valid_task_matrix(tmp_path):
         pytest.param(
             lambda t: ["metrics", "--scores", _write(t, "s.csv", b"a,0.9,1\n\xff,0.1,0\n")],
             3, "malformed-csv", id="metrics-csv-not-utf8",
+        ),
+        pytest.param(lambda t: ["metrics"], 2, "invalid-flag", id="metrics-no-input"),
+        pytest.param(
+            lambda t: ["metrics", "--scores", _write(t, "s.csv", b"a,0.9,1\n"), "--maps", str(t)],
+            2, "invalid-flag", id="metrics-scores-and-maps",
+        ),
+        pytest.param(
+            lambda t: ["metrics", "--maps", str(t)], 2, "invalid-flag", id="metrics-maps-no-masks",
+        ),
+        pytest.param(
+            lambda t: ["metrics", "--maps", str(t / "none"), "--masks", str(t / "none"),
+                       "--spro-limit", "0"],
+            2, "invalid-flag", id="metrics-limit-out-of-range",
         ),
         pytest.param(
             lambda t: ["report", "--in", _write(t, "results.json", NOT_UTF8), "--format", "csv"],

@@ -26,6 +26,7 @@ from iadbench.detector import (
     _gaussian_blur,
     _nearest_distances,
     build_bank,
+    code_points,
     coreset_select,
     extend_bank_for_task,
     make_projection,
@@ -69,7 +70,7 @@ def _bank(codes) -> MemoryBank:
 
 def _index(bank: MemoryBank) -> SearchIndex:
     """The bank's search index, as a detector state builds it."""
-    return SearchIndex.of(bank.rows(slice(None)))
+    return SearchIndex.of(code_points(bank.codes))
 
 
 def _grid(codes) -> PatchFeatureGrid:
@@ -87,7 +88,7 @@ def test_build_bank_union_order():
     bank = build_bank(images, cfg)
     assert bank.count == 8
     want = bank_from_grids([extract_features(image, cfg) for image in images])
-    assert bank.rows(slice(None)).tobytes() == want.tobytes()
+    assert intensities(bank.codes).tobytes() == want.tobytes()
     assert (bank.count, bank.dim) == bank.codes.shape == (8, 4)
 
 
@@ -140,7 +141,7 @@ def test_every_code_reads_as_the_float32_quotient():
     codes = np.arange(256, dtype=np.uint8).reshape(256, 1)
     old = np.array([np.float32(k / 255.0) for k in range(256)], np.float32)
     bank = _bank(codes)
-    rows = bank.rows(slice(None))
+    rows = intensities(bank.codes)
     assert rows.dtype == np.float32 and rows.ravel().tobytes() == old.tobytes()
     index = _index(bank)
     assert index.vectors.ravel().tobytes() == old.astype(np.float64).tobytes()
@@ -162,9 +163,24 @@ def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
 
 
 def test_projector_forced_matrix():
-    points = detector._BankPoints(_bank([[51, 102]]), np.array([[1.0, 0.0]]))
+    points = code_points(_bank([[51, 102]]).codes, np.array([[1.0, 0.0]]))
     assert points.shape == (1, 1)
-    assert points[:].tolist() == [[float(intensities(np.uint8(51)))]]
+    assert points.tolist() == [[float(intensities(np.uint8(51)))]]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_code_points_widen_every_code_exactly(dim):
+    """Unprojected, every one of the 256 codes reads as its float32
+    intensity widened to float64, byte for byte, in counts about one
+    read block."""
+    step = detector._block_rows(dim)
+    every = np.resize(np.arange(256, dtype=np.uint8), (2 * step + 3) * dim)
+    for n in (1, step - 1, step, step + 1, 2 * step + 3):
+        codes = every[: n * dim].reshape(n, dim)
+        points = code_points(codes)
+        assert points.dtype == np.float64 and points.shape == (n, dim)
+        assert points.tobytes() == intensities(codes).astype(np.float64).tobytes()
+    assert set(np.unique(every[: (2 * step + 3) * dim])) == set(range(256))
 
 
 def test_projector_deterministic():
@@ -182,20 +198,20 @@ def test_projector_deterministic():
 
 @pytest.mark.parametrize("in_dim, out_dim", [(64, 16), (9, 2)])
 def test_projector_blocks_match_whole_bank_projection(in_dim, out_dim):
-    """Reads of a code bank about the coreset's block size give the
+    """Reads of a code bank about the reader's block size give the
     whole bank's projection."""
     step = detector._block_rows(out_dim)
     rng = np.random.default_rng(in_dim)
     matrix = make_projection(in_dim, out_dim, seed=5)
     bank = _bank(rng.integers(0, 256, (2 * step + 3, in_dim), dtype=np.uint8))
-    points = detector._BankPoints(bank, matrix)
-    assert points.shape == (bank.count, out_dim)
-    whole = projection_reference(bank.rows(slice(None)), matrix)
+    assert code_points(bank.codes, matrix).shape == (bank.count, out_dim)
+    whole = projection_reference(intensities(bank.codes), matrix)
     for n in (1, step - 1, step, step + 1, 2 * step + 3):
-        got = points[:n]
+        got = code_points(bank.codes[:n], matrix)
         assert got.dtype == np.float64
         assert got.tobytes() == whole[:n].tobytes()
-        assert points[bank.count - n :].tobytes() == whole[bank.count - n :].tobytes()
+        tail = code_points(bank.codes[bank.count - n :], matrix)
+        assert tail.tobytes() == whole[bank.count - n :].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -208,23 +224,24 @@ def test_projector_blocks_match_whole_bank_projection(in_dim, out_dim):
 def test_projector_gives_a_row_the_same_bits_in_any_block(in_dim, count, seed, data):
     """A row's projection does not depend on the rows it is read with,
     their order or their number: ``coreset_select`` must equal
-    ``coreset_reference`` over a projection made all at once, and it
-    projects a bank a block at a time as it reads it."""
+    ``coreset_reference`` over a projection made all at once, and
+    ``code_points`` projects a bank a block at a time as it reads it."""
     rng = np.random.default_rng(seed)
     matrix = make_projection(in_dim, data.draw(st.integers(1, in_dim - 1)), seed)
     bank = _bank(rng.integers(0, 256, (count, in_dim), dtype=np.uint8))
-    points = detector._BankPoints(bank, matrix)
-    whole = projection_reference(bank.rows(slice(None)), matrix)
-    assert points[:].tobytes() == whole.tobytes()
+    whole = projection_reference(intensities(bank.codes), matrix)
+    assert code_points(bank.codes, matrix).tobytes() == whole.tobytes()
     order = rng.permutation(count)
-    assert points[order].tobytes() == whole[order].tobytes()
+    assert code_points(bank.codes[order], matrix).tobytes() == whole[order].tobytes()
     cuts = np.unique(rng.integers(0, count + 1, data.draw(st.integers(0, 6))))
     for block in np.split(order, cuts):
-        assert points[block].tobytes() == whole[block].tobytes()
+        assert code_points(bank.codes[block], matrix).tobytes() == whole[block].tobytes()
     for start, stop in zip([0, *cuts], [*cuts, count]):
-        assert points[start:stop].tobytes() == whole[start:stop].tobytes()
+        got = code_points(bank.codes[start:stop], matrix)
+        assert got.tobytes() == whole[start:stop].tobytes()
     row = int(rng.integers(0, count))
-    assert points[row : row + 1].tobytes() == whole[row : row + 1].tobytes()
+    got = code_points(bank.codes[row : row + 1], matrix)
+    assert got.tobytes() == whole[row : row + 1].tobytes()
 
 
 def test_projector_bad_dims():
@@ -294,7 +311,7 @@ def test_coreset_matches_bruteforce_oracle():
         l = int(rng.integers(1, n + 1))
         ours = coreset_select(bank, CoresetParams(l=l))
         reference = greedy_kcenter(
-            [tuple(map(float, row)) for row in bank.rows(slice(None)).astype(np.float64)], l
+            [tuple(map(float, row)) for row in intensities(bank.codes).astype(np.float64)], l
         )
         assert ours == reference
 
@@ -306,7 +323,7 @@ def test_coreset_two_approximation():
         bank = _bank(rng.integers(0, 256, (n, 2)))
         for l in (1, 2, 3):
             selected = coreset_select(bank, CoresetParams(l=l))
-            points64 = [tuple(map(float, r)) for r in bank.rows(slice(None)).astype(np.float64)]
+            points64 = [tuple(map(float, r)) for r in intensities(bank.codes).astype(np.float64)]
             ours = covering_radius(points64, selected)
             best = optimal_kcenter_radius(points64, l)
             assert ours <= 2.0 * best + 1e-12
@@ -402,7 +419,7 @@ def test_selection_from_codes_equals_float_bank(case, l_kind, projection, seed):
     projection_dim = max(1, cfg.dim // 4) if projection else None
     params = CoresetParams(l=l, projection_dim=projection_dim, seed=seed)
     picks = coreset_select(bank, params)
-    assert bank.take(picks).rows(slice(None)).tobytes() == vectors[picks].tobytes()
+    assert intensities(bank.take(picks).codes).tobytes() == vectors[picks].tobytes()
     points = vectors.astype(np.float64)
     if params.effective(cfg.dim).projection_dim is not None:
         points = projection_reference(vectors, make_projection(cfg.dim, projection_dim, seed))
@@ -501,10 +518,8 @@ def test_coreset_matches_reference_bitwise(kind, dim, bank_size, l_kind, project
         else:
             points = points.astype(np.float64)
     want_selected, want_d2 = coreset_reference(points, l)
-    before = points.tobytes()
     with single_thread_blas if pinned else nullcontext():
-        selected, min_d2 = _farthest_first(points, l)
-    assert points.tobytes() == before
+        selected, min_d2 = _farthest_first(points.copy(), l)  # sorted in place
     assert selected == want_selected
     assert min_d2.tobytes() == want_d2.tobytes()
     if codes is not None:
@@ -844,7 +859,8 @@ def test_score_image_single_patch():
     grid = PatchFeatureGrid(1, 1, np.array([[1]], np.uint8))
     result, _ = score_image(bank, grid, 2, _index(bank))
     assert result.s == pytest.approx(
-        reweight(_index(bank), grid.rows(0), result.s_star, result.neighbor_index, 2)
+        reweight(_index(bank), intensities(grid.vectors[0]), result.s_star,
+                 result.neighbor_index, 2)
     )
 
 
@@ -1072,7 +1088,7 @@ def test_bank_file_round_trip(tmp_path):
     write_bank_file(bank, path)
     dim, back_tags, vectors = read_bank_file(path)
     assert dim == 5
-    assert np.array_equal(vectors, bank.rows(slice(None)))
+    assert np.array_equal(vectors, intensities(bank.codes))
     assert np.array_equal(back_tags, np.zeros(7, np.uint32))  # the v1 tag block
 
 

@@ -49,7 +49,8 @@ def test_shape_law_matches_window_enumeration():
         count_w = sum(1 for x in range(w) if x % s == 0 and x + p <= w)
         assert grid.grid_h == count_h and grid.grid_w == count_w
         # first window content check
-        assert np.allclose(grid.rows(0), image.values[:p, :p].ravel().astype(np.float32))
+        first = image.values[:p, :p].ravel().astype(np.float32)
+        assert np.allclose(intensities(grid.vectors[0]), first)
 
 
 @st.composite
@@ -65,7 +66,7 @@ def test_every_code_gives_its_float32_intensity():
     """Code k becomes float32(float64(k / 255)), for all 256 codes."""
     image = ImageGrid(np.arange(256, dtype=np.uint8).reshape(16, 16))
     grid = extract_features(image, FeatureProviderConfig(1, 1))
-    rows = grid.rows(slice(None))
+    rows = intensities(grid.vectors)
     assert rows.tobytes() == (np.arange(256) / 255.0).astype(np.float32).tobytes()
 
 
@@ -78,7 +79,7 @@ def test_features_from_codes_equal_float_path(case):
     image = ImageGrid(codes)
     grid = extract_features(image, FeatureProviderConfig(p, s))
     expected = patch_vectors_reference(image.values, p, s)
-    rows = grid.rows(slice(None))
+    rows = intensities(grid.vectors)
     assert grid.vectors.dtype == np.uint8 and grid.vectors.shape == expected.shape
     assert rows.dtype == np.float32 and rows.tobytes() == expected.tobytes()
 
@@ -117,14 +118,14 @@ def test_bank_rows_equal_extracted_features(case):
     bank = build_bank(images, cfg)
     grids = [extract_features(image, cfg) for image in images]
     assert bank.codes.tobytes() == np.concatenate([g.vectors for g in grids]).tobytes()
-    expected = np.concatenate([g.rows(slice(None)) for g in grids])
+    expected = np.concatenate([intensities(g.vectors) for g in grids])
     assert bank.codes.dtype == np.uint8 and bank.codes.shape == expected.shape
     assert (bank.count, bank.dim) == expected.shape
-    assert bank.rows(slice(None)).tobytes() == expected.tobytes()
+    assert intensities(bank.codes).tobytes() == expected.tobytes()
     picks = rng.permutation(bank.count)[: rng.integers(1, bank.count + 1)]
-    assert bank.rows(picks).tobytes() == expected[picks].tobytes()
+    assert intensities(bank.codes[picks]).tobytes() == expected[picks].tobytes()
     picked = bank.take(picks)
-    assert picked.rows(slice(None)).tobytes() == expected[picks].tobytes()
+    assert intensities(picked.codes).tobytes() == expected[picks].tobytes()
     assert picked.codes.tobytes() == bank.codes[picks].tobytes()
 
 

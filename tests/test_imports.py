@@ -1,8 +1,9 @@
 """How the package's modules import each other, read statically with ``ast``.
 
-Two rules keep the import graph plain: no module imports another that
-(directly or not) imports it back, and every package import sits at
-module level, so no function defers one to get round a cycle.
+Three rules keep the import graph plain: no module imports another that
+(directly or not) imports it back, every package import sits at module
+level, so no function defers one to get round a cycle, and no module
+imports another's underscore-prefixed (private) names.
 """
 
 from __future__ import annotations
@@ -95,3 +96,30 @@ def test_no_function_imports_a_package_module():
                     if _package_modules(node):
                         inside.append(f"{name}.{function.name}:{node.lineno}")
     assert inside == []
+
+
+def _private_names(node: ast.AST) -> list[str]:
+    """The underscore-prefixed names an import statement takes from a package module."""
+    if not isinstance(node, ast.ImportFrom) or not _package_modules(node):
+        return []
+    return [alias.name for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_name_finder_reads_every_form():
+    for source, want in [
+        ("from .errors import _expect_keys, read_json", ["_expect_keys"]),
+        ("from iadbench.detector import _block_rows as rows", ["_block_rows"]),
+        ("from . import report", []),
+        ("from .runner import parse_config", []),
+        ("from json import _default_decoder", []),
+        ("import iadbench._private", []),
+    ]:
+        assert _private_names(ast.parse(source).body[0]) == want, source
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            private += [f"{name}:{node.lineno}:{found}" for found in _private_names(node)]
+    assert private == []

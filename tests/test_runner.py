@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -687,7 +688,7 @@ def test_full_fraction_cell_keeps_bank_without_coreset(monkeypatch):
     run_experiment(config, threads=1, save_banks=True)  # the cells keep their banks
     cell = next(c for c in cells if c.category == "cat00")
     assert cell.status == "ok"
-    assert np.array_equal(cell.bank.rows(slice(None)), expected)
+    assert np.array_equal(intensities(cell.bank.codes), expected)
 
 
 # --- shared coresets -------------------------------------------------------------------------
@@ -730,6 +731,25 @@ def test_detector_state_takes_no_index():
     state = _tiny_state()
     with pytest.raises(TypeError):
         DetectorState(state.bank, state.feature, state.b, state.smoothing_sigma, index=state.index)
+
+
+def test_detector_state_index_peak_memory():
+    """A scoring state over a 36,000 x 64 whole bank builds its search
+    index with no other bank-sized float copy: its peak stays within 10%
+    of the index's own float64 rows and squared norms."""
+    count, dim = 36000, 64
+    codes = np.random.default_rng(26).integers(0, 256, (count, dim), dtype=np.uint8)
+    bank = detector.MemoryBank(codes)
+    tracemalloc.start()
+    try:
+        state = DetectorState(bank, runner.FeatureProviderConfig(8, 8), 1, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    index_bytes = state.index.vectors.nbytes + state.index.sq.nbytes
+    assert index_bytes == count * (dim + 1) * 8  # 18.72 MB
+    assert state.index.vectors.tobytes() == intensities(codes).astype(np.float64).tobytes()
+    assert peak < 1.1 * index_bytes
 
 
 def test_bundled_run_builds_one_index_per_scoring_state(monkeypatch, tmp_path):
