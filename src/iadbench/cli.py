@@ -10,6 +10,8 @@ only the machine-readable payload of the metrics subcommand.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 
@@ -102,34 +104,40 @@ def cmd_run(args) -> int:
 
 
 def _read_scores_csv(path: str) -> LabeledScores:
+    """Rows of id,score,label, RFC 4180 quoting allowed; a first row whose
+    score is not a number is a header, and blank lines are skipped."""
     scores = []
     labels = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            text = fh.read()
     except ValueError as exc:
         raise DataError("malformed-csv", f"{path}: not UTF-8 text: {exc}") from exc
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise DataError("malformed-csv", f"{path}:{line_no}: need id,score,label")
-        try:
-            score = float(parts[1])
-        except ValueError:
-            if line_no == 1:
-                continue  # header row
-            raise DataError("malformed-csv", f"{path}:{line_no}: bad score {parts[1]!r}")
-        label = parts[2].lower()
-        if label in _POSITIVE:
-            labels.append(True)
-        elif label in _NEGATIVE:
-            labels.append(False)
-        else:
-            raise DataError("malformed-csv", f"{path}:{line_no}: bad label {parts[2]!r}")
-        scores.append(score)
+    rows = csv.reader(io.StringIO(text), skipinitialspace=True)
+    try:
+        for row in rows:
+            line_no = rows.line_num  # the row's last line: a quoted field may span lines
+            parts = [p.strip() for p in row]
+            if parts in ([], [""]):
+                continue
+            if len(parts) != 3:
+                raise DataError("malformed-csv", f"{path}:{line_no}: need id,score,label")
+            try:
+                score = float(parts[1])
+            except ValueError:
+                if line_no == 1:
+                    continue  # header row
+                raise DataError("malformed-csv", f"{path}:{line_no}: bad score {parts[1]!r}")
+            label = parts[2].lower()
+            if label in _POSITIVE:
+                labels.append(True)
+            elif label in _NEGATIVE:
+                labels.append(False)
+            else:
+                raise DataError("malformed-csv", f"{path}:{line_no}: bad label {parts[2]!r}")
+            scores.append(score)
+    except csv.Error as exc:  # a field over csv's size limit
+        raise DataError("malformed-csv", f"{path}:{rows.line_num}: {exc}") from exc
     if not scores:
         raise DataError("malformed-csv", f"{path}: no data rows")
     return LabeledScores(scores, labels)
@@ -182,7 +190,7 @@ def cmd_metrics(args) -> int:
     if maps_mode and (args.maps is None or args.masks is None):
         raise ConfigError("invalid-flag", "--maps and --masks must be given together")
     for flag, limit in (("--pro-limit", args.pro_limit), ("--spro-limit", args.spro_limit)):
-        if maps_mode and not 0.0 < limit <= 1.0:
+        if not 0.0 < limit <= 1.0:
             raise ConfigError("invalid-flag", f"{flag} must be in (0, 1]")
     if scores_mode:
         data = _read_scores_csv(args.scores)

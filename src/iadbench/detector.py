@@ -23,19 +23,21 @@ hands ``code_points`` of the bank's codes to ``_farthest_first``, which
 sorts that array in place, so no selection holds a float bank or any
 float64 copy of its points but that one.
 
-The nearest-neighbour search is exact. A screen from one BLAS matmul,
-``||t||^2 + ||b||^2 - 2 t.b``, keeps every bank index within a rounding
-bound of its row's minimum; those candidates are re-ranked with the
-reference ``((t - b)**2).sum()``, so only reference values reach an
-output. ``_reference_d2`` is the one place the reference is computed, a
-row block at a time, for the rerank, the coreset's recompute and
-re-weighting, so re-weighting reads the bank one block at a time too.
-Peak memory per chunk of test patches is a few ``chunk x bank`` arrays,
-never a ``chunk x bank x dim`` one. Search and re-weighting read a
+``search`` is the one nearest-neighbour search, and it is exact. A
+screen from one BLAS matmul, ``||t||^2 + ||b||^2 - 2 t.b``, keeps every
+bank index within a rounding bound of its row's minimum; those
+candidates are re-ranked with the reference ``((t - b)**2).sum()``, so
+only reference values reach an output. ``_reference_d2`` is the one
+place the reference is computed, a row block at a time, for the rerank,
+the coreset's recompute and re-weighting, so re-weighting reads the
+bank one block at a time too, and the distance it weights, its hood's
+smallest, is the search's answer bit for bit. Peak memory per chunk of
+test patches is a few ``chunk x bank`` arrays, never a
+``chunk x bank x dim`` one. Search and re-weighting read a
 ``SearchIndex``: the bank's vectors in float64 and their squared
 norms. Because banks only grow at the end and ties go to the lowest
 index, a search can also start from a known answer over the bank's
-first rows and look only at the rows appended since (``search``).
+first rows and look only at the rows appended since.
 
 The coreset's farthest-first update is exact in the same way. The
 points are sorted once by norm. At each pick q with current covering
@@ -320,7 +322,7 @@ class CoresetParams:
 def _screen_tolerance(dim: int, n_max):
     """Tolerance tau of the screen s = ||x||^2 + ||y||^2 - 2 x.y.
 
-    Both exact searches call this: ``_nearest_distances`` keeps every
+    Both exact searches call this: ``search`` keeps every
     bank index whose screen is within tau of its row's minimum, and
     ``_farthest_first`` recomputes every row of its norm shell whose
     screen minus tau does not exceed its current distance.
@@ -547,21 +549,16 @@ class Nearest:
 @dataclass
 class ScoreResult:
     s_star: float  # raw max-min distance over patches
-    neighbor_index: int  # bank index of the winning patch's nearest vector
     s: float  # re-weighted image score, 0 <= s <= s_star
     nearest: Nearest  # per patch, for a later search of appended rows
 
 
-def _nearest_distances(
-    index: SearchIndex, vectors: np.ndarray, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per test vector: (squared distance, bank index) of the nearest of
-    the index's rows ``start`` onwards.
+def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None) -> Nearest:
+    """Each test vector's nearest over every row of ``index``: the one exact search.
 
-    The result equals the reference search over those rows bit for bit:
-    for each test vector t, the bank index j >= start minimising
-    d_j = ``((t - b_j)**2).sum()`` in float64, ties to the lowest j, and
-    d_j.
+    The result equals the reference search bit for bit: for each test
+    vector t, the bank index j minimising d_j = ``((t - b_j)**2).sum()``
+    in float64, ties to the lowest j, and d_j.
 
     Screen. For each chunk of test vectors one matmul gives
     s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j; ``_screen_tolerance`` gives
@@ -577,7 +574,17 @@ def _nearest_distances(
     Every row keeps at least its screen minimum (tau >= 0). Screen
     values never reach an output, so BLAS threads or summation order
     cannot change a result.
+
+    Appended rows. ``known`` is the answer for the same vectors over the
+    index's first ``known.rows`` rows; then only the rows after those
+    are screened and re-ranked. The merge is bit-identical to searching
+    every row: a row appended later has a higher index, so it replaces
+    the known winner only when its reference d^2 is strictly smaller,
+    and a tie keeps the older, lower index, as the full search's argmin
+    does. The comparison is on d^2, never on its square root, which can
+    round two distances to a tie.
     """
+    start = 0 if known is None else known.rows
     bank_v = index.vectors[start:]
     bank_sq = index.sq[start:]
     test_v = np.asarray(vectors, dtype=np.float64)
@@ -607,28 +614,11 @@ def _nearest_distances(
         nn_idx[first : first + chunk.shape[0]] = b_rows[first_hits]
         nn_d2[first : first + chunk.shape[0]] = d2[first_hits]
     nn_idx += start
-    return nn_d2, nn_idx
-
-
-def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None) -> Nearest:
-    """Each test vector's nearest over every row of ``index``.
-
-    ``known`` is the answer for the same vectors over the index's first
-    ``known.rows`` rows; then only the rows after those are searched.
-    The result is bit-identical to searching every row: a row appended
-    later has a higher index, so it replaces the known winner only when
-    its reference d^2 is strictly smaller, and a tie keeps the older,
-    lower index, as the full search's argmin does. The comparison is on
-    d^2, never on its square root, which can round two distances to a
-    tie.
-    """
-    start = 0 if known is None else known.rows
-    d2, idx = _nearest_distances(index, vectors, start)
     if known is not None:
-        older = d2 >= known.d2
-        d2[older] = known.d2[older]
-        idx[older] = known.index[older]
-    return Nearest(index.count, d2, idx)
+        older = nn_d2 >= known.d2
+        nn_d2[older] = known.d2[older]
+        nn_idx[older] = known.index[older]
+    return Nearest(index.count, nn_d2, nn_idx)
 
 
 def score_patches(
@@ -636,15 +626,16 @@ def score_patches(
     grid: PatchFeatureGrid,
     index: SearchIndex,
     known: Nearest | None = None,
-) -> tuple[Nearest, float, int, int]:
+) -> tuple[Nearest, np.ndarray, int]:
     """Nearest bank vector per patch plus the maximum-score summary.
 
     ``index`` is the bank's search index; ``known`` lets ``search`` look
     only at the rows appended since it was found.
-    Returns (per-patch Nearest in row-major patch order, s_star,
-    patch_index, neighbor_index). s_star is the largest sqrt(d^2);
-    argmax ties resolve to the lowest row-major patch, nearest-neighbor
-    ties to the lowest bank index.
+    Returns (per-patch Nearest in row-major patch order, per-patch
+    distances sqrt(d^2), patch_index). The image's raw score s_star is
+    ``distances[patch_index]``, the largest; argmax ties resolve to the
+    lowest row-major patch, nearest-neighbor ties to the lowest bank
+    index.
     """
     if bank.count == 0:
         raise DetectorError("empty-bank", "bank has no vectors")
@@ -652,24 +643,20 @@ def score_patches(
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
     nearest = search(index, code_points(grid.vectors), known)
     distances = np.sqrt(nearest.d2)
-    patch_index = int(np.argmax(distances))
-    return nearest, float(distances[patch_index]), patch_index, int(nearest.index[patch_index])
+    return nearest, distances, int(np.argmax(distances))
 
 
-def reweight(
-    index: SearchIndex,
-    test_vector: np.ndarray,
-    s_star: float,
-    neighbor_index: int,
-    b: int,
-) -> float:
+def reweight(index: SearchIndex, test_vector: np.ndarray, s_star: float, b: int) -> float:
     """Softmax importance re-weighting of the raw image score.
 
     With b = 1 the score passes through unchanged. Otherwise the b rows
-    of the bank's search index nearest to the test vector (including its
-    nearest neighbor) form the neighborhood; the score scales by one
-    minus the softmax weight of the nearest neighbor, with
-    max-subtraction for stability.
+    of the bank's search index nearest to the test vector form the
+    neighborhood; the score scales by one minus the softmax weight of
+    its smallest distance, the nearest neighbor's, with max-subtraction
+    for stability. That is the search's answer for the test vector bit
+    for bit: ``search`` is exact under the same ``_reference_d2``, so
+    its d^2 is the smallest of these d^2, and a tie at the minimum is
+    one value, whichever index wins it.
     """
     if not 1 <= b <= index.count:
         raise DetectorError("b-out-of-range", f"b={b} for bank of {index.count}")
@@ -680,9 +667,8 @@ def reweight(
         raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {index.dim}")
     d = np.sqrt(_reference_d2(index.vectors, np.arange(index.count), test))
     hood = np.sort(np.partition(d, b - 1)[:b])  # the b smallest, ascending
-    d_star = d[neighbor_index]
     shift = hood.max()
-    weight = np.exp(d_star - shift) / np.sum(np.exp(hood - shift))
+    weight = np.exp(hood[0] - shift) / np.sum(np.exp(hood - shift))
     return float((1.0 - weight) * s_star)
 
 
@@ -699,11 +685,11 @@ def score_image(
     image score is re-weighted. ``index`` and ``known`` are as in
     ``score_patches``; re-weighting always reads the whole bank.
     """
-    nearest, s_star, patch_index, neighbor_index = score_patches(bank, grid, index, known)
+    nearest, distances, patch_index = score_patches(bank, grid, index, known)
+    s_star = float(distances[patch_index])
     test_vector = code_points(grid.vectors[patch_index : patch_index + 1])
-    s = reweight(index, test_vector, s_star, neighbor_index, b)
-    patch_map = np.sqrt(nearest.d2).reshape(grid.grid_h, grid.grid_w)
-    return ScoreResult(s_star, neighbor_index, s, nearest), patch_map
+    s = reweight(index, test_vector, s_star, b)
+    return ScoreResult(s_star, s, nearest), distances.reshape(grid.grid_h, grid.grid_w)
 
 
 def render_anomaly_map(

@@ -704,7 +704,8 @@ def _run_continual_job(
 
     Each step's scoring state builds its search index from the whole
     grown bank, once: O(bank) per step, where re-weighting already
-    reads the whole bank once per re-scored image.
+    reads the whole bank once per re-scored image. A step's state is
+    dropped before the next is built, so one index is alive at a time.
     """
     k = len(tasks)
     bank = MemoryBank.empty(config.feature.dim)
@@ -720,7 +721,8 @@ def _run_continual_job(
             entries[(step, prev.index)] = auroc(LabeledScores(scored[0], labels))
             if step == k:
                 final_scores[prev.index] = scored
-    del state, known  # the search index and the cached searches, before the metrics run
+        del state  # its search index, before the next step's bank and index are built
+    del known  # the cached searches, before the metrics run
 
     fm = forgetting_measure(TaskMatrix(k=k, values=entries))
 

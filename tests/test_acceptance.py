@@ -181,8 +181,8 @@ def test_criterion_4_coreset_oracle():
 
 def test_criterion_5_reweighting_formula():
     index = SearchIndex.of(np.array([[0.0], [3.0]], np.float32))
-    assert reweight(index, np.array([1.0]), 0.73, 0, 1) == 0.73
-    worked = reweight(index, np.array([1.0]), 1.0, 0, 2)
+    assert reweight(index, np.array([1.0]), 0.73, 1) == 0.73
+    worked = reweight(index, np.array([1.0]), 1.0, 2)
     assert abs(worked - np.e / (1.0 + np.e)) <= 1e-9
     rng = np.random.default_rng(1005)
     for _ in range(1000):
@@ -194,7 +194,7 @@ def test_criterion_5_reweighting_formula():
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
-        s = reweight(index, test, s_star, neighbor, b)
+        s = reweight(index, test, s_star, b)
         assert 0.0 <= s <= s_star
     _report(5, "b=1 passes s_star through; 1-D worked example gives e/(1+e) "
                "within 1e-9; 0 <= s <= s_star on 1000 random queries")

@@ -185,6 +185,22 @@ def test_metrics_scores_output(tmp_path, capsys):
     assert json.loads(out) == {"auroc": 1.0, "ap": 1.0}
 
 
+def test_metrics_scores_quoted_ids(tmp_path, capsys):
+    """RFC 4180-quoted ids, one holding a comma and one an escaped quote,
+    score as the plain ids do."""
+    plain = tmp_path / "plain.csv"
+    plain.write_text("id,score,label\na,0.9,1\nb,0.4,0\nc,0.7,abnormal\nd,0.8,good\n")
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(
+        'id,score,label\n"a,1",0.9,1\n"b ""x""",0.4,0\n "c", 0.7 ,abnormal\n\nd,"0.8",good\n'
+    )
+    outputs = []
+    for path in (plain, quoted):
+        assert main(["metrics", "--scores", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs == ['{"auroc": 0.7500, "ap": 0.8333}\n'] * 2
+
+
 def test_metrics_flag_conflict_exit_2(tmp_path, capsys):
     csv = tmp_path / "scores.csv"
     csv.write_text("a,0.9,1\n")
@@ -438,6 +454,15 @@ def test_report_renders_valid_task_matrix(tmp_path):
             lambda t: ["metrics", "--maps", str(t / "none"), "--masks", str(t / "none"),
                        "--spro-limit", "0"],
             2, "invalid-flag", id="metrics-limit-out-of-range",
+        ),
+        pytest.param(
+            lambda t: ["metrics", "--scores", _write(t, "s.csv", b"a,0.9,1\nb,0.1,0\n"),
+                       "--pro-limit", "5"],
+            2, "invalid-flag", id="metrics-scores-pro-limit-out-of-range",
+        ),
+        pytest.param(
+            lambda t: ["metrics", "--scores", str(t / "absent.csv"), "--spro-limit", "-1"],
+            2, "invalid-flag", id="metrics-scores-spro-limit-out-of-range",
         ),
         pytest.param(
             lambda t: ["report", "--in", _write(t, "results.json", NOT_UTF8), "--format", "csv"],

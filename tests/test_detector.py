@@ -24,7 +24,6 @@ from iadbench.detector import (
     SingleThreadBlas,
     _farthest_first,
     _gaussian_blur,
-    _nearest_distances,
     build_bank,
     code_points,
     coreset_select,
@@ -617,7 +616,8 @@ def test_runtime_imports_neither_scipy_nor_lose_the_blas_pin():
 def test_score_patches_hand_example():
     bank = _bank([[0, 0]])
     grid = _grid([[0, 0], [255, 0]])  # code 255 is 1.0
-    nearest, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
+    nearest, distances, patch_index = score_patches(bank, grid, _index(bank))
+    s_star, neighbor = float(distances[patch_index]), int(nearest.index[patch_index])
     assert (nearest.rows, nearest.d2.tolist(), nearest.index.tolist()) == (1, [0.0, 1.0], [0, 0])
     assert (s_star, patch_index, neighbor) == (1.0, 1, 0)
 
@@ -625,7 +625,8 @@ def test_score_patches_hand_example():
 def test_score_patches_nearest_choice():
     bank = _bank([[0, 0], [255, 0]])  # code 255 is 1.0
     grid = _grid([[0, 255]])
-    _, s_star, patch_index, neighbor = score_patches(bank, grid, _index(bank))
+    nearest, distances, patch_index = score_patches(bank, grid, _index(bank))
+    s_star, neighbor = float(distances[patch_index]), int(nearest.index[patch_index])
     assert s_star == pytest.approx(1.0)
     assert neighbor == 0  # 1 < sqrt(2)
 
@@ -672,7 +673,8 @@ def _search_case(kind, dim, bank_size, test_count, seed):
 @example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
 def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
     bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
-    d2, indices = _nearest_distances(SearchIndex.of(bank_v), tests)
+    nearest = search(SearchIndex.of(bank_v), tests)
+    d2, indices = nearest.d2, nearest.index
     want_d, want_i = nearest_bruteforce(bank_v, tests)
     assert indices.tolist() == want_i
     assert np.sqrt(d2).tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
@@ -706,7 +708,8 @@ def test_search_of_appended_slices_matches_whole_bank_bitwise(
     for hi in bounds[1:]:
         index = SearchIndex.of(bank_v[:hi])
         nearest = search(index, tests, nearest)
-    want_d2, want_i = _nearest_distances(SearchIndex.of(bank_v), tests)
+    want = search(SearchIndex.of(bank_v), tests)
+    want_d2, want_i = want.d2, want.index
     assert index.vectors.tobytes() == bank_v.astype(np.float64).tobytes()
     assert nearest.rows == bank_v.shape[0]
     assert nearest.index.tolist() == want_i.tolist()
@@ -719,12 +722,12 @@ def test_nearest_distances_all_duplicate_bank_memory():
     tests = np.random.default_rng(3).random((_SCORE_CHUNK, dim))
     tracemalloc.start()
     try:
-        d2, indices = _nearest_distances(index, tests)
+        nearest = search(index, tests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert indices.tolist() == [0] * _SCORE_CHUNK  # every index ties; lowest wins
-    assert d2.tolist() == [float(((t - 0.5) ** 2).sum()) for t in tests]
+    assert nearest.index.tolist() == [0] * _SCORE_CHUNK  # every index ties; lowest wins
+    assert nearest.d2.tolist() == [float(((t - 0.5) ** 2).sum()) for t in tests]
     broadcast = _SCORE_CHUNK * count * dim * 8  # the chunk x bank x dim float64 array
     assert peak < broadcast / 8
 
@@ -742,18 +745,18 @@ def test_score_patches_errors():
 
 def test_reweight_b1_no_reweighting():
     index = SearchIndex.of([[0.0], [3.0]])
-    assert reweight(index, np.array([1.0]), 1.0, 0, 1) == 1.0
+    assert reweight(index, np.array([1.0]), 1.0, 1) == 1.0
 
 
 def test_reweight_worked_example():
     index = SearchIndex.of([[0.0], [3.0]])
-    s = reweight(index, np.array([1.0]), 1.0, 0, 2)
+    s = reweight(index, np.array([1.0]), 1.0, 2)
     assert s == pytest.approx(np.e / (1 + np.e), abs=1e-9)
 
 
 def test_reweight_equidistant_neighbors():
     index = SearchIndex.of([[1.0, 0.0], [-1.0, 0.0]])
-    s = reweight(index, np.array([0.0, 0.0]), 1.0, 0, 2)
+    s = reweight(index, np.array([0.0, 0.0]), 1.0, 2)
     assert s == pytest.approx(0.5, abs=1e-12)
 
 
@@ -768,14 +771,14 @@ def test_reweight_bounds_and_monotonicity():
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
-        s = reweight(index, test, s_star, neighbor, b)
+        s = reweight(index, test, s_star, b)
         assert 0.0 <= s <= s_star
     # a second neighbor moving closer strictly lowers the score
     test = np.array([0.0])
     previous = None
     for second in (10.0, 5.0, 2.0, 1.0):
         index = SearchIndex.of([[0.5], [second]])
-        s = reweight(index, test, 0.5, 0, 2)
+        s = reweight(index, test, 0.5, 2)
         if previous is not None:
             assert s < previous
         previous = s
@@ -809,7 +812,7 @@ def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
     neighbor = int(np.argmin(d))
     b = {"two": 2, "some": int(rng.integers(2, count + 1)), "all": count}[b_kind]
     expected = reweight_reference(vectors, test, float(d[neighbor]), neighbor, b)
-    assert reweight(SearchIndex.of(vectors), test, float(d[neighbor]), neighbor, b) == expected
+    assert reweight(SearchIndex.of(vectors), test, float(d[neighbor]), b) == expected
 
 
 def test_reweight_peak_memory():
@@ -821,7 +824,7 @@ def test_reweight_peak_memory():
     test = index.vectors[7] + 0.001
     tracemalloc.start()
     try:
-        s = reweight(index, test, 1.0, 7, 5)
+        s = reweight(index, test, 1.0, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -832,7 +835,7 @@ def test_reweight_peak_memory():
 def test_reweight_b_out_of_range():
     index = SearchIndex.of([[0.0]])
     with pytest.raises(DetectorError) as exc:
-        reweight(index, np.array([1.0]), 1.0, 0, 2)
+        reweight(index, np.array([1.0]), 1.0, 2)
     assert exc.value.code == "b-out-of-range"
 
 
@@ -859,9 +862,63 @@ def test_score_image_single_patch():
     grid = PatchFeatureGrid(1, 1, np.array([[1]], np.uint8))
     result, _ = score_image(bank, grid, 2, _index(bank))
     assert result.s == pytest.approx(
-        reweight(_index(bank), intensities(grid.vectors[0]), result.s_star,
-                 result.neighbor_index, 2)
+        reweight(_index(bank), intensities(grid.vectors[0]), result.s_star, 2)
     )
+
+
+def _scored_as_before(bank, grid, b, index, known=None):
+    """``score_image``'s result, asserted equal bit for bit to the scoring
+    that re-weighted the search's own nearest, ``reweight_reference`` at
+    ``nearest.index[patch_index]``."""
+    result, patch_map = score_image(bank, grid, b, index, known)
+    nearest, distances, patch_index = score_patches(bank, grid, index, known)
+    s_star = float(distances[patch_index])
+    assert result.nearest.index.tobytes() == nearest.index.tobytes()
+    assert result.nearest.d2.tobytes() == nearest.d2.tobytes()
+    assert patch_map.tobytes() == np.sqrt(nearest.d2).tobytes()
+    assert result.s_star == s_star
+    winner = code_points(grid.vectors[patch_index : patch_index + 1])
+    neighbor = int(nearest.index[patch_index])
+    expected = s_star if b == 1 else reweight_reference(index.vectors, winner, s_star, neighbor, b)
+    assert result.s == expected
+    return result
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(1, 40),
+    dim=st.integers(1, 4),
+    levels=st.sampled_from([1, 2, 3, 5, 256]),
+    grid_h=st.integers(1, 4),
+    grid_w=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_score_image_reweights_the_searchs_nearest(
+    count, dim, levels, grid_h, grid_w, data, seed
+):
+    """On banks quantized to a few levels, so ties at the minimum are
+    common, and for b from 1 to the bank's size: the score, from a whole
+    search and from a continual search of the rows appended after a
+    known answer, equals the re-weighting of the search's nearest."""
+    rng = np.random.default_rng(seed)
+    step = 255 // max(levels - 1, 1)
+    codes = (rng.integers(0, levels, (count, dim)) * step).astype(np.uint8)
+    shape = (grid_h * grid_w, dim)  # each code on one of the bank's levels, or any
+    on_level = rng.integers(0, levels, shape) * step
+    grid_codes = np.where(rng.random(shape) < 0.5, on_level, rng.integers(0, 256, shape))
+    grid = PatchFeatureGrid(grid_h, grid_w, grid_codes.astype(np.uint8))
+    bank = _bank(codes)
+    b = data.draw(st.integers(1, count), label="b")
+    _scored_as_before(bank, grid, b, _index(bank))
+    if count > 1:
+        rows = data.draw(st.integers(1, count - 1), label="known rows")
+        first = _bank(codes[:rows])
+        known = _scored_as_before(first, grid, min(b, rows), _index(first)).nearest
+        grown = _scored_as_before(bank, grid, b, _index(bank), known)
+        whole = _scored_as_before(bank, grid, b, _index(bank))
+        assert (grown.s_star, grown.s) == (whole.s_star, whole.s)
+        assert grown.nearest.index.tobytes() == whole.nearest.index.tobytes()
 
 
 def test_permutation_invariance_of_scores():
@@ -882,11 +939,13 @@ def test_monotone_coreset_degradation():
     codes = rng.integers(0, 256, (30, 4), dtype=np.uint8)
     bank = _bank(codes)
     grid = PatchFeatureGrid(1, 3, rng.integers(0, 256, (3, 4), dtype=np.uint8))
-    _, full_s_star, _, _ = score_patches(bank, grid, _index(bank))
+    _, distances, patch_index = score_patches(bank, grid, _index(bank))
+    full_s_star = distances[patch_index]
     for l in (1, 5, 10, 20, 30):
         picked = coreset_select(_bank(codes), CoresetParams(l=l))
         sub = _bank(codes[picked])
-        _, s_star, _, _ = score_patches(sub, grid, _index(sub))
+        _, distances, patch_index = score_patches(sub, grid, _index(sub))
+        s_star = distances[patch_index]
         assert s_star >= full_s_star - 1e-12
 
 
@@ -1049,8 +1108,8 @@ def test_extend_budgets_and_row_order():
 def test_extend_union_search():
     bank = extend_bank_for_task(MemoryBank.empty(1), _selected([[0]], CoresetParams(l=1)))
     bank = extend_bank_for_task(bank, _selected([[250]], CoresetParams(l=1)))
-    _, _, _, neighbor = score_patches(bank, _grid([[102]]), _index(bank))  # 0.4
-    assert neighbor == 0  # task-1 memory (row 0) still reachable
+    nearest, _, patch_index = score_patches(bank, _grid([[102]]), _index(bank))  # 0.4
+    assert nearest.index[patch_index] == 0  # task-1 memory (row 0) still reachable
 
 
 def test_extend_checks_dim_before_coreset(monkeypatch):
@@ -1072,8 +1131,8 @@ def test_extend_never_increases_earlier_distances():
     probe = PatchFeatureGrid(3, 3, rng.integers(0, 256, (9, 3), dtype=np.uint8))
     bank1 = extend_bank_for_task(MemoryBank.empty(3), _selected(codes1, CoresetParams(l=8)))
     bank2 = extend_bank_for_task(bank1, _selected(codes2, CoresetParams(l=8)))
-    before, _, _, _ = score_patches(bank1, probe, _index(bank1))
-    after, _, _, _ = score_patches(bank2, probe, _index(bank2))
+    before, _, _ = score_patches(bank1, probe, _index(bank1))
+    after, _, _ = score_patches(bank2, probe, _index(bank2))
     assert np.all(after.d2 <= before.d2)  # the search is exact: no slack
 
 

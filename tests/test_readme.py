@@ -1,17 +1,23 @@
-"""README's config table agrees with ``runner.parse_config``.
+"""README's config table agrees with ``runner.parse_config``, and its
+CLI section with ``cli.build_parser``.
 
 Every key in the first column of the table under ``## Config`` is one
 the parser accepts, and a key set to the default the table gives as a
-JSON literal parses to the config that leaving the key out gives.
+JSON literal parses to the config that leaving the key out gives. Every
+long option of the command line appears under ``## CLI``, and every
+``--flag`` named there is one.
 """
 
 from __future__ import annotations
 
 import copy
+import argparse
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
+from iadbench.cli import build_parser
 from iadbench.runner import ExperimentConfig, parse_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -97,3 +103,24 @@ def test_documented_defaults_are_the_parser_defaults():
     want = _parsed(parse_config(_BASE))
     for key, value in literal:
         assert _parsed(parse_config(_with(_BASE, key, value))) == want, key
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    """Every long option of ``parser`` and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _options(sub)
+    return options
+
+
+def test_cli_section_names_every_option():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    defined = _options(build_parser())
+    assert {"--version", "--help", "--pro-limit", "--in"} <= defined
+    assert sorted(defined - named) == []  # defined but not documented
+    assert sorted(named - defined) == []  # documented but not defined

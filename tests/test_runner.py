@@ -5,6 +5,7 @@ import os
 import shutil
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -479,18 +480,18 @@ def test_continual_incremental_matches_full_rescoring(monkeypatch):
 
     # the work counters: bank rows each search starts and stops at, and maps rendered
     searches, renders = [], []
-    nearest_distances = detector._nearest_distances
+    search = detector.search
     render_anomaly_map = runner.render_anomaly_map
 
-    def searching(index, vectors, start=0):
-        searches.append((start, index.count))
-        return nearest_distances(index, vectors, start)
+    def searching(index, vectors, known=None):
+        searches.append((0 if known is None else known.rows, index.count))
+        return search(index, vectors, known)
 
     def rendering(*args):
         renders.append(args[0].shape)
         return render_anomaly_map(*args)
 
-    monkeypatch.setattr(detector, "_nearest_distances", searching)
+    monkeypatch.setattr(detector, "search", searching)
     monkeypatch.setattr(runner, "render_anomaly_map", rendering)
     incremental = run_experiment(config, threads=1).document
     monkeypatch.undo()
@@ -731,6 +732,26 @@ def test_detector_state_takes_no_index():
     state = _tiny_state()
     with pytest.raises(TypeError):
         DetectorState(state.bank, state.feature, state.b, state.smoothing_sigma, index=state.index)
+
+
+def test_continual_step_drops_its_index_before_the_next(monkeypatch):
+    """One continual step's search index is alive at a time: when a step
+    builds its scoring state, no earlier step's index rows remain."""
+    dataset = {"synthetic": dict(_base_config()["dataset"]["synthetic"], categories=3)}
+    config = parse_config(_base_config(dataset=dataset, setting={"type": "continual"}))
+    built = []  # a weak reference to each index's rows
+    code_points = runner.code_points  # only DetectorState.__post_init__ calls it
+
+    def reading(codes):
+        assert [ref() for ref in built] == [None] * len(built)
+        points = code_points(codes)
+        built.append(weakref.ref(points))
+        return points
+
+    monkeypatch.setattr(runner, "code_points", reading)
+    document = run_experiment(config, threads=1).document
+    assert document["task_matrices"]["continual"]["k"] == 3
+    assert len(built) == 3
 
 
 def test_detector_state_index_peak_memory():
