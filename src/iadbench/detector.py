@@ -693,14 +693,20 @@ def score_image(
 
 
 def render_anomaly_map(
-    patch_map: np.ndarray,
+    patch_maps: np.ndarray,
     image_h: int,
     image_w: int,
     patch_size: int,
     stride: int,
     smoothing_sigma: float,
 ) -> np.ndarray:
-    """Bilinear upsample of a patch-score grid to pixel resolution.
+    """Bilinear upsample of patch-score grids to pixel resolution.
+
+    ``patch_maps`` is one (gh, gw) grid or a stack (..., gh, gw) of
+    grids of one image size; the result is (..., image_h, image_w).
+    Every map of a stack goes through the same operations in the same
+    order as alone, so each is bit-identical to its own 2-D call; a
+    stack only makes the numpy calls once for all of its maps.
 
     Patch (r, c) is anchored at its window center
     (r*stride + (patch_size-1)/2, likewise for columns); pixels outside
@@ -715,12 +721,12 @@ def render_anomaly_map(
     ``1 - wx`` or ``wx`` in one scratch buffer, so only the result and
     that buffer are full-size.
     """
-    grid = np.asarray(patch_map, dtype=np.float64)
-    if grid.ndim != 2 or grid.size == 0:
-        raise DetectorError("bad-dims", "patch map must be a nonempty 2-D grid")
+    grid = np.asarray(patch_maps, dtype=np.float64)
+    if grid.ndim < 2 or grid.size == 0:
+        raise DetectorError("bad-dims", "patch map must be a nonempty 2-D grid or a stack of them")
     if image_h < patch_size or image_w < patch_size:
         raise DetectorError("bad-dims", "image smaller than one patch")
-    gh, gw = grid.shape
+    gh, gw = grid.shape[-2:]
     expected = ((image_h - patch_size) // stride + 1, (image_w - patch_size) // stride + 1)
     if (gh, gw) != expected:
         raise DetectorError(
@@ -740,16 +746,16 @@ def render_anomaly_map(
 
     y0, y1, wy = coords(image_h, gh)
     x0, x1, wx = coords(image_w, gw)
-    top = grid[y0] * (1 - wy)[:, None]
-    bottom = grid[y1] * wy[:, None]
+    top = grid[..., y0, :] * (1 - wy)[:, None]
+    bottom = grid[..., y1, :] * wy[:, None]
     # mode="clip" lets take write straight into ``out``; the indices are
     # in range by construction, so it clips nothing
     vx = 1 - wx
-    upsampled = np.take(top, x0, axis=1, mode="clip")
+    upsampled = np.take(top, x0, axis=-1, mode="clip")
     upsampled *= vx
     term = np.empty_like(upsampled)
     for rows, cols, weight in ((top, x1, wx), (bottom, x0, vx), (bottom, x1, wx)):
-        np.take(rows, cols, axis=1, out=term, mode="clip")
+        np.take(rows, cols, axis=-1, out=term, mode="clip")
         term *= weight
         upsampled += term
     del term, rows, top, bottom  # the blur's buffers peak next
@@ -759,17 +765,20 @@ def render_anomaly_map(
 
 
 def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, bit-identical to ``ndimage.gaussian_filter``.
+    """Separable Gaussian blur of each (H, W) map of a (..., H, W) stack,
+    bit-identical to ``ndimage.gaussian_filter`` on that map alone.
 
     The kernel ``exp(-x^2 / (2 sigma^2))``, normalised, spans
     ``int(4 sigma + 0.5)`` pixels each side; borders reflect
     (``d c b a | a b c d | d c b a``), repeated for a kernel wider than
-    the image. Axis 0 is filtered first, then axis 1. Each output adds
+    the image. Axis -2 is filtered first, then axis -1. Each output adds
     ``x[i] w[r]``, then ``(x[i-j] + x[i+j]) w[r-j]`` from the outermost
     pair inward: the order of ndimage's symmetric correlation, so every
-    rounding step is the same. Each pass filters along axis 0 of a
-    contiguous padded copy and hands on its transpose, so both passes
-    add whole rows.
+    rounding step is the same, and every step is elementwise, so a map
+    rounds the same in a stack as alone. Each pass moves its axis first
+    and pads along it into a contiguous copy, so both passes add whole
+    slabs of every map at once; the second pass frees its input, the
+    first pass's result, once it is padded.
     """
     radius = int(4.0 * sigma + 0.5)
     if radius == 0:  # one tap of weight 1 (sigma < 0.125): no blur
@@ -777,19 +786,23 @@ def _gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     taps = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
     taps = taps / taps.sum()
     out = image
-    for _axis in range(2):
-        n = out.shape[0]
+    for axis in (-2, -1):
+        moved = np.moveaxis(out, axis, 0)
+        del out
+        n = moved.shape[0]
         index = np.arange(-radius, n + radius) % (2 * n)
-        padded = out[np.where(index < n, index, 2 * n - 1 - index)]
-        acc = padded[radius : radius + n] * taps[radius]
-        pair = np.empty_like(acc)
+        padded = moved[np.where(index < n, index, 2 * n - 1 - index)]
+        del moved  # the first pass's result, in the second pass
+        out = padded[radius : radius + n] * taps[radius]
+        pair = np.empty_like(out)
         for j in range(radius, 0, -1):
             lo, hi = radius - j, radius + j
             np.add(padded[lo : lo + n], padded[hi : hi + n], out=pair)
             pair *= taps[radius - j]
-            acc += pair
-        out = acc.T
-    return np.ascontiguousarray(out)
+            out += pair
+        del padded, pair
+    # (W, H, ...) back to (..., H, W)
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-1, -2)))
 
 
 def extend_bank_for_task(bank: MemoryBank, task: MemoryBank) -> MemoryBank:

@@ -406,27 +406,16 @@ class DetectorState:
         self.index = SearchIndex.of(code_points(self.bank.codes))
 
     def score_sample(
-        self, sample: Sample, known: Nearest | None = None, render: bool = True
-    ) -> tuple[ScoreResult, np.ndarray | None]:
-        """The sample's score and, when ``render``, its pixel map.
+        self, sample: Sample, known: Nearest | None = None
+    ) -> tuple[ScoreResult, np.ndarray]:
+        """The sample's score and its (grid_h, grid_w) patch-score grid.
 
         ``known`` is the sample's ``ScoreResult.nearest`` from an earlier
         state whose bank this one extends; only the appended rows are
-        then searched.
+        then searched. ``evaluate`` renders the grids to pixel maps.
         """
         grid = extract_features(sample.image, self.feature)
-        result, patch_map = score_image(self.bank, grid, self.b, self.index, known)
-        if not render:
-            return result, None
-        pixel_map = render_anomaly_map(
-            patch_map,
-            sample.image.height,
-            sample.image.width,
-            self.feature.patch_size,
-            self.feature.stride,
-            self.smoothing_sigma,
-        )
-        return result, pixel_map
+        return score_image(self.bank, grid, self.b, self.index, known)
 
 
 @dataclass
@@ -437,6 +426,9 @@ class EfficiencyStats:
 
 
 WARMUP_IMAGES = 3  # leading per-image latencies that efficiency_stats drops
+# Pixels ``evaluate`` renders in one stack: one 256 px map, so a 256 px
+# or larger map is rendered alone, and 28 maps of 48 px share a stack.
+_STACK_PIXELS = 1 << 16
 
 
 def _nearest_rank(sorted_values: list[float], q: float) -> float:
@@ -458,11 +450,15 @@ def evaluate(
     searched, and each entry is replaced by the new search.
 
     When ``render``, the samples' ``PixelPool`` is sized from their masks
-    and image shapes before any map exists, and each pixel map is fed
-    into it as soon as it is rendered and then dropped, so no map
-    outlives its sample. Pooling runs outside the timed span: the
-    latencies time scoring and rendering only. The pool is None unless
-    ``render``.
+    and image shapes before any map exists. Consecutive samples of one
+    image shape are rendered as one stack of at most ``_STACK_PIXELS``
+    pixels (at least one map), as soon as its last patch grid is
+    scored, so the numpy calls of rendering are made once per stack,
+    not per map; each map is bit-identical to its own 2-D render. The
+    stack's maps are fed into the pool in sample order and dropped with
+    it, so no map outlives its stack. An image's latency is its own
+    scoring time plus an equal share of its stack's render time;
+    pooling runs outside both. The pool is None unless ``render``.
     """
     scores = []
     latencies_ms = []
@@ -470,16 +466,40 @@ def evaluate(
     if render:
         shapes = [(s.image.height, s.image.width) for s in samples]
         pool = PixelPool(mask_regions([s.mask for s in samples], shapes))
+    stack = []  # the patch grids scored since the last render
     for i, sample in enumerate(samples):
         start = time.perf_counter()
-        result, pixel_map = state.score_sample(sample, None if known is None else known[i], render)
+        result, patch_map = state.score_sample(sample, None if known is None else known[i])
         latencies_ms.append((time.perf_counter() - start) * 1000.0)
         if known is not None:
             known[i] = result.nearest
         scores.append(result.s)
-        if pool is not None:
+        if pool is None:
+            continue
+        stack.append(patch_map)
+        height, width = shapes[i]
+        if (
+            i + 1 < len(samples)
+            and shapes[i + 1] == shapes[i]
+            and (len(stack) + 1) * height * width <= _STACK_PIXELS
+        ):
+            continue
+        start = time.perf_counter()
+        pixel_maps = render_anomaly_map(
+            np.stack(stack),
+            height,
+            width,
+            state.feature.patch_size,
+            state.feature.stride,
+            state.smoothing_sigma,
+        )
+        share_ms = (time.perf_counter() - start) * 1000.0 / len(stack)
+        for j in range(i + 1 - len(stack), i + 1):
+            latencies_ms[j] += share_ms
+        for pixel_map in pixel_maps:
             pool.add(pixel_map)
-        del pixel_map  # before the next one is rendered
+        stack = []
+        del pixel_maps, pixel_map  # before the next stack is rendered
     return scores, pool, latencies_ms
 
 
@@ -699,8 +719,9 @@ def _run_continual_job(
     features are re-extracted each step, not cached: a cache grows with
     k x test set x patches x dim, though at only 1 byte per element, as
     a grid holds codes. Re-weighting ranks the whole bank; maps are
-    rendered at step k only, each pooled into its task's cell as it is
-    rendered, and the cells' latencies time that final pass per image.
+    rendered at step k only, in ``evaluate``'s stacks, each pooled into
+    its task's cell as its stack is rendered, and the cells' latencies
+    time that final pass per image.
 
     Each step's scoring state builds its search index from the whole
     grown bank, once: O(bank) per step, where re-weighting already

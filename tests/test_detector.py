@@ -1057,22 +1057,60 @@ def test_render_matches_reference_bitwise(grid_h, grid_w, stride, overlap, margi
     assert np.array_equal(got, expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    maps=st.integers(1, 5),
+    grid_h=st.integers(1, 9),
+    grid_w=st.integers(1, 9),
+    stride=st.integers(1, 5),
+    overlap=st.just(0) | st.integers(1, 4),
+    sigma=st.sampled_from([0.0, 0.1, 2.0, 5.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(maps=5, grid_h=11, grid_w=11, stride=4, overlap=4, sigma=2.0, seed=0)
+@example(maps=3, grid_h=4, grid_w=6, stride=8, overlap=0, sigma=5.0, seed=1)
+@example(maps=2, grid_h=1, grid_w=1, stride=3, overlap=1, sigma=5.0, seed=2)
+def test_render_stack_matches_each_map_bitwise(
+    maps, grid_h, grid_w, stride, overlap, sigma, seed
+):
+    """A (maps, gh, gw) stack renders each map byte for byte as its own
+    2-D call does: patches overlap (stride < patch) or tile, the kernel
+    may be wider than the image, and sigma 0.1 leaves the maps unblurred."""
+    rng = np.random.default_rng(seed)
+    patch_size = stride + overlap
+    image_h = (grid_h - 1) * stride + patch_size
+    image_w = (grid_w - 1) * stride + patch_size
+    stack = rng.random((maps, grid_h, grid_w)) * 10.0 ** int(rng.integers(-3, 4))
+    got = render_anomaly_map(stack, image_h, image_w, patch_size, stride, sigma)
+    assert got.shape == (maps, image_h, image_w) and got.flags.c_contiguous
+    for k in range(maps):
+        alone = render_anomaly_map(stack[k], image_h, image_w, patch_size, stride, sigma)
+        assert got[k].tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("sigma, bound", [(0.0, 3.2), (2.0, 6.2)])
 def test_render_peak_memory(sigma, bound):
-    """Traced peak of one 256 px map from a 32 x 32 grid, in map sizes.
+    """Traced peak of one render, in sizes of its result: one 256 px map
+    from a 32 x 32 grid, and a stack of four 128 px maps of the same
+    pixel count, as ``runner.evaluate`` renders them.
 
     The result and one scratch term are full-size during upsampling; the
-    blur adds its padded copy, accumulator and pair buffer. The
-    four-gather expression this replaced peaked at 3.16 and 6.09 maps.
+    blur adds its padded copy, accumulator and pair buffer, and frees its
+    second pass's input once it is padded (about 4.1 results at sigma
+    2). The four-gather expression this replaced peaked at 3.16 and 6.09
+    maps.
     """
-    patch_map = np.random.default_rng(0).random((32, 32))
-    tracemalloc.start()
-    try:
-        out = render_anomaly_map(patch_map, 256, 256, 8, 8, sigma)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * out.nbytes
+    rng = np.random.default_rng(0)
+    for grids, image_size in (((32, 32), 256), ((4, 16, 16), 128)):
+        patch_maps = rng.random(grids)
+        tracemalloc.start()
+        try:
+            out = render_anomaly_map(patch_maps, image_size, image_size, 8, 8, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == grids[:-2] + (image_size, image_size)
+        assert peak <= bound * out.nbytes, grids
 
 
 # --- continual extension -----------------------------------------------------------------

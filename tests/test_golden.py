@@ -197,7 +197,7 @@ def _bank_digests(banks_dir) -> dict[str, str]:
 
 @contextlib.contextmanager
 def _recorded_scores():
-    """Records every image score and rendered map the runner makes while open."""
+    """Records every image score and rendered 2-D map the runner makes while open."""
     records = []
     score_image, render_anomaly_map = runner.score_image, runner.render_anomaly_map
 
@@ -207,9 +207,13 @@ def _recorded_scores():
         return result, patch_map
 
     def rendering(*args, **kwargs):
-        pixel_map = render_anomaly_map(*args, **kwargs)
-        records.append(f"map {pixel_map.shape} {hashlib.sha256(pixel_map.tobytes()).hexdigest()}")
-        return pixel_map
+        pixel_maps = render_anomaly_map(*args, **kwargs)
+        # one record per 2-D map, whether it was rendered alone or in a stack
+        for pixel_map in pixel_maps.reshape(-1, *pixel_maps.shape[-2:]):
+            records.append(
+                f"map {pixel_map.shape} {hashlib.sha256(pixel_map.tobytes()).hexdigest()}"
+            )
+        return pixel_maps
 
     runner.score_image, runner.render_anomaly_map = scoring, rendering
     try:

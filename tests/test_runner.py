@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import time
@@ -488,7 +489,7 @@ def test_continual_incremental_matches_full_rescoring(monkeypatch):
         return search(index, vectors, known)
 
     def rendering(*args):
-        renders.append(args[0].shape)
+        renders.append(math.prod(args[0].shape[:-2]))  # maps in the call's stack
         return render_anomaly_map(*args)
 
     monkeypatch.setattr(detector, "search", searching)
@@ -518,7 +519,7 @@ def test_continual_incremental_matches_full_rescoring(monkeypatch):
     # task against the whole bank takes sum(l^2) = 30
     assert len(searches) == test_images * k * (k + 1) // 2
     assert slices == test_images * k**2
-    assert len(renders) == test_images * k
+    assert sum(renders) == test_images * k
 
 
 def test_efficiency_sanity(sweep_run):
@@ -648,6 +649,111 @@ def test_evaluate_pools_non_square_images():
     _, pool, _ = evaluate(_tiny_state(), samples, render=True)
     assert pool.ranked() is pool
     assert (pool.negatives.size, pool.positives.size) == (2 * 96 - 18, 18)
+
+
+def _mixed_size_samples(sizes):
+    """One sample per (height, width), every other one abnormal with a
+    mask of a few blocks, so the pool holds both sides and regions."""
+    from iadbench.data import ImageGrid, PixelMask
+
+    rng = np.random.default_rng(5)
+    samples = []
+    for i, (height, width) in enumerate(sizes):
+        codes = rng.integers(0, 256, (height, width), dtype=np.uint8)
+        if i % 2 == 0:
+            samples.append(Sample(f"good/{i}", ImageGrid(codes), "normal", None, "good", "c"))
+            continue
+        mask = np.zeros((height, width), bool)
+        for _ in range(3):
+            y, x = rng.integers(0, height - 4), rng.integers(0, width - 4)
+            mask[y : y + int(rng.integers(1, 5)), x : x + int(rng.integers(1, 5))] = True
+        samples.append(
+            Sample(f"dent/{i}", ImageGrid(codes), "abnormal", PixelMask(mask), "dent", "c")
+        )
+    return samples
+
+
+def _per_map_evaluate(state, samples):
+    """The reference: each sample scored, rendered alone as a 2-D map and pooled."""
+    from iadbench.detector import render_anomaly_map
+    from iadbench.metrics import PixelPool, mask_regions
+
+    shapes = [(s.image.height, s.image.width) for s in samples]
+    pool = PixelPool(mask_regions([s.mask for s in samples], shapes))
+    scores = []
+    for sample, (height, width) in zip(samples, shapes):
+        result, patch_map = state.score_sample(sample)
+        scores.append(result.s)
+        pool.add(
+            render_anomaly_map(
+                patch_map, height, width, state.feature.patch_size, state.feature.stride,
+                state.smoothing_sigma,
+            )
+        )
+    return scores, pool
+
+
+@pytest.mark.parametrize(
+    "stack_pixels, stacks_expected",
+    [
+        (None, [5, 4] + [1] * 6 + [2]),  # one stack per run of one size
+        (1200, [2, 2, 1, 2, 2] + [1] * 6 + [2]),  # two maps of 576 or 560 px fit
+        (1, [1] * 17),  # every map alone
+    ],
+    ids=["default", "two-per-stack", "each-alone"],
+)
+def test_evaluate_stacks_equal_per_map_pool(monkeypatch, stack_pixels, stacks_expected):
+    """Stacked rendering pools the same bytes as rendering each map alone.
+
+    The test images come in two sizes, in runs and alternating, so a
+    stack ends where the size changes; a small ``_STACK_PIXELS`` splits
+    the runs into several stacks, and 1 renders every map alone.
+    """
+    from iadbench.detector import MemoryBank
+    from iadbench.features import FeatureProviderConfig
+
+    sizes = [(24, 24)] * 5 + [(20, 28)] * 4 + [(24, 24), (20, 28)] * 3 + [(24, 24)] * 2
+    samples = _mixed_size_samples(sizes)
+    rng = np.random.default_rng(6)
+    bank = MemoryBank(rng.integers(0, 256, (300, 36), dtype=np.uint8))
+    state = DetectorState(bank, FeatureProviderConfig(6, 3), 2, 1.5)
+    if stack_pixels is not None:
+        monkeypatch.setattr(runner, "_STACK_PIXELS", stack_pixels)
+    stacks = []
+    render_anomaly_map = runner.render_anomaly_map
+
+    def rendering(*args):
+        stacks.append(args[0].shape[0])
+        return render_anomaly_map(*args)
+
+    monkeypatch.setattr(runner, "render_anomaly_map", rendering)
+    scores, pool, latencies_ms = evaluate(state, samples)
+    expected_scores, expected = _per_map_evaluate(state, samples)
+
+    assert [x.hex() for x in scores] == [x.hex() for x in expected_scores]
+    assert pool.negatives.tobytes() == expected.negatives.tobytes()
+    assert pool.positives.tobytes() == expected.positives.tobytes()
+    assert len(pool.region_scores) == len(expected.region_scores) > 0
+    for got, want in zip(pool.region_scores, expected.region_scores):
+        assert got.tobytes() == want.tobytes()
+    assert len(latencies_ms) == len(samples) and min(latencies_ms) > 0
+    assert stacks == stacks_expected
+
+
+def test_run_renders_one_call_per_stack(monkeypatch):
+    """Each cell renders its test maps as stacks, not one map per call."""
+    calls = []
+    render_anomaly_map = runner.render_anomaly_map
+
+    def rendering(patch_maps, *args):
+        calls.append(patch_maps.shape)
+        return render_anomaly_map(patch_maps, *args)
+
+    monkeypatch.setattr(runner, "render_anomaly_map", rendering)
+    run_experiment(parse_config(_base_config()), threads=1)
+    # 2 categories, each one cell of 10 test images of 24 x 24 px
+    # (patch 6, stride 3: 7 x 7 grids), all in one stack of 5,760 pixels
+    assert calls == [(10, 7, 7), (10, 7, 7)]
 
 
 def test_plain_cell_scores_each_test_image_once(monkeypatch):
