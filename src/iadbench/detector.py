@@ -23,32 +23,41 @@ hands ``code_points`` of the bank's codes to ``_farthest_first``, which
 sorts that array in place, so no selection holds a float bank or any
 float64 copy of its points but that one.
 
-``search`` is the one nearest-neighbour search, and it is exact. A
-screen from one BLAS matmul, ``||t||^2 + ||b||^2 - 2 t.b``, keeps every
-bank index within a rounding bound of its row's minimum; those
-candidates are re-ranked with the reference ``((t - b)**2).sum()``, so
-only reference values reach an output. ``_reference_d2`` is the one
-place the reference is computed, a row block at a time, for the rerank,
-the coreset's recompute and re-weighting, so re-weighting reads the
-bank one block at a time too, and the distance it weights, its hood's
-smallest, is the search's answer bit for bit. Peak memory per chunk of
-test patches is a few ``chunk x bank`` arrays, never a
-``chunk x bank x dim`` one. Search and re-weighting read a
-``SearchIndex``: the bank's vectors in float64 and their squared
-norms. Because banks only grow at the end and ties go to the lowest
-index, a search can also start from a known answer over the bank's
-first rows and look only at the rows appended since.
+``search`` is the one nearest-neighbour search, and it is exact. Its
+screen works on the codes: a bank row and a test row are 8-bit code
+rows, so D = ||k_t - k_b||^2 is an integer, and one BLAS matmul of the
+test codes with the bank's codes times -2, plus the bank's squared
+norms, gives D - ||k_t||^2 exactly (float32 below patch 12, float64
+above; ``_screen_dtype``). The reference ``((t - b)**2).sum()`` over
+``code_points`` differs from D / 255^2 by so little that a row whose D
+exceeds another's by more than a margin m (``_screen_margin``: 0 at
+patch 8) has the larger reference. So the search keeps each row's
+bank rows within m of its minimum D and re-ranks only those with the
+reference: at patch 8 only exact integer ties. ``_reference_d2`` is the
+one place the reference is computed, a row block at a time, for the
+rerank, the coreset's recompute and re-weighting. Re-weighting screens
+the bank the same way, with one mat-vec, and computes the reference
+only for the rows within m of the b-th smallest D; the distance it
+weights, its hood's smallest, is the search's answer bit for bit.
+Peak memory per chunk of test patches is a chunk x bank screen
+(float32 at patch 8) and its candidate mask, never a
+``chunk x bank x dim`` array. Search and re-weighting read a
+``SearchIndex``: the bank's codes times -2 in the screen's dtype, their
+integer squared norms and a view of the codes. Because banks only grow
+at the end and ties go to the lowest index, a search can also start
+from a known answer over the bank's first rows and look only at the
+rows appended since.
 
-The coreset's farthest-first update is exact in the same way. The
-points are sorted once by norm. At each pick q with current covering
-radius sqrt(M), only points whose norm is within sqrt(M) (plus a
-rounding slack, ``_shell_slack``) of ||q|| can move closer to the
-selection, by the reverse triangle inequality; they are one contiguous
-slice of the sorted points, found with two binary searches. One mat-vec
-screens that slice; only points whose screen, less the rounding bound,
-does not exceed their current distance to the selection are recomputed
-with the reference expression, and the rest provably keep their
-distance. Both screens share one rounding bound, derived in
+The coreset's farthest-first update is exact too, over float64 points
+that may be projected. The points are sorted once by norm. At each
+pick q with current covering radius sqrt(M), only points whose norm is
+within sqrt(M) (plus a rounding slack, ``_shell_slack``) of ||q|| can
+move closer to the selection, by the reverse triangle inequality; they
+are one contiguous slice of the sorted points, found with two binary
+searches. One mat-vec screens that slice; only points whose screen,
+less the rounding bound, does not exceed their current distance to the
+selection are recomputed with the reference expression, and the rest
+provably keep their distance. That rounding bound is derived in
 ``_screen_tolerance``.
 
 Both screens are BLAS calls, and OpenBLAS by default splits each over
@@ -56,8 +65,9 @@ its own worker threads, which then spin against the runner's cell
 threads. ``single_thread_blas`` keeps every loaded OpenBLAS on the
 calling thread while a run is inside it and restores each library's
 thread count when the last user leaves, since that count is
-process-global. Screen values never reach an output, so the pin moves
-only time.
+process-global. The code screen is exact in any order and the
+coreset's screen values never reach an output, so the pin moves only
+time.
 
 Bank snapshot format "IADB": magic ``IADB``, version u16=1
 little-endian, u32 dim, u64 count, count u32 task tags, then
@@ -320,14 +330,14 @@ class CoresetParams:
 
 
 def _screen_tolerance(dim: int, n_max):
-    """Tolerance tau of the screen s = ||x||^2 + ||y||^2 - 2 x.y.
+    """Tolerance tau of the float64 screen s = ||x||^2 + ||y||^2 - 2 x.y.
 
-    Both exact searches call this: ``search`` keeps every
-    bank index whose screen is within tau of its row's minimum, and
-    ``_farthest_first`` recomputes every row of its norm shell whose
-    screen minus tau does not exceed its current distance.
+    Only ``_farthest_first`` calls this: it recomputes every row of its
+    norm shell whose screen minus tau does not exceed its current
+    distance. ``search`` and ``reweight`` screen the codes exactly
+    instead, with the margin of ``_screen_margin``.
 
-    Domain. Both searches, and this bound and ``_shell_slack``'s, take
+    Domain. The selection, and this bound and ``_shell_slack``'s, take
     finite rows whose squared norms lie far below 2**1000, so every
     product, partial sum and distance below is finite. Code intensities
     in [0, 1] and their Gaussian projections are such rows.
@@ -439,8 +449,9 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
     recomputes every row at every pick.
 
     ``points`` is sorted in place, by its squared norms sq (a stable
-    sort), a column at a time, so the loop holds no copy of it; a
-    caller that needs its rows again passes a copy. Picks and min_d2
+    sort), a slab of columns at a time (at most ``_BLOCK_ELEMENTS``
+    elements, or one column), so the loop holds no copy of it; a caller
+    that needs its rows again passes a copy. Picks and min_d2
     stay in the caller's row order.
 
     Shell. Let M be min_d2 at the pick q, the largest of all. A row
@@ -468,12 +479,14 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
     sq = np.einsum("nd,nd->n", ranked, ranked)
     order = np.argsort(sq, kind="stable")
     sq = sq[order]
-    column = np.empty(n)
-    for c in range(dim):
-        # mode="clip" writes straight into ``column``; order is in range
-        np.take(ranked[:, c], order, out=column, mode="clip")
-        ranked[:, c] = column
-    del column
+    width = max(1, _BLOCK_ELEMENTS // n)  # columns per pass
+    slab = np.empty((n, min(width, dim)))
+    for c in range(0, dim, width):
+        part = slab[:, : min(width, dim - c)]
+        # mode="clip" writes straight into ``part``; order is in range
+        np.take(ranked[:, c : c + width], order, axis=0, out=part, mode="clip")
+        ranked[:, c : c + width] = part
+    del slab, part
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     rho = np.sqrt(sq)
@@ -512,29 +525,93 @@ def _farthest_first(points: np.ndarray, l: int) -> tuple[list[int], np.ndarray]:
     return selected, min_d2
 
 
+def _screen_dtype(dim: int) -> type:
+    """float32 where the code screen of ``dim`` codes is exact in it, else float64.
+
+    Every partial sum of -2 t.b lies in [-2 dim 255^2, 0] and every
+    screen value in [-dim 255^2, dim 255^2]. They are integers, exact in
+    float32 while 2 dim 255^2 < 2^24 (dim <= 129, patch <= 11) and in
+    float64 far beyond any patch.
+    """
+    return np.float32 if 2 * dim * 255**2 < 2**24 else np.float64
+
+
+def _screen_margin(dim: int) -> int:
+    """The code screen's margin m: a row whose D exceeds another's by
+    more than m has a strictly larger reference.
+
+    For code rows a, b of length d let D = sum (a_i - b_i)^2, an exact
+    integer, and R the reference ``((x - y)**2).sum()`` over their
+    ``code_points`` x, y. With u = 2**-53 and gamma_d = d u / (1 - d u):
+
+    - Each x_i is f(a_i) = fl32(a_i / 255), within 2**-25 of a_i / 255
+      and a multiple of 2**-31 in [0, 1]. So x_i - y_i is exact in
+      float64, at most 1 in size and within 2**-24 of
+      delta_i = (a_i - b_i) / 255, and its square is within
+      2**-23 + 2**-48 of delta_i^2.
+    - R rounds d squares and adds them in some order, so it is within
+      gamma_d sum (x_i - y_i)^2 <= gamma_d d of that sum. No square is
+      subnormal: a nonzero difference exceeds 1/256.
+
+    So |R - D / 255^2| <= B = d 2**-23 + d 2**-48 + gamma_d d. For two
+    rows j, l with D_j - D_l > mu = 2 255^2 B,
+    R_j >= D_j / 255^2 - B > D_l / 255^2 + B >= R_l. D is an integer, so
+    D_j - D_l > mu exactly when D_j - D_l > floor(mu) = m. m is
+    computed in integers, from B over the common denominator
+    2**53 (2**53 - d), since gamma_d = d / (2**53 - d). At dim 64 mu is
+    about 0.992, so m = 0 and only exact integer ties are re-ranked; at
+    dim 144, m = 2.
+    """
+    q = 2**53 - dim
+    numerator = dim * (2**30 + 2**5) * q + dim * dim * 2**53
+    return 2 * 255**2 * numerator // (2**53 * q)
+
+
 @dataclass(frozen=True)
 class SearchIndex:
-    """A bank's vectors as the searches read them: float64 rows and their squared norms.
+    """A bank's code rows as the searches read them.
 
-    Built from the bank's ``code_points``, so no search converts the
-    bank again.
+    ``scaled`` is -2 times the codes and ``sq`` their squared norms,
+    both in ``_screen_dtype(dim)`` (float32 at patch <= 11), so one
+    matmul of test codes with ``scaled`` plus ``sq`` is the exact
+    integer D - ||t||^2 for every bank row. ``codes`` is a view of the
+    bank's uint8 codes, which the rerank reads through ``code_points``;
+    ``margin`` is ``_screen_margin(dim)``.
     """
 
-    vectors: np.ndarray  # (count, dim) float64
-    sq: np.ndarray  # (count,) float64, ||row||^2 as the screen computes it
+    scaled: np.ndarray  # (count, dim) -2 * codes
+    sq: np.ndarray  # (count,) ||codes||^2, exact integers
+    codes: np.ndarray  # (count, dim) uint8, a view of the bank's codes
+    margin: int
 
     @classmethod
-    def of(cls, vectors: np.ndarray) -> "SearchIndex":
-        rows = np.asarray(vectors, dtype=np.float64)
-        return cls(rows, np.einsum("nd,nd->n", rows, rows))
+    def of(cls, codes: np.ndarray) -> "SearchIndex":
+        codes = np.asarray(codes)
+        if codes.dtype != np.uint8 or codes.ndim != 2:
+            raise DetectorError("dim-mismatch", "index rows must be 2-D uint8 codes")
+        dim = codes.shape[1]
+        dtype = _screen_dtype(dim)
+        scaled = np.multiply(codes, dtype(-2.0), dtype=dtype)
+        # every partial sum is a multiple of 4 below 4 dim 255^2 < 2^26:
+        # exact in float32, like the screen, and so is the quarter
+        sq = np.einsum("nd,nd->n", scaled, scaled)
+        sq *= 0.25
+        return cls(scaled, sq, codes, _screen_margin(dim))
 
     @property
     def count(self) -> int:
-        return self.vectors.shape[0]
+        return self.codes.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.codes.shape[1]
+
+    def screen(self, codes: np.ndarray, start: int = 0) -> np.ndarray:
+        """D - ||t||^2 of each row of ``codes`` (n, dim) against each index
+        row from ``start`` on: one matmul plus the norms, exact."""
+        screen = codes.astype(self.scaled.dtype) @ self.scaled[start:].T
+        screen += self.sq[start:]
+        return screen
 
 
 @dataclass(frozen=True)
@@ -553,29 +630,45 @@ class ScoreResult:
     nearest: Nearest  # per patch, for a later search of appended rows
 
 
-def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None) -> Nearest:
-    """Each test vector's nearest over every row of ``index``: the one exact search.
+def _candidate_d2(test_points, t_rows, codes, b_rows) -> np.ndarray:
+    """The reference d^2 of each pair (test_points[t_rows[i]],
+    ``code_points(codes[b_rows[i]])``). The bank side is read a block of
+    ``_block_rows(dim)`` candidates at a time, so no candidate list
+    makes a candidates x dim float64 array."""
+    d2 = np.empty(len(b_rows))
+    step = _block_rows(codes.shape[1])
+    for lo in range(0, len(b_rows), step):
+        points = code_points(codes[b_rows[lo : lo + step]])
+        at = np.arange(points.shape[0])
+        d2[lo : lo + step] = _reference_d2(test_points, t_rows[lo : lo + step], points, at)
+    return d2
+
+
+def search(index: SearchIndex, codes: np.ndarray, known: Nearest | None = None) -> Nearest:
+    """Each test code row's nearest over every row of ``index``: the one exact search.
 
     The result equals the reference search bit for bit: for each test
-    vector t, the bank index j minimising d_j = ``((t - b_j)**2).sum()``
-    in float64, ties to the lowest j, and d_j.
+    row t, the bank index j minimising d_j = ``((t - b_j)**2).sum()``
+    over their ``code_points`` in float64, ties to the lowest j, and d_j.
 
-    Screen. For each chunk of test vectors one matmul gives
-    s_j = ||t||^2 + ||b_j||^2 - 2 t.b_j; ``_screen_tolerance`` gives
-    tau with |s_j - d_j| <= E and tau >= 2E plus room for one rounding.
-    Let j* be the reference winner and m the screen's row minimum. Then
-    s_j* <= d_j* + E <= d_m + E <= s_m + 2E, so every j with
-    s_j <= s_m + tau is kept as a candidate, j* among them.
+    Screen. For each chunk of test rows, ``index.screen`` gives
+    S_j = D_j - ||t||^2, exactly, with D_j the integer squared distance
+    of the codes. Every row of the bank whose S_j is within the margin
+    m (``_screen_margin``) of its row's minimum is kept as a candidate.
+    A row j with S_j above that has D_j > D_l + m for the row l at the
+    minimum, so a strictly larger reference than l: it cannot win, and
+    the reference winner j* is a candidate. At patch 8 m is 0, so the
+    candidates are the rows at the minimum D.
 
     Rerank. Each candidate's d_j is computed with the reference
-    (``_reference_d2``), and each row takes the first minimum
-    over its own candidates, in bank order, as argmin over the row
-    would: any candidate before j* has d_j > d_j*, so the result is j*.
-    Every row keeps at least its screen minimum (tau >= 0). Screen
-    values never reach an output, so BLAS threads or summation order
-    cannot change a result.
+    (``_reference_d2``, through ``_candidate_d2``), and each row takes
+    the first minimum over its own candidates, in bank order, as argmin
+    over the row would: any candidate before j* has d_j > d_j*, so the
+    result is j*. The screen is exact in any summation order, so BLAS
+    threads cannot change a candidate, and screen values never reach an
+    output.
 
-    Appended rows. ``known`` is the answer for the same vectors over the
+    Appended rows. ``known`` is the answer for the same rows over the
     index's first ``known.rows`` rows; then only the rows after those
     are screened and re-ranked. The merge is bit-identical to searching
     every row: a row appended later has a higher index, so it replaces
@@ -585,27 +678,20 @@ def search(index: SearchIndex, vectors: np.ndarray, known: Nearest | None = None
     round two distances to a tie.
     """
     start = 0 if known is None else known.rows
-    bank_v = index.vectors[start:]
-    bank_sq = index.sq[start:]
-    test_v = np.asarray(vectors, dtype=np.float64)
-    dim = bank_v.shape[1]
-    bank_sq_max = bank_sq.max()
-    nn_idx = np.empty(test_v.shape[0], dtype=np.int64)
-    nn_d2 = np.empty(test_v.shape[0], dtype=np.float64)
-    for first in range(0, test_v.shape[0], _SCORE_CHUNK):
-        chunk = test_v[first : first + _SCORE_CHUNK]
-        test_sq = np.einsum("nd,nd->n", chunk, chunk)
-        screen = chunk @ bank_v.T
-        screen *= -2.0
-        screen += bank_sq
-        screen += test_sq[:, None]
-        bound = screen.min(axis=1) + _screen_tolerance(dim, test_sq + bank_sq_max)
+    bank_codes = index.codes[start:]
+    n = codes.shape[0]
+    nn_idx = np.empty(n, dtype=np.int64)
+    nn_d2 = np.empty(n, dtype=np.float64)
+    for first in range(0, n, _SCORE_CHUNK):
+        chunk = codes[first : first + _SCORE_CHUNK]
+        screen = index.screen(chunk, start)
+        bound = screen.min(axis=1) + index.margin
         candidates = np.flatnonzero(screen <= bound[:, None])
         del screen
         # row-major: each row's candidates are one run, in bank order
-        t_rows, b_rows = np.divmod(candidates, bank_v.shape[0])
+        t_rows, b_rows = np.divmod(candidates, bank_codes.shape[0])
         del candidates
-        d2 = _reference_d2(chunk, t_rows, bank_v, b_rows)
+        d2 = _candidate_d2(code_points(chunk), t_rows, bank_codes, b_rows)
         row_starts = np.searchsorted(t_rows, np.arange(chunk.shape[0]))
         row_min = np.minimum.reduceat(d2, row_starts)
         # each row's first candidate at its minimum
@@ -641,31 +727,45 @@ def score_patches(
         raise DetectorError("empty-bank", "bank has no vectors")
     if grid.dim != bank.dim:
         raise DetectorError("dim-mismatch", f"grid dim {grid.dim} != bank dim {bank.dim}")
-    nearest = search(index, code_points(grid.vectors), known)
+    nearest = search(index, grid.vectors, known)
     distances = np.sqrt(nearest.d2)
     return nearest, distances, int(np.argmax(distances))
 
 
-def reweight(index: SearchIndex, test_vector: np.ndarray, s_star: float, b: int) -> float:
+def reweight(index: SearchIndex, code_row: np.ndarray, s_star: float, b: int) -> float:
     """Softmax importance re-weighting of the raw image score.
 
     With b = 1 the score passes through unchanged. Otherwise the b rows
-    of the bank's search index nearest to the test vector form the
-    neighborhood; the score scales by one minus the softmax weight of
-    its smallest distance, the nearest neighbor's, with max-subtraction
-    for stability. That is the search's answer for the test vector bit
-    for bit: ``search`` is exact under the same ``_reference_d2``, so
-    its d^2 is the smallest of these d^2, and a tie at the minimum is
-    one value, whichever index wins it.
+    of the index nearest to the test code row form the neighborhood; the
+    score scales by one minus the softmax weight of its smallest
+    distance, the nearest neighbor's, with max-subtraction for
+    stability. That is the search's answer for the row bit for bit:
+    ``search`` is exact under the same ``_reference_d2``, so its d^2 is
+    the smallest of these d^2, and a tie at the minimum is one value,
+    whichever index wins it.
+
+    Screen. One mat-vec (``index.screen``) gives every row's exact
+    S_j = D_j - ||t||^2, and ``np.partition`` its b-th smallest, S_(b).
+    Only the rows with S_j <= S_(b) + m (``_screen_margin``) get the
+    reference distance, and the hood is the b smallest of those. A row
+    left out has D_j > D_l + m, so a strictly larger reference, for each
+    of at least b kept rows l, so it is not among the b smallest
+    references: the hood holds the same values as ranking the whole
+    bank.
     """
     if not 1 <= b <= index.count:
         raise DetectorError("b-out-of-range", f"b={b} for bank of {index.count}")
     if b == 1:
         return s_star
-    test = np.asarray(test_vector, dtype=np.float64).ravel()
-    if test.size != index.dim:
-        raise DetectorError("dim-mismatch", f"test vector dim {test.size} != {index.dim}")
-    d = np.sqrt(_reference_d2(index.vectors, np.arange(index.count), test))
+    row = np.asarray(code_row).reshape(1, -1)
+    if row.dtype != np.uint8:
+        raise DetectorError("dim-mismatch", "test row must be uint8 codes")
+    if row.shape[1] != index.dim:
+        raise DetectorError("dim-mismatch", f"test vector dim {row.shape[1]} != {index.dim}")
+    screen = index.screen(row)[0]
+    kept = np.flatnonzero(screen <= np.partition(screen, b - 1)[b - 1] + index.margin)
+    del screen
+    d = np.sqrt(_candidate_d2(code_points(row), np.zeros_like(kept), index.codes, kept))
     hood = np.sort(np.partition(d, b - 1)[:b])  # the b smallest, ascending
     shift = hood.max()
     weight = np.exp(hood[0] - shift) / np.sum(np.exp(hood - shift))
@@ -683,12 +783,11 @@ def score_image(
 
     The map keeps the raw per-patch nearest distances; only the scalar
     image score is re-weighted. ``index`` and ``known`` are as in
-    ``score_patches``; re-weighting always reads the whole bank.
+    ``score_patches``; re-weighting always screens the whole bank.
     """
     nearest, distances, patch_index = score_patches(bank, grid, index, known)
     s_star = float(distances[patch_index])
-    test_vector = code_points(grid.vectors[patch_index : patch_index + 1])
-    s = reweight(index, test_vector, s_star, b)
+    s = reweight(index, grid.vectors[patch_index], s_star, b)
     return ScoreResult(s_star, s, nearest), distances.reshape(grid.grid_h, grid.grid_w)
 
 

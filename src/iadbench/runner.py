@@ -42,7 +42,6 @@ from .detector import (
     ScoreResult,
     SearchIndex,
     build_bank,
-    code_points,
     coreset_select,
     extend_bank_for_task,
     render_anomaly_map,
@@ -392,8 +391,10 @@ def load_config(path: str, data_root_env: str | None = None) -> ExperimentConfig
 class DetectorState:
     """A frozen bank, its search index and the knobs needed to run inference.
 
-    The index is always the bank's own, built from it here: no caller
-    passes one, so no index can disagree with its bank.
+    The index is always the bank's own, built from its codes here: no
+    caller passes one, so no index can disagree with its bank. Search
+    and re-weighting both screen the index's float32 code rows, and
+    read float points only for the rows the screen keeps.
     """
 
     bank: MemoryBank
@@ -403,7 +404,7 @@ class DetectorState:
     index: SearchIndex = field(init=False)
 
     def __post_init__(self):
-        self.index = SearchIndex.of(code_points(self.bank.codes))
+        self.index = SearchIndex.of(self.bank.codes)
 
     def score_sample(
         self, sample: Sample, known: Nearest | None = None
@@ -718,15 +719,18 @@ def _run_continual_job(
     and the final cells are bit-identical to that rescoring. Test
     features are re-extracted each step, not cached: a cache grows with
     k x test set x patches x dim, though at only 1 byte per element, as
-    a grid holds codes. Re-weighting ranks the whole bank; maps are
-    rendered at step k only, in ``evaluate``'s stacks, each pooled into
-    its task's cell as its stack is rendered, and the cells' latencies
-    time that final pass per image.
+    a grid holds codes. Re-weighting screens the whole bank, one
+    mat-vec per re-scored image, and takes the reference distance only
+    for the rows near its b-th smallest; maps are rendered at step k
+    only, in ``evaluate``'s stacks, each pooled into its task's cell as
+    its stack is rendered, and the cells' latencies time that final
+    pass per image.
 
     Each step's scoring state builds its search index from the whole
-    grown bank, once: O(bank) per step, where re-weighting already
-    reads the whole bank once per re-scored image. A step's state is
-    dropped before the next is built, so one index is alive at a time.
+    grown bank, once: O(bank) per step, where re-weighting's screen
+    already reads the whole index once per re-scored image. A step's
+    state is dropped before the next is built, so one index is alive at
+    a time.
     """
     k = len(tasks)
     bank = MemoryBank.empty(config.feature.dim)

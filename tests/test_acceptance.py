@@ -180,17 +180,19 @@ def test_criterion_4_coreset_oracle():
 
 
 def test_criterion_5_reweighting_formula():
-    index = SearchIndex.of(np.array([[0.0], [3.0]], np.float32))
-    assert reweight(index, np.array([1.0]), 0.73, 1) == 0.73
-    worked = reweight(index, np.array([1.0]), 1.0, 2)
+    # code 255 reads as 1.0: the test row is 0 and 1 from the two rows
+    index = SearchIndex.of(np.array([[0], [255]], np.uint8))
+    assert reweight(index, np.array([0], np.uint8), 0.73, 1) == 0.73
+    worked = reweight(index, np.array([0], np.uint8), 1.0, 2)
     assert abs(worked - np.e / (1.0 + np.e)) <= 1e-9
     rng = np.random.default_rng(1005)
     for _ in range(1000):
         n = int(rng.integers(1, 15))
         dim = int(rng.integers(1, 5))
-        index = SearchIndex.of(rng.standard_normal((n, dim)).astype(np.float32))
-        test = rng.standard_normal(dim)
-        d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
+        index = SearchIndex.of(rng.integers(0, 256, (n, dim), dtype=np.uint8))
+        test = rng.integers(0, 256, dim, dtype=np.uint8)
+        rows = intensities(index.codes).astype(np.float64)
+        d = np.sqrt(((rows - intensities(test)) ** 2).sum(axis=1))
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
@@ -337,7 +339,7 @@ def test_criterion_10_continual_memory_bank(bench_runs):
         task_bank = build_bank([i.sample.image for i in task.train], config.feature)
         picked = coreset_select(task_bank, params(step))
         bank = extend_bank_for_task(bank, task_bank.take(picked))
-        index = SearchIndex.of(intensities(bank.codes))
+        index = SearchIndex.of(bank.codes)
         for prev in sequence[:step]:
             d2 = np.concatenate(
                 [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +71,7 @@ def _bank(codes) -> MemoryBank:
 
 def _index(bank: MemoryBank) -> SearchIndex:
     """The bank's search index, as a detector state builds it."""
-    return SearchIndex.of(code_points(bank.codes))
+    return SearchIndex.of(bank.codes)
 
 
 def _grid(codes) -> PatchFeatureGrid:
@@ -143,7 +145,8 @@ def test_every_code_reads_as_the_float32_quotient():
     rows = intensities(bank.codes)
     assert rows.dtype == np.float32 and rows.ravel().tobytes() == old.tobytes()
     index = _index(bank)
-    assert index.vectors.ravel().tobytes() == old.astype(np.float64).tobytes()
+    assert index.codes is bank.codes
+    assert code_points(index.codes).ravel().tobytes() == old.astype(np.float64).tobytes()
 
 
 def test_bank_file_holds_the_intensities_of_the_codes(tmp_path):
@@ -631,95 +634,154 @@ def test_score_patches_nearest_choice():
     assert neighbor == 0  # 1 < sqrt(2)
 
 
-def _search_case(kind, dim, bank_size, test_count, seed):
-    """Bank (float32) and test vectors (float64) built to stress the screen:
-    finite rows whose squared norms lie far below 2**1000, the searches'
-    domain."""
+def _code_case(kind, dim, bank_size, test_count, seed):
+    """Bank and test code rows built to stress the screen's ties: rows
+    whose integer squared distances tie while their references may
+    differ, and the references' own ties."""
     rng = np.random.default_rng(seed)
     if kind == "random":
-        bank = rng.random((bank_size, dim))
-        tests = rng.random((test_count, dim))
+        bank = rng.integers(0, 256, (bank_size, dim))
+        tests = rng.integers(0, 256, (test_count, dim))
     elif kind == "duplicates":
-        base = rng.random((max(1, bank_size // 3), dim))
+        base = rng.integers(0, 256, (max(1, bank_size // 3), dim))
         bank = base[rng.integers(0, base.shape[0], bank_size)]
-        tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-6, (test_count, dim))
-    elif kind == "equidistant":
-        # integer grid: midpoints of two bank vectors tie exactly
-        bank = rng.integers(-3, 4, (bank_size, dim)).astype(np.float64)
+        tests = bank[rng.integers(0, bank_size, test_count)]
+        tests = tests + rng.integers(-1, 2, (test_count, dim))  # one level off, or none
+    elif kind == "one-level":
+        # every row within one code level of one center: D ties everywhere
+        center = rng.integers(1, 255, dim)
+        bank = center + rng.integers(-1, 2, (bank_size, dim))
+        tests = center + rng.integers(-1, 2, (test_count, dim))
+    elif kind == "constant":
+        # every bank row equal: all ties, the lowest index wins
+        bank = np.full((bank_size, dim), rng.integers(0, 256))
+        tests = np.full((test_count, dim), rng.integers(0, 256))
+    elif kind == "midpoints":
+        # even codes: the midpoint of two bank rows ties them exactly
+        bank = 2 * rng.integers(0, 128, (bank_size, dim))
         a = bank[rng.integers(0, bank_size, test_count)]
         b = bank[rng.integers(0, bank_size, test_count)]
-        tests = (a + b) / 2.0
-    elif kind == "offset":
-        # a common offset of 1e3 over a spread of 1e-3 makes
-        # ||t||^2 + ||b||^2 - 2 t.b cancel badly: its rounding error is
-        # several u * ||t||^2, larger than many of the distance gaps
-        bank = 1e3 + rng.random((bank_size, dim)) * 1e-3
-        tests = bank[rng.integers(0, bank_size, test_count)] + rng.normal(0, 1e-3, (test_count, dim))
-    return bank.astype(np.float32), tests
+        tests = (a + b) // 2
+    return np.clip(bank, 0, 255).astype(np.uint8), np.clip(tests, 0, 255).astype(np.uint8)
+
+
+_CODE_KINDS = ["random", "duplicates", "one-level", "constant", "midpoints"]
+
+
+def _assert_bruteforce(nearest, bank_codes, test_codes):
+    want_d, want_i = nearest_bruteforce(intensities(bank_codes), intensities(test_codes))
+    assert nearest.index.tolist() == want_i
+    assert np.sqrt(nearest.d2).tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset"]),
-    dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
+    kind=st.sampled_from(_CODE_KINDS),
+    dim=st.sampled_from([1, 2, 3, 9, 36, 64, 144]),
     bank_size=st.integers(1, 24),
     test_count=st.sampled_from([1, 255, 256, 257, 513]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(kind="duplicates", dim=36, bank_size=24, test_count=513, seed=0)
-@example(kind="equidistant", dim=1, bank_size=1, test_count=255, seed=1)
-@example(kind="equidistant", dim=3, bank_size=20, test_count=256, seed=2)
-@example(kind="offset", dim=9, bank_size=5, test_count=257, seed=3)
-@example(kind="offset", dim=64, bank_size=24, test_count=513, seed=4)
+@example(kind="midpoints", dim=1, bank_size=1, test_count=255, seed=1)
+@example(kind="midpoints", dim=3, bank_size=20, test_count=256, seed=2)
+@example(kind="one-level", dim=9, bank_size=5, test_count=257, seed=3)
+@example(kind="one-level", dim=64, bank_size=24, test_count=513, seed=4)
+@example(kind="constant", dim=64, bank_size=24, test_count=257, seed=5)
+@example(kind="one-level", dim=144, bank_size=24, test_count=257, seed=6)
 def test_nearest_distances_match_bruteforce_bitwise(kind, dim, bank_size, test_count, seed):
-    bank_v, tests = _search_case(kind, dim, bank_size, test_count, seed)
-    nearest = search(SearchIndex.of(bank_v), tests)
-    d2, indices = nearest.d2, nearest.index
-    want_d, want_i = nearest_bruteforce(bank_v, tests)
-    assert indices.tolist() == want_i
-    assert np.sqrt(d2).tobytes() == np.asarray(want_d, dtype=np.float64).tobytes()
+    bank_c, tests = _code_case(kind, dim, bank_size, test_count, seed)
+    _assert_bruteforce(search(SearchIndex.of(bank_c), tests), bank_c, tests)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(["random", "duplicates", "equidistant", "offset", "cross-slice-tie"]),
-    dim=st.sampled_from([1, 2, 3, 9, 36, 64]),
+    kind=st.sampled_from([*_CODE_KINDS, "cross-slice-tie"]),
+    dim=st.sampled_from([1, 2, 3, 9, 36, 64, 144]),
     slice_sizes=st.lists(st.integers(1, 10), min_size=2, max_size=5),
     test_count=st.sampled_from([1, 255, 257]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(kind="cross-slice-tie", dim=3, slice_sizes=[4, 4, 4], test_count=257, seed=0)
 @example(kind="cross-slice-tie", dim=1, slice_sizes=[1, 1, 1, 1, 1], test_count=255, seed=1)
-@example(kind="offset", dim=64, slice_sizes=[6, 10, 8], test_count=257, seed=2)
+@example(kind="one-level", dim=64, slice_sizes=[6, 10, 8], test_count=257, seed=2)
+@example(kind="one-level", dim=144, slice_sizes=[6, 10, 8], test_count=257, seed=3)
 def test_search_of_appended_slices_matches_whole_bank_bitwise(
     kind, dim, slice_sizes, test_count, seed
 ):
     bounds = np.cumsum(slice_sizes)
     if kind == "cross-slice-tie":
-        # every later vector repeats one of the first slice, so a test
-        # vector's nearest distance recurs at a higher index: the lower wins
-        first, tests = _search_case("equidistant", dim, slice_sizes[0], test_count, seed)
+        # every later row repeats one of the first slice, so a test
+        # row's nearest distance recurs at a higher index: the lower wins
+        first, tests = _code_case("midpoints", dim, slice_sizes[0], test_count, seed)
         repeats = np.random.default_rng(seed).integers(0, slice_sizes[0], bounds[-1] - bounds[0])
-        bank_v = np.concatenate([first, first[repeats]])
+        bank_c = np.concatenate([first, first[repeats]])
     else:
-        bank_v, tests = _search_case(kind, dim, int(bounds[-1]), test_count, seed)
-    index = SearchIndex.of(bank_v[: bounds[0]])
+        bank_c, tests = _code_case(kind, dim, int(bounds[-1]), test_count, seed)
+    index = SearchIndex.of(bank_c[: bounds[0]])
     nearest = search(index, tests)
     for hi in bounds[1:]:
-        index = SearchIndex.of(bank_v[:hi])
+        index = SearchIndex.of(bank_c[:hi])
         nearest = search(index, tests, nearest)
-    want = search(SearchIndex.of(bank_v), tests)
+    want = search(SearchIndex.of(bank_c), tests)
     want_d2, want_i = want.d2, want.index
-    assert index.vectors.tobytes() == bank_v.astype(np.float64).tobytes()
-    assert nearest.rows == bank_v.shape[0]
+    assert index.codes.tobytes() == bank_c.tobytes()
+    assert nearest.rows == bank_c.shape[0]
     assert nearest.index.tolist() == want_i.tolist()
     assert nearest.d2.tobytes() == want_d2.tobytes()
+    _assert_bruteforce(nearest, bank_c, tests)
+
+
+def test_patch_12_search_takes_the_float64_screen():
+    """At patch 12 (dim 144) 2 dim 255^2 passes 2^24, so the screen is
+    float64 and its margin 2; the search still equals brute force."""
+    bank_c, tests = _code_case("one-level", 144, 40, 300, 12)
+    index = SearchIndex.of(bank_c)
+    assert (index.scaled.dtype, index.sq.dtype, index.margin) == (np.float64, np.float64, 2)
+    _assert_bruteforce(search(index, tests), bank_c, tests)
+    assert SearchIndex.of(bank_c[:, :121]).scaled.dtype == np.float32  # patch 11
+
+
+def test_screen_margin_is_the_floor_of_the_rational_bound():
+    """m(dim) = floor(2 255^2 (dim 2**-23 + dim 2**-48 + gamma_dim dim)),
+    evaluated in exact fractions here."""
+    u = Fraction(1, 2**53)
+    for dim in [*range(1, 300), 1024, 4096]:
+        gamma = dim * u / (1 - dim * u)
+        mu = 2 * 255**2 * (dim * Fraction(1, 2**23) + dim * Fraction(1, 2**48) + gamma * dim)
+        assert detector._screen_margin(dim) == math.floor(mu)
+    assert [detector._screen_margin(d) for d in (64, 121, 144)] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("blas", ["pinned", "unpinned"])
+@pytest.mark.parametrize("dim", [64, 128, 129])
+def test_float32_code_screen_equals_int64_arithmetic(dim, blas):
+    """The screen's premise: float32 (-2 codes) @ codes.T + norms is the
+    integer D - ||t||^2 exactly, with BLAS on one thread or its own,
+    up to 2 dim 255^2 < 2^24 (dim 129, the largest float32 dim)."""
+    rng = np.random.default_rng(dim)
+    bank = rng.integers(0, 256, (700, dim), dtype=np.uint8)
+    bank[:100] = 255  # the largest sums
+    bank[100:200] = rng.choice(np.array([0, 255], np.uint8), (100, dim))
+    tests = np.concatenate([bank[:300], rng.integers(0, 256, (300, dim), dtype=np.uint8)])
+    index = SearchIndex.of(bank)
+    assert index.scaled.dtype == index.sq.dtype == np.float32
+    assert SearchIndex.of(np.zeros((1, dim + 1), np.uint8)).scaled.dtype == (
+        np.float64 if dim == 129 else np.float32
+    )
+    with single_thread_blas if blas == "pinned" else nullcontext():
+        screen = index.screen(tests)
+    b64, t64 = bank.astype(np.int64), tests.astype(np.int64)
+    want = (b64 * b64).sum(axis=1) - 2 * (t64 @ b64.T)
+    assert screen.dtype == np.float32
+    assert np.array_equal(screen.astype(np.int64), want)
+    assert np.array_equal(index.sq.astype(np.int64), (b64 * b64).sum(axis=1))
 
 
 def test_nearest_distances_all_duplicate_bank_memory():
     count, dim = 2000, 64
-    index = SearchIndex.of(np.full((count, dim), 0.5, np.float32))
-    tests = np.random.default_rng(3).random((_SCORE_CHUNK, dim))
+    index = SearchIndex.of(np.full((count, dim), 128, np.uint8))
+    tests = np.random.default_rng(3).integers(0, 256, (_SCORE_CHUNK, dim), dtype=np.uint8)
     tracemalloc.start()
     try:
         nearest = search(index, tests)
@@ -727,9 +789,30 @@ def test_nearest_distances_all_duplicate_bank_memory():
     finally:
         tracemalloc.stop()
     assert nearest.index.tolist() == [0] * _SCORE_CHUNK  # every index ties; lowest wins
-    assert nearest.d2.tolist() == [float(((t - 0.5) ** 2).sum()) for t in tests]
+    level = code_points(index.codes[:1])[0]
+    assert nearest.d2.tolist() == [float(((t - level) ** 2).sum()) for t in code_points(tests)]
     broadcast = _SCORE_CHUNK * count * dim * 8  # the chunk x bank x dim float64 array
     assert peak < broadcast / 8
+
+
+def test_search_peak_memory():
+    """A 225-row search of a 36,000 x 64 bank holds a float32 screen and
+    its candidate mask, not a float64 screen: it peaks below 45 MiB."""
+    count, dim = 36000, 64
+    rng = np.random.default_rng(27)
+    index = SearchIndex.of(rng.integers(0, 256, (count, dim), dtype=np.uint8))
+    tests = rng.integers(0, 256, (225, dim), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        nearest = search(index, tests)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20
+    sample = np.array([0, 224])
+    want_d, want_i = nearest_bruteforce(intensities(index.codes), intensities(tests[sample]))
+    assert nearest.index[sample].tolist() == want_i
+    assert np.sqrt(nearest.d2[sample]).tolist() == want_d
 
 
 def test_score_patches_errors():
@@ -744,19 +827,21 @@ def test_score_patches_errors():
 
 
 def test_reweight_b1_no_reweighting():
-    index = SearchIndex.of([[0.0], [3.0]])
-    assert reweight(index, np.array([1.0]), 1.0, 1) == 1.0
+    index = SearchIndex.of(np.array([[0], [255]], np.uint8))
+    assert reweight(index, np.array([255], np.uint8), 1.0, 1) == 1.0
 
 
 def test_reweight_worked_example():
-    index = SearchIndex.of([[0.0], [3.0]])
-    s = reweight(index, np.array([1.0]), 1.0, 2)
+    # distances 0 and 1: code 255 is 1.0
+    index = SearchIndex.of(np.array([[0], [255]], np.uint8))
+    s = reweight(index, np.array([0], np.uint8), 1.0, 2)
     assert s == pytest.approx(np.e / (1 + np.e), abs=1e-9)
 
 
 def test_reweight_equidistant_neighbors():
-    index = SearchIndex.of([[1.0, 0.0], [-1.0, 0.0]])
-    s = reweight(index, np.array([0.0, 0.0]), 1.0, 2)
+    # float32(254/255) is twice float32(127/255), so both distances are equal
+    index = SearchIndex.of(np.array([[254, 0], [0, 0]], np.uint8))
+    s = reweight(index, np.array([127, 0], np.uint8), 1.0, 2)
     assert s == pytest.approx(0.5, abs=1e-12)
 
 
@@ -765,20 +850,20 @@ def test_reweight_bounds_and_monotonicity():
     for _ in range(200):
         n = int(rng.integers(2, 12))
         dim = int(rng.integers(1, 4))
-        index = SearchIndex.of(rng.standard_normal((n, dim)).astype(np.float32))
-        test = rng.standard_normal(dim)
-        d = np.sqrt(((index.vectors - test) ** 2).sum(axis=1))
+        index = SearchIndex.of(rng.integers(0, 256, (n, dim), dtype=np.uint8))
+        test = rng.integers(0, 256, dim, dtype=np.uint8)
+        d = np.sqrt(((code_points(index.codes) - code_points(test[None])) ** 2).sum(axis=1))
         neighbor = int(np.argmin(d))
         s_star = float(d[neighbor])
         b = int(rng.integers(1, n + 1))
         s = reweight(index, test, s_star, b)
         assert 0.0 <= s <= s_star
     # a second neighbor moving closer strictly lowers the score
-    test = np.array([0.0])
+    test = np.array([0], np.uint8)
     previous = None
-    for second in (10.0, 5.0, 2.0, 1.0):
-        index = SearchIndex.of([[0.5], [second]])
-        s = reweight(index, test, 0.5, 2)
+    for second in (255, 200, 150, 130):
+        index = SearchIndex.of(np.array([[128], [second]], np.uint8))
+        s = reweight(index, test, float(intensities(np.uint8(128))), 2)
         if previous is not None:
             assert s < previous
         previous = s
@@ -788,7 +873,7 @@ def test_reweight_bounds_and_monotonicity():
 @given(
     count=st.integers(2, 60),
     dim=st.integers(1, 4),
-    levels=st.sampled_from([1, 2, 3, 5, 1000]),
+    levels=st.sampled_from([1, 2, 3, 5, 256]),
     b_kind=st.sampled_from(["two", "some", "all"]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -796,47 +881,66 @@ def test_reweight_bounds_and_monotonicity():
 @example(count=40, dim=2, levels=2, b_kind="all", seed=1)
 @example(count=40, dim=3, levels=3, b_kind="some", seed=2)
 @example(count=600, dim=64, levels=2, b_kind="all", seed=3)  # 3 blocks of 256 rows
-@example(count=600, dim=64, levels=1000, b_kind="some", seed=4)
+@example(count=600, dim=64, levels=256, b_kind="some", seed=4)
+@example(count=300, dim=144, levels=3, b_kind="some", seed=5)  # the float64 screen
+@example(count=300, dim=144, levels=256, b_kind="all", seed=6)
 def test_reweight_matches_lexsort_reference(count, dim, levels, b_kind, seed):
-    """Bit for bit, on banks quantized to a few levels, so most distances tie.
+    """Bit for bit, on code banks of a few levels, so most distances tie,
+    at the b-th distance too, and rows repeat; the test row lies on the
+    levels or between them.
 
-    Coordinates lie in [0, 1), so distances differ by less than
-    sqrt(dim), at most 8, and every neighbour's softmax term reaches the
-    score.
+    Codes read as [0, 1], so distances differ by less than sqrt(dim),
+    and every neighbour's softmax term reaches the score.
     """
     rng = np.random.default_rng(seed)
-    scale = max(levels, 4)
-    vectors = (rng.integers(0, levels, (count, dim)) / scale).astype(np.float32)
-    test = (rng.integers(0, levels, dim) + rng.choice([0.0, 0.5])) / scale
-    d = np.sqrt(((vectors.astype(np.float64) - test) ** 2).sum(axis=1))
+    step = 255 // max(levels - 1, 1)
+    codes = (rng.integers(0, levels, (count, dim)) * step).astype(np.uint8)
+    test = (rng.integers(0, levels, dim) * step + rng.choice([0, step // 2])).astype(np.uint8)
+    vectors, point = intensities(codes), intensities(test)
+    d = np.sqrt(((vectors.astype(np.float64) - point) ** 2).sum(axis=1))
     neighbor = int(np.argmin(d))
     b = {"two": 2, "some": int(rng.integers(2, count + 1)), "all": count}[b_kind]
-    expected = reweight_reference(vectors, test, float(d[neighbor]), neighbor, b)
-    assert reweight(SearchIndex.of(vectors), test, float(d[neighbor]), b) == expected
+    expected = reweight_reference(vectors, point, float(d[neighbor]), neighbor, b)
+    assert reweight(SearchIndex.of(codes), test, float(d[neighbor]), b) == expected
 
 
 def test_reweight_peak_memory():
-    """One re-weighting reads the index a row block at a time: its peak
-    stays below a quarter of one bank x dim float64 array."""
+    """One re-weighting screens the index with one mat-vec and ranks
+    only the rows near its b-th smallest: its peak stays below three
+    float32 vectors of the bank's length, a 64th of one bank x dim
+    float64 array."""
     count, dim = 36000, 64
     rng = np.random.default_rng(15)
-    index = SearchIndex.of(intensities(rng.integers(0, 256, (count, dim), dtype=np.uint8)))
-    test = index.vectors[7] + 0.001
+    index = SearchIndex.of(rng.integers(0, 256, (count, dim), dtype=np.uint8))
+    test = index.codes[7].copy()
+    test[0] ^= 1  # one code level from row 7
     tracemalloc.start()
     try:
         s = reweight(index, test, 1.0, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert s == reweight_reference(index.vectors, test, 1.0, 7, 5)
-    assert peak < count * dim * 8 / 4
+    assert s == reweight_reference(intensities(index.codes), intensities(test), 1.0, 7, 5)
+    assert peak < count * 4 * 3
 
 
 def test_reweight_b_out_of_range():
-    index = SearchIndex.of([[0.0]])
+    index = SearchIndex.of(np.array([[0]], np.uint8))
+    with pytest.raises(DetectorError) as exc:
+        reweight(index, np.array([255], np.uint8), 1.0, 2)
+    assert exc.value.code == "b-out-of-range"
+
+
+def test_reweight_and_index_take_only_code_rows():
+    """A float row is refused, not read as codes."""
+    index = SearchIndex.of(np.array([[0], [255]], np.uint8))
     with pytest.raises(DetectorError) as exc:
         reweight(index, np.array([1.0]), 1.0, 2)
-    assert exc.value.code == "b-out-of-range"
+    assert (exc.value.code, exc.value.message) == ("dim-mismatch", "test row must be uint8 codes")
+    for rows in (np.array([[0.0], [1.0]]), np.zeros(3, np.uint8)):
+        with pytest.raises(DetectorError) as exc:
+            SearchIndex.of(rows)
+        assert exc.value.code == "dim-mismatch"
 
 
 def test_score_image_replay_zero():
@@ -861,9 +965,7 @@ def test_score_image_single_patch():
     bank = _bank([[0], [2]])
     grid = PatchFeatureGrid(1, 1, np.array([[1]], np.uint8))
     result, _ = score_image(bank, grid, 2, _index(bank))
-    assert result.s == pytest.approx(
-        reweight(_index(bank), intensities(grid.vectors[0]), result.s_star, 2)
-    )
+    assert result.s == pytest.approx(reweight(_index(bank), grid.vectors[0], result.s_star, 2))
 
 
 def _scored_as_before(bank, grid, b, index, known=None):
@@ -877,9 +979,10 @@ def _scored_as_before(bank, grid, b, index, known=None):
     assert result.nearest.d2.tobytes() == nearest.d2.tobytes()
     assert patch_map.tobytes() == np.sqrt(nearest.d2).tobytes()
     assert result.s_star == s_star
-    winner = code_points(grid.vectors[patch_index : patch_index + 1])
+    winner = intensities(grid.vectors[patch_index])
     neighbor = int(nearest.index[patch_index])
-    expected = s_star if b == 1 else reweight_reference(index.vectors, winner, s_star, neighbor, b)
+    vectors = intensities(index.codes)
+    expected = s_star if b == 1 else reweight_reference(vectors, winner, s_star, neighbor, b)
     assert result.s == expected
     return result
 

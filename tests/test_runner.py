@@ -846,15 +846,15 @@ def test_continual_step_drops_its_index_before_the_next(monkeypatch):
     dataset = {"synthetic": dict(_base_config()["dataset"]["synthetic"], categories=3)}
     config = parse_config(_base_config(dataset=dataset, setting={"type": "continual"}))
     built = []  # a weak reference to each index's rows
-    code_points = runner.code_points  # only DetectorState.__post_init__ calls it
+    of = detector.SearchIndex.of  # only DetectorState.__post_init__ calls it
 
-    def reading(codes):
+    def indexing(codes):
         assert [ref() for ref in built] == [None] * len(built)
-        points = code_points(codes)
-        built.append(weakref.ref(points))
-        return points
+        index = of(codes)
+        built.append(weakref.ref(index.scaled))
+        return index
 
-    monkeypatch.setattr(runner, "code_points", reading)
+    monkeypatch.setattr(detector.SearchIndex, "of", indexing)
     document = run_experiment(config, threads=1).document
     assert document["task_matrices"]["continual"]["k"] == 3
     assert len(built) == 3
@@ -863,7 +863,7 @@ def test_continual_step_drops_its_index_before_the_next(monkeypatch):
 def test_detector_state_index_peak_memory():
     """A scoring state over a 36,000 x 64 whole bank builds its search
     index with no other bank-sized float copy: its peak stays within 10%
-    of the index's own float64 rows and squared norms."""
+    of the index's own float32 rows and squared norms."""
     count, dim = 36000, 64
     codes = np.random.default_rng(26).integers(0, 256, (count, dim), dtype=np.uint8)
     bank = detector.MemoryBank(codes)
@@ -873,9 +873,10 @@ def test_detector_state_index_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    index_bytes = state.index.vectors.nbytes + state.index.sq.nbytes
-    assert index_bytes == count * (dim + 1) * 8  # 18.72 MB
-    assert state.index.vectors.tobytes() == intensities(codes).astype(np.float64).tobytes()
+    index_bytes = state.index.scaled.nbytes + state.index.sq.nbytes
+    assert index_bytes == count * (dim + 1) * 4  # 9.36 MB
+    assert state.index.scaled.tobytes() == (-2.0 * codes.astype(np.float32)).tobytes()
+    assert state.index.codes is codes
     assert peak < 1.1 * index_bytes
 
 
